@@ -74,7 +74,10 @@ impl ContentModelCache {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         self.obs.incr(xsobs::CounterId::CmCacheLookups);
         let key = fingerprint(group);
-        if let Some(cm) = self.map.lock().expect("content-model cache lock").get(&key) {
+        // One lock across lookup and compile: racing first sights of a
+        // group must count (and pay for) exactly one miss.
+        let mut map = self.map.lock().expect("content-model cache lock");
+        if let Some(cm) = map.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.obs.incr(xsobs::CounterId::CmCacheHits);
             return Ok(Arc::clone(cm));
@@ -82,8 +85,8 @@ impl ContentModelCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.obs.incr(xsobs::CounterId::CmCacheMisses);
         let cm = Arc::new(ContentModel::compile(group)?);
-        let mut map = self.map.lock().expect("content-model cache lock");
-        Ok(Arc::clone(map.entry(key).or_insert(cm)))
+        map.insert(key, Arc::clone(&cm));
+        Ok(cm)
     }
 
     /// Number of distinct content models cached.

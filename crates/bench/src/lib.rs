@@ -1,7 +1,7 @@
-//! Benchmark harness support: deterministic workload generators and the
-//! naive-Dewey baseline. The Criterion benches in `benches/` and the
-//! `experiments` binary drive these to regenerate every row reported in
-//! EXPERIMENTS.md.
+//! Support for the `experiments` binary: deterministic workload
+//! generators and the naive-Dewey baseline behind the rows reported in
+//! EXPERIMENTS.md and the E-guards `scripts/check.sh` gates on. (The
+//! end-to-end benchmark lives in `benchmark/`.)
 
 #![warn(missing_docs)]
 

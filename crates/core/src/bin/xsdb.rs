@@ -11,9 +11,12 @@
 use std::process::ExitCode;
 
 use xsdb::cli::out_line;
-use xsdb::storage::XmlStorage;
-use xsdb::xpath::XdmTree;
-use xsdb::{check_roundtrip, load_document, parse_schema_text, Document};
+use xsdb::{
+    check_roundtrip, load_document, parse_schema_text, Database, DbError, Document, DocumentSchema,
+};
+
+/// The name the one document is stored under.
+const DOC: &str = "doc";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -29,6 +32,17 @@ fn main() -> ExitCode {
 fn usage() -> String {
     "usage: xsdb <validate|query|xquery|roundtrip|inspect> <schema.xsd> <doc.xml> [expr]"
         .to_string()
+}
+
+/// A database holding `doc`, validated against `schema`, as [`DOC`].
+fn stored(schema: DocumentSchema, doc: &Document) -> Result<Database, String> {
+    let mut db = Database::new();
+    db.register_schema("schema", schema).map_err(|e| e.to_string())?;
+    match db.insert_document(DOC, "schema", doc) {
+        Ok(()) => Ok(db),
+        Err(DbError::Invalid(errors)) => Err(format!("document invalid: {}", errors[0])),
+        Err(e) => Err(e.to_string()),
+    }
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -62,23 +76,16 @@ fn run(args: &[String]) -> Result<(), String> {
         },
         "query" => {
             let expr = args.get(3).ok_or_else(usage)?;
-            let loaded =
-                load_document(&schema, &doc).map_err(|e| format!("document invalid: {}", e[0]))?;
-            let path = xsdb::xpath::parse(expr).map_err(|e| e.to_string())?;
-            let tree = XdmTree { store: &loaded.store, doc: loaded.doc };
-            for n in xsdb::xpath::eval_naive(&tree, &path) {
-                out_line(format_args!("{}", loaded.store.string_value(n)));
+            let db = stored(schema, &doc)?;
+            for value in db.query(DOC, expr).map_err(|e| e.to_string())? {
+                out_line(format_args!("{value}"));
             }
             Ok(())
         }
         "xquery" => {
             let expr = args.get(3).ok_or_else(usage)?;
-            let loaded =
-                load_document(&schema, &doc).map_err(|e| format!("document invalid: {}", e[0]))?;
-            let q = xsdb::xquery::parse_query(expr).map_err(|e| e.to_string())?;
-            let tree = XdmTree { store: &loaded.store, doc: loaded.doc };
-            let nodes = xsdb::xquery::evaluate(&tree, &q).map_err(|e| e.to_string())?;
-            out_line(format_args!("{}", xsdb::xquery::nodes_to_string(&nodes)));
+            let db = stored(schema, &doc)?;
+            out_line(format_args!("{}", db.xquery(DOC, expr).map_err(|e| e.to_string())?));
             Ok(())
         }
         "roundtrip" => match check_roundtrip(&schema, &doc) {
@@ -89,14 +96,13 @@ fn run(args: &[String]) -> Result<(), String> {
             Err(e) => Err(format!("round trip failed: {e}")),
         },
         "inspect" => {
-            let loaded =
-                load_document(&schema, &doc).map_err(|e| format!("document invalid: {}", e[0]))?;
-            let storage = XmlStorage::from_tree(&loaded.store, loaded.doc);
-            out_line(format_args!("document nodes:        {}", loaded.store.len()));
+            let db = stored(schema, &doc)?;
+            let storage = &db.document(DOC).ok_or("document vanished")?.storage;
+            out_line(format_args!("document nodes:        {}", storage.len()));
             out_line(format_args!("descriptive schema:    {} nodes", storage.schema().len()));
             out_line(format_args!(
                 "compression ratio:     {:.0}x",
-                loaded.store.len() as f64 / storage.schema().len() as f64
+                storage.len() as f64 / storage.schema().len() as f64
             ));
             out_line(format_args!("storage blocks:        {}", storage.block_count()));
             let max_nid = storage
@@ -108,7 +114,7 @@ fn run(args: &[String]) -> Result<(), String> {
             out_line(format_args!("max label length:      {max_nid} bytes"));
             out_line(format_args!(
                 "string value (64B):    {:.64}",
-                loaded.store.string_value(loaded.doc)
+                storage.string_value(storage.root())
             ));
             Ok(())
         }

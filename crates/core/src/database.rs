@@ -5,44 +5,34 @@
 //! existing documents and deleting obsolete documents, a database evolves
 //! through different database states. Each state can be formally
 //! represented as a many sorted algebra." [`Database`] is that evolving
-//! object: inserting a document runs `f` (validate + build the S-tree),
-//! reading one back runs `g`, and each stored document can additionally
-//! be *materialized* into the §9 block storage for schema-guided queries
-//! and label-based ordering.
+//! object. Each stored document has exactly one form, the §9 block
+//! storage: inserting runs `f` (validate + build the S-tree), hands the
+//! tree to [`XmlStorage::from_tree`] and drops it; queries, updates and
+//! `g` (serialization) read the node descriptors directly — §9.2's claim
+//! that descriptors plus the descriptive schema answer every accessor.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use algebra::{
-    load_document_cached, serialize_tree, ContentModelCache, LoadOptions, LoadedDocument, Rule,
-    ValidationError,
-};
-use storage::XmlStorage;
+use algebra::{load_document_cached, ContentModelCache, LoadOptions, Rule, ValidationError};
+use storage::{DescPtr, XmlStorage};
 use xmlparse::{Document, ParseLimits};
-use xpath::{eval_guided, eval_naive, XdmTree};
+use xpath::eval_guided;
 use xsmodel::DocumentSchema;
 
 use crate::error::DbError;
 use crate::persist::PersistState;
+use crate::physical::storage_to_document;
 
-/// One stored document: the logical S-tree plus an optional physical
-/// materialization.
+/// One stored document: its §9 block storage and the schema it
+/// validated against.
 #[derive(Debug, Clone)]
 pub struct StoredDocument {
     /// The schema it validated against.
     pub schema_name: String,
-    /// The S-tree (node store + document node).
-    pub loaded: LoadedDocument,
-    /// §9 block storage, built on first use.
-    storage: Option<XmlStorage>,
-}
-
-impl StoredDocument {
-    /// The physical storage, if it has been materialized.
-    pub fn storage(&self) -> Option<&XmlStorage> {
-        self.storage.as_ref()
-    }
+    /// §9 block storage — the document's only stored form.
+    pub storage: XmlStorage,
 }
 
 /// An XML database over the formal model.
@@ -303,31 +293,28 @@ impl Database {
             .schemas
             .get(schema_name)
             .ok_or_else(|| DbError::UnknownSchema(schema_name.to_string()))?;
-        let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
-        span.set_detail(doc_name);
-        let loaded = load_document_cached(schema, xml, &self.options, &self.cm_cache)
-            .map_err(DbError::Invalid)?;
-        // Materialize eagerly: the paged save path (which runs under
-        // `&self`) needs every document's block storage, and building it
-        // here keeps later incremental saves aligned with the object
-        // node-level updates mutate.
-        let storage = XmlStorage::from_tree(&loaded.store, loaded.doc);
-        self.documents.insert(
-            doc_name.to_string(),
-            Arc::new(StoredDocument {
-                schema_name: schema_name.to_string(),
-                loaded,
-                storage: Some(storage),
-            }),
-        );
-        self.touch_registry();
+        let storage = {
+            let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
+            span.set_detail(doc_name);
+            ingest(schema, xml, &self.options, &self.cm_cache)?
+        };
+        self.store(doc_name, schema_name, storage);
         Ok(())
     }
 
+    /// Enter an ingested document into the catalog.
+    fn store(&mut self, doc_name: &str, schema_name: &str, storage: XmlStorage) {
+        self.documents.insert(
+            doc_name.to_string(),
+            Arc::new(StoredDocument { schema_name: schema_name.to_string(), storage }),
+        );
+        self.touch_registry();
+    }
+
     /// Admit a document decoded from the paged on-disk form: re-validate
-    /// it through `f` (by replaying its serialization) and store it with
-    /// the *decoded* block storage, so later incremental saves stay
-    /// aligned with the page layout on disk.
+    /// it through `f` (over `g` of its descriptors) and keep the
+    /// *decoded* block storage, so later incremental saves stay aligned
+    /// with the page layout on disk.
     pub(crate) fn insert_paged(
         &mut self,
         doc_name: &str,
@@ -341,21 +328,13 @@ impl Database {
             .schemas
             .get(schema_name)
             .ok_or_else(|| DbError::UnknownSchema(schema_name.to_string()))?;
-        let (store, node) = crate::physical::storage_to_tree(&xs);
-        let xml = serialize_tree(&store, node);
-        let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
-        span.set_detail(doc_name);
-        let loaded = load_document_cached(schema, &xml, &self.options, &self.cm_cache)
-            .map_err(DbError::Invalid)?;
-        self.documents.insert(
-            doc_name.to_string(),
-            Arc::new(StoredDocument {
-                schema_name: schema_name.to_string(),
-                loaded,
-                storage: Some(xs),
-            }),
-        );
-        self.touch_registry();
+        {
+            let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
+            span.set_detail(doc_name);
+            validate_storage(schema, &xs, &self.options, &self.cm_cache)
+                .map_err(DbError::Invalid)?;
+        }
+        self.store(doc_name, schema_name, xs);
         Ok(())
     }
 
@@ -425,7 +404,7 @@ impl Database {
         entries: &[(&str, &str, &str)],
         threads: usize,
     ) -> Vec<Result<(), DbError>> {
-        let loaded: Vec<Result<(LoadedDocument, XmlStorage), DbError>> = {
+        let ingested: Vec<Result<XmlStorage, DbError>> = {
             let schemas = &self.schemas;
             let options = &self.options;
             let cache = &self.cm_cache;
@@ -439,29 +418,18 @@ impl Database {
                 let mut span = obs.span(xsobs::HistogramId::DbInsert);
                 span.set_detail(name);
                 let parsed = Document::parse_with_limits(xml, limits)?;
-                let loaded = load_document_cached(schema, &parsed, options, cache)
-                    .map_err(DbError::Invalid)?;
-                let storage = XmlStorage::from_tree(&loaded.store, loaded.doc);
-                Ok((loaded, storage))
+                ingest(schema, &parsed, options, cache)
             })
         };
-        loaded
+        ingested
             .into_iter()
             .zip(entries)
             .map(|(res, &(name, schema_name, _))| {
-                let (loaded, storage) = res?;
+                let storage = res?;
                 if self.documents.contains_key(name) {
                     return Err(DbError::DuplicateDocument(name.to_string()));
                 }
-                self.documents.insert(
-                    name.to_string(),
-                    Arc::new(StoredDocument {
-                        schema_name: schema_name.to_string(),
-                        loaded,
-                        storage: Some(storage),
-                    }),
-                );
-                self.touch_registry();
+                self.store(name, schema_name, storage);
                 Ok(())
             })
             .collect()
@@ -481,14 +449,14 @@ impl Database {
     pub fn serialize(&self, name: &str) -> Result<String, DbError> {
         let doc =
             self.documents.get(name).ok_or_else(|| DbError::UnknownDocument(name.to_string()))?;
-        Ok(serialize_tree(&doc.loaded.store, doc.loaded.doc).to_xml())
+        Ok(storage_to_document(&doc.storage).to_xml())
     }
 
     /// Pretty-printed serialization.
     pub fn serialize_pretty(&self, name: &str) -> Result<String, DbError> {
         let doc =
             self.documents.get(name).ok_or_else(|| DbError::UnknownDocument(name.to_string()))?;
-        Ok(serialize_tree(&doc.loaded.store, doc.loaded.doc).to_xml_pretty())
+        Ok(storage_to_document(&doc.storage).to_xml_pretty())
     }
 
     /// Delete a document. Returns `true` when it existed.
@@ -515,28 +483,11 @@ impl Database {
         self.documents.is_empty()
     }
 
-    // --------------------------------------------------------- storage
-
-    /// Materialize a document into §9 block storage (idempotent) and
-    /// return it.
-    pub fn materialize(&mut self, name: &str) -> Result<&XmlStorage, DbError> {
-        let doc = self
-            .documents
-            .get_mut(name)
-            .ok_or_else(|| DbError::UnknownDocument(name.to_string()))?;
-        let doc = Arc::make_mut(doc);
-        Ok(doc
-            .storage
-            .get_or_insert_with(|| XmlStorage::from_tree(&doc.loaded.store, doc.loaded.doc)))
-    }
-
     // --------------------------------------------------------- updates
 
-    /// Materialize `doc_name` (copy-on-write if snapshots share it),
-    /// run `mutate` against its block storage, and refresh the logical
-    /// S-tree from the result. The shared skeleton of every `update_*`
-    /// method; an error from `mutate` propagates before the refresh,
-    /// exactly as the updates have always behaved on partial failure.
+    /// Run `mutate` against `doc_name`'s block storage, copy-on-write
+    /// when a snapshot shares it. The shared skeleton of every
+    /// `update_*` method.
     fn update_storage<R>(
         &mut self,
         doc_name: &str,
@@ -546,24 +497,15 @@ impl Database {
             .documents
             .get_mut(doc_name)
             .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
-        let doc = Arc::make_mut(doc);
-        let storage = doc
-            .storage
-            .get_or_insert_with(|| XmlStorage::from_tree(&doc.loaded.store, doc.loaded.doc));
-        let out = mutate(storage)?;
-        let (store, node) = crate::physical::storage_to_tree(storage);
-        doc.loaded = LoadedDocument { store, doc: node };
-        Ok(out)
+        mutate(&mut Arc::make_mut(doc).storage)
     }
 
     /// Node-level update: under every node selected by `parent_xpath`,
     /// append a new element (optionally with text content). Returns how
     /// many elements were inserted.
     ///
-    /// Updates run on the §9 physical layer (materializing on first
-    /// use), never relabel (Proposition 1), and the logical S-tree is
-    /// refreshed from storage afterwards so queries and serialization
-    /// stay consistent. Like Sedna's untyped updates, the result is not
+    /// Updates run on the §9 physical layer and never relabel
+    /// (Proposition 1). Like Sedna's untyped updates, the result is not
     /// re-validated automatically — call [`Database::revalidate`] to
     /// check it against the schema again.
     pub fn update_insert_element(
@@ -617,22 +559,22 @@ impl Database {
         path: &xpath::Path,
     ) -> Result<(usize, Vec<RecheckSite>), DbError> {
         self.update_storage(doc_name, |storage| {
-            let victims = eval_guided(storage, path);
             let root_elem = storage.children(storage.root())[0];
-            let mut deleted = 0;
+            // Never delete the document or root element.
+            let victims: Vec<_> = eval_guided(storage, path)
+                .into_iter()
+                .filter(|&v| v != storage.root() && v != root_elem)
+                .collect();
+            let victims = outermost(storage, victims);
             let mut sites = Vec::new();
             for &v in &victims {
-                if v == storage.root() || v == root_elem {
-                    continue; // never delete the document or root element
-                }
                 let parent = storage.parent(v);
                 storage.delete(v)?;
                 if let Some(p) = parent {
                     sites.push(recheck_site(storage, p));
                 }
-                deleted += 1;
             }
-            Ok((deleted, sites))
+            Ok((victims.len(), sites))
         })
     }
 
@@ -693,13 +635,13 @@ impl Database {
         text: Option<&str>,
     ) -> Result<(usize, Vec<RecheckSite>), DbError> {
         self.update_storage(doc_name, |storage| {
-            let targets = eval_guided(storage, path);
+            let targets: Vec<_> = eval_guided(storage, path)
+                .into_iter()
+                .filter(|&t| storage.kind(t) == xdm::NodeKind::Element)
+                .collect();
             let mut replaced = 0;
             let mut sites = Vec::new();
-            for &t in &targets {
-                if storage.kind(t) != xdm::NodeKind::Element || t == storage.root() {
-                    continue;
-                }
+            for &t in &outermost(storage, targets) {
                 let Some(parent) = storage.parent(t) else { continue };
                 let new = storage.insert_element(parent, Some(t), name)?;
                 if let Some(txt) = text {
@@ -771,6 +713,7 @@ impl Database {
                 .into_iter()
                 .filter(|&t| storage.kind(t) == xdm::NodeKind::Element)
                 .collect();
+            let targets = outermost(storage, targets);
             let mut sites = Vec::new();
             for &t in &targets {
                 for c in storage.children(t) {
@@ -798,11 +741,9 @@ impl Database {
             .schemas
             .get(&doc.schema_name)
             .ok_or_else(|| DbError::UnknownSchema(doc.schema_name.clone()))?;
-        let xml = serialize_tree(&doc.loaded.store, doc.loaded.doc);
-        Ok(match load_document_cached(schema, &xml, &self.options, &self.cm_cache) {
-            Ok(_) => Vec::new(),
-            Err(errs) => errs,
-        })
+        Ok(validate_storage(schema, &doc.storage, &self.options, &self.cm_cache)
+            .err()
+            .unwrap_or_default())
     }
 
     // ------------------------------------------------- guarded updates
@@ -879,10 +820,7 @@ impl Database {
                 .documents
                 .get(doc_name)
                 .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
-            // `apply_update_raw` materialized the storage.
-            let Some(storage) = doc.storage() else {
-                return Err(DbError::Corrupt("updated document lost its storage".into()));
-            };
+            let storage = &doc.storage;
             for (node, names) in &unique {
                 self.obs.incr(xsobs::CounterId::UpdateRevalidateNodes);
                 if names.is_empty() {
@@ -1039,11 +977,11 @@ impl Database {
     // --------------------------------------------------------- queries
 
     /// Evaluate an XPath over a stored document, returning the string
-    /// values of the selected nodes. Materialized documents route
-    /// through the cost-based planner (statistics-driven operator
-    /// choice per step, DataGuide pruning of provably-empty paths);
-    /// unmaterialized ones fall back to the naive engine. The result is
-    /// identical either way — the plan-equivalence harness proves it.
+    /// values of the selected nodes. Runs through the cost-based
+    /// planner over the block storage (statistics-driven operator
+    /// choice per step, DataGuide pruning of provably-empty paths); the
+    /// plan-equivalence harness proves every plan returns the naive
+    /// evaluator's node-set.
     pub fn query(&self, doc_name: &str, xpath: &str) -> Result<Vec<String>, DbError> {
         let doc = self
             .documents
@@ -1053,22 +991,12 @@ impl Database {
         self.preflight_xpath(doc, &path)?;
         let mut span = self.obs.span(xsobs::HistogramId::DbQuery);
         span.set_detail(xpath);
-        Ok(match &doc.storage {
-            Some(storage) => {
-                let plan = self.plan_for(storage, &path, None);
-                plan.execute(storage).nodes.into_iter().map(|p| storage.string_value(p)).collect()
-            }
-            None => {
-                let tree = XdmTree { store: &doc.loaded.store, doc: doc.loaded.doc };
-                eval_naive(&tree, &path)
-                    .into_iter()
-                    .map(|n| doc.loaded.store.string_value(n))
-                    .collect()
-            }
-        })
+        let storage = &doc.storage;
+        let plan = self.plan_for(storage, &path, None);
+        Ok(plan.execute(storage).nodes.into_iter().map(|p| storage.string_value(p)).collect())
     }
 
-    /// Plan an XPath over a materialized document's block storage:
+    /// Plan an XPath over a document's block storage:
     /// static pruning against the DataGuide
     /// ([`xsanalyze::analyze_xpath_in_guide`]), then cost-based operator
     /// choice from the catalog statistics. Records the `plan.*` metrics
@@ -1122,19 +1050,13 @@ impl Database {
             .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
         let path = xpath::parse(xpath)?;
         self.preflight_xpath(doc, &path)?;
-        let Some(storage) = doc.storage() else {
-            return Err(DbError::Corrupt(
-                "explain requires a materialized document (inserts materialize eagerly)".into(),
-            ));
-        };
-        let plan = self.plan_for(storage, &path, force);
-        let exec = plan.execute(storage);
+        let plan = self.plan_for(&doc.storage, &path, force);
+        let exec = plan.execute(&doc.storage);
         Ok(plan.explain(Some(&exec)))
     }
 
     /// Evaluate a FLWOR query (see the `xquery` crate) over a stored
-    /// document, returning the serialized result sequence. Runs over the
-    /// block storage when the document is materialized.
+    /// document, returning the serialized result sequence.
     pub fn xquery(&self, doc_name: &str, query: &str) -> Result<String, DbError> {
         let doc = self
             .documents
@@ -1152,29 +1074,9 @@ impl Database {
         }
         let mut span = self.obs.span(xsobs::HistogramId::DbXquery);
         span.set_detail(query);
-        let nodes = match &doc.storage {
-            Some(storage) => xquery::evaluate(&storage, &q)?,
-            None => {
-                let tree = XdmTree { store: &doc.loaded.store, doc: doc.loaded.doc };
-                xquery::evaluate(&tree, &q)?
-            }
-        };
+        let storage = &doc.storage;
+        let nodes = xquery::evaluate(&storage, &q)?;
         Ok(xquery::nodes_to_string(&nodes))
-    }
-
-    /// Evaluate an XPath returning the selected node ids on the logical
-    /// tree (naive engine).
-    pub fn query_nodes(&self, doc_name: &str, xpath: &str) -> Result<Vec<xdm::NodeId>, DbError> {
-        let doc = self
-            .documents
-            .get(doc_name)
-            .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
-        let path = xpath::parse(xpath)?;
-        self.preflight_xpath(doc, &path)?;
-        let mut span = self.obs.span(xsobs::HistogramId::DbQuery);
-        span.set_detail(xpath);
-        let tree = XdmTree { store: &doc.loaded.store, doc: doc.loaded.doc };
-        Ok(eval_naive(&tree, &path))
     }
 
     /// Strict-mode pre-flight: refuse an XPath any step of which is
@@ -1214,11 +1116,27 @@ pub struct UpdateOutcome {
 /// One affected parent: the node whose local validity the update may
 /// have disturbed, plus its element-name path from the root (empty for
 /// the document node) so its schema type can be re-derived statically.
-type RecheckSite = (storage::DescPtr, Vec<String>);
+type RecheckSite = (DescPtr, Vec<String>);
+
+/// The members of `targets` that no other member contains, in document
+/// order: deleting or replacing an ancestor subsumes its descendants,
+/// whose descriptors are freed with it. Decided on the labels alone —
+/// ancestors sort before their descendants, and a kept node's
+/// descendants follow it contiguously.
+fn outermost(storage: &XmlStorage, mut targets: Vec<DescPtr>) -> Vec<DescPtr> {
+    targets.sort_by(|&a, &b| storage.cmp_doc_order(a, b));
+    let mut kept: Vec<DescPtr> = Vec::with_capacity(targets.len());
+    for t in targets {
+        if !kept.last().is_some_and(|&k| k == t || storage.is_ancestor(k, t)) {
+            kept.push(t);
+        }
+    }
+    kept
+}
 
 /// Build the recheck site for `node`: walk ancestors collecting element
 /// names root-first (the document node contributes nothing).
-fn recheck_site(storage: &XmlStorage, node: storage::DescPtr) -> RecheckSite {
+fn recheck_site(storage: &XmlStorage, node: DescPtr) -> RecheckSite {
     let mut names = Vec::new();
     let mut cur = Some(node);
     while let Some(n) = cur {
@@ -1274,7 +1192,7 @@ fn check_node_against(
     options: &LoadOptions,
     cm_cache: &ContentModelCache,
     storage: &XmlStorage,
-    node: storage::DescPtr,
+    node: DescPtr,
     ty: &xsmodel::Type,
     path: &str,
 ) -> Vec<ValidationError> {
@@ -1460,6 +1378,30 @@ fn check_node_against(
         }
     }
     errors
+}
+
+/// The paper's `f` followed by the physical build: validate `xml`
+/// against `schema`, hand the transient S-tree to
+/// [`XmlStorage::from_tree`], and drop it.
+fn ingest(
+    schema: &DocumentSchema,
+    xml: &Document,
+    options: &LoadOptions,
+    cache: &ContentModelCache,
+) -> Result<XmlStorage, DbError> {
+    let loaded = load_document_cached(schema, xml, options, cache).map_err(DbError::Invalid)?;
+    Ok(XmlStorage::from_tree(&loaded.store, loaded.doc))
+}
+
+/// Whole-document §6.2 validation of a stored document: `f` over `g`
+/// of its descriptors.
+fn validate_storage(
+    schema: &DocumentSchema,
+    storage: &XmlStorage,
+    options: &LoadOptions,
+    cache: &ContentModelCache,
+) -> Result<(), Vec<ValidationError>> {
+    load_document_cached(schema, &storage_to_document(storage), options, cache).map(drop)
 }
 
 /// Run `job(0..jobs)` across `threads` scoped OS threads (`0` = one per
@@ -1653,10 +1595,6 @@ mod tests {
             }
             other => panic!("expected QueryStaticallyEmpty, got {other:?}"),
         }
-        assert!(matches!(
-            db.query_nodes("store1", "/BookStore/Book/Isbn"),
-            Err(DbError::QueryStaticallyEmpty(_))
-        ));
         // Same pre-flight for FLWOR queries.
         let err = db
             .xquery("store1", "for $b in /BookStore/Book where $b/Isbn = '1' return $b/Title")
@@ -1699,16 +1637,6 @@ mod tests {
         // And re-registering under the same name works again.
         db.register_schema_text("books", SCHEMA).unwrap();
         db.insert("store1", "books", DOC).unwrap();
-    }
-
-    #[test]
-    fn materialized_queries_agree_with_naive() {
-        let mut db = db();
-        let before = db.query("store1", "/BookStore/Book/Title").unwrap();
-        db.materialize("store1").unwrap();
-        let after = db.query("store1", "/BookStore/Book/Title").unwrap();
-        assert_eq!(before, after);
-        assert!(db.document("store1").unwrap().storage().is_some());
     }
 
     #[test]
@@ -1828,17 +1756,6 @@ mod tests {
         assert!(matches!(&res[0], Err(DbError::Xml(_))), "{res:?}");
         assert_eq!(db.len(), 1);
     }
-
-    #[test]
-    fn query_nodes_returns_ids_in_document_order() {
-        let db = db();
-        let nodes = db.query_nodes("store1", "//Author").unwrap();
-        assert_eq!(nodes.len(), 3);
-        let store = &db.document("store1").unwrap().loaded.store;
-        for w in nodes.windows(2) {
-            assert_eq!(xdm::cmp_document_order(store, w[0], w[1]), std::cmp::Ordering::Less);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1939,7 +1856,7 @@ mod update_tests {
             db.update_insert_element("todo", "/list", "item", Some(&format!("v{i}"))).unwrap();
         }
         db.update_delete("todo", "/list/item[2]").unwrap();
-        let storage = db.document("todo").unwrap().storage().unwrap();
+        let storage = &db.document("todo").unwrap().storage;
         assert_eq!(storage.check_invariants(), None);
         assert_eq!(storage.relabel_count(), 0);
     }
@@ -1970,7 +1887,7 @@ mod set_text_tests {
         assert_eq!(n, 2);
         assert_eq!(db.query("d", "/r/v").unwrap(), ["new", "new"]);
         assert!(db.revalidate("d").unwrap().is_empty());
-        let storage = db.document("d").unwrap().storage().unwrap();
+        let storage = &db.document("d").unwrap().storage;
         assert_eq!(storage.check_invariants(), None);
     }
 }
@@ -2151,7 +2068,7 @@ mod guarded_update_tests {
         let out = db.update_replace_node("d", "/log/entry[1]", "entry", Some("zero")).unwrap();
         assert_eq!(out.verdict, UpdateVerdict::Accept);
         assert_eq!(db.query("d", "/log/entry").unwrap(), ["zero", "mid", "second", "last"]);
-        let storage = db.document("d").unwrap().storage().unwrap();
+        let storage = &db.document("d").unwrap().storage;
         assert_eq!(storage.check_invariants(), None);
         assert_eq!(storage.relabel_count(), 0);
     }

@@ -15,8 +15,20 @@
 //! | §1/§11 "primitive facilities for a query language" | [`xpath`] |
 //!
 //! The [`Database`] type is the user-facing surface: register schemas,
-//! insert/validate/serialize/delete documents, run XPath queries, and
-//! materialize documents into block storage.
+//! insert/validate/serialize/delete documents, run XPath/FLWOR queries
+//! and statically checked updates.
+//!
+//! # One stored form per document
+//!
+//! A stored document *is* its §9 block storage
+//! ([`StoredDocument::storage`]). At ingest the paper's `f` validates
+//! the text and builds the XDM tree, [`storage::XmlStorage::from_tree`]
+//! converts it, and the tree is dropped; queries and updates run on the
+//! node descriptors, and `g` ([`Database::serialize`],
+//! [`storage_to_document`]) reads them back out — §9.2's claim that
+//! descriptors plus the descriptive schema answer all ten accessors.
+//! [`storage_to_tree`] rebuilds an XDM tree on demand; the database
+//! itself never does, the test suites use it as their oracle.
 //!
 //! # Quick start
 //!
@@ -50,7 +62,7 @@
 //!   deleting documents never invalidates them, and registering a
 //!   structurally identical schema under another name reuses them.
 //! * **`string-value` aggregates** are memoized per node inside each
-//!   [`xdm::NodeStore`] and invalidated along the ancestor chain when a
+//!   (transient) [`xdm::NodeStore`] and invalidated along the ancestor chain when a
 //!   text node is attached (element and attribute construction cannot
 //!   change an existing element's string value, so they don't
 //!   invalidate).
@@ -92,10 +104,9 @@
 //! dependent documents) and documents into a [`LoadReport`] while
 //! loading everything intact. Damage to the integrity roots —
 //! `CURRENT` or `manifest.xml` — is fatal under both policies.
-//! Directories written by the version-1 (pre-checksum) or version-2
-//! (whole-file documents) layouts still load and are migrated to the
-//! version-3 paged layout by the next save. Stale `.tmp-*` staging
-//! directories are swept on load.
+//! Only the version-3 paged layout is read; a `CURRENT` pointer naming
+//! any other layout version is refused with [`DbError::Corrupt`]. Stale
+//! `.tmp-*` staging directories are swept on load.
 //!
 //! Every parse a [`Database`] performs runs under
 //! [`xmlparse::ParseLimits`] (conservative defaults; see
@@ -156,7 +167,7 @@ pub use database::{Database, StoredDocument, UpdateOutcome};
 pub use error::DbError;
 pub use mutation::{ApplyOutcome, Mutation};
 pub use persist::{LoadPolicy, LoadReport, Quarantine, QuarantineKind};
-pub use physical::{storage_roundtrip_agrees, storage_to_document, storage_to_tree};
+pub use physical::{storage_to_document, storage_to_tree};
 pub use shared::{Durability, ReadSnapshot, SharedDatabase, WriteGuard};
 pub use storage::StorageError;
 pub use vfs::{FaultMode, FaultyVfs, StdVfs, Vfs};

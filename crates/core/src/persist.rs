@@ -36,14 +36,14 @@
 //! of an incremental save is the document; cross-document atomicity is
 //! only provided by full saves.
 //!
-//! Directories written by the version-2 layout (whole-document XML files
-//! with manifest checksums) and the version-1 layout (no checksums, with
-//! a [`LoadReport`] warning) still load; the next save migrates them to
-//! version 3.
+//! Version 3 is the only layout read: a `CURRENT` pointer naming any
+//! other version is refused with [`DbError::Corrupt`] (the version-1 and
+//! version-2 layouts held whole-document XML text, a second stored form).
 //!
-//! Loading replays registration and insertion, so every document is
-//! re-validated on the way in — a persisted database cannot smuggle an
-//! invalid document past `f`. Under [`LoadPolicy::Strict`] any failure
+//! Loading replays schema registration and re-validates every decoded
+//! block storage through `f` (over `g` of its descriptors) on the way in
+//! — a persisted database cannot smuggle an invalid document past `f`.
+//! Under [`LoadPolicy::Strict`] any failure
 //! aborts the load; under [`LoadPolicy::Lenient`] corrupt, invalid, or
 //! missing schemas/documents are quarantined in the [`LoadReport`] and
 //! the rest of the database loads.
@@ -51,7 +51,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use storage::{PageStore, WalRecord, XmlStorage, PAGE_SIZE};
+use storage::{PageStore, WalRecord, PAGE_SIZE};
 use xmlparse::{Document, Element};
 
 use crate::checksum::sha256_hex;
@@ -102,14 +102,13 @@ pub struct Quarantine {
 /// The outcome report of a [`Database::load_dir_report`] call.
 #[derive(Debug, Default)]
 pub struct LoadReport {
-    /// Manifest format version (3 paged, 2 whole-file checksummed,
-    /// 1 legacy).
-    pub manifest_version: u32,
-    /// The generation that was loaded (None for version-1 layouts).
+    /// The generation that was loaded (`None` when nothing was: a
+    /// fresh [`crate::SharedDatabase::open_durable`] directory).
     pub generation: Option<u64>,
     /// Entries refused under [`LoadPolicy::Lenient`].
     pub quarantined: Vec<Quarantine>,
-    /// Non-fatal observations (e.g. a v1 directory without checksums).
+    /// Non-fatal observations (e.g. a write-ahead log that stopped
+    /// replaying early under [`LoadPolicy::Lenient`]).
     pub warnings: Vec<String>,
     /// Stale in-flight save directories removed before loading.
     pub cleaned_temps: Vec<PathBuf>,
@@ -183,22 +182,32 @@ fn generation_of(name: &str) -> Option<u64> {
     name.strip_prefix("gen-").or_else(|| name.strip_prefix(".tmp-"))?.parse().ok()
 }
 
-/// The layout version, generation, and recorded manifest digest named by
-/// a `CURRENT` pointer.
+/// The manifest layout version this build writes and reads.
+const LAYOUT_VERSION: &str = "3";
+
+/// The generation and recorded manifest digest named by a `CURRENT`
+/// pointer.
 ///
-/// The format is exact — `v<2|3> gen-<N> <64 hex>\n`, single spaces, one
+/// The format is exact — `v3 gen-<N> <64 hex>\n`, single spaces, one
 /// trailing newline — so that *any* single-byte change to the pointer
-/// is detected as corruption rather than silently tolerated.
-fn parse_current(text: &str) -> Result<(u32, u64, String), DbError> {
+/// is detected as corruption rather than silently tolerated. A pointer
+/// of the right shape naming another layout version is refused by name.
+fn parse_current(text: &str) -> Result<(u64, String), DbError> {
     let corrupt = || DbError::Corrupt("unrecognized CURRENT pointer".into());
     let line = text.strip_suffix('\n').ok_or_else(corrupt)?;
     let mut parts = line.split(' ');
     let (magic, gen_name, digest) = (parts.next(), parts.next(), parts.next());
     match (magic, gen_name, digest, parts.next()) {
-        (Some(magic @ ("v2" | "v3")), Some(gen_name), Some(digest), None)
-            if !line.contains('\n') =>
-        {
-            let version = if magic == "v2" { 2 } else { 3 };
+        (Some(magic), Some(gen_name), Some(digest), None) if !line.contains('\n') => {
+            let version = magic
+                .strip_prefix('v')
+                .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+                .ok_or_else(corrupt)?;
+            if version != LAYOUT_VERSION {
+                return Err(DbError::Corrupt(format!(
+                    "unsupported layout version {version} (this build reads v{LAYOUT_VERSION} only)"
+                )));
+            }
             let number = gen_name.strip_prefix("gen-").ok_or_else(corrupt)?;
             if number.is_empty() || !number.bytes().all(|b| b.is_ascii_digit()) {
                 return Err(DbError::Corrupt(format!("CURRENT names {gen_name:?}")));
@@ -209,7 +218,7 @@ fn parse_current(text: &str) -> Result<(u32, u64, String), DbError> {
             if digest.len() != 64 || !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
                 return Err(DbError::Corrupt("CURRENT carries a malformed digest".into()));
             }
-            Ok((version, gen, digest.to_ascii_lowercase()))
+            Ok((gen, digest.to_ascii_lowercase()))
         }
         _ => Err(corrupt()),
     }
@@ -382,11 +391,10 @@ impl Database {
         let docs_dir = dir.join(format!("gen-{}", binding.gen)).join("documents");
         let wal_epoch = state.wal_epoch;
         for (name, stored) in names {
-            // Both lookups were verified above; a miss means the state
+            // The lookup was verified above; a miss means the state
             // diverged mid-save, and the full path handles it safely.
-            let (Some(doc), Some(xs)) = (state.docs.get_mut(name), stored.storage()) else {
-                return Ok(false);
-            };
+            let Some(doc) = state.docs.get_mut(name) else { return Ok(false) };
+            let xs = &stored.storage;
             if xs.tick() > doc.watermark {
                 let data_path = docs_dir.join(&doc.file);
                 storage::paged::save_dirty_epoch(
@@ -437,7 +445,7 @@ impl Database {
         let current_path = dir.join("CURRENT");
         if vfs.exists(&current_path) {
             let text = utf8(&current_path, vfs.read(&current_path).map_err(io(&current_path))?)?;
-            if let Ok((_, n, _)) = parse_current(&text) {
+            if let Ok((n, _)) = parse_current(&text) {
                 gen = gen.max(n);
             }
         }
@@ -454,7 +462,7 @@ impl Database {
         vfs.create_dir_all(&docs_dir).map_err(io(&docs_dir))?;
 
         let mut manifest = Element::new("xsdb")
-            .with_attribute("version", "3")
+            .with_attribute("version", LAYOUT_VERSION)
             .with_attribute("generation", gen.to_string());
         for name in self.schema_names() {
             let schema = self
@@ -478,17 +486,7 @@ impl Database {
             let map = format!("{stem}.xspm");
             let data_path = docs_dir.join(&file);
             let map_path = docs_dir.join(&map);
-            // Page the live block storage out; a document that was never
-            // materialized is paged from a deterministic rebuild of its
-            // S-tree (the same layout a later materialization produces).
-            let rebuilt;
-            let xs = match stored.storage() {
-                Some(xs) => xs,
-                None => {
-                    rebuilt = XmlStorage::from_tree(&stored.loaded.store, stored.loaded.doc);
-                    &rebuilt
-                }
-            };
+            let xs = &stored.storage;
             let mut store = PageStore::new();
             storage::paged::save_full_epoch(xs, vfs, &mut store, &data_path, state.wal_epoch)?;
             store.commit(vfs, &map_path)?;
@@ -524,14 +522,14 @@ impl Database {
         vfs.sync_dir(dir).map_err(io(dir))?;
 
         let current_tmp = dir.join("CURRENT.tmp");
-        let pointer = format!("v3 gen-{gen} {manifest_digest}\n");
+        let pointer = format!("v{LAYOUT_VERSION} gen-{gen} {manifest_digest}\n");
         vfs.write(&current_tmp, pointer.as_bytes()).map_err(io(&current_tmp))?;
         vfs.rename(&current_tmp, &current_path).map_err(io(&current_path))?;
         vfs.sync_dir(dir).map_err(io(dir))?;
 
         // Best-effort cleanup of everything the new generation obsoletes:
-        // older generations, stale temps, and the legacy v1 files. A
-        // failure (or crash) here is harmless — loads ignore all of it.
+        // older generations and stale temps. A failure (or crash) here is
+        // harmless — loads ignore all of it.
         if let Ok(entries) = vfs.read_dir(dir) {
             for entry in entries {
                 let Some(name) = entry.file_name().and_then(|n| n.to_str()) else { continue };
@@ -539,13 +537,10 @@ impl Database {
                     Some(n) if n != gen => {
                         let _ = vfs.remove_dir_all(&entry);
                     }
-                    _ => {
-                        if name == "manifest.xml" || name == "CURRENT.tmp" {
-                            let _ = vfs.remove_file(&entry);
-                        } else if name == "schemas" || name == "documents" {
-                            let _ = vfs.remove_dir_all(&entry);
-                        }
+                    _ if name == "CURRENT.tmp" => {
+                        let _ = vfs.remove_file(&entry);
                     }
+                    _ => {}
                 }
             }
         }
@@ -596,57 +591,33 @@ impl Database {
             }
         }
 
+        // CURRENT → generation → manifest, with a digest chain
+        // protecting each hop.
         let current_path = dir.join("CURRENT");
-        let mut current_text = String::new();
-        let (root_dir, manifest) = if vfs.exists(&current_path) {
-            // Version-2/3 layout: CURRENT → generation → manifest, with
-            // a digest chain protecting each hop.
-            let bytes = vfs.read(&current_path).map_err(|e| DbError::io(&current_path, e))?;
-            current_text = utf8(&current_path, bytes)?;
-            let (version, gen, manifest_digest) = parse_current(&current_text)?;
-            let gen_dir = dir.join(format!("gen-{gen}"));
-            let manifest_path = gen_dir.join("manifest.xml");
-            let manifest_bytes =
-                vfs.read(&manifest_path).map_err(|e| DbError::io(&manifest_path, e))?;
-            verify_checksum(&manifest_path, &manifest_bytes, &manifest_digest)?;
-            let manifest = Document::parse(&utf8(&manifest_path, manifest_bytes)?)
-                .map_err(|e| DbError::Corrupt(format!("{}: {e}", manifest_path.display())))?;
-            if manifest.root().name != "xsdb".into() {
-                return Err(DbError::Corrupt(format!(
-                    "{}: root element is <{}>, expected <xsdb>",
-                    manifest_path.display(),
-                    manifest.root().name
-                )));
-            }
-            if manifest.root().attribute("version") != Some(version.to_string().as_str()) {
-                return Err(DbError::Corrupt(format!(
-                    "{}: expected manifest version {version}",
-                    manifest_path.display()
-                )));
-            }
-            report.manifest_version = version;
-            report.generation = Some(gen);
-            (gen_dir, manifest)
-        } else {
-            // Legacy version-1 layout: manifest at the top, no checksums.
-            let manifest_path = dir.join("manifest.xml");
-            let manifest_bytes =
-                vfs.read(&manifest_path).map_err(|e| DbError::io(&manifest_path, e))?;
-            let manifest = Document::parse(&utf8(&manifest_path, manifest_bytes)?)
-                .map_err(|e| DbError::Corrupt(format!("{}: {e}", manifest_path.display())))?;
-            if manifest.root().name != "xsdb".into() {
-                return Err(DbError::Corrupt(format!(
-                    "{}: root element is <{}>, expected <xsdb>",
-                    manifest_path.display(),
-                    manifest.root().name
-                )));
-            }
-            report.manifest_version = 1;
-            report
-                .warnings
-                .push("manifest version 1: no checksums recorded, integrity not verified".into());
-            (dir.to_path_buf(), manifest)
-        };
+        let bytes = vfs.read(&current_path).map_err(|e| DbError::io(&current_path, e))?;
+        let current_text = utf8(&current_path, bytes)?;
+        let (gen, manifest_digest) = parse_current(&current_text)?;
+        let root_dir = dir.join(format!("gen-{gen}"));
+        let manifest_path = root_dir.join("manifest.xml");
+        let manifest_bytes =
+            vfs.read(&manifest_path).map_err(|e| DbError::io(&manifest_path, e))?;
+        verify_checksum(&manifest_path, &manifest_bytes, &manifest_digest)?;
+        let manifest = Document::parse(&utf8(&manifest_path, manifest_bytes)?)
+            .map_err(|e| DbError::Corrupt(format!("{}: {e}", manifest_path.display())))?;
+        if manifest.root().name != "xsdb".into() {
+            return Err(DbError::Corrupt(format!(
+                "{}: root element is <{}>, expected <xsdb>",
+                manifest_path.display(),
+                manifest.root().name
+            )));
+        }
+        if manifest.root().attribute("version") != Some(LAYOUT_VERSION) {
+            return Err(DbError::Corrupt(format!(
+                "{}: expected manifest version {LAYOUT_VERSION}",
+                manifest_path.display()
+            )));
+        }
+        report.generation = Some(gen);
 
         let mut db = Database::new();
         let mut doc_states: BTreeMap<String, DocPersist> = BTreeMap::new();
@@ -660,9 +631,7 @@ impl Database {
                 safe_file_name(&file)?;
                 let path = root_dir.join("schemas").join(&file);
                 let bytes = vfs.read(&path).map_err(|e| DbError::io(&path, e))?;
-                if report.manifest_version >= 2 {
-                    verify_checksum(&path, &bytes, &required_attr(entry, "sha256", "schema")?)?;
-                }
+                verify_checksum(&path, &bytes, &required_attr(entry, "sha256", "schema")?)?;
                 db.register_schema_text(&name, &utf8(&path, bytes)?)
             };
             if let Err(error) = load() {
@@ -691,36 +660,21 @@ impl Database {
                 let file = required_attr(entry, "file", "document")?;
                 safe_file_name(&file)?;
                 let path = root_dir.join("documents").join(&file);
-                if report.manifest_version >= 3 {
-                    // Paged form: open the self-verifying map, decode the
-                    // block storage page by page, and re-validate through
-                    // `f` by replaying the serialized document. The
-                    // *decoded* storage (not a rebuild) is what the
-                    // database keeps: later incremental saves must stay
-                    // aligned with the page layout on disk.
-                    let map = required_attr(entry, "map", "document")?;
-                    safe_file_name(&map)?;
-                    let map_path = root_dir.join("documents").join(&map);
-                    let store = PageStore::open(vfs, &map_path)?;
-                    let (xs, saved_epoch) = storage::paged::load_with_epoch(&store, vfs, &path)?;
-                    let watermark = xs.tick();
-                    db.insert_paged(&name, &schema, xs)?;
-                    doc_states.insert(
-                        name.clone(),
-                        DocPersist { file, map, store, watermark, saved_epoch },
-                    );
-                    Ok(())
-                } else {
-                    let bytes = vfs.read(&path).map_err(|e| DbError::io(&path, e))?;
-                    if report.manifest_version >= 2 {
-                        verify_checksum(
-                            &path,
-                            &bytes,
-                            &required_attr(entry, "sha256", "document")?,
-                        )?;
-                    }
-                    db.insert(&name, &schema, &utf8(&path, bytes)?)
-                }
+                // Open the self-verifying map, decode the block storage
+                // page by page, and re-validate it through `f`. The
+                // *decoded* storage (not a rebuild) is what the database
+                // keeps: later incremental saves must stay aligned with
+                // the page layout on disk.
+                let map = required_attr(entry, "map", "document")?;
+                safe_file_name(&map)?;
+                let map_path = root_dir.join("documents").join(&map);
+                let store = PageStore::open(vfs, &map_path)?;
+                let (xs, saved_epoch) = storage::paged::load_with_epoch(&store, vfs, &path)?;
+                let watermark = xs.tick();
+                db.insert_paged(&name, &schema, xs)?;
+                doc_states
+                    .insert(name.clone(), DocPersist { file, map, store, watermark, saved_epoch });
+                Ok(())
             };
             if let Err(error) = load() {
                 match policy {
@@ -767,23 +721,17 @@ impl Database {
             }
         }
 
-        // A cleanly-loaded v3 directory leaves the database bound to its
+        // A cleanly-loaded directory leaves the database bound to its
         // generation, so the very next save can be incremental (or free)
         // — unless replayed records changed the registry, in which case
         // the next save must stage a fresh generation.
-        if report.manifest_version >= 3 && report.quarantined.is_empty() {
-            if let Some(gen) = report.generation {
-                *db.persist.lock().unwrap_or_else(|p| p.into_inner()) = PersistState {
-                    bound: Some(Binding {
-                        dir: dir.to_path_buf(),
-                        gen,
-                        current_line: current_text,
-                    }),
-                    registry_dirty: replay.registry_changed,
-                    docs: doc_states,
-                    wal_epoch: 0,
-                };
-            }
+        if report.quarantined.is_empty() {
+            *db.persist.lock().unwrap_or_else(|p| p.into_inner()) = PersistState {
+                bound: Some(Binding { dir: dir.to_path_buf(), gen, current_line: current_text }),
+                registry_dirty: replay.registry_changed,
+                docs: doc_states,
+                wal_epoch: 0,
+            };
         }
         db.note_wal_epoch(replay.max_seq);
         obs.incr(xsobs::CounterId::PersistLoads);
@@ -835,7 +783,7 @@ mod tests {
 
     fn current_gen_dir(dir: &Path) -> PathBuf {
         let text = fs::read_to_string(dir.join("CURRENT")).unwrap();
-        let (_, gen, _) = parse_current(&text).unwrap();
+        let (gen, _) = parse_current(&text).unwrap();
         dir.join(format!("gen-{gen}"))
     }
 
@@ -874,7 +822,6 @@ mod tests {
         db.save_dir(&dir).unwrap();
         let (restored, report) = Database::load_dir_report(&dir, LoadPolicy::Strict).unwrap();
         assert_eq!(report.generation, Some(2));
-        assert_eq!(report.manifest_version, 3);
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(restored.len(), 1);
         // The obsolete generation was cleaned up after commit.
@@ -998,12 +945,12 @@ mod tests {
     }
 
     #[test]
-    fn missing_manifest_is_an_io_error() {
+    fn missing_current_pointer_is_an_io_error() {
         let dir = temp_dir("missing");
         assert!(matches!(Database::load_dir(&dir), Err(DbError::Io { .. })));
         // The error names the file it could not read.
         let shown = Database::load_dir(&dir).unwrap_err().to_string();
-        assert!(shown.contains("manifest.xml"), "{shown}");
+        assert!(shown.contains("CURRENT"), "{shown}");
     }
 
     #[test]
@@ -1023,85 +970,31 @@ mod tests {
     }
 
     #[test]
-    fn v1_layouts_still_load_with_a_warning() {
-        let dir = temp_dir("v1");
-        // Hand-build a version-1 directory: top-level manifest without
-        // checksums, as written before the durability layer existed.
-        fs::create_dir_all(dir.join("schemas")).unwrap();
-        fs::create_dir_all(dir.join("documents")).unwrap();
-        fs::write(dir.join("schemas").join("log.xsd"), {
-            let mut db = Database::new();
-            db.register_schema_text("log", SCHEMA).unwrap();
-            xsmodel::write_schema(db.schema("log").unwrap())
-        })
-        .unwrap();
-        fs::write(dir.join("documents").join("j.xml"), "<log/>").unwrap();
-        fs::write(
-            dir.join("manifest.xml"),
-            r#"<xsdb version="1">
-  <schema name="log" file="log.xsd"/>
-  <document name="j" schema="log" file="j.xml"/>
-</xsdb>"#,
-        )
-        .unwrap();
-        let (db, report) = Database::load_dir_report(&dir, LoadPolicy::Strict).unwrap();
-        assert_eq!(db.len(), 1);
-        assert_eq!(report.manifest_version, 1);
-        assert_eq!(report.generation, None);
-        assert!(report.warnings.iter().any(|w| w.contains("no checksums")), "{report:?}");
-        // A re-save migrates the directory to the paged v3 layout.
-        db.save_dir(&dir).unwrap();
-        assert!(dir.join("CURRENT").exists());
-        assert!(!dir.join("manifest.xml").exists(), "legacy manifest cleaned after commit");
-        let (again, report2) = Database::load_dir_report(&dir, LoadPolicy::Strict).unwrap();
-        assert_eq!(again.len(), 1);
-        assert_eq!(report2.manifest_version, 3);
-        assert!(report2.is_clean(), "{report2:?}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v2_layouts_still_load_and_migrate() {
+    fn other_layout_versions_are_refused_by_name() {
         let dir = temp_dir("v2");
-        // Hand-build a version-2 generation: whole-document XML files
-        // with a manifest checksum per file and a digest-carrying
-        // CURRENT pointer, as written before the paged layout existed.
-        let gen_dir = dir.join("gen-7");
-        fs::create_dir_all(gen_dir.join("schemas")).unwrap();
-        fs::create_dir_all(gen_dir.join("documents")).unwrap();
-        let xsd = {
-            let mut db = Database::new();
-            db.register_schema_text("log", SCHEMA).unwrap();
-            xsmodel::write_schema(db.schema("log").unwrap())
-        };
-        fs::write(gen_dir.join("schemas").join("log.xsd"), &xsd).unwrap();
-        let doc = "<log><entry><year>1995</year><text>kept</text></entry></log>";
-        fs::write(gen_dir.join("documents").join("j.xml"), doc).unwrap();
-        let manifest = format!(
-            "<xsdb version=\"2\" generation=\"7\">\n  \
-             <schema name=\"log\" file=\"log.xsd\" sha256=\"{}\"/>\n  \
-             <document name=\"j\" schema=\"log\" file=\"j.xml\" sha256=\"{}\"/>\n</xsdb>",
-            sha256_hex(xsd.as_bytes()),
-            sha256_hex(doc.as_bytes()),
-        );
-        fs::write(gen_dir.join("manifest.xml"), &manifest).unwrap();
-        fs::write(dir.join("CURRENT"), format!("v2 gen-7 {}\n", sha256_hex(manifest.as_bytes())))
-            .unwrap();
-
-        let (db, report) = Database::load_dir_report(&dir, LoadPolicy::Strict).unwrap();
-        assert_eq!(report.manifest_version, 2);
-        assert_eq!(report.generation, Some(7));
-        assert_eq!(db.query("j", "/log/entry/text").unwrap(), ["kept"]);
-        // A v2 tamper is still caught by the manifest checksum.
-        fs::write(gen_dir.join("documents").join("j.xml"), "<log/>").unwrap();
-        assert!(matches!(Database::load_dir(&dir), Err(DbError::Checksum { .. })));
-        fs::write(gen_dir.join("documents").join("j.xml"), doc).unwrap();
-        // The next save migrates to the paged layout.
+        let mut db = Database::new();
+        db.register_schema_text("log", SCHEMA).unwrap();
+        db.insert("j", "log", "<log/>").unwrap();
         db.save_dir(&dir).unwrap();
-        let (again, report2) = Database::load_dir_report(&dir, LoadPolicy::Strict).unwrap();
-        assert_eq!(report2.manifest_version, 3);
-        assert_eq!(report2.generation, Some(8));
-        assert_eq!(again.query("j", "/log/entry/text").unwrap(), ["kept"]);
+        // A well-formed pointer of an older (or newer) layout generation.
+        let pointer = fs::read_to_string(dir.join("CURRENT")).unwrap();
+        for other in ["v2", "v4"] {
+            fs::write(dir.join("CURRENT"), pointer.replacen("v3", other, 1)).unwrap();
+            for policy in [LoadPolicy::Strict, LoadPolicy::Lenient] {
+                match Database::load_dir_report(&dir, policy) {
+                    Err(DbError::Corrupt(msg)) => {
+                        assert!(msg.contains("unsupported layout version"), "{msg}");
+                        assert!(msg.contains(&other[1..]), "{msg}");
+                    }
+                    other => panic!("expected a layout-version refusal, got {other:?}"),
+                }
+            }
+        }
+        // A version-1 directory has no CURRENT pointer at all: its
+        // top-level manifest is not consulted.
+        fs::remove_file(dir.join("CURRENT")).unwrap();
+        fs::write(dir.join("manifest.xml"), r#"<xsdb version="1"/>"#).unwrap();
+        assert!(matches!(Database::load_dir(&dir), Err(DbError::Io { .. })));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1117,16 +1010,17 @@ mod tests {
     fn current_pointer_parsing_rejects_malformed_input() {
         assert!(parse_current("").is_err());
         assert!(parse_current("v1 gen-2 abc").is_err());
-        assert!(parse_current("v2 gen-x 0000").is_err());
+        assert!(parse_current("v3 gen-x 0000").is_err());
         assert!(parse_current("v4 gen-2 abc").is_err());
-        assert!(parse_current(&format!("v2 gen-3 {}", "a".repeat(63))).is_err());
+        assert!(parse_current(&format!("v3 gen-3 {}", "a".repeat(63))).is_err());
         assert!(parse_current(&format!("v3 gen-3 {} extra", "a".repeat(64))).is_err());
-        let (version, gen, digest) =
-            parse_current(&format!("v2 gen-3 {}\n", "A".repeat(64))).unwrap();
-        assert_eq!((version, gen), (2, 3));
+        assert!(parse_current(&format!("v2 gen-3 {}\n", "a".repeat(64))).is_err());
+        assert!(parse_current(&format!("v03 gen-3 {}\n", "a".repeat(64))).is_err());
+        let (gen, digest) = parse_current(&format!("v3 gen-3 {}\n", "A".repeat(64))).unwrap();
+        assert_eq!(gen, 3);
         assert_eq!(digest, "a".repeat(64));
-        let (version, gen, _) = parse_current(&format!("v3 gen-12 {}\n", "b".repeat(64))).unwrap();
-        assert_eq!((version, gen), (3, 12));
+        let (gen, _) = parse_current(&format!("v3 gen-12 {}\n", "b".repeat(64))).unwrap();
+        assert_eq!(gen, 12);
     }
 
     #[test]

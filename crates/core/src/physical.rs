@@ -1,12 +1,12 @@
-//! Bridges between the physical layer (§9) and the logical layers:
-//! serialize a block-stored tree straight back to XML (`g` over
-//! descriptors), and rebuild an XDM tree from storage.
+//! Bridges between the physical layer (§9) and the logical layers.
 //!
-//! Together with `XmlStorage::from_tree` these close the loop
-//! `XML → f → XDM → storage → XML`, and the round trip is content-
-//! preserving at every hop (tested).
+//! [`storage_to_document`] is the database's `g`: it serializes a
+//! block-stored document straight from its descriptors, closing the loop
+//! `XML → f → XDM → storage → XML` without a second stored form.
+//! [`storage_to_tree`] rebuilds the transient XDM tree; the database
+//! never calls it — it is the oracle the test suites compare the
+//! descriptor-level accessors, queries and `g` against.
 
-use algebra::serialize_tree;
 use storage::{DescPtr, XmlStorage};
 use xdm::{NodeId, NodeKind, NodeStore};
 use xmlparse::{Attribute, Document, Element, Node, QName};
@@ -86,19 +86,18 @@ fn rebuild(xs: &XmlStorage, p: DescPtr, store: &mut NodeStore, parent: NodeId) {
     }
 }
 
-/// `g` over the logical tree (re-exported convenience used by tests):
-/// serialize a rebuilt tree and the original storage and compare.
-pub fn storage_roundtrip_agrees(xs: &XmlStorage) -> bool {
-    let direct = storage_to_document(xs);
-    let (store, doc) = storage_to_tree(xs);
-    let via_tree = serialize_tree(&store, doc);
-    algebra::content_equal(&direct, &via_tree)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xsdb_test_helpers::sample_storage;
+
+    /// `g` over descriptors agrees with `g` over the rebuilt tree.
+    fn storage_roundtrip_agrees(xs: &XmlStorage) -> bool {
+        let direct = storage_to_document(xs);
+        let (store, doc) = storage_to_tree(xs);
+        let via_tree = algebra::serialize_tree(&store, doc);
+        algebra::content_equal(&direct, &via_tree)
+    }
 
     /// Local helpers for building a storage instance.
     mod xsdb_test_helpers {

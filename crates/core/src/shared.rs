@@ -234,7 +234,7 @@ impl SharedDatabase {
         durability: Durability,
         vfs: Arc<dyn Vfs + Send + Sync>,
     ) -> Result<(SharedDatabase, LoadReport), DbError> {
-        let committed = vfs.exists(&dir.join("CURRENT")) || vfs.exists(&dir.join("manifest.xml"));
+        let committed = vfs.exists(&dir.join("CURRENT"));
         let (mut db, report) = if committed {
             // load_dir_vfs replays the WAL tail internally, skipping
             // records already folded into each document's epoch.

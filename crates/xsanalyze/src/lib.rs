@@ -306,6 +306,9 @@ mod tests {
         let diags = analyze_xpath_in_guide(&guide, &missing);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, "XSA401");
+        // `//` from the document node reaches the root element itself.
+        let root = xpath::parse("//library/book").unwrap();
+        assert_eq!(analyze_xpath_in_guide(&guide, &root), vec![]);
         // Reverse axes work on the guide (it has parent links).
         let up = xpath::parse("/library/book/title/../title").unwrap();
         assert_eq!(analyze_xpath_in_guide(&guide, &up), vec![]);

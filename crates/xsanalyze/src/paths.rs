@@ -607,7 +607,10 @@ fn eval_step<B: PathBackend>(
                         }
                     }
                     for c in pool {
-                        if name_matches(backend, &c, test) {
+                        // node() keeps an unnamed context too: `//root` is
+                        // descendant-or-self::node()/child::root from the
+                        // document node.
+                        if matches!(test, NodeTest::Node) || name_matches(backend, &c, test) {
                             push_elems(&mut result, backend, c);
                         }
                     }

@@ -71,18 +71,19 @@ fn main() {
         println!("  {p} {c}");
     }
 
-    // The nilled Comment: nilled(end) = true, typed-value = ().
-    let doc = db.document("main").unwrap();
-    let store = &doc.loaded.store;
-    let root = doc.loaded.root_element();
-    let comment = store.child_elements(root)[0];
+    // The nilled Comment: nilled(end) = true, typed-value = () — both
+    // answered by the stored node descriptor (§9.2).
+    let storage = &db.document("main").unwrap().storage;
+    let root = storage.children(storage.root())[0];
+    let comment = storage.children(root)[0];
+    let types = xsdb::xstypes::TypeRegistry::with_builtins();
     println!(
         "\nComment: nilled = {:?}, typed-value = {:?}",
-        store.nilled(comment),
-        store.typed_value(comment)
+        storage.nilled(comment),
+        storage.typed_value(comment, &types)
     );
-    assert_eq!(store.nilled(comment), Some(true));
-    assert!(store.typed_value(comment).is_empty());
+    assert_eq!(storage.nilled(comment), Some(true));
+    assert!(storage.typed_value(comment, &types).is_empty());
 
     // Now a rogue's gallery of invalid documents, each violating a
     // different §6.2 requirement.

@@ -3,7 +3,6 @@
 //!
 //! Run with `cargo run --example xpath_queries`.
 
-use xsdb::storage::XmlStorage;
 use xsdb::xdm::{cmp_document_order, DocumentOrderIndex};
 use xsdb::xpath::{eval_guided, eval_naive, parse, XdmTree};
 use xsdb::Database;
@@ -53,33 +52,34 @@ fn main() {
         "/catalog/*/name",
     ];
 
-    println!("queries on the logical tree (naive engine):");
+    println!("queries through the database (cost-based planner over block storage):");
     for q in queries {
         println!("  {q:48} → {:?}", db.query("shop", q).unwrap());
     }
 
-    // Same queries through the block storage's guided engine.
-    let doc = db.document("shop").unwrap();
-    let storage = XmlStorage::from_tree(&doc.loaded.store, doc.loaded.doc);
-    let tree = XdmTree { store: &doc.loaded.store, doc: doc.loaded.doc };
+    // Same queries on the stored block storage directly, against the
+    // XDM tree rebuilt from it (the oracle the test suites use).
+    let storage = &db.document("shop").unwrap().storage;
+    let (store, root) = xsdb::storage_to_tree(storage);
+    let tree = XdmTree { store: &store, doc: root };
     println!("\nengine agreement (naive XDM vs naive storage vs guided storage):");
     for q in queries {
         let path = parse(q).unwrap();
         let a: Vec<String> =
-            eval_naive(&tree, &path).iter().map(|&n| doc.loaded.store.string_value(n)).collect();
+            eval_naive(&tree, &path).iter().map(|&n| store.string_value(n)).collect();
         let b: Vec<String> =
-            eval_naive(&&storage, &path).iter().map(|&p| storage.string_value(p)).collect();
+            eval_naive(&storage, &path).iter().map(|&p| storage.string_value(p)).collect();
         let c: Vec<String> =
-            eval_guided(&storage, &path).iter().map(|&p| storage.string_value(p)).collect();
+            eval_guided(storage, &path).iter().map(|&p| storage.string_value(p)).collect();
         assert_eq!(a, b, "{q}");
         assert_eq!(b, c, "{q}");
         println!("  {q:48} ✓ ({} hits)", a.len());
     }
 
     // §7: results come back in document order; show it three ways.
-    let nodes = db.query_nodes("shop", "//tag").unwrap();
-    let store = &doc.loaded.store;
-    let index = DocumentOrderIndex::build(store, doc.loaded.doc);
+    let nodes = eval_naive(&tree, &parse("//tag").unwrap());
+    let store = &store;
+    let index = DocumentOrderIndex::build(store, root);
     println!("\ndocument order of //tag results:");
     for w in nodes.windows(2) {
         let by_walk = cmp_document_order(store, w[0], w[1]);
@@ -92,7 +92,7 @@ fn main() {
         );
     }
     // And the storage's label-based comparison agrees.
-    let tags = eval_guided(&storage, &parse("//tag").unwrap());
+    let tags = eval_guided(storage, &parse("//tag").unwrap());
     for w in tags.windows(2) {
         assert_eq!(storage.cmp_doc_order(w[0], w[1]), std::cmp::Ordering::Less);
     }

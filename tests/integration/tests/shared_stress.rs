@@ -291,7 +291,7 @@ fn guarded_updates_never_relabel_under_live_traffic() {
     });
     let db = sh.read();
     assert_eq!(db.query("d", "/list/item").unwrap().len(), 4 + 2 * 40);
-    let storage = db.document("d").unwrap().storage().unwrap();
+    let storage = &db.document("d").unwrap().storage;
     assert_eq!(storage.relabel_count(), 0, "Proposition 1 violated under live traffic");
     assert!(storage.check_invariants().is_none());
     assert!(db.revalidate("d").unwrap().is_empty());

@@ -184,7 +184,7 @@ proptest! {
             // the invariant is about whatever actually applied.
             let _ = sh.apply(&m);
             let db = sh.read();
-            let storage = db.document("d").unwrap().storage().unwrap();
+            let storage = &db.document("d").unwrap().storage;
             prop_assert_eq!(
                 storage.stats().clone(), storage.rebuild_stats(),
                 "stats diverged after mutation {} ({m:?})", op

@@ -180,7 +180,7 @@ proptest! {
                         "{} ({:?}) committed an invalid document: {errs:?}\nbefore: {before}",
                         upd_text, out.verdict
                     );
-                    let storage = db.document("d").expect("doc").storage().expect("storage");
+                    let storage = &db.document("d").expect("doc").storage;
                     prop_assert!(storage.check_invariants().is_none());
                     prop_assert_eq!(storage.relabel_count(), 0, "Proposition 1 violated");
                 }
@@ -210,4 +210,118 @@ proptest! {
             }
         }
     }
+}
+
+// ----------------------------------------------------- nested targets
+//
+// On a recursive schema one path can select a node *and* its
+// descendants. Deleting, replacing, or rewriting the outer node frees
+// the inner ones, so the appliers must resolve the target list to its
+// outermost members before the first mutation — an update the static
+// checker accepts must not fail (let alone panic) at run time.
+
+/// `section` inside `section`, every part optional and mixed so that
+/// `<section>text</section>` is valid.
+const NESTED_XSD: &str = r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="doc">
+    <xs:complexType>
+      <xs:sequence>
+        <xs:element name="section" type="Section" minOccurs="0" maxOccurs="unbounded"/>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+  <xs:complexType name="Section" mixed="true">
+    <xs:sequence>
+      <xs:element name="heading" type="xs:string" minOccurs="0"/>
+      <xs:element name="section" type="Section" minOccurs="0" maxOccurs="unbounded"/>
+    </xs:sequence>
+  </xs:complexType>
+</xs:schema>"#;
+
+/// Five sections, two of them outermost.
+const NESTED_DOC: &str = "<doc>\
+    <section><heading>a</heading>\
+      <section><heading>a.1</heading><section><heading>a.1.1</heading></section></section>\
+      <section><heading>a.2</heading></section>\
+    </section>\
+    <section><heading>b</heading></section>\
+  </doc>";
+
+fn nested_db() -> Database {
+    let mut db = Database::with_metrics_registry(Arc::new(xsdb::xsobs::Registry::new()));
+    db.register_schema_text("deep", NESTED_XSD).expect("schema registers");
+    db.insert("d", "deep", NESTED_DOC).expect("document is valid");
+    assert_eq!(db.query("d", "//section").expect("query").len(), 5);
+    db
+}
+
+/// What every nested-target update must leave behind.
+fn assert_sound(db: &Database, what: &str) {
+    let storage = &db.document("d").expect("doc").storage;
+    assert_eq!(storage.check_invariants(), None, "{what}");
+    assert_eq!(storage.relabel_count(), 0, "{what}: Proposition 1 violated");
+    assert!(db.revalidate("d").expect("revalidate runs").is_empty(), "{what}");
+}
+
+#[test]
+fn nested_delete_targets_resolve_to_the_outermost() {
+    let mut db = nested_db();
+    let out = db.execute_update("d", "delete node //section").expect("typed delete");
+    assert_eq!(out.nodes, 2);
+    assert_eq!(db.serialize("d").expect("serializes"), "<doc/>");
+    assert_sound(&db, "typed delete");
+
+    let mut db = nested_db();
+    assert_eq!(db.update_delete("d", "//section").expect("untyped delete"), 2);
+    assert_eq!(db.serialize("d").expect("serializes"), "<doc/>");
+    assert_sound(&db, "untyped delete");
+}
+
+#[test]
+fn nested_set_text_targets_resolve_to_the_outermost() {
+    let mut db = nested_db();
+    assert_eq!(db.update_set_text("d", "//section", "x").expect("set text"), 2);
+    assert_eq!(
+        db.serialize("d").expect("serializes"),
+        "<doc><section>x</section><section>x</section></doc>"
+    );
+    assert_sound(&db, "set text");
+}
+
+#[test]
+fn nested_replace_targets_resolve_to_the_outermost() {
+    let mut db = nested_db();
+    let out = db
+        .execute_update("d", "replace node //section with <section>new</section>")
+        .expect("typed replace");
+    assert_eq!(out.nodes, 2);
+    assert_eq!(
+        db.serialize("d").expect("serializes"),
+        "<doc><section>new</section><section>new</section></doc>"
+    );
+    assert_sound(&db, "typed replace");
+}
+
+/// The write-ahead record is appended before the update applies, so a
+/// panic here would also repeat on every recovery.
+#[test]
+fn a_logged_nested_delete_replays_cleanly() {
+    use xsdb::{ApplyOutcome, Durability, Mutation, SharedDatabase};
+    let dir = std::env::temp_dir().join(format!("xsdb-nested-targets-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (sh, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).expect("open");
+    sh.apply(&Mutation::RegisterSchema { name: "deep".into(), xsd: NESTED_XSD.into() })
+        .expect("schema");
+    sh.apply(&Mutation::Insert { doc: "d".into(), schema: "deep".into(), xml: NESTED_DOC.into() })
+        .expect("insert");
+    let out = sh
+        .apply(&Mutation::Update { doc: "d".into(), update: "delete node //section".into() })
+        .expect("logged delete");
+    assert!(matches!(out, ApplyOutcome::UpdatedChecked(o) if o.nodes == 2), "{out:?}");
+    drop(sh); // no checkpoint: recovery replays all three records
+    let (again, report) = SharedDatabase::open_durable(&dir, Durability::Fsync).expect("reopen");
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(again.read().serialize("d").expect("serializes"), "<doc/>");
+    assert_sound(&again.read(), "recovered");
+    let _ = std::fs::remove_dir_all(&dir);
 }
