@@ -43,7 +43,11 @@ pub struct Database {
     /// database is a cheap map clone: mutators copy-on-write through
     /// [`Arc::make_mut`], so a snapshot taken before a mutation keeps
     /// observing the pre-mutation document forever (the MVCC readers of
-    /// [`crate::SharedDatabase`] depend on exactly this).
+    /// [`crate::SharedDatabase`] depend on exactly this). The copy is
+    /// block-granular: cloning an [`XmlStorage`] copies one pointer per
+    /// §9.2 block and location segment, the mutation then copies only
+    /// the blocks and segments it dirties, and the snapshot and the new
+    /// state share every other block.
     documents: BTreeMap<String, Arc<StoredDocument>>,
     options: LoadOptions,
     /// Hostile-input bounds applied to every XML text this database

@@ -173,6 +173,10 @@ impl Deref for ReadSnapshot {
 pub struct WriteGuard<'a> {
     db: MutexGuard<'a, Database>,
     epoch: &'a Mutex<Arc<Database>>,
+    /// The epoch this guard's publish superseded. Fields drop in
+    /// declaration order, so it is freed only after `db` has released
+    /// the writer lock.
+    retired: Option<Arc<Database>>,
 }
 
 impl Deref for WriteGuard<'_> {
@@ -194,7 +198,8 @@ impl Drop for WriteGuard<'_> {
         // Clone outside the epoch lock: readers must only ever wait
         // for the pointer swap, never for the snapshot construction.
         let next = Arc::new(self.db.snapshot());
-        *self.epoch.lock().unwrap_or_else(|p| p.into_inner()) = next;
+        let mut epoch = self.epoch.lock().unwrap_or_else(|p| p.into_inner());
+        self.retired = Some(std::mem::replace(&mut *epoch, next));
     }
 }
 
@@ -295,7 +300,7 @@ impl SharedDatabase {
         let start = self.lock_clock();
         let db = self.inner.primary.lock().unwrap_or_else(|p| p.into_inner());
         self.record_wait(xsobs::HistogramId::SrvWriteLockWait, start);
-        WriteGuard { db, epoch: &self.inner.epoch }
+        WriteGuard { db, epoch: &self.inner.epoch, retired: None }
     }
 
     /// Commit one mutation: append its record to the write-ahead log,
@@ -337,8 +342,14 @@ impl SharedDatabase {
         // As in `WriteGuard::drop`: build the snapshot before taking
         // the epoch lock, so readers wait only for a pointer swap.
         let next = Arc::new(db.snapshot());
-        *self.inner.epoch.lock().unwrap_or_else(|p| p.into_inner()) = next;
+        let mut epoch = self.inner.epoch.lock().unwrap_or_else(|p| p.into_inner());
+        let retired = std::mem::replace(&mut *epoch, next);
+        drop(epoch);
         drop(db);
+        // Free the superseded epoch outside both locks: when no reader
+        // still holds it, this drop releases every block the new epoch
+        // copied, and neither readers nor the next writer wait for that.
+        drop(retired);
         if let (Some(w), Some(seq)) = (&self.inner.wal, seq) {
             if w.durability == Durability::Group {
                 // The group-commit gate: whoever arrives first fsyncs

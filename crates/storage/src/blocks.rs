@@ -27,15 +27,34 @@
 //! panicking when a slot link is dangling, and every mutation stamps a
 //! monotonic *tick* onto the touched block so an incremental save can
 //! write exactly the blocks dirtied since a watermark.
+//!
+//! The block is also the unit of *sharing*. The table holds every block
+//! behind an [`Arc`] and the location table as `Arc`'d segments of
+//! [`LOC_SEG`] entries — the same segments the page layer maps onto
+//! pages. Cloning a table copies one pointer per block and per segment,
+//! and every mutable path goes through [`Arc::make_mut`], so a mutation
+//! of a clone copies exactly the blocks and segments it marks dirty and
+//! shares the rest with the original. This is how an update and the
+//! epoch snapshots readers hold share one document (RustDB's `BlockStg`:
+//! numbered blocks behind a logical → physical map, where the tree does
+//! not care where the bytes live).
+//!
+//! Descriptor ids are recycled. A delete *retires* the ids it frees; a
+//! clone — the successor version a copy-on-write update mutates — hands
+//! them to [`BlockTable::mint_ptr`], which takes them before growing the
+//! table. Within the version that freed it an id stays dead, so a
+//! use-after-delete inside one update still fails as a dangling pointer
+//! instead of aliasing a new node.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use xdm::NodeKind;
 
 use crate::descriptive::{DescriptiveSchema, SchemaNodeId};
 use crate::error::StorageError;
 use crate::nid::Nid;
+use crate::paged::LOC_SEG;
 
 /// A stable pointer to a node descriptor. Valid until the node is
 /// deleted; unaffected by block splits and unrelated updates.
@@ -241,37 +260,148 @@ impl<'a> Iterator for BlockOrderIter<'a> {
     }
 }
 
+/// One location-table entry: the (block, slot) hosting a descriptor id,
+/// `None` once the id is dead.
+pub(crate) type Location = Option<(u32, u16)>;
+
+const SEG_LEN: usize = LOC_SEG as usize;
+
+/// The location table — stable id → (block, slot) — held as `Arc`'d
+/// segments of [`LOC_SEG`] entries, so a clone shares every segment and
+/// a write copies only the segment it lands in.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Locations {
+    segs: Vec<Arc<[Location; SEG_LEN]>>,
+    /// Ids minted so far; entries past it are `None`.
+    len: u32,
+}
+
+impl Locations {
+    /// Number of ids minted so far (live or dead).
+    pub(crate) fn len(&self) -> u32 {
+        self.len
+    }
+
+    /// Where `id` lives; `None` when it is dead or was never minted.
+    pub(crate) fn get(&self, id: u32) -> Location {
+        self.segs.get((id / LOC_SEG) as usize).and_then(|seg| seg[(id % LOC_SEG) as usize])
+    }
+
+    fn set(&mut self, id: u32, loc: Location) {
+        Arc::make_mut(&mut self.segs[(id / LOC_SEG) as usize])[(id % LOC_SEG) as usize] = loc;
+    }
+
+    /// Mint the next id with location `loc`, opening a segment when the
+    /// last one is full.
+    pub(crate) fn push(&mut self, loc: Location) -> u32 {
+        let id = self.len;
+        self.len = id.checked_add(1).expect("descriptor id overflow");
+        if id.is_multiple_of(LOC_SEG) {
+            self.segs.push(Arc::new([None; SEG_LEN]));
+        }
+        self.set(id, loc);
+        id
+    }
+
+    /// Number of segments (the last one may be partly minted).
+    pub(crate) fn segment_count(&self) -> u32 {
+        self.segs.len() as u32
+    }
+
+    /// The minted entries of segment `j`.
+    pub(crate) fn segment(&self, j: u32) -> &[Location] {
+        let minted = (self.len - j * LOC_SEG).min(LOC_SEG);
+        &self.segs[j as usize][..minted as usize]
+    }
+
+    /// Every minted entry, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Location> + '_ {
+        self.segs.iter().flat_map(|seg| seg.iter().copied()).take(self.len as usize)
+    }
+}
+
+/// Record `tick` as the latest mutation of item `i` in a dirty-tick
+/// vector (absent items read as 0: never dirtied).
+fn stamp(ticks: &mut Vec<u64>, i: u32, tick: u64) {
+    let i = i as usize;
+    if ticks.len() <= i {
+        ticks.resize(i + 1, 0);
+    }
+    ticks[i] = tick;
+}
+
 /// All blocks, the per-schema-node block lists, and the indirection
 /// table from stable descriptor ids to (block, slot) locations — plus
 /// the dirty-tracking ticks the paged layer saves incrementally from.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct BlockTable {
-    pub(crate) blocks: Vec<Block>,
+    /// Every block, shared with clones until a mutation copies it.
+    pub(crate) blocks: Vec<Arc<Block>>,
     /// Per schema node: (first, last) block of its list.
     pub(crate) lists: Vec<Option<(u32, u32)>>,
     /// Stable id → current (block, slot); `None` after deletion.
-    pub(crate) locations: Vec<Option<(u32, u16)>>,
+    pub(crate) locations: Locations,
+    /// Dead ids [`BlockTable::mint_ptr`] hands out before growing the
+    /// location table.
+    free_ids: Vec<u32>,
+    /// Ids freed in this version; they join `free_ids` in its clones.
+    retired_ids: Vec<u32>,
     /// Monotonic mutation counter; bumped on every touch below.
     pub(crate) tick: u64,
     /// Block index → tick of its latest mutation.
-    pub(crate) dirty_blocks: BTreeMap<u32, u64>,
+    pub(crate) dirty_blocks: Vec<u64>,
     /// Location-table segment → tick of its latest mutation (segments
-    /// of [`crate::paged::LOC_SEG`] entries map onto pages).
-    pub(crate) dirty_loc_segs: BTreeMap<u32, u64>,
+    /// of [`LOC_SEG`] entries map onto pages).
+    pub(crate) dirty_loc_segs: Vec<u64>,
     /// Tick of the latest catalog-level change (schema growth, list
     /// heads, location-table length).
     pub(crate) meta_tick: u64,
 }
 
+impl Clone for BlockTable {
+    /// The successor version: shares every block and location segment
+    /// with `self`, and may reuse the ids `self` retired.
+    fn clone(&self) -> Self {
+        BlockTable {
+            blocks: self.blocks.clone(),
+            lists: self.lists.clone(),
+            locations: self.locations.clone(),
+            free_ids: [&self.free_ids[..], &self.retired_ids[..]].concat(),
+            retired_ids: Vec::new(),
+            tick: self.tick,
+            dirty_blocks: self.dirty_blocks.clone(),
+            dirty_loc_segs: self.dirty_loc_segs.clone(),
+            meta_tick: self.meta_tick,
+        }
+    }
+}
+
 impl BlockTable {
+    /// Reassemble a table decoded from pages. Every dead id on disk is
+    /// free: the version that freed it is gone.
+    pub(crate) fn from_decoded(
+        blocks: Vec<Block>,
+        lists: Vec<Option<(u32, u32)>>,
+        locations: Locations,
+    ) -> BlockTable {
+        let free_ids = (0..locations.len()).filter(|&id| locations.get(id).is_none()).collect();
+        BlockTable {
+            blocks: blocks.into_iter().map(Arc::new).collect(),
+            lists,
+            locations,
+            free_ids,
+            ..Default::default()
+        }
+    }
+
     pub(crate) fn touch_block(&mut self, b: u32) {
         self.tick += 1;
-        self.dirty_blocks.insert(b, self.tick);
+        stamp(&mut self.dirty_blocks, b, self.tick);
     }
 
     pub(crate) fn touch_location(&mut self, id: u32) {
         self.tick += 1;
-        self.dirty_loc_segs.insert(id / crate::paged::LOC_SEG, self.tick);
+        stamp(&mut self.dirty_loc_segs, id / LOC_SEG, self.tick);
     }
 
     pub(crate) fn touch_meta(&mut self) {
@@ -286,21 +416,33 @@ impl BlockTable {
         }
     }
 
-    /// Mint a fresh stable id (location set when the descriptor lands).
+    /// Mint a stable id (location set when the descriptor lands): a
+    /// free dead id when there is one, else a fresh one.
     pub(crate) fn mint_ptr(&mut self) -> DescPtr {
-        let id = u32::try_from(self.locations.len()).expect("descriptor id overflow");
-        self.locations.push(None);
+        let id = match self.free_ids.pop() {
+            Some(id) => id,
+            None => {
+                self.touch_meta(); // the location-table length is catalog state
+                self.locations.push(None)
+            }
+        };
         self.touch_location(id);
-        self.touch_meta(); // the location-table length is catalog state
         DescPtr(id)
     }
 
-    pub(crate) fn location(&self, p: DescPtr) -> (u32, u16) {
-        self.locations[p.0 as usize].expect("dangling descriptor pointer")
+    /// Kill `p`'s location. Its id stays dead in this version and is
+    /// reusable from the next clone on.
+    pub(crate) fn release_ptr(&mut self, p: DescPtr) {
+        self.set_location(p, None);
+        self.retired_ids.push(p.0);
     }
 
-    pub(crate) fn set_location(&mut self, p: DescPtr, loc: Option<(u32, u16)>) {
-        self.locations[p.0 as usize] = loc;
+    pub(crate) fn location(&self, p: DescPtr) -> (u32, u16) {
+        self.locations.get(p.0).expect("dangling descriptor pointer")
+    }
+
+    pub(crate) fn set_location(&mut self, p: DescPtr, loc: Location) {
+        self.locations.set(p.0, loc);
         self.touch_location(p.0);
     }
 
@@ -308,10 +450,11 @@ impl BlockTable {
         &self.blocks[i as usize]
     }
 
-    /// Mutable block access; marks the block dirty.
+    /// Mutable block access; marks the block dirty and copies it first
+    /// when a clone shares it.
     pub(crate) fn block_mut(&mut self, i: u32) -> &mut Block {
         self.touch_block(i);
-        &mut self.blocks[i as usize]
+        Arc::make_mut(&mut self.blocks[i as usize])
     }
 
     pub(crate) fn desc(&self, p: DescPtr) -> &NodeDescriptor {
@@ -322,8 +465,7 @@ impl BlockTable {
     /// Mutable descriptor access; marks the hosting block dirty.
     pub(crate) fn desc_mut(&mut self, p: DescPtr) -> &mut NodeDescriptor {
         let (b, s) = self.location(p);
-        self.touch_block(b);
-        self.blocks[b as usize].slots[s as usize].as_mut().expect("live descriptor")
+        self.block_mut(b).slots[s as usize].as_mut().expect("live descriptor")
     }
 
     /// Kind of the node at `p` (from the block header's schema node).
@@ -345,16 +487,12 @@ impl BlockTable {
         match self.lists[schema_node.index()] {
             Some((first, last)) => {
                 b.prev_block = Some(last);
-                self.blocks[last as usize].next_block = Some(idx);
-                self.blocks.push(b);
+                self.block_mut(last).next_block = Some(idx);
                 self.lists[schema_node.index()] = Some((first, idx));
-                self.touch_block(last);
             }
-            None => {
-                self.blocks.push(b);
-                self.lists[schema_node.index()] = Some((idx, idx));
-            }
+            None => self.lists[schema_node.index()] = Some((idx, idx)),
         }
+        self.blocks.push(Arc::new(b));
         self.touch_block(idx);
         self.touch_meta(); // list heads live in the catalog
         idx
@@ -367,15 +505,13 @@ impl BlockTable {
         let mut b = Block::new(schema_node, capacity);
         b.prev_block = Some(after);
         b.next_block = self.blocks[after as usize].next_block;
-        self.blocks.push(b);
-        if let Some(next) = self.blocks[idx as usize].next_block {
-            self.blocks[next as usize].prev_block = Some(idx);
-            self.touch_block(next);
+        if let Some(next) = b.next_block {
+            self.block_mut(next).prev_block = Some(idx);
         } else if let Some((_, last)) = &mut self.lists[schema_node.index()] {
             *last = idx;
         }
-        self.blocks[after as usize].next_block = Some(idx);
-        self.touch_block(after);
+        self.blocks.push(Arc::new(b));
+        self.block_mut(after).next_block = Some(idx);
         self.touch_block(idx);
         self.touch_meta();
         idx
@@ -389,5 +525,183 @@ impl BlockTable {
     /// Last block of a schema node's list.
     pub(crate) fn last_block(&self, sn: SchemaNodeId) -> Option<u32> {
         self.lists[sn.index()].map(|(_, last)| last)
+    }
+}
+
+#[cfg(test)]
+mod copy_on_write_tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use xdm::NodeStore;
+
+    use super::*;
+    use crate::storage::XmlStorage;
+
+    /// `<library>` of `books` books, each a `<title>` with text, every
+    /// even book also carrying an `id` attribute: 72 books are ≈256
+    /// nodes, 4680 are ≈16 384. With the default capacity the book,
+    /// title and text lists then end in a full block followed by a short
+    /// one at both sizes.
+    fn library(books: usize) -> XmlStorage {
+        let mut s = NodeStore::new();
+        let doc = s.new_document(None);
+        let lib = s.new_element(doc, "library");
+        for i in 0..books {
+            let book = s.new_element(lib, "book");
+            if i % 2 == 0 {
+                s.new_attribute(book, "id", format!("b{i}"));
+            }
+            let title = s.new_element(book, "title");
+            s.new_text(title, format!("title {i}"));
+        }
+        XmlStorage::from_tree(&s, doc)
+    }
+
+    const SIZES: [usize; 2] = [72, 4680];
+
+    /// Blocks plus location segments of `b` that are not the very
+    /// allocation `a` holds (new ones included).
+    fn unshared(a: &XmlStorage, b: &XmlStorage) -> usize {
+        let (ta, tb) = (a.table(), b.table());
+        let blocks = tb
+            .blocks
+            .iter()
+            .enumerate()
+            .filter(|(i, blk)| ta.blocks.get(*i).is_none_or(|old| !Arc::ptr_eq(old, blk)))
+            .count();
+        let segs = tb
+            .locations
+            .segs
+            .iter()
+            .enumerate()
+            .filter(|(j, seg)| ta.locations.segs.get(*j).is_none_or(|old| !Arc::ptr_eq(old, seg)))
+            .count();
+        blocks + segs
+    }
+
+    /// Everything a reader can observe, node by node in document order.
+    fn image(xs: &XmlStorage) -> Vec<String> {
+        xs.subtree(xs.root())
+            .into_iter()
+            .map(|p| {
+                let own = match xs.kind(p) {
+                    NodeKind::Text | NodeKind::Attribute => xs.string_value(p),
+                    _ => String::new(),
+                };
+                format!("{p} {:?} {} {:?} {own}", xs.nid(p), xs.node_kind(p), xs.node_name(p))
+            })
+            .collect()
+    }
+
+    /// The book at position `i` and the text node of its title.
+    fn book_and_text(xs: &XmlStorage, i: usize) -> (DescPtr, DescPtr) {
+        let lib = xs.children(xs.root())[0];
+        let book = xs.children(lib)[i];
+        let title = xs.children(book)[0];
+        (book, xs.children(title)[0])
+    }
+
+    type Mutator = fn(&mut XmlStorage, usize);
+
+    /// One mutation per mutator, aimed at a full block near the end of
+    /// its list (books `n - 20` / `n - 19`) so that the descriptors it
+    /// touches and any fresh id share a location segment at every size.
+    const MUTATORS: [(&str, Mutator); 6] = [
+        ("insert_element (splits a block)", |xs, n| {
+            let lib = xs.children(xs.root())[0];
+            let (book, _) = book_and_text(xs, n - 20);
+            xs.insert_element(lib, Some(book), "book").unwrap();
+        }),
+        ("insert_text (splits a block)", |xs, n| {
+            let (book, _) = book_and_text(xs, n - 20);
+            let title = xs.children(book)[0];
+            xs.insert_text(title, None, "subtitle").unwrap();
+        }),
+        ("insert_attribute", |xs, n| {
+            let (book, _) = book_and_text(xs, n - 19);
+            assert!(xs.attribute_named(book, "id").is_none());
+            xs.insert_attribute(book, "id", "fresh").unwrap();
+        }),
+        ("delete", |xs, n| {
+            let (book, _) = book_and_text(xs, n - 20);
+            xs.delete(book).unwrap();
+        }),
+        ("set_text", |xs, n| {
+            let (_, text) = book_and_text(xs, n - 20);
+            xs.set_text(text, "retitled").unwrap();
+        }),
+        ("insert_attribute (replaces a value)", |xs, n| {
+            let (book, _) = book_and_text(xs, n - 20);
+            xs.insert_attribute(book, "id", "renamed").unwrap();
+        }),
+    ];
+
+    #[test]
+    fn a_mutated_clone_copies_a_constant_number_of_blocks() {
+        for (name, mutate) in MUTATORS {
+            let copied: Vec<usize> = SIZES
+                .iter()
+                .map(|&n| {
+                    let original = library(n);
+                    let before = image(&original);
+                    let mut next = original.clone();
+                    assert_eq!(unshared(&original, &next), 0, "a fresh clone shares everything");
+                    mutate(&mut next, n);
+                    assert_eq!(next.check_invariants(), None, "{name} at {n} books");
+                    assert_eq!(original.check_invariants(), None, "{name} at {n} books");
+                    assert_eq!(image(&original), before, "{name} leaked into the original");
+                    assert_ne!(image(&next), before, "{name} changed nothing");
+                    unshared(&original, &next)
+                })
+                .collect();
+            assert_eq!(copied[0], copied[1], "{name}: copies grow with the document");
+            assert!((1..=6).contains(&copied[0]), "{name}: {} blocks + segments copied", copied[0]);
+        }
+    }
+
+    #[test]
+    fn freed_ids_stay_dead_in_their_version_and_recycle_in_the_next() {
+        let original = library(SIZES[0]);
+        let mut xs = original.clone();
+        let (book, _) = book_and_text(&xs, 3);
+        let freed: Vec<u32> = xs.subtree(book).into_iter().map(DescPtr::id).collect();
+        xs.delete(book).unwrap();
+        // Same version: a mint grows the table, and the stale pointer
+        // still dangles instead of naming the new node.
+        let lib = xs.children(xs.root())[0];
+        let len = xs.table().locations.len();
+        let fresh = xs.insert_element(lib, None, "book").unwrap();
+        assert!(!freed.contains(&fresh.id()));
+        assert_eq!(xs.table().locations.len(), len + 1);
+        let stale = catch_unwind(AssertUnwindSafe(|| xs.parent(book)));
+        assert!(stale.is_err(), "a deleted pointer resolved within its own version");
+        // The successor version reuses the freed ids before growing.
+        let mut next = xs.clone();
+        let reused = next.insert_element(lib, None, "book").unwrap();
+        assert!(freed.contains(&reused.id()), "{reused} is not a recycled id");
+        assert_eq!(next.table().locations.len(), len + 1);
+        assert_eq!(next.check_invariants(), None);
+        assert_eq!(xs.check_invariants(), None);
+    }
+
+    #[test]
+    fn balanced_churn_does_not_grow_the_location_table() {
+        let mut xs = library(SIZES[1]);
+        let lib = xs.children(xs.root())[0];
+        let mut shape = None;
+        for cycle in 0..2000 {
+            // Each update mutates a fresh successor version, as a
+            // copy-on-write commit does.
+            xs = xs.clone();
+            let last = xs.children(lib).last().copied();
+            let tag = xs.insert_element(lib, last, "tag").unwrap();
+            xs.insert_text(tag, None, format!("cycle {cycle}")).unwrap();
+            xs = xs.clone();
+            let oldest = xs.children(lib).into_iter().find(|&c| xs.node_name(c) == Some("tag"));
+            xs.delete(oldest.unwrap()).unwrap();
+            let now = (xs.table().locations.len(), xs.block_count(), xs.len());
+            assert_eq!(*shape.get_or_insert(now), now, "cycle {cycle}");
+        }
+        assert_eq!(xs.check_invariants(), None);
     }
 }

@@ -29,7 +29,7 @@ use std::path::Path;
 
 use xdm::NodeKind;
 
-use crate::blocks::{Block, BlockTable, DescPtr, NodeDescriptor};
+use crate::blocks::{Block, BlockTable, DescPtr, Location, Locations, NodeDescriptor};
 use crate::codec::{Reader, Writer};
 use crate::descriptive::{DescriptiveSchema, SchemaNode, SchemaNodeId};
 use crate::error::StorageError;
@@ -122,7 +122,7 @@ fn encode_catalog(xs: &XmlStorage, epoch: u64) -> Vec<u8> {
         }
     }
     w.u32(table.blocks.len() as u32);
-    w.u32(table.locations.len() as u32);
+    w.u32(table.locations.len());
     w.u64(epoch);
     xs.stats().encode(&mut w);
     w.into_bytes()
@@ -160,11 +160,9 @@ fn encode_block(b: &Block) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn encode_loc_seg(locations: &[Option<(u32, u16)>], j: u32) -> Vec<u8> {
-    let start = (j * LOC_SEG) as usize;
-    let end = locations.len().min(start + LOC_SEG as usize);
+fn encode_loc_seg(segment: &[Location]) -> Vec<u8> {
     let mut w = Writer::new();
-    for e in &locations[start..end] {
+    for e in segment {
         match e {
             Some((b, s)) => {
                 w.u8(1);
@@ -210,12 +208,12 @@ pub fn save_full_epoch(
     for (i, b) in table.blocks.iter().enumerate() {
         store.write_block(vfs, data_path, block_logical(i as u32), &encode_block(b))?;
     }
-    for j in 0..loc_seg_count(table.locations.len() as u32) {
+    for j in 0..table.locations.segment_count() {
         store.write_block(
             vfs,
             data_path,
             loc_seg_logical(j),
-            &encode_loc_seg(&table.locations, j),
+            &encode_loc_seg(table.locations.segment(j)),
         )?;
     }
     Ok(())
@@ -265,23 +263,24 @@ pub fn save_dirty_epoch(
     if table.tick > watermark || force_catalog {
         store.write_block(vfs, data_path, CATALOG_LOGICAL, &encode_catalog(xs, epoch))?;
     }
-    for (&b, &t) in &table.dirty_blocks {
+    for (b, &t) in table.dirty_blocks.iter().enumerate() {
         if t > watermark {
             store.write_block(
                 vfs,
                 data_path,
-                block_logical(b),
-                &encode_block(&table.blocks[b as usize]),
+                block_logical(b as u32),
+                &encode_block(&table.blocks[b]),
             )?;
         }
     }
-    for (&j, &t) in &table.dirty_loc_segs {
+    for (j, &t) in table.dirty_loc_segs.iter().enumerate() {
         if t > watermark {
+            let j = j as u32;
             store.write_block(
                 vfs,
                 data_path,
                 loc_seg_logical(j),
-                &encode_loc_seg(&table.locations, j),
+                &encode_loc_seg(table.locations.segment(j)),
             )?;
         }
     }
@@ -510,8 +509,8 @@ fn read_locations(
     vfs: &dyn Vfs,
     data_path: &Path,
     cat: &Catalog,
-) -> Result<Vec<Option<(u32, u16)>>, StorageError> {
-    let mut out = Vec::new();
+) -> Result<Locations, StorageError> {
+    let mut out = Locations::default();
     for j in 0..loc_seg_count(cat.loc_len) {
         let bytes = store.read_block(vfs, data_path, loc_seg_logical(j))?;
         let what = format!("location segment {j}");
@@ -539,11 +538,7 @@ fn read_locations(
 
 /// Cross-checks that guarantee the unchecked-indexing accessors of
 /// [`XmlStorage`] cannot go wrong on this data.
-fn validate(
-    cat: &Catalog,
-    blocks: &[Block],
-    locations: &[Option<(u32, u16)>],
-) -> Result<(), StorageError> {
+fn validate(cat: &Catalog, blocks: &[Block], locations: &Locations) -> Result<(), StorageError> {
     // Location table and live slots agree bidirectionally: every location
     // resolves to a live slot carrying that id (so `desc` never sees a
     // dead slot), and every live slot's id maps back to it (so ids are
@@ -551,8 +546,8 @@ fn validate(
     for (id, loc) in locations.iter().enumerate() {
         let Some((b, s)) = loc else { continue };
         let live_id = blocks
-            .get(*b as usize)
-            .and_then(|blk| blk.slots.get(*s as usize))
+            .get(b as usize)
+            .and_then(|blk| blk.slots.get(s as usize))
             .and_then(|slot| slot.as_ref())
             .map(|d| d.id);
         if live_id != Some(DescPtr(id as u32)) {
@@ -569,7 +564,7 @@ fn validate(
         for (s, slot) in blk.slots.iter().enumerate() {
             let Some(d) = slot else { continue };
             live_slots += 1;
-            if locations.get(d.id.id() as usize).copied().flatten() != Some((i as u32, s as u16)) {
+            if locations.get(d.id.id()) != Some((i as u32, s as u16)) {
                 return Err(StorageError::corrupt(format!(
                     "block {i} slot {s}: {} has no location pointing back",
                     d.id
@@ -580,7 +575,7 @@ fn validate(
                 .into_iter()
                 .chain(d.first_child.iter().copied());
             for r in refs.flatten() {
-                if locations.get(r.id() as usize).copied().flatten().is_none() {
+                if locations.get(r.id()).is_none() {
                     return Err(StorageError::corrupt(format!(
                         "block {i} slot {s}: dangling pointer {r}"
                     )));
@@ -605,7 +600,7 @@ fn validate(
             }
         }
     }
-    if locations.get(cat.root.id() as usize).copied().flatten().is_none() {
+    if locations.get(cat.root.id()).is_none() {
         return Err(StorageError::corrupt(format!("root descriptor {} is not live", cat.root)));
     }
     Ok(())
@@ -643,7 +638,7 @@ pub fn load_with_epoch(
     let locations = read_locations(store, vfs, data_path, &cat)?;
     validate(&cat, &blocks, &locations)?;
     let Catalog { capacity, root, relabels, base_uri, schema, lists, epoch, stats, .. } = cat;
-    let table = BlockTable { blocks, lists, locations, ..Default::default() };
+    let table = BlockTable::from_decoded(blocks, lists, locations);
     let xs = XmlStorage::from_parts(schema, table, root, capacity, base_uri, relabels, stats);
     if let Some(violation) = xs.check_invariants() {
         return Err(StorageError::Corrupt(violation));
@@ -890,6 +885,26 @@ mod tests {
         let loaded = load(&reopened, &vfs, &dir.join("doc.xsp")).unwrap();
         assert_same(&xs, &loaded);
         assert!(loaded.schema().resolve_path(&["library", "book", "isbn"]).is_some());
+    }
+
+    #[test]
+    fn dead_ids_on_disk_are_reused_after_load() {
+        let dir = tmpdir("reuse");
+        let vfs = StdVfs;
+        let mut xs = library(20);
+        let lib = xs.children(xs.root())[0];
+        let victim = xs.children(lib)[0];
+        let dead: Vec<u32> = xs.subtree(victim).into_iter().map(DescPtr::id).collect();
+        xs.delete(victim).unwrap();
+        save_and_commit(&xs, &vfs, &dir);
+        let store = PageStore::open(&vfs, &dir.join("doc.xspm")).unwrap();
+        let mut loaded = load(&store, &vfs, &dir.join("doc.xsp")).unwrap();
+        let len = loaded.table().locations.len();
+        let lib = loaded.children(loaded.root())[0];
+        let fresh = loaded.insert_element(lib, None, "book").unwrap();
+        assert!(dead.contains(&fresh.id()), "{fresh} is not one of the dead ids {dead:?}");
+        assert_eq!(loaded.table().locations.len(), len);
+        assert_eq!(loaded.check_invariants(), None);
     }
 
     #[test]

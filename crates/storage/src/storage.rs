@@ -826,7 +826,7 @@ impl XmlStorage {
     fn free_slot(&mut self, p: DescPtr) -> Result<(), StorageError> {
         let (block_idx, slot) = self.table.location(p);
         self.table.block_mut(block_idx).unlink(slot)?;
-        self.table.set_location(p, None);
+        self.table.release_ptr(p);
         Ok(())
     }
 

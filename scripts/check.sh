@@ -11,6 +11,10 @@ cargo test -q --workspace
 cargo test -q -p xsdb --test crash_matrix
 cargo test -q -p xsdb --test wal_matrix
 cargo test -q -p xsdb --test page_matrix
+# Block-granular copy-on-write: a mutated clone copies a constant number
+# of blocks and location segments, the original is untouched, and freed
+# descriptor ids recycle only in later versions.
+cargo test -q -p xs-storage --lib copy_on_write
 cargo test -q -p xsdb --test manifest_abuse
 cargo test -q -p xmlparse --test byte_soup
 # Observability + generative suites (same rationale).
