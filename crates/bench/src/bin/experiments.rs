@@ -1227,8 +1227,8 @@ fn e16_query_planner(guard: bool) {
 
     println!("\n== E16: query planner — chosen plan vs. each forced strategy (work units) ==");
     println!(
-        "{:<8} {:<28} {:>9} {:>9} {:>9} {:>9} {:>7}",
-        "corpus", "query", "guided", "dewey", "postings", "chosen", "ratio"
+        "{:<8} {:<28} {:>9} {:>9} {:>9} {:>11} {:>9} {:>7}",
+        "corpus", "query", "guided", "dewey", "postings", "schema-path", "chosen", "ratio"
     );
     let mut ok = true;
     let mut fail = |msg: String| {
@@ -1268,8 +1268,15 @@ fn e16_query_planner(guard: bool) {
                 ));
             }
             println!(
-                "{:<8} {:<28} {:>9} {:>9} {:>9} {:>9} {:>7.3}",
-                name, q, forced[0].1.work, forced[1].1.work, forced[2].1.work, chosen.work, ratio
+                "{:<8} {:<28} {:>9} {:>9} {:>9} {:>11} {:>9} {:>7.3}",
+                name,
+                q,
+                forced[0].1.work,
+                forced[1].1.work,
+                forced[2].1.work,
+                forced[3].1.work,
+                chosen.work,
+                ratio
             );
             let _ = plan; // per-step strategies appear in EXPLAIN output
         }
@@ -1289,8 +1296,8 @@ fn e16_query_planner(guard: bool) {
         ));
     }
     println!(
-        "{:<8} {:<28} {:>9} {:>9} {:>9} {:>9} {:>7}",
-        name, "/library/dvd/title (pruned)", "-", "-", "-", 0, "-"
+        "{:<8} {:<28} {:>9} {:>9} {:>9} {:>11} {:>9} {:>7}",
+        name, "/library/dvd/title (pruned)", "-", "-", "-", "-", 0, "-"
     );
     if guard && !ok {
         std::process::exit(1);

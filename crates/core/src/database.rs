@@ -1026,6 +1026,7 @@ impl Database {
                     xquery::Strategy::Guided => xsobs::CounterId::PlanStepsGuided,
                     xquery::Strategy::Dewey => xsobs::CounterId::PlanStepsDewey,
                     xquery::Strategy::Postings => xsobs::CounterId::PlanStepsPostings,
+                    xquery::Strategy::SchemaPath => xsobs::CounterId::PlanStepsSchemaPath,
                 });
             }
         }

@@ -63,7 +63,7 @@ fn explain_reports_estimates_and_actuals_per_step() {
     let text = stdout(&out);
     assert!(text.starts_with("plan /library/book/title @ stats generation "), "{text}");
     assert!(text.contains("est_rows=") && text.contains("actual_rows="), "{text}");
-    assert!(text.trim_end().ends_with("total: rows=8 work=340"), "{text}");
+    assert!(text.trim_end().ends_with("total: rows=8 work=40"), "{text}");
 }
 
 #[test]

@@ -8,8 +8,18 @@
 //! schema node are scanned, skipping every non-matching subtree. This is
 //! the claim "this decision has been made to speed up the XPath
 //! execution" made concrete and benchmarkable (experiment E5).
+//!
+//! Both engines return every path in §7 document order without
+//! duplicates (the XPath 2.0 `/` rule). A step is evaluated per context
+//! node, each context yielding a list already in document order;
+//! [`doc_order_union`] concatenates those lists and sorts only when two
+//! of them overlap or interleave, so a step costs O(result) in the
+//! common case instead of a quadratic membership test per node. Several
+//! descriptor lists of the DataGuide are combined by [`merge_scans`], a
+//! k-way merge by §9.3 label.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use storage::{DescPtr, SchemaNodeId, XmlStorage};
 use xdm::{NodeId, NodeKind, NodeStore};
@@ -34,6 +44,8 @@ pub trait TreeAccess {
     fn name(&self, n: Self::Node) -> Option<String>;
     /// `string-value` accessor.
     fn string_value(&self, n: Self::Node) -> String;
+    /// §7 document order between two nodes of the tree.
+    fn cmp_doc_order(&self, a: Self::Node, b: Self::Node) -> Ordering;
 }
 
 /// An XDM tree: a node store plus its document node.
@@ -68,6 +80,9 @@ impl<'a> TreeAccess for XdmTree<'a> {
     fn string_value(&self, n: NodeId) -> String {
         self.store.string_value(n)
     }
+    fn cmp_doc_order(&self, a: NodeId, b: NodeId) -> Ordering {
+        xdm::cmp_document_order(self.store, a, b)
+    }
 }
 
 impl TreeAccess for &XmlStorage {
@@ -92,6 +107,9 @@ impl TreeAccess for &XmlStorage {
     }
     fn string_value(&self, n: DescPtr) -> String {
         XmlStorage::string_value(self, n)
+    }
+    fn cmp_doc_order(&self, a: DescPtr, b: DescPtr) -> Ordering {
+        XmlStorage::cmp_doc_order(self, a, b)
     }
 }
 
@@ -242,18 +260,39 @@ fn compare_values(a: &str, b: &str) -> Option<Ordering> {
     }
 }
 
+/// The union of per-context step results in document order, without
+/// duplicates. Each list must already be in document order (every axis
+/// yields its candidates that way, and predicates only drop nodes).
+///
+/// The lists are concatenated; when each one starts after the previous
+/// one ended — the usual case for child steps and for descendant steps
+/// from non-nested contexts — the concatenation is strictly increasing,
+/// hence duplicate-free, and is returned as is at one comparison per
+/// non-empty list. Otherwise it is sorted (the sort merges the sorted
+/// runs) and deduplicated.
+pub fn doc_order_union<T: TreeAccess>(
+    tree: &T,
+    lists: impl IntoIterator<Item = Vec<T::Node>>,
+) -> Vec<T::Node> {
+    let mut out: Vec<T::Node> = Vec::new();
+    let mut increasing = true;
+    for list in lists {
+        if let (Some(&last), Some(&first)) = (out.last(), list.first()) {
+            increasing &= tree.cmp_doc_order(last, first) == Ordering::Less;
+        }
+        out.extend(list);
+    }
+    if !increasing {
+        out.sort_by(|&a, &b| tree.cmp_doc_order(a, b));
+        out.dedup();
+    }
+    out
+}
+
 fn eval_relative<T: TreeAccess>(tree: &T, context: T::Node, path: &Path) -> Vec<T::Node> {
     let mut current = vec![context];
     for step in &path.steps {
-        let mut next = Vec::new();
-        for &n in &current {
-            for m in eval_step(tree, n, step) {
-                if !next.contains(&m) {
-                    next.push(m);
-                }
-            }
-        }
-        current = next;
+        current = doc_order_union(tree, current.iter().map(|&n| eval_step(tree, n, step)));
     }
     current
 }
@@ -280,7 +319,7 @@ pub fn eval_guided(storage: &XmlStorage, path: &Path) -> Vec<DescPtr> {
         if !step.predicates.is_empty() {
             break;
         }
-        let next: Vec<SchemaNodeId> = match (step.axis, &step.test) {
+        let mut next: Vec<SchemaNodeId> = match (step.axis, &step.test) {
             (Axis::Child, NodeTest::Name(name)) => schema_frontier
                 .iter()
                 .flat_map(|&sn| storage.schema().node(sn).children.iter().copied())
@@ -332,38 +371,51 @@ pub fn eval_guided(storage: &XmlStorage, path: &Path) -> Vec<DescPtr> {
         if next.is_empty() {
             return Vec::new(); // path doesn't exist in the data at all
         }
+        // Nested frontier nodes reach shared schema descendants twice.
+        next.sort_unstable_by_key(|sn| sn.index());
+        next.dedup();
         schema_frontier = next;
         consumed += 1;
     }
 
     // Scan the frontier's descriptor lists (already in document order per
     // schema node; merge across schema nodes by label).
-    let mut nodes: Vec<DescPtr> = if consumed == 0 {
-        vec![storage.root()]
-    } else {
-        let mut all: Vec<DescPtr> =
-            schema_frontier.iter().flat_map(|&sn| storage.scan(sn)).collect();
-        if schema_frontier.len() > 1 {
-            all.sort_by(|a, b| storage.cmp_doc_order(*a, *b));
-        }
-        all
-    };
+    let mut nodes: Vec<DescPtr> =
+        if consumed == 0 { vec![storage.root()] } else { merge_scans(storage, &schema_frontier) };
 
-    // Remaining steps with the naive engine (document order maintained by
-    // construction; predicates are per-context-node as in eval_relative).
+    // Remaining steps with the naive engine (predicates are per context
+    // node as in eval_relative).
     let tree = &storage;
     for step in &path.steps[consumed..] {
-        let mut next: Vec<DescPtr> = Vec::new();
-        for &n in &nodes {
-            for m in eval_step(tree, n, step) {
-                if !next.contains(&m) {
-                    next.push(m);
-                }
-            }
-        }
-        nodes = next;
+        nodes = doc_order_union(tree, nodes.iter().map(|&n| eval_step(tree, n, step)));
     }
     nodes
+}
+
+/// All descriptors of several schema nodes in document order: a k-way
+/// heap merge by §9.3 label of their block lists, each of which is in
+/// document order already (§9.2). O(n · log k) label comparisons for n
+/// descriptors over k schema nodes, and no comparison at all when
+/// k = 1.
+pub fn merge_scans(storage: &XmlStorage, sns: &[SchemaNodeId]) -> Vec<DescPtr> {
+    let mut lists: Vec<Vec<DescPtr>> =
+        sns.iter().map(|&sn| storage.scan(sn)).filter(|l| !l.is_empty()).collect();
+    if lists.len() <= 1 {
+        return lists.pop().unwrap_or_default();
+    }
+    let mut out = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+    // (label of the list's head, list, head position), smallest first.
+    let mut heap: BinaryHeap<Reverse<(&storage::Nid, usize, usize)>> =
+        lists.iter().enumerate().map(|(i, l)| Reverse((storage.nid(l[0]), i, 0))).collect();
+    while let Some(mut head) = heap.peek_mut() {
+        let Reverse((_, i, pos)) = *head;
+        out.push(lists[i][pos]);
+        match lists[i].get(pos + 1) {
+            Some(&next) => *head = Reverse((storage.nid(next), i, pos + 1)),
+            None => drop(PeekMut::pop(head)),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -515,6 +567,24 @@ mod tests {
             let b: Vec<String> =
                 eval_guided(&storage, &path).into_iter().map(|p| storage.string_value(p)).collect();
             assert_eq!(a, b, "{q}");
+        }
+    }
+
+    #[test]
+    fn guided_dedupes_nested_schema_paths() {
+        // `a` nests in `a`, so `//a//b` reaches the inner `b` schema node
+        // from both `a` schema nodes; it must be scanned once.
+        let mut s = NodeStore::new();
+        let doc = s.new_document(None);
+        let r = s.new_element(doc, "r");
+        let a = s.new_element(r, "a");
+        let inner = s.new_element(a, "a");
+        s.new_element(inner, "b");
+        s.new_element(a, "b");
+        let storage = XmlStorage::from_tree(&s, doc);
+        for q in ["//a//b", "//a//a", "//a/descendant-or-self::b"] {
+            let path = parse(q).unwrap();
+            assert_eq!(eval_guided(&storage, &path), eval_naive(&&storage, &path), "{q}");
         }
     }
 

@@ -9,6 +9,10 @@
 //!   descriptive schema first and scanning only the matching descriptor
 //!   lists (the §9.2 design claim, measured in experiment E5).
 //!
+//! Both return §7 document order without duplicates; the step union
+//! ([`doc_order_union`]) and the DataGuide list merge ([`merge_scans`])
+//! are shared with the `xquery` planner.
+//!
 //! ```
 //! use xdm::NodeStore;
 //! use storage::XmlStorage;
@@ -38,7 +42,7 @@ mod parser;
 
 pub use ast::{Axis, CompareOp, NodeTest, Path, Predicate, Step};
 pub use eval::{
-    apply_predicate, axis_candidates, eval_guided, eval_naive, eval_step, test_matches, TreeAccess,
-    XdmTree,
+    apply_predicate, axis_candidates, doc_order_union, eval_guided, eval_naive, eval_step,
+    merge_scans, test_matches, TreeAccess, XdmTree,
 };
 pub use parser::{parse, XPathError};

@@ -9,7 +9,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use xmlparse::{Attribute, Element, Node, QName};
-use xpath::{eval_naive, Path, TreeAccess};
+use xpath::{doc_order_union, eval_naive, Path, TreeAccess};
 
 use crate::ast::{Condition, Constructor, Content, Item, Query, TemplatePart, VarPath};
 use crate::parser::XQueryError;
@@ -88,15 +88,7 @@ fn resolve<T: TreeAccess>(
     match &vp.path {
         None => Ok(base.clone()),
         Some(path) => {
-            let mut out = Vec::new();
-            for &node in base {
-                for hit in eval_relative_from(tree, node, path) {
-                    if !out.contains(&hit) {
-                        out.push(hit);
-                    }
-                }
-            }
-            Ok(out)
+            Ok(doc_order_union(tree, base.iter().map(|&node| eval_relative_from(tree, node, path))))
         }
     }
 }
@@ -107,15 +99,7 @@ fn resolve<T: TreeAccess>(
 fn eval_relative_from<T: TreeAccess>(tree: &T, node: T::Node, path: &Path) -> Vec<T::Node> {
     let mut current = vec![node];
     for step in &path.steps {
-        let mut next = Vec::new();
-        for &n in &current {
-            for m in xpath_step(tree, n, step) {
-                if !next.contains(&m) {
-                    next.push(m);
-                }
-            }
-        }
-        current = next;
+        current = doc_order_union(tree, current.iter().map(|&n| xpath_step(tree, n, step)));
     }
     current
 }

@@ -1,11 +1,10 @@
 //! Cost-based query planning over the DataGuide + catalog statistics.
 //!
-//! Every XPath step can be executed by (at least) one of three physical
-//! operators, and they are *language-equivalent* — the same step
-//! returns the same node set whichever operator runs (Fletcher et al.'s
-//! expressiveness results ground why this must hold, and the
-//! differential plan-equivalence harness proves it on this
-//! implementation):
+//! XPath steps are executed by four physical operators, and they are
+//! *language-equivalent* — a step returns the same node set whichever
+//! operator runs (Fletcher et al.'s expressiveness results ground why
+//! this must hold, and the differential plan-equivalence harness proves
+//! it on this implementation):
 //!
 //! * **guided descent** ([`Strategy::Guided`]) — navigate from each
 //!   context node through the §5 accessors (today's evaluator path);
@@ -18,16 +17,36 @@
 //! * **postings probe** ([`Strategy::Postings`]) — for selective name
 //!   tests: the element-name → descriptor-block postings index (merged
 //!   descriptor scans of the name's schema nodes) filtered per context
-//!   by an O(label) parent/ancestor check.
+//!   by an O(label) parent/ancestor check;
+//! * **schema-path scan** ([`Strategy::SchemaPath`]) — for the leading
+//!   run of `child` / `descendant` / `descendant-or-self` steps. The
+//!   DataGuide is exact on downward paths (§9.1: a node lives in the
+//!   list of the schema node its root path names), so the run resolves
+//!   at plan time to a set of schema nodes, and execution is a k-way
+//!   merge by label of their descriptor lists (§9.2) — O(result · log k)
+//!   and in document order by construction. A positional predicate
+//!   (`[k]`, `[last()]`) counts per context node and ends the run before
+//!   its step; the first step with any other predicate ends the run
+//!   after it, and that predicate filters each merged node.
+//!
+//! Every step's output is the document-order union of its per-context
+//! results ([`xpath::doc_order_union`]): concatenated, and sorted only
+//! when two contexts' results interleave — so a plan returns the XPath
+//! 2.0 path-expression order (§7 order, no duplicates), exactly as the
+//! naive evaluator does. The per-execution structures of the Dewey and
+//! postings operators (the document-order array, a name's postings
+//! list) are built by the same merge ([`xpath::merge_scans`]), not by
+//! sorting.
 //!
 //! The planner picks per step using estimates from the storage's
-//! [`CatalogStats`] — cardinalities, fanouts, and leaf-value histograms
-//! — and the same work-unit constants the executor counts with, so an
+//! [`CatalogStats`] — cardinalities and leaf-value histograms — and
+//! the same work-unit constants the executor counts with, so an
 //! estimated cost and an actual cost are in one currency and `EXPLAIN`
-//! can print them side by side. A plan carries the statistics
-//! generation it was costed against and refuses (loudly) to execute
-//! against a mutated store — the same staleness discipline as
-//! `xdm::DocumentOrderIndex`.
+//! can print them side by side. The schema-path scan is costed per run
+//! and wins when it beats the per-step choices it replaces. A plan
+//! carries the statistics generation it was costed against and refuses
+//! (loudly) to execute against a mutated store — the same staleness
+//! discipline as `xdm::DocumentOrderIndex`.
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -37,15 +56,15 @@ use std::fmt::Write as _;
 use storage::{CatalogStats, DescPtr, DescriptiveSchema, SchemaNodeId, XmlStorage};
 use xdm::NodeKind;
 use xpath::{
-    apply_predicate, axis_candidates, test_matches, Axis, CompareOp, NodeTest, Path, Predicate,
-    Step,
+    apply_predicate, axis_candidates, doc_order_union, merge_scans, test_matches, Axis, CompareOp,
+    NodeTest, Path, Predicate, Step,
 };
 
 /// Work units charged per node visited by pointer navigation (block
 /// hops through parent/child/sibling pointers).
 pub const W_NAV: u64 = 10;
 /// Work units charged per node touched by a sequential document-order
-/// scan (the Dewey-range run).
+/// scan (the Dewey-range run, the schema-path merge).
 pub const W_SCAN: u64 = 4;
 /// Work units charged per postings entry checked with an O(label)
 /// parent/ancestor test.
@@ -68,11 +87,15 @@ pub enum Strategy {
     Dewey,
     /// Probe the element-name postings index.
     Postings,
+    /// Merge the descriptor lists of the schema nodes a leading
+    /// downward run of steps resolves to on the DataGuide.
+    SchemaPath,
 }
 
 impl Strategy {
     /// All strategies, in display order.
-    pub const ALL: [Strategy; 3] = [Strategy::Guided, Strategy::Dewey, Strategy::Postings];
+    pub const ALL: [Strategy; 4] =
+        [Strategy::Guided, Strategy::Dewey, Strategy::Postings, Strategy::SchemaPath];
 
     /// Stable lower-case name (used by `EXPLAIN` and the CLI).
     pub fn name(self) -> &'static str {
@@ -80,6 +103,7 @@ impl Strategy {
             Strategy::Guided => "guided",
             Strategy::Dewey => "dewey-range",
             Strategy::Postings => "postings",
+            Strategy::SchemaPath => "schema-path",
         }
     }
 
@@ -90,6 +114,8 @@ impl Strategy {
 
     /// Can this operator execute `step` at all? Inapplicable forced
     /// strategies fall back to [`Strategy::Guided`], the universal one.
+    /// The schema-path scan further runs only over the path's leading
+    /// run of such steps, so a forced scan falls back to guided after it.
     pub fn applicable(self, step: &Step) -> bool {
         match self {
             Strategy::Guided => true,
@@ -102,6 +128,13 @@ impl Strategy {
                         step.axis,
                         Axis::Child | Axis::Attribute | Axis::Descendant | Axis::DescendantOrSelf
                     )
+            }
+            Strategy::SchemaPath => {
+                matches!(step.axis, Axis::Child | Axis::Descendant | Axis::DescendantOrSelf)
+                    && !step
+                        .predicates
+                        .iter()
+                        .any(|p| matches!(p, Predicate::Position(_) | Predicate::Last))
             }
         }
     }
@@ -134,7 +167,8 @@ pub struct StepPlan {
     pub strategy: Strategy,
     /// Estimated result cardinality (after predicates).
     pub est_rows: f64,
-    /// Estimated cost in work units.
+    /// Estimated cost in work units (a schema-path scan charges its
+    /// whole run to the run's last step).
     pub est_cost: f64,
 }
 
@@ -143,6 +177,9 @@ pub struct StepPlan {
 pub struct QueryPlan {
     path: Path,
     steps: Vec<StepPlan>,
+    /// The schema-path scan answering the path's leading steps, if the
+    /// plan uses one.
+    scan: Option<SchemaScan>,
     /// First step index proven empty (statically by the caller, or
     /// schema-impossible by the DataGuide); everything from it on
     /// executes zero operators.
@@ -151,6 +188,20 @@ pub struct QueryPlan {
     /// against.
     generation: u64,
     est_total: f64,
+}
+
+/// A schema-path scan, resolved on the DataGuide at plan time.
+#[derive(Debug, Clone)]
+struct SchemaScan {
+    /// How many leading steps of the path the scan answers.
+    steps: usize,
+    /// The schema nodes the run's last step lands on.
+    targets: Vec<SchemaNodeId>,
+    /// Row counts of the run's earlier steps: their schema nodes'
+    /// catalog cardinalities, exact because the DataGuide is exact on a
+    /// predicate-free downward prefix (reported by `EXPLAIN`; nothing
+    /// is materialised for them).
+    prefix_rows: Vec<u64>,
 }
 
 /// What actually happened when a plan ran.
@@ -235,8 +286,9 @@ impl QueryPlan {
     }
 
     /// Run the plan. The result node set is identical to
-    /// [`xpath::eval_naive`] over the same storage (the differential
-    /// harness proves it per strategy).
+    /// [`xpath::eval_naive`] over the same storage, node for node and in
+    /// document order (the differential harness proves it per
+    /// strategy).
     ///
     /// # Panics
     /// When the storage has been mutated since the plan was costed —
@@ -260,28 +312,43 @@ impl QueryPlan {
         }
         let mut state = ExecState { storage, doc_order: None, postings: HashMap::new(), work: 0 };
         let tree = &storage;
-        let mut current: Vec<DescPtr> = vec![storage.root()];
-        for (i, (step, sp)) in self.path.steps.iter().zip(&self.steps).enumerate() {
-            let before = state.work;
-            let mut next: Vec<DescPtr> = Vec::new();
-            for &ctx in &current {
-                let mut cands = match sp.strategy {
-                    Strategy::Guided => state.guided(ctx, step),
-                    Strategy::Dewey => state.dewey(ctx, step),
-                    Strategy::Postings => state.postings(ctx, step),
-                };
-                for pred in &step.predicates {
-                    cands = apply_predicate(tree, cands, pred);
+        let (start, mut current) = match &self.scan {
+            Some(scan) => {
+                let last = scan.steps - 1;
+                exec.step_rows[..last].copy_from_slice(&scan.prefix_rows);
+                let mut nodes = merge_scans(storage, &scan.targets);
+                state.work += W_SCAN * nodes.len() as u64;
+                for pred in &self.path.steps[last].predicates {
+                    nodes = apply_predicate(tree, nodes, pred);
                 }
-                // Output is charged after predicate filtering, matching
-                // the estimate's post-predicate `est_rows`.
-                state.work += W_OUT * cands.len() as u64;
-                for m in cands {
-                    if !next.contains(&m) {
-                        next.push(m);
-                    }
-                }
+                state.work += W_OUT * nodes.len() as u64;
+                exec.step_rows[last] = nodes.len() as u64;
+                exec.step_work[last] = state.work;
+                (scan.steps, nodes)
             }
+            None => (0, vec![storage.root()]),
+        };
+        for (i, (step, sp)) in self.path.steps.iter().zip(&self.steps).enumerate().skip(start) {
+            let before = state.work;
+            let next = doc_order_union(
+                tree,
+                current.iter().map(|&ctx| {
+                    let mut cands = match sp.strategy {
+                        // A schema-path step outside the scan's run is
+                        // never planned; guided is the universal fallback.
+                        Strategy::Guided | Strategy::SchemaPath => state.guided(ctx, step),
+                        Strategy::Dewey => state.dewey(ctx, step),
+                        Strategy::Postings => state.postings(ctx, step),
+                    };
+                    for pred in &step.predicates {
+                        cands = apply_predicate(tree, cands, pred);
+                    }
+                    // Output is charged after predicate filtering,
+                    // matching the estimate's post-predicate `est_rows`.
+                    state.work += W_OUT * cands.len() as u64;
+                    cands
+                }),
+            );
             exec.step_rows[i] = next.len() as u64;
             exec.step_work[i] = state.work - before;
             current = next;
@@ -318,8 +385,8 @@ impl ExecState<'_> {
     fn ensure_doc_order(&mut self) {
         if self.doc_order.is_none() {
             let st = self.storage;
-            let mut all: Vec<DescPtr> = st.schema().ids().flat_map(|sn| st.scan(sn)).collect();
-            all.sort_by(|a, b| st.cmp_doc_order(*a, *b));
+            let all_sns: Vec<SchemaNodeId> = st.schema().ids().collect();
+            let all = merge_scans(st, &all_sns);
             self.work += W_BUILD * all.len() as u64;
             self.doc_order = Some(all);
         }
@@ -366,16 +433,15 @@ impl ExecState<'_> {
         if !self.postings.contains_key(&key) {
             let st = self.storage;
             let want_kind = if want_attr { NodeKind::Attribute } else { NodeKind::Element };
-            let mut list: Vec<DescPtr> = st
+            let sns: Vec<SchemaNodeId> = st
                 .schema()
                 .ids()
                 .filter(|&sn| {
                     let n = st.schema().node(sn);
                     n.kind == want_kind && n.name.as_deref() == Some(name.as_str())
                 })
-                .flat_map(|sn| st.scan(sn))
                 .collect();
-            list.sort_by(|a, b| st.cmp_doc_order(*a, *b));
+            let list = merge_scans(st, &sns);
             self.work += W_BUILD * list.len() as u64;
             self.postings.insert(key.clone(), list);
         }
@@ -403,27 +469,30 @@ impl ExecState<'_> {
 
 // -------------------------------------------------------------- planner
 
-/// Cost a path over a storage: choose a physical operator per step from
-/// the catalog statistics. `opts.statically_empty` (from xsanalyze's
-/// `PathBackend`) prunes the whole plan before costing; steps whose
-/// schema frontier comes up empty are pruned by the DataGuide itself.
-pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan {
-    let schema = storage.schema();
-    let stats = storage.stats();
-    stats.assert_current(storage.tick());
-    let mut pruned_from = if opts.statically_empty { Some(0) } else { None };
-    let mut steps = Vec::new();
-    let mut est_total = 0.0f64;
-    let mut frontier: Vec<SchemaNodeId> = vec![schema.root()];
-    let mut est_in = 1.0f64;
-    let mut dewey_built = false;
-    let mut postings_built: HashSet<(String, bool)> = HashSet::new();
-    for (i, step) in path.steps.iter().enumerate() {
-        let targets = step_targets(schema, &frontier, step);
-        if targets.is_empty() && pruned_from.is_none() {
-            pruned_from = Some(i);
-        }
-        let ctx_card = card_sum(stats, &frontier).max(1.0);
+/// Strategy-independent estimates for one step.
+struct StepEst {
+    /// Schema nodes the step can land on.
+    targets: Vec<SchemaNodeId>,
+    /// Estimated context rows coming in.
+    est_in: f64,
+    /// Fraction of the frontier's instances that are actual contexts.
+    sel_in: f64,
+    /// Estimated rows out, after predicates.
+    est_rows: f64,
+}
+
+/// Walk the path over the DataGuide, estimating each step's targets and
+/// cardinalities from the catalog.
+fn estimate_steps(schema: &DescriptiveSchema, stats: &CatalogStats, path: &Path) -> Vec<StepEst> {
+    let root = [schema.root()];
+    let mut ests: Vec<StepEst> = Vec::with_capacity(path.steps.len());
+    for step in &path.steps {
+        let (frontier, est_in) = match ests.last() {
+            Some(e) => (&e.targets[..], e.est_rows),
+            None => (&root[..], 1.0),
+        };
+        let targets = step_targets(schema, frontier, step);
+        let ctx_card = card_sum(stats, frontier).max(1.0);
         let sel_in = (est_in / ctx_card).min(1.0);
         let mut est_rows = card_sum(stats, &targets) * sel_in;
         for pred in &step.predicates {
@@ -432,33 +501,72 @@ pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan 
                 PredSel::OnePerContext => est_rows.min(est_in),
             };
         }
+        ests.push(StepEst { targets, est_in, sel_in, est_rows });
+    }
+    ests
+}
+
+/// How many leading steps a schema-path scan can answer: steps it can
+/// execute, up to and including the first one carrying a predicate.
+fn schema_path_run(path: &Path) -> usize {
+    let mut run = 0;
+    for step in &path.steps {
+        if !Strategy::SchemaPath.applicable(step) {
+            break;
+        }
+        run += 1;
+        if !step.predicates.is_empty() {
+            break;
+        }
+    }
+    run
+}
+
+/// Choose an operator per step for steps `from..`, greedily by
+/// estimated cost (or `force` where applicable), with no shared
+/// structure built before `from`. Steps from `live_until` on are pruned:
+/// they build nothing.
+fn choose_per_step(
+    schema: &DescriptiveSchema,
+    stats: &CatalogStats,
+    path: &Path,
+    ests: &[StepEst],
+    from: usize,
+    live_until: usize,
+    force: Option<Strategy>,
+) -> Vec<(Strategy, f64)> {
+    let root = [schema.root()];
+    let mut dewey_built = false;
+    let mut postings_built: HashSet<(String, bool)> = HashSet::new();
+    let mut out = Vec::new();
+    for (i, (step, e)) in path.steps.iter().zip(ests).enumerate().skip(from) {
         let ctx = CostCtx {
             schema,
             stats,
-            frontier: &frontier,
-            est_in,
-            sel_in,
-            est_rows,
+            frontier: if i == 0 { &root[..] } else { &ests[i - 1].targets[..] },
+            est_in: e.est_in,
+            sel_in: e.sel_in,
+            est_rows: e.est_rows,
             dewey_built,
             postings_built: &postings_built,
         };
         let mut best: Option<(Strategy, f64)> = None;
         for s in Strategy::ALL {
-            if !s.applicable(step) {
-                continue;
+            if s == Strategy::SchemaPath || !s.applicable(step) {
+                continue; // the schema-path scan is costed per run
             }
             let c = est_cost(s, step, &ctx);
             if best.is_none_or(|(_, bc)| c < bc) {
                 best = Some((s, c));
             }
         }
-        let chosen = match opts.force {
-            Some(f) if f.applicable(step) => f,
+        let chosen = match force {
+            Some(f) if f != Strategy::SchemaPath && f.applicable(step) => f,
             Some(_) => Strategy::Guided,
             None => best.map_or(Strategy::Guided, |(s, _)| s),
         };
-        let est_cost = est_cost(chosen, step, &ctx);
-        if pruned_from.is_none() {
+        let cost = est_cost(chosen, step, &ctx);
+        if i < live_until {
             // Shared structures are only built by steps that run.
             if chosen == Strategy::Dewey {
                 dewey_built = true;
@@ -468,19 +576,81 @@ pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan 
                     postings_built.insert((n.clone(), step.axis == Axis::Attribute));
                 }
             }
-            est_total += est_cost;
         }
-        steps.push(StepPlan {
-            display: step.to_string(),
-            strategy: chosen,
-            // `+ 0.0` normalizes IEEE negative zero out of the display.
-            est_rows: est_rows + 0.0,
-            est_cost: est_cost + 0.0,
-        });
-        frontier = targets;
-        est_in = est_rows;
+        out.push((chosen, cost));
     }
-    QueryPlan { path: path.clone(), steps, pruned_from, generation: storage.tick(), est_total }
+    out
+}
+
+/// Cost a path over a storage: choose a physical operator per step from
+/// the catalog statistics, or a schema-path scan for the leading run
+/// when it is cheaper than the per-step choices it replaces.
+/// `opts.statically_empty` (from xsanalyze's `PathBackend`) prunes the
+/// whole plan before costing; steps whose schema frontier comes up
+/// empty are pruned by the DataGuide itself.
+pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan {
+    let schema = storage.schema();
+    let stats = storage.stats();
+    stats.assert_current(storage.tick());
+    let ests = estimate_steps(schema, stats, path);
+    let pruned_from = if opts.statically_empty {
+        Some(0)
+    } else {
+        ests.iter().position(|e| e.targets.is_empty())
+    };
+    let live_until = pruned_from.unwrap_or(path.steps.len());
+    let total = |choice: &[(Strategy, f64)]| -> f64 {
+        // `+ 0.0`: an empty float sum is negative zero.
+        choice.iter().take(live_until).map(|&(_, c)| c).sum::<f64>() + 0.0
+    };
+
+    let per_step = choose_per_step(schema, stats, path, &ests, 0, live_until, opts.force);
+    let run = schema_path_run(path);
+    let scanned = (run > 0).then(|| {
+        let last = &ests[run - 1];
+        let cost = card_sum(stats, &last.targets) * W_SCAN as f64 + last.est_rows * W_OUT as f64;
+        let mut choice = vec![(Strategy::SchemaPath, 0.0); run - 1];
+        choice.push((Strategy::SchemaPath, cost));
+        choice.extend(choose_per_step(schema, stats, path, &ests, run, live_until, opts.force));
+        choice
+    });
+    let (choice, scan) = match scanned {
+        Some(choice)
+            if opts.force == Some(Strategy::SchemaPath)
+                || (opts.force.is_none()
+                    && pruned_from.is_none()
+                    && total(&choice) <= total(&per_step)) =>
+        {
+            let prefix_rows = ests[..run - 1]
+                .iter()
+                .map(|e| e.targets.iter().map(|&sn| stats.cardinality(sn)).sum())
+                .collect();
+            let targets = ests[run - 1].targets.clone();
+            (choice, Some(SchemaScan { steps: run, targets, prefix_rows }))
+        }
+        _ => (per_step, None),
+    };
+    let steps = path
+        .steps
+        .iter()
+        .zip(&ests)
+        .zip(&choice)
+        .map(|((step, e), &(strategy, cost))| StepPlan {
+            display: step.to_string(),
+            strategy,
+            // `+ 0.0` normalizes IEEE negative zero out of the display.
+            est_rows: e.est_rows + 0.0,
+            est_cost: cost + 0.0,
+        })
+        .collect();
+    QueryPlan {
+        path: path.clone(),
+        steps,
+        scan,
+        pruned_from,
+        generation: storage.tick(),
+        est_total: total(&choice),
+    }
 }
 
 /// Plan and execute in one call (the common path in `Database::query`).
@@ -509,10 +679,6 @@ fn card_sum(stats: &CatalogStats, sns: &[SchemaNodeId]) -> f64 {
     sns.iter().map(|&sn| stats.cardinality(sn) as f64).sum()
 }
 
-fn fanout_sum(stats: &CatalogStats, sns: &[SchemaNodeId]) -> f64 {
-    sns.iter().map(|&sn| stats.node(sn).fanout as f64).sum()
-}
-
 /// Estimated cost of running `step` with `strategy`, in the same work
 /// units the executor counts.
 fn est_cost(strategy: Strategy, step: &Step, ctx: &CostCtx<'_>) -> f64 {
@@ -521,10 +687,14 @@ fn est_cost(strategy: Strategy, step: &Step, ctx: &CostCtx<'_>) -> f64 {
     match strategy {
         Strategy::Guided => {
             let visited = match step.axis {
-                Axis::Child | Axis::Attribute => ctx.sel_in * fanout_sum(ctx.stats, ctx.frontier),
+                Axis::Child | Axis::Attribute => {
+                    let kids = children_of(ctx.schema, ctx.frontier, step.axis == Axis::Attribute);
+                    ctx.sel_in * card_sum(ctx.stats, &kids)
+                }
                 Axis::SelfAxis | Axis::Parent => n_ctx,
                 Axis::Descendant | Axis::DescendantOrSelf => {
-                    let desc = schema_descendants(ctx.schema, ctx.frontier, true, false);
+                    let with_self = step.axis == Axis::DescendantOrSelf;
+                    let desc = schema_descendants(ctx.schema, ctx.frontier, with_self, false);
                     ctx.sel_in * card_sum(ctx.stats, &desc)
                 }
                 Axis::Ancestor | Axis::AncestorOrSelf => {
@@ -532,7 +702,7 @@ fn est_cost(strategy: Strategy, step: &Step, ctx: &CostCtx<'_>) -> f64 {
                 }
                 Axis::FollowingSibling | Axis::PrecedingSibling => {
                     let parents = parent_set(ctx.schema, ctx.frontier);
-                    ctx.sel_in * fanout_sum(ctx.stats, &parents)
+                    ctx.sel_in * card_sum(ctx.stats, &children_of(ctx.schema, &parents, false))
                 }
             };
             visited * W_NAV as f64 + out_cost
@@ -545,6 +715,8 @@ fn est_cost(strategy: Strategy, step: &Step, ctx: &CostCtx<'_>) -> f64 {
             let run_card = ctx.sel_in * card_sum(ctx.stats, &run);
             build + n_ctx * lg * W_PROBE as f64 + run_card * W_SCAN as f64 + out_cost
         }
+        // Costed per run in `plan`, never per step.
+        Strategy::SchemaPath => f64::INFINITY,
         Strategy::Postings => {
             let NodeTest::Name(name) = &step.test else {
                 return f64::INFINITY; // inapplicable
@@ -679,24 +851,25 @@ fn schema_descendants(
     include_self: bool,
     include_attrs: bool,
 ) -> Vec<SchemaNodeId> {
+    // Without `self` the walk starts at the frontier's children, so a
+    // frontier node that is also a schema descendant of another one (a
+    // recursive schema) is still reached and emitted.
+    let mut stack: Vec<SchemaNodeId> = if include_self {
+        frontier.to_vec()
+    } else {
+        frontier.iter().flat_map(|&sn| schema.node(sn).children.iter().copied()).collect()
+    };
     let mut seen = vec![false; schema.len()];
     let mut out = Vec::new();
-    let mut stack: Vec<(SchemaNodeId, bool)> =
-        frontier.iter().map(|&sn| (sn, include_self)).collect();
-    while let Some((sn, emit)) = stack.pop() {
+    while let Some(sn) = stack.pop() {
         if seen[sn.index()] {
             continue;
         }
         seen[sn.index()] = true;
-        let is_attr = schema.node(sn).kind == NodeKind::Attribute;
-        if emit && (include_attrs || !is_attr) {
+        if include_attrs || schema.node(sn).kind != NodeKind::Attribute {
             out.push(sn);
         }
-        for &c in &schema.node(sn).children {
-            if !seen[c.index()] {
-                stack.push((c, true));
-            }
-        }
+        stack.extend(schema.node(sn).children.iter().filter(|c| !seen[c.index()]));
     }
     out
 }
@@ -857,20 +1030,110 @@ mod tests {
         "/library/book[1]/following-sibling::book",
     ];
 
+    fn strictly_increasing(xs: &XmlStorage, nodes: &[DescPtr]) -> bool {
+        nodes.windows(2).all(|w| xs.cmp_doc_order(w[0], w[1]) == Ordering::Less)
+    }
+
     #[test]
     fn every_strategy_agrees_with_naive() {
         let xs = library();
         for q in QUERIES {
             let path = parse(q).expect("parses");
             let naive = eval_naive(&&xs, &path);
-            for force in
-                [None, Some(Strategy::Guided), Some(Strategy::Dewey), Some(Strategy::Postings)]
-            {
+            let forced = Strategy::ALL.into_iter().map(Some);
+            for force in std::iter::once(None).chain(forced) {
                 let opts = PlanOptions { force, statically_empty: false };
                 let (_, exec) = plan_and_execute(&xs, &path, &opts);
                 assert_eq!(exec.nodes, naive, "{q} forced {force:?}");
+                assert!(strictly_increasing(&xs, &exec.nodes), "{q} forced {force:?}");
             }
         }
+    }
+
+    /// `<a>` holding `x` elements at three DataGuide paths (`/a/x`, one
+    /// nested in a `w` under that `x`'s `y`, one under a `b`), `c`
+    /// elements under every `b`, ids on two of the `x` paths, and text
+    /// under the outer `y`s.
+    fn nested() -> XmlStorage {
+        let mut s = NodeStore::new();
+        let doc = s.new_document(None);
+        let a = s.new_element(doc, "a");
+        for i in 0..3 {
+            let x = s.new_element(a, "x");
+            s.new_attribute(x, "id", format!("x{i}"));
+            let y = s.new_element(x, "y");
+            s.new_text(y, format!("y{i}"));
+            s.new_element(y, "z");
+            let w = s.new_element(y, "w");
+            let inner = s.new_element(w, "x");
+            s.new_attribute(inner, "id", format!("inner{i}"));
+            let iy = s.new_element(inner, "y");
+            s.new_element(iy, "z");
+            s.new_element(x, "z");
+            let b = s.new_element(a, "b");
+            s.new_element(b, "c");
+            let bx = s.new_element(b, "x");
+            s.new_element(bx, "c");
+        }
+        XmlStorage::from_tree(&s, doc)
+    }
+
+    /// Plan `q` over the nested corpus, check the chosen plan against
+    /// the oracle, and return the chosen strategies plus the scan's run.
+    fn chosen(q: &str) -> (Vec<Strategy>, usize) {
+        let xs = nested();
+        let path = parse(q).expect("parses");
+        let (p, exec) = plan_and_execute(&xs, &path, &PlanOptions::default());
+        assert_eq!(exec.nodes, eval_naive(&&xs, &path), "{q}");
+        assert!(!exec.nodes.is_empty(), "{q} selects something");
+        let strategies = p.steps().iter().map(|sp| sp.strategy).collect();
+        (strategies, p.scan.as_ref().map_or(0, |scan| scan.steps))
+    }
+
+    #[test]
+    fn schema_path_scans_a_descendant_name_step() {
+        use Strategy::SchemaPath as S;
+        assert_eq!(chosen("//x"), (vec![S, S], 2));
+        assert_eq!(chosen("//x/y//z"), (vec![S; 5], 5));
+    }
+
+    #[test]
+    fn non_positional_predicate_ends_the_run_after_its_step() {
+        let (strategies, run) = chosen("//x[y]/z");
+        assert_eq!(run, 2, "{strategies:?}");
+        assert_eq!(strategies[..2], [Strategy::SchemaPath; 2]);
+        assert_ne!(strategies[2], Strategy::SchemaPath);
+    }
+
+    #[test]
+    fn positional_predicate_ends_the_run_before_its_step() {
+        let (strategies, run) = chosen("/a/b[2]//c");
+        assert_eq!(run, 1, "{strategies:?}");
+        assert_eq!(strategies[0], Strategy::SchemaPath);
+        assert!(strategies[1..].iter().all(|&s| s != Strategy::SchemaPath), "{strategies:?}");
+    }
+
+    #[test]
+    fn attribute_step_ends_the_run_and_text_step_joins_it() {
+        let (strategies, run) = chosen("//x/@id");
+        assert_eq!(run, 2, "{strategies:?}");
+        assert_ne!(strategies[2], Strategy::SchemaPath);
+        assert_eq!(chosen("//y/text()"), (vec![Strategy::SchemaPath; 3], 3));
+    }
+
+    #[test]
+    fn schema_path_scan_returns_document_order_across_schema_nodes() {
+        // `//x` lands on two schema nodes (`/a/x` and `/a/x/y/w/x`) whose
+        // instances interleave; the merge must return document order.
+        let xs = nested();
+        let path = parse("//x").expect("parses");
+        let opts = PlanOptions { force: Some(Strategy::SchemaPath), statically_empty: false };
+        let (p, exec) = plan_and_execute(&xs, &path, &opts);
+        let scan = p.scan.as_ref().expect("a forced scan");
+        assert_eq!(scan.targets.len(), 3, "three x paths in the DataGuide");
+        assert_eq!(exec.nodes.len(), 9);
+        assert!(strictly_increasing(&xs, &exec.nodes));
+        assert_eq!(exec.work, (W_SCAN + W_OUT) * 9, "one scan and one output unit per node");
     }
 
     #[test]

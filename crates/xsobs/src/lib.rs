@@ -188,6 +188,9 @@ pub enum CounterId {
     PlanStepsDewey,
     /// Steps executed by an element-name postings probe.
     PlanStepsPostings,
+    /// Steps answered by a schema-path scan (a merge of the DataGuide
+    /// descriptor lists a leading downward run resolves to).
+    PlanStepsSchemaPath,
     /// Plans pruned as provably empty (statically or by the DataGuide)
     /// before executing a single operator.
     PlanPruned,
@@ -209,7 +212,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in stable export order.
-    pub const ALL: [CounterId; 70] = [
+    pub const ALL: [CounterId; 71] = [
         CounterId::ParseDocuments,
         CounterId::ParseBytes,
         CounterId::ParseEntityExpansions,
@@ -274,6 +277,7 @@ impl CounterId {
         CounterId::PlanStepsGuided,
         CounterId::PlanStepsDewey,
         CounterId::PlanStepsPostings,
+        CounterId::PlanStepsSchemaPath,
         CounterId::PlanPruned,
         CounterId::SrvOpExplain,
         CounterId::NetEpollWaits,
@@ -352,6 +356,7 @@ impl CounterId {
             CounterId::PlanStepsGuided => "plan.steps_guided_total",
             CounterId::PlanStepsDewey => "plan.steps_dewey_total",
             CounterId::PlanStepsPostings => "plan.steps_postings_total",
+            CounterId::PlanStepsSchemaPath => "plan.steps_schema_path_total",
             CounterId::PlanPruned => "plan.pruned_total",
             CounterId::SrvOpExplain => "server.op.explain_total",
             CounterId::NetEpollWaits => "net.epoll_waits_total",

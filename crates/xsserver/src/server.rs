@@ -13,10 +13,10 @@
 //! wakeup fd. Responses are written back **in request order** no
 //! matter how many requests a connection has in flight — clients may
 //! pipeline freely. Jobs from one connection also *execute* strictly
-//! in arrival order (at most one in flight per connection; the pool
-//! parks the rest), so a pipelined `PUT_SCHEMA; PUT_DOC` burst
-//! observes its own earlier writes; only different connections run
-//! concurrently.
+//! in arrival order (at most one in flight per connection; the loop
+//! parks the rest on the connection), so a pipelined
+//! `PUT_SCHEMA; PUT_DOC` burst observes its own earlier writes; only
+//! different connections run concurrently.
 //!
 //! Backpressure is budgeted per connection: at most
 //! [`ServerConfig::max_inflight`] requests may be decoded-but-
@@ -25,7 +25,11 @@
 //! stops polling the socket for readability (counted in
 //! `net.backpressure_stalls_total`), so a client that pipelines
 //! without reading is throttled by TCP itself and server memory stays
-//! bounded.
+//! bounded. Requests already decoded obey the write budget too: the
+//! loop hands a connection's next parked job to the pool only once the
+//! previous response is queued and the connection's unwritten bytes are
+//! under budget — so a stalled reader holds at most one response past
+//! its budget, however deep it pipelined.
 //!
 //! Read operations (`VALIDATE`, `QUERY`, `XQUERY`, `LIST`, `STATS`)
 //! run against an immutable epoch snapshot
@@ -48,7 +52,7 @@
 //! directory is configured a final [`checkpoint`] commits the state
 //! before [`ServerHandle::shutdown`] returns.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
@@ -144,7 +148,10 @@ struct ServerState {
     shutdown: AtomicBool,
     stopped: Mutex<bool>,
     stopped_cv: Condvar,
-    jobs: Mutex<JobQueue>,
+    /// Jobs any worker may take next: at most one per connection (the
+    /// loop dispatches a connection's next job only after the previous
+    /// one completed).
+    jobs: Mutex<VecDeque<Job>>,
     job_ready: Condvar,
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
@@ -156,22 +163,6 @@ struct ServerState {
     dir: Option<PathBuf>,
 }
 
-/// The worker-pool job queue. Jobs from *different* connections run
-/// concurrently across the pool; jobs from the *same* connection run
-/// strictly one at a time in arrival order — pipelining promises
-/// sequential semantics per connection (a pipelined `PUT_SCHEMA` →
-/// `PUT_DOC` must observe the schema), so a connection's later
-/// requests park until its earlier ones complete.
-#[derive(Default)]
-struct JobQueue {
-    /// Jobs any worker may take next: at most one per connection.
-    ready: VecDeque<Job>,
-    /// Connections with a job executing or sitting in `ready`.
-    active: HashSet<u64>,
-    /// Later jobs of active connections, in arrival order.
-    parked: HashMap<u64, VecDeque<Job>>,
-}
-
 impl ServerState {
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
@@ -179,38 +170,8 @@ impl ServerState {
 
     fn push_job(&self, job: Job) {
         let mut jobs = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
-        if jobs.active.contains(&job.token) {
-            jobs.parked.entry(job.token).or_default().push_back(job);
-        } else {
-            jobs.active.insert(job.token);
-            jobs.ready.push_back(job);
-            self.job_ready.notify_one();
-        }
-    }
-
-    /// A worker finished a job for `token`: release the connection's
-    /// execution slot, promoting its next parked job if one waits.
-    fn finish_job(&self, token: u64) {
-        let mut jobs = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
-        let next = match jobs.parked.get_mut(&token) {
-            Some(queue) => {
-                let job = queue.pop_front();
-                if queue.is_empty() {
-                    jobs.parked.remove(&token);
-                }
-                job
-            }
-            None => None,
-        };
-        match next {
-            Some(job) => {
-                jobs.ready.push_back(job);
-                self.job_ready.notify_one();
-            }
-            None => {
-                jobs.active.remove(&token);
-            }
-        }
+        jobs.push_back(job);
+        self.job_ready.notify_one();
     }
 }
 
@@ -240,7 +201,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             stopped: Mutex::new(false),
             stopped_cv: Condvar::new(),
-            jobs: Mutex::new(JobQueue::default()),
+            jobs: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
             completions: Mutex::new(Vec::new()),
             waker,
@@ -361,8 +322,10 @@ impl ServerHandle {
         if let Some(t) = self.event_loop.take() {
             let _ = t.join();
         }
-        // Workers exit once the flag is up and the job queue is empty;
-        // wake any that are parked on the condvar.
+        // Workers exit once the loop is gone (it dispatches parked jobs
+        // until then) and the job queue is empty. Mark it gone — also
+        // when it panicked — and wake any parked on the condvar.
+        *self.state.stopped.lock().unwrap_or_else(|p| p.into_inner()) = true;
         {
             let _guard = self.state.jobs.lock().unwrap_or_else(|p| p.into_inner());
             self.state.job_ready.notify_all();
@@ -434,6 +397,10 @@ struct Conn {
     close_after_drain: bool,
     /// Counted against `max_conns` (false for Busy rejects).
     admitted: bool,
+    /// Decoded requests waiting for their turn to execute.
+    parked: VecDeque<Job>,
+    /// One of this connection's jobs is with the worker pool.
+    running: bool,
     /// When set, the connection is force-closed at this instant —
     /// mid-frame arrival budget or courtesy-write budget.
     deadline: Option<Instant>,
@@ -455,6 +422,8 @@ impl Conn {
             closing: false,
             close_after_drain: false,
             admitted,
+            parked: VecDeque::new(),
+            running: false,
             deadline: None,
         }
     }
@@ -583,7 +552,7 @@ fn parse_frames(conn: &mut Conn, state: &ServerState, token: u64, refuse_new: bo
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
                 parsed += 1;
-                state.push_job(Job { token, seq, tag: frame.tag, fields: frame.fields });
+                conn.parked.push_back(Job { token, seq, tag: frame.tag, fields: frame.fields });
             }
             Err(e) => {
                 // Framing is lost (or the declaration is hostile):
@@ -759,6 +728,7 @@ impl EventLoop {
             // disconnect) has nowhere to go; tokens are never reused,
             // so dropping it is always right.
             if let Some(conn) = self.conns.get_mut(&completion.token) {
+                conn.running = false;
                 deliver(
                     conn,
                     &self.state.obs,
@@ -885,6 +855,15 @@ impl EventLoop {
                 conn.paused = true;
             }
         }
+        // Execution: the next parked job starts once the previous one
+        // completed and the unwritten responses fit the write budget —
+        // during shutdown unconditionally, so decoded requests finish.
+        if !conn.running && (draining || conn.pending_write_bytes < state.max_pending_write_bytes) {
+            if let Some(job) = conn.parked.pop_front() {
+                conn.running = true;
+                state.push_job(job);
+            }
+        }
         let want = Interest {
             readable: !conn.paused && !conn.read_eof && !conn.closing && !conn.close_after_drain,
             writable: !conn.writes.is_empty(),
@@ -963,17 +942,16 @@ fn worker_loop(state: &ServerState) {
         let job = {
             let mut jobs = state.jobs.lock().unwrap_or_else(|p| p.into_inner());
             loop {
-                if let Some(job) = jobs.ready.pop_front() {
+                if let Some(job) = jobs.pop_front() {
                     break job;
                 }
-                if state.shutting_down() {
+                if *state.stopped.lock().unwrap_or_else(|p| p.into_inner()) {
                     return;
                 }
                 jobs = state.job_ready.wait(jobs).unwrap_or_else(|p| p.into_inner());
             }
         };
         let (header, payload) = execute(state, job.tag, &job.fields);
-        state.finish_job(job.token);
         {
             let mut completions = state.completions.lock().unwrap_or_else(|p| p.into_inner());
             completions.push(Completion { token: job.token, seq: job.seq, header, payload });

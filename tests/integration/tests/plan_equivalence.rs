@@ -1,19 +1,22 @@
 //! The differential plan-equivalence harness: over random schemas,
 //! random valid documents, and random XPath queries, every physical
 //! strategy the planner can pick (guided descent, Dewey-range scan,
-//! postings probe) — and the cost-based choice itself — must return a
-//! node-set equal to the naive evaluator's, node for node: the same
-//! descriptors in the same order, hence equal under `=_c` and document
-//! order both.
+//! postings probe, schema-path scan) — and the cost-based choice itself
+//! — must return a node-set equal to the naive evaluator's, node for
+//! node: the same descriptors in the same order, hence equal under `=_c`
+//! and document order both. That order is §7 document order without
+//! duplicates (strictly increasing), for every strategy.
 //!
 //! 32 generated cases × 10 generated queries ≥ 256 differential
-//! checks per run, each exercising all four execution paths.
+//! checks per run, each exercising all five execution paths.
+
+use std::cmp::Ordering;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use xsdb::storage::XmlStorage;
-use xsdb::xdm::NodeKind;
-use xsdb::xpath::{eval_naive, parse};
+use xsdb::storage::{DescPtr, XmlStorage};
+use xsdb::xdm::{NodeKind, NodeStore};
+use xsdb::xpath::{eval_naive, parse, XdmTree};
 use xsdb::xquery::{plan_and_execute, PlanOptions, Strategy};
 use xsdb::{load_document, Document};
 
@@ -38,6 +41,11 @@ fn guide_names(storage: &XmlStorage) -> (Vec<String>, Vec<String>) {
     (elems, attrs)
 }
 
+/// Strictly increasing in §7 document order: sorted and duplicate-free.
+fn in_document_order(storage: &XmlStorage, nodes: &[DescPtr]) -> bool {
+    nodes.windows(2).all(|w| storage.cmp_doc_order(w[0], w[1]) == Ordering::Less)
+}
+
 fn pick<'a>(rng: &mut TestRng, names: &'a [String]) -> &'a str {
     &names[rng.below(names.len() as u64) as usize]
 }
@@ -55,7 +63,7 @@ fn random_query(rng: &mut TestRng, elems: &[String], attrs: &[String]) -> String
     }
     q.push_str(pick(rng, elems));
     for _ in 0..rng.below(3) {
-        match rng.below(8) {
+        match rng.below(9) {
             0 => q.push_str("/*"),
             1 => q.push_str("/.."),
             2 => {
@@ -70,6 +78,10 @@ fn random_query(rng: &mut TestRng, elems: &[String], attrs: &[String]) -> String
             4 => {
                 q.push_str("/text()");
                 return q;
+            }
+            5 => {
+                q.push_str("/descendant::");
+                q.push_str(if rng.below(2) == 0 { "*" } else { pick(rng, elems) });
             }
             _ => {
                 q.push('/');
@@ -113,12 +125,22 @@ proptest! {
                     "forced {} disagrees with naive on {}\nxml: {}",
                     s.name(), q, case.xml
                 );
+                prop_assert!(
+                    in_document_order(&storage, &exec.nodes),
+                    "forced {} is out of document order on {}\nxml: {}",
+                    s.name(), q, case.xml
+                );
             }
             let (plan, exec) = plan_and_execute(&storage, &path, &PlanOptions::default());
             prop_assert_eq!(
                 &exec.nodes, &naive,
                 "chosen plan {:?} disagrees with naive on {}\nxml: {}",
                 plan.steps().iter().map(|s| s.strategy.name()).collect::<Vec<_>>(),
+                q, case.xml
+            );
+            prop_assert!(
+                in_document_order(&storage, &exec.nodes),
+                "chosen plan is out of document order on {}\nxml: {}",
                 q, case.xml
             );
             // `=_c` is content equality: the string values agree too
@@ -160,6 +182,80 @@ proptest! {
                 "chosen plan spent {} work, best forced {} on {}\nxml: {}",
                 chosen.work, best, q, case.xml
             );
+        }
+    }
+}
+
+/// A recursive DataGuide: `section`s nest, so `//section/heading` lands
+/// on one schema node per depth and its instances interleave across
+/// contexts. Grouping results by context (the order every evaluator
+/// returned before the document-order union) puts the outer section's
+/// trailing heading before the nested one; every strategy, the chosen
+/// plan, and both oracles must return §7 order instead.
+#[test]
+fn recursive_schema_results_come_back_in_document_order() {
+    let mut s = NodeStore::new();
+    let doc = s.new_document(None);
+    let root = s.new_element(doc, "doc");
+    let mut n = 0;
+    let mut heading = |s: &mut NodeStore, parent| {
+        n += 1;
+        let h = s.new_element(parent, "heading");
+        s.new_text(h, format!("h{n}"));
+    };
+    for _ in 0..2 {
+        let outer = s.new_element(root, "section");
+        heading(&mut s, outer);
+        let inner = s.new_element(outer, "section");
+        heading(&mut s, inner);
+        let innermost = s.new_element(inner, "section");
+        heading(&mut s, innermost);
+        s.new_element(innermost, "para");
+        heading(&mut s, inner);
+        heading(&mut s, outer);
+        s.new_element(outer, "para");
+    }
+    let storage = XmlStorage::from_tree(&s, doc);
+    let tree = XdmTree { store: &s, doc };
+    let want: Vec<String> = (1..=10).map(|i| format!("h{i}")).collect();
+    for q in ["//section/heading", "//section[para]/heading", "/doc/section//heading", "//heading"]
+    {
+        let path = parse(q).unwrap();
+        let oracle: Vec<String> =
+            eval_naive(&tree, &path).into_iter().map(|id| s.string_value(id)).collect();
+        let naive = eval_naive(&&storage, &path);
+        let values = |nodes: &[DescPtr]| -> Vec<String> {
+            nodes.iter().map(|&p| storage.string_value(p)).collect()
+        };
+        assert_eq!(values(&naive), oracle, "{q}: storage and tree oracles differ");
+        assert!(in_document_order(&storage, &naive), "{q}: naive out of order");
+        let forced = Strategy::ALL.into_iter().map(Some);
+        for force in std::iter::once(None).chain(forced) {
+            let opts = PlanOptions { force, ..PlanOptions::default() };
+            let (_, exec) = plan_and_execute(&storage, &path, &opts);
+            assert_eq!(exec.nodes, naive, "{q} forced {force:?}");
+        }
+        if q != "//section[para]/heading" {
+            assert_eq!(values(&naive), want, "{q}");
+        }
+    }
+    // Sections with a `para` child: the outer two and the innermost two.
+    let path = parse("//section[para]/heading").unwrap();
+    let got: Vec<String> =
+        eval_naive(&&storage, &path).iter().map(|&p| storage.string_value(p)).collect();
+    assert_eq!(got, ["h1", "h3", "h5", "h6", "h8", "h10"]);
+    // An explicit descendant step from a frontier that nests in itself:
+    // the inner sections are both context nodes and descendants.
+    for (q, want) in [("//section/descendant::section", 4), ("//section/descendant::*", 18)] {
+        let path = parse(q).unwrap();
+        let naive = eval_naive(&&storage, &path);
+        assert_eq!(naive.len(), eval_naive(&tree, &path).len(), "{q}: oracles differ");
+        assert_eq!(naive.len(), want, "{q}");
+        let forced = Strategy::ALL.into_iter().map(Some);
+        for force in std::iter::once(None).chain(forced) {
+            let opts = PlanOptions { force, ..PlanOptions::default() };
+            let (_, exec) = plan_and_execute(&storage, &path, &opts);
+            assert_eq!(exec.nodes, naive, "{q} forced {force:?}");
         }
     }
 }
