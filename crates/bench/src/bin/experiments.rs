@@ -820,7 +820,8 @@ fn e13_paged_updates(guard: bool) {
         db.save_dir(&dir).unwrap();
         let full = pages(before);
 
-        db.update_set_text("journal", "/log/entry[2]", "patched").unwrap();
+        db.execute_update("journal", r#"replace value of node /log/entry[2] with "patched""#)
+            .unwrap();
         let before = global().snapshot().counter(CounterId::StoragePageWrites);
         db.save_dir(&dir).unwrap();
         let update = pages(before);
@@ -919,10 +920,9 @@ fn e14_snapshot_reads(guard: bool) {
             let mut lat = Vec::new();
             let mut i = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                let m = Mutation::UpdateSetText {
+                let m = Mutation::Update {
                     doc: "journal".into(),
-                    xpath: "/log/entry[1]".into(),
-                    value: format!("write {i}"),
+                    update: format!(r#"replace value of node /log/entry[1] with "write {i}""#),
                 };
                 let at = Instant::now();
                 writer.apply(&m).unwrap();
@@ -947,10 +947,9 @@ fn e14_snapshot_reads(guard: bool) {
     const SAVES: usize = 20;
     let mut save_ns = Vec::with_capacity(SAVES);
     for i in 0..SAVES {
-        let m = Mutation::UpdateSetText {
+        let m = Mutation::Update {
             doc: "journal".into(),
-            xpath: "/log/entry[2]".into(),
-            value: format!("save {i}"),
+            update: format!(r#"replace value of node /log/entry[2] with "save {i}""#),
         };
         let at = Instant::now();
         sh.apply(&m).unwrap();

@@ -15,15 +15,15 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use algebra::{load_document_cached, ContentModelCache, LoadOptions, Rule, ValidationError};
-use storage::{DescPtr, XmlStorage};
+use algebra::{load_document_cached, ContentModelCache, LoadOptions, ValidationError};
+use storage::XmlStorage;
 use xmlparse::{Document, ParseLimits};
-use xpath::eval_guided;
 use xsmodel::DocumentSchema;
 
 use crate::error::DbError;
 use crate::persist::PersistState;
 use crate::physical::storage_to_document;
+use crate::update::{self, UpdateOutcome};
 
 /// One stored document: its §9 block storage and the schema it
 /// validated against.
@@ -40,14 +40,14 @@ pub struct StoredDocument {
 pub struct Database {
     schemas: BTreeMap<String, Arc<DocumentSchema>>,
     /// Stored documents behind `Arc` so a snapshot of the whole
-    /// database is a cheap map clone: mutators copy-on-write through
-    /// [`Arc::make_mut`], so a snapshot taken before a mutation keeps
-    /// observing the pre-mutation document forever (the MVCC readers of
-    /// [`crate::SharedDatabase`] depend on exactly this). The copy is
-    /// block-granular: cloning an [`XmlStorage`] copies one pointer per
-    /// §9.2 block and location segment, the mutation then copies only
-    /// the blocks and segments it dirties, and the snapshot and the new
-    /// state share every other block.
+    /// database is a cheap map clone: an update edits a private clone
+    /// and commits it by replacing the `Arc`, so a snapshot taken before
+    /// it keeps observing the pre-update document forever (the MVCC
+    /// readers of [`crate::SharedDatabase`] depend on exactly this). The
+    /// copy is block-granular: cloning an [`XmlStorage`] copies one
+    /// pointer per §9.2 block and location segment, the edit then copies
+    /// only the blocks and segments it dirties, and the snapshot and the
+    /// new state share every other block.
     documents: BTreeMap<String, Arc<StoredDocument>>,
     options: LoadOptions,
     /// Hostile-input bounds applied to every XML text this database
@@ -335,8 +335,10 @@ impl Database {
         {
             let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
             span.set_detail(doc_name);
-            validate_storage(schema, &xs, &self.options, &self.cm_cache)
-                .map_err(DbError::Invalid)?;
+            let errors = validate_storage(schema, &xs, &self.options, &self.cm_cache)?;
+            if !errors.is_empty() {
+                return Err(DbError::Invalid(errors));
+            }
         }
         self.store(doc_name, schema_name, xs);
         Ok(())
@@ -453,14 +455,14 @@ impl Database {
     pub fn serialize(&self, name: &str) -> Result<String, DbError> {
         let doc =
             self.documents.get(name).ok_or_else(|| DbError::UnknownDocument(name.to_string()))?;
-        Ok(storage_to_document(&doc.storage).to_xml())
+        Ok(storage_to_document(&doc.storage)?.to_xml())
     }
 
     /// Pretty-printed serialization.
     pub fn serialize_pretty(&self, name: &str) -> Result<String, DbError> {
         let doc =
             self.documents.get(name).ok_or_else(|| DbError::UnknownDocument(name.to_string()))?;
-        Ok(storage_to_document(&doc.storage).to_xml_pretty())
+        Ok(storage_to_document(&doc.storage)?.to_xml_pretty())
     }
 
     /// Delete a document. Returns `true` when it existed.
@@ -489,249 +491,12 @@ impl Database {
 
     // --------------------------------------------------------- updates
 
-    /// Run `mutate` against `doc_name`'s block storage, copy-on-write
-    /// when a snapshot shares it. The shared skeleton of every
-    /// `update_*` method.
-    fn update_storage<R>(
-        &mut self,
-        doc_name: &str,
-        mutate: impl FnOnce(&mut XmlStorage) -> Result<R, DbError>,
-    ) -> Result<R, DbError> {
-        let doc = self
-            .documents
-            .get_mut(doc_name)
-            .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
-        mutate(&mut Arc::make_mut(doc).storage)
-    }
-
-    /// Node-level update: under every node selected by `parent_xpath`,
-    /// append a new element (optionally with text content). Returns how
-    /// many elements were inserted.
-    ///
-    /// Updates run on the §9 physical layer and never relabel
-    /// (Proposition 1). Like Sedna's untyped updates, the result is not
-    /// re-validated automatically — call [`Database::revalidate`] to
-    /// check it against the schema again.
-    pub fn update_insert_element(
-        &mut self,
-        doc_name: &str,
-        parent_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<usize, DbError> {
-        let path = xpath::parse(parent_xpath)?;
-        Ok(self.insert_into_raw(doc_name, &path, name, text)?.0)
-    }
-
-    fn insert_into_raw(
-        &mut self,
-        doc_name: &str,
-        path: &xpath::Path,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<(usize, Vec<RecheckSite>), DbError> {
-        self.update_storage(doc_name, |storage| {
-            let parents = eval_guided(storage, path);
-            let mut sites = Vec::new();
-            for &parent in &parents {
-                let last = storage.children(parent).last().copied();
-                let new = storage.insert_element(parent, last, name)?;
-                if let Some(t) = text {
-                    storage.insert_text(new, None, t)?;
-                }
-                // Both the host's content model and the new element's
-                // own obligations (attributes, text, required children)
-                // need rechecking — the analyzer only proves the leaf
-                // when the host edit is decidable.
-                sites.push(recheck_site(storage, parent));
-                sites.push(recheck_site(storage, new));
-            }
-            Ok((parents.len(), sites))
-        })
-    }
-
-    /// Node-level update: delete every node selected by `xpath`
-    /// (subtrees included). Returns how many nodes were deleted.
-    pub fn update_delete(&mut self, doc_name: &str, xpath: &str) -> Result<usize, DbError> {
-        let path = xpath::parse(xpath)?;
-        Ok(self.delete_raw(doc_name, &path)?.0)
-    }
-
-    fn delete_raw(
-        &mut self,
-        doc_name: &str,
-        path: &xpath::Path,
-    ) -> Result<(usize, Vec<RecheckSite>), DbError> {
-        self.update_storage(doc_name, |storage| {
-            let root_elem = storage.children(storage.root())[0];
-            // Never delete the document or root element.
-            let victims: Vec<_> = eval_guided(storage, path)
-                .into_iter()
-                .filter(|&v| v != storage.root() && v != root_elem)
-                .collect();
-            let victims = outermost(storage, victims);
-            let mut sites = Vec::new();
-            for &v in &victims {
-                let parent = storage.parent(v);
-                storage.delete(v)?;
-                if let Some(p) = parent {
-                    sites.push(recheck_site(storage, p));
-                }
-            }
-            Ok((victims.len(), sites))
-        })
-    }
-
-    /// Node-level update: insert a new element immediately before or
-    /// after every element selected by `xpath` (as a sibling under the
-    /// same parent). Sibling-of-root targets are skipped: the document
-    /// node admits exactly one element child.
-    fn insert_adjacent_raw(
-        &mut self,
-        doc_name: &str,
-        path: &xpath::Path,
-        name: &str,
-        text: Option<&str>,
-        after: bool,
-    ) -> Result<(usize, Vec<RecheckSite>), DbError> {
-        self.update_storage(doc_name, |storage| {
-            let targets = eval_guided(storage, path);
-            let mut inserted = 0;
-            let mut sites = Vec::new();
-            for &t in &targets {
-                if storage.kind(t) != xdm::NodeKind::Element {
-                    continue;
-                }
-                let Some(parent) = storage.parent(t) else { continue };
-                if parent == storage.root() {
-                    continue; // no siblings of the root element
-                }
-                let anchor = if after {
-                    Some(t)
-                } else {
-                    let siblings = storage.children(parent);
-                    match siblings.iter().position(|&c| c == t) {
-                        Some(0) | None => None,
-                        Some(i) => Some(siblings[i - 1]),
-                    }
-                };
-                let new = storage.insert_element(parent, anchor, name)?;
-                if let Some(txt) = text {
-                    storage.insert_text(new, None, txt)?;
-                }
-                sites.push(recheck_site(storage, parent));
-                sites.push(recheck_site(storage, new));
-                inserted += 1;
-            }
-            Ok((inserted, sites))
-        })
-    }
-
-    /// Node-level update: replace every element selected by `xpath`
-    /// with a fresh element `<name>text?</name>` in the same position
-    /// (the old subtree is deleted). Replacing the root element is
-    /// supported when the schema admits it.
-    fn replace_node_raw(
-        &mut self,
-        doc_name: &str,
-        path: &xpath::Path,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<(usize, Vec<RecheckSite>), DbError> {
-        self.update_storage(doc_name, |storage| {
-            let targets: Vec<_> = eval_guided(storage, path)
-                .into_iter()
-                .filter(|&t| storage.kind(t) == xdm::NodeKind::Element)
-                .collect();
-            let mut replaced = 0;
-            let mut sites = Vec::new();
-            for &t in &outermost(storage, targets) {
-                let Some(parent) = storage.parent(t) else { continue };
-                let new = storage.insert_element(parent, Some(t), name)?;
-                if let Some(txt) = text {
-                    storage.insert_text(new, None, txt)?;
-                }
-                storage.delete(t)?;
-                sites.push(recheck_site(storage, parent));
-                sites.push(recheck_site(storage, new));
-                replaced += 1;
-            }
-            Ok((replaced, sites))
-        })
-    }
-
-    /// Node-level update: set (insert or replace) an attribute on every
-    /// element selected by `xpath`. Returns how many elements were
-    /// touched.
-    pub fn update_set_attribute(
-        &mut self,
-        doc_name: &str,
-        xpath: &str,
-        name: &str,
-        value: &str,
-    ) -> Result<usize, DbError> {
-        let path = xpath::parse(xpath)?;
-        Ok(self.set_attr_raw(doc_name, &path, name, value)?.0)
-    }
-
-    fn set_attr_raw(
-        &mut self,
-        doc_name: &str,
-        path: &xpath::Path,
-        name: &str,
-        value: &str,
-    ) -> Result<(usize, Vec<RecheckSite>), DbError> {
-        self.update_storage(doc_name, |storage| {
-            let targets = eval_guided(storage, path);
-            let mut sites = Vec::new();
-            for &t in &targets {
-                storage.insert_attribute(t, name, value)?;
-                sites.push(recheck_site(storage, t));
-            }
-            Ok((targets.len(), sites))
-        })
-    }
-
-    /// Node-level update: replace the text content of every element
-    /// selected by `xpath` with a single text node carrying `value`
-    /// (existing children are removed). Returns how many elements were
-    /// rewritten.
-    pub fn update_set_text(
-        &mut self,
-        doc_name: &str,
-        xpath: &str,
-        value: &str,
-    ) -> Result<usize, DbError> {
-        let path = xpath::parse(xpath)?;
-        Ok(self.set_text_raw(doc_name, &path, value)?.0)
-    }
-
-    fn set_text_raw(
-        &mut self,
-        doc_name: &str,
-        path: &xpath::Path,
-        value: &str,
-    ) -> Result<(usize, Vec<RecheckSite>), DbError> {
-        self.update_storage(doc_name, |storage| {
-            let targets: Vec<_> = eval_guided(storage, path)
-                .into_iter()
-                .filter(|&t| storage.kind(t) == xdm::NodeKind::Element)
-                .collect();
-            let targets = outermost(storage, targets);
-            let mut sites = Vec::new();
-            for &t in &targets {
-                for c in storage.children(t) {
-                    storage.delete(c)?;
-                }
-                storage.insert_text(t, None, value)?;
-                sites.push(recheck_site(storage, t));
-            }
-            Ok((targets.len(), sites))
-        })
-    }
-
-    /// Re-run §6.2 validation of a stored document against its schema
-    /// (useful after node-level updates). Returns the violations.
+    /// Re-run whole-document §6.2 validation of a stored document
+    /// against its schema. Returns the violations. Every committed state
+    /// is valid — insertion runs `f`, and [`Database::execute_update`]
+    /// commits only what its static check and local recheck passed — so
+    /// this is an audit: the full pass the local recheck is measured
+    /// against.
     ///
     /// Re-validation reuses the database's compiled content models, so
     /// only the document pass itself is repeated — no automata are
@@ -745,25 +510,28 @@ impl Database {
             .schemas
             .get(&doc.schema_name)
             .ok_or_else(|| DbError::UnknownSchema(doc.schema_name.clone()))?;
-        Ok(validate_storage(schema, &doc.storage, &self.options, &self.cm_cache)
-            .err()
-            .unwrap_or_default())
+        validate_storage(schema, &doc.storage, &self.options, &self.cm_cache)
     }
-
-    // ------------------------------------------------- guarded updates
 
     /// Execute an XQuery-Update-lite expression (`insert node … into …`,
     /// `delete node …`, `replace value of node … with …`, …) with static
     /// type-checking: the update is analyzed against the document's
-    /// schema *before* it runs ([`xsanalyze::analyze_update`]).
+    /// schema *before* it runs ([`xsanalyze::analyze_update`]). This is
+    /// the only way to change a stored document's content.
     ///
     /// * **Accept** — provably schema-safe: applied with **no**
     ///   revalidation at all.
     /// * **Reject** — provably invalid: refused with
     ///   [`DbError::UpdateStaticallyInvalid`] before touching the tree.
     /// * **Recheck** — undecidable: applied, then only the affected
-    ///   content models are revalidated; a violation rolls the document
-    ///   back and returns [`DbError::Invalid`].
+    ///   content models are revalidated; a violation returns
+    ///   [`DbError::Invalid`] and the document is left as it was.
+    ///
+    /// Every target is resolved on the pre-state and the edit runs on a
+    /// private copy that is committed only once it passed (see the
+    /// `update` module); a target of the wrong kind refuses the whole
+    /// update with a [`DbError::XQuery`] naming the XQuery Update
+    /// Facility error code (XUTY0005, XUTY0006 or XUTY0008).
     pub fn execute_update(
         &mut self,
         doc_name: &str,
@@ -780,17 +548,15 @@ impl Database {
         upd: &xquery::UpdateExpr,
     ) -> Result<UpdateOutcome, DbError> {
         self.obs.incr(xsobs::CounterId::UpdateChecks);
-        let doc = self
+        let pre = self
             .documents
             .get(doc_name)
             .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
-        let schema = Arc::clone(
-            self.schemas
-                .get(&doc.schema_name)
-                .ok_or_else(|| DbError::UnknownSchema(doc.schema_name.clone()))?,
-        );
-        let before = Arc::clone(doc);
-        let analysis = xsanalyze::analyze_update(&schema, upd);
+        let schema = self
+            .schemas
+            .get(&pre.schema_name)
+            .ok_or_else(|| DbError::UnknownSchema(pre.schema_name.clone()))?;
+        let analysis = xsanalyze::analyze_update(schema, upd);
         match analysis.verdict {
             xsanalyze::UpdateVerdict::Reject => {
                 self.obs.incr(xsobs::CounterId::UpdateRejected);
@@ -799,183 +565,16 @@ impl Database {
             xsanalyze::UpdateVerdict::Accept => self.obs.incr(xsobs::CounterId::UpdateAccepted),
             xsanalyze::UpdateVerdict::Recheck => self.obs.incr(xsobs::CounterId::UpdateRechecked),
         }
-        let (nodes, sites) = self.apply_update_raw(doc_name, upd)?;
-        if analysis.verdict == xsanalyze::UpdateVerdict::Accept {
-            return Ok(UpdateOutcome { verdict: analysis.verdict, nodes, revalidated: 0 });
-        }
-        // Recheck: revalidate exactly the content models the edit
-        // touched — one per distinct affected node — instead of the
-        // whole document.
-        let mut unique: Vec<RecheckSite> = Vec::new();
-        for s in sites {
-            if !unique.iter().any(|(p, _)| *p == s.0) {
-                unique.push(s);
-            }
-        }
-        let mut errors = Vec::new();
-        // Identity constraints (ID uniqueness, IDREF resolution) are
-        // document-global: a local content-model check cannot see a
-        // duplicate ID two subtrees away, so such schemas always take
-        // the whole-document pass.
-        let mut needs_full_pass = xsanalyze::schema_involves_identity(&schema);
-        let revalidated = unique.len();
-        {
-            let doc = self
-                .documents
-                .get(doc_name)
-                .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
-            let storage = &doc.storage;
-            for (node, names) in &unique {
-                self.obs.incr(xsobs::CounterId::UpdateRevalidateNodes);
-                if names.is_empty() {
-                    // The affected parent is the document node (root
-                    // replacement): exactly one element child, with the
-                    // declared root name and a valid shallow state.
-                    let kids: Vec<_> = storage
-                        .children(storage.root())
-                        .into_iter()
-                        .filter(|&c| storage.kind(c) == xdm::NodeKind::Element)
-                        .collect();
-                    let good_root = kids.len() == 1
-                        && storage.node_name(kids[0]) == Some(schema.root.name.as_str());
-                    if good_root {
-                        errors.extend(check_node_against(
-                            &schema,
-                            &self.options,
-                            &self.cm_cache,
-                            storage,
-                            kids[0],
-                            &schema.root.ty,
-                            &format!("/{}", schema.root.name),
-                        ));
-                    } else {
-                        errors.push(ValidationError::new(
-                            Rule::RootName,
-                            "/",
-                            format!("document must hold exactly one <{}>", schema.root.name),
-                        ));
-                    }
-                } else {
-                    match type_at_name_path(&schema, names) {
-                        Some(ty) => errors.extend(check_node_against(
-                            &schema,
-                            &self.options,
-                            &self.cm_cache,
-                            storage,
-                            *node,
-                            ty,
-                            &format!("/{}", names.join("/")),
-                        )),
-                        // The schema types this element ambiguously (or
-                        // not at all): fall back to a whole-document pass.
-                        None => needs_full_pass = true,
-                    }
-                }
-            }
-        }
-        if needs_full_pass {
-            errors.extend(self.revalidate(doc_name)?);
-        }
-        if errors.is_empty() {
-            Ok(UpdateOutcome { verdict: analysis.verdict, nodes, revalidated })
-        } else {
-            // Roll back: the pre-update snapshot observes the document
-            // as it was (copy-on-write kept it untouched).
-            self.documents.insert(doc_name.to_string(), before);
-            Err(DbError::Invalid(errors))
-        }
-    }
-
-    /// Guarded node-level update: insert `<name>text?</name>` as the
-    /// immediately preceding sibling of every element selected by
-    /// `target_xpath`. Statically checked; see [`Database::execute_update`].
-    pub fn update_insert_before(
-        &mut self,
-        doc_name: &str,
-        target_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<UpdateOutcome, DbError> {
-        let target = xpath::parse(target_xpath)?;
-        self.execute_update_expr(
-            doc_name,
-            &xquery::UpdateExpr::InsertBefore {
-                name: name.to_string(),
-                text: text.map(str::to_string),
-                target,
-            },
-        )
-    }
-
-    /// Guarded node-level update: insert `<name>text?</name>` as the
-    /// immediately following sibling of every element selected by
-    /// `target_xpath`. Statically checked; see [`Database::execute_update`].
-    pub fn update_insert_after(
-        &mut self,
-        doc_name: &str,
-        target_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<UpdateOutcome, DbError> {
-        let target = xpath::parse(target_xpath)?;
-        self.execute_update_expr(
-            doc_name,
-            &xquery::UpdateExpr::InsertAfter {
-                name: name.to_string(),
-                text: text.map(str::to_string),
-                target,
-            },
-        )
-    }
-
-    /// Guarded node-level update: replace every element selected by
-    /// `target_xpath` with a fresh `<name>text?</name>` in place.
-    /// Statically checked; see [`Database::execute_update`].
-    pub fn update_replace_node(
-        &mut self,
-        doc_name: &str,
-        target_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<UpdateOutcome, DbError> {
-        let target = xpath::parse(target_xpath)?;
-        self.execute_update_expr(
-            doc_name,
-            &xquery::UpdateExpr::ReplaceNode {
-                target,
-                name: name.to_string(),
-                text: text.map(str::to_string),
-            },
-        )
-    }
-
-    /// Dispatch a parsed update expression onto the raw (unchecked)
-    /// structural appliers, collecting the affected recheck sites.
-    fn apply_update_raw(
-        &mut self,
-        doc_name: &str,
-        upd: &xquery::UpdateExpr,
-    ) -> Result<(usize, Vec<RecheckSite>), DbError> {
-        use xquery::UpdateExpr as U;
-        match upd {
-            U::InsertInto { name, text, target } => {
-                self.insert_into_raw(doc_name, target, name, text.as_deref())
-            }
-            U::InsertBefore { name, text, target } => {
-                self.insert_adjacent_raw(doc_name, target, name, text.as_deref(), false)
-            }
-            U::InsertAfter { name, text, target } => {
-                self.insert_adjacent_raw(doc_name, target, name, text.as_deref(), true)
-            }
-            U::InsertAttribute { attr, value, target } => {
-                self.set_attr_raw(doc_name, target, attr, value)
-            }
-            U::Delete { target } => self.delete_raw(doc_name, target),
-            U::ReplaceNode { target, name, text } => {
-                self.replace_node_raw(doc_name, target, name, text.as_deref())
-            }
-            U::ReplaceValue { target, value } => self.set_text_raw(doc_name, target, value),
-        }
+        let cx = update::Recheck {
+            schema,
+            options: &self.options,
+            cm_cache: &self.cm_cache,
+            obs: &self.obs,
+        };
+        let (outcome, storage) = update::apply(&pre.storage, upd, analysis.verdict, &cx)?;
+        let post = StoredDocument { schema_name: pre.schema_name.clone(), storage };
+        self.documents.insert(doc_name.to_string(), Arc::new(post));
+        Ok(outcome)
     }
 
     // --------------------------------------------------------- queries
@@ -1102,289 +701,6 @@ impl Database {
     }
 }
 
-/// The outcome of a guarded update ([`Database::execute_update`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateOutcome {
-    /// The static verdict the update ran under. Never
-    /// [`xsanalyze::UpdateVerdict::Reject`] — a rejected update returns
-    /// [`DbError::UpdateStaticallyInvalid`] instead of an outcome.
-    pub verdict: xsanalyze::UpdateVerdict,
-    /// How many nodes the update touched (inserted, deleted, replaced,
-    /// or rewritten, per the operation's own counting).
-    pub nodes: usize,
-    /// How many content models were locally revalidated after the edit.
-    /// Always `0` under an `Accept` verdict — that is the point of the
-    /// static check.
-    pub revalidated: usize,
-}
-
-/// One affected parent: the node whose local validity the update may
-/// have disturbed, plus its element-name path from the root (empty for
-/// the document node) so its schema type can be re-derived statically.
-type RecheckSite = (DescPtr, Vec<String>);
-
-/// The members of `targets` that no other member contains, in document
-/// order: deleting or replacing an ancestor subsumes its descendants,
-/// whose descriptors are freed with it. Decided on the labels alone —
-/// ancestors sort before their descendants, and a kept node's
-/// descendants follow it contiguously.
-fn outermost(storage: &XmlStorage, mut targets: Vec<DescPtr>) -> Vec<DescPtr> {
-    targets.sort_by(|&a, &b| storage.cmp_doc_order(a, b));
-    let mut kept: Vec<DescPtr> = Vec::with_capacity(targets.len());
-    for t in targets {
-        if !kept.last().is_some_and(|&k| k == t || storage.is_ancestor(k, t)) {
-            kept.push(t);
-        }
-    }
-    kept
-}
-
-/// Build the recheck site for `node`: walk ancestors collecting element
-/// names root-first (the document node contributes nothing).
-fn recheck_site(storage: &XmlStorage, node: DescPtr) -> RecheckSite {
-    let mut names = Vec::new();
-    let mut cur = Some(node);
-    while let Some(n) = cur {
-        if let Some(name) = storage.node_name(n) {
-            names.push(name.to_string());
-        }
-        cur = storage.parent(n);
-    }
-    names.reverse();
-    (node, names)
-}
-
-/// Resolve the schema type of the element reached by `names` (a
-/// root-first element-name path). `None` when the path leaves the
-/// schema or a name is ambiguously typed inside its content model —
-/// callers then fall back to a whole-document pass.
-fn type_at_name_path<'a>(
-    schema: &'a DocumentSchema,
-    names: &[String],
-) -> Option<&'a xsmodel::Type> {
-    let mut iter = names.iter();
-    if iter.next()? != &schema.root.name {
-        return None;
-    }
-    let mut ty = &schema.root.ty;
-    for name in iter {
-        let ctd = schema.complex_of(ty)?;
-        let xsmodel::ComplexTypeDefinition::ComplexContent { content, .. } = ctd else {
-            return None;
-        };
-        let decls: Vec<_> =
-            content.element_declarations().into_iter().filter(|d| &d.name == name).collect();
-        let first = *decls.first()?;
-        // Several declarations of one name are fine only when they all
-        // agree on a single named type.
-        if decls.len() > 1 {
-            let reference = first.ty.name();
-            if reference.is_none() || decls.iter().any(|d| d.ty.name() != reference) {
-                return None;
-            }
-        }
-        ty = &first.ty;
-    }
-    Some(ty)
-}
-
-/// Shallow-revalidate one element against its schema type: attributes,
-/// character content, and the immediate child-name sequence — exactly
-/// the §6.2 obligations local to a single node. Grandchildren were not
-/// touched by the update, so their own checks still hold.
-fn check_node_against(
-    schema: &DocumentSchema,
-    options: &LoadOptions,
-    cm_cache: &ContentModelCache,
-    storage: &XmlStorage,
-    node: DescPtr,
-    ty: &xsmodel::Type,
-    path: &str,
-) -> Vec<ValidationError> {
-    use xsmodel::ComplexTypeDefinition as Ctd;
-    let mut errors = Vec::new();
-    let attrs: Vec<(String, String)> = storage
-        .attributes(node)
-        .into_iter()
-        .map(|a| (storage.node_name(a).unwrap_or_default().to_string(), storage.string_value(a)))
-        .collect();
-    let kids = storage.children(node);
-    let child_names: Vec<String> = kids
-        .iter()
-        .filter(|&&c| storage.kind(c) == xdm::NodeKind::Element)
-        .map(|&c| storage.node_name(c).unwrap_or_default().to_string())
-        .collect();
-    let text: String = kids
-        .iter()
-        .filter(|&&c| storage.kind(c) == xdm::NodeKind::Text)
-        .map(|&c| storage.string_value(c))
-        .collect();
-
-    // §6.2 item 6.1: a nilled element has no content — and, conversely,
-    // no content obligations, so the child/text checks below are
-    // waived. Attributes are still checked: items 6.2/6.3 keep them
-    // even when nilled.
-    let nilled = storage.nilled(node) == Some(true);
-    if nilled && !kids.is_empty() {
-        errors.push(ValidationError::new(Rule::R6Nil, path, "nilled element must have no content"));
-    }
-
-    if let Some(st) = schema.simple_of(ty) {
-        if let Some((name, _)) = attrs.first() {
-            errors.push(ValidationError::new(
-                Rule::R531Attributes,
-                path,
-                format!("simple-typed element admits no attributes (found {name:?})"),
-            ));
-        }
-        if nilled {
-            return errors;
-        }
-        if let Some(child) = child_names.first() {
-            errors.push(ValidationError::new(
-                Rule::R511SimpleValue,
-                path,
-                format!("simple-typed element admits no element children (found <{child}>)"),
-            ));
-        }
-        if let Err(e) = st.validate(&text) {
-            errors.push(ValidationError::new(Rule::R511SimpleValue, path, e.to_string()));
-        }
-        return errors;
-    }
-    let Some(ctd) = schema.complex_of(ty) else {
-        errors.push(ValidationError::new(
-            Rule::TypeUsage,
-            path,
-            format!("type {:?} is not defined", ty.name().unwrap_or("<anonymous>")),
-        ));
-        return errors;
-    };
-
-    // 5.3.1: attributes of either variant.
-    let declared = ctd.attributes();
-    for (name, value) in &attrs {
-        match declared.get(name.as_str()) {
-            None => errors.push(ValidationError::new(
-                Rule::R531Attributes,
-                path,
-                format!("attribute {name:?} is not declared"),
-            )),
-            Some(ty_name) => match schema.simple_types.get(ty_name) {
-                None => errors.push(ValidationError::new(
-                    Rule::TypeUsage,
-                    path,
-                    format!("attribute {name:?} has undefined type {ty_name:?}"),
-                )),
-                Some(st) => {
-                    if let Err(e) = st.validate(value) {
-                        errors.push(ValidationError::new(
-                            Rule::R531Attributes,
-                            path,
-                            format!("attribute {name:?}: {e}"),
-                        ));
-                    }
-                }
-            },
-        }
-    }
-    if options.require_all_attributes {
-        for name in declared.keys() {
-            if !attrs.iter().any(|(n, _)| n == name) {
-                errors.push(ValidationError::new(
-                    Rule::R531Attributes,
-                    path,
-                    format!("required attribute {name:?} is missing"),
-                ));
-            }
-        }
-    }
-
-    if nilled {
-        return errors;
-    }
-    match ctd {
-        Ctd::SimpleContent { base, .. } => {
-            if let Some(child) = child_names.first() {
-                errors.push(ValidationError::new(
-                    Rule::R511SimpleValue,
-                    path,
-                    format!("simple-content element admits no element children (found <{child}>)"),
-                ));
-            }
-            match schema.simple_types.get(base) {
-                None => errors.push(ValidationError::new(
-                    Rule::TypeUsage,
-                    path,
-                    format!("simple content base {base:?} is not defined"),
-                )),
-                Some(st) => {
-                    if let Err(e) = st.validate(&text) {
-                        errors.push(ValidationError::new(
-                            Rule::R511SimpleValue,
-                            path,
-                            e.to_string(),
-                        ));
-                    }
-                }
-            }
-        }
-        Ctd::ComplexContent { mixed, content, .. } => {
-            let ignorable =
-                options.ignore_ignorable_whitespace && text.chars().all(char::is_whitespace);
-            if !mixed && !text.is_empty() && !ignorable {
-                errors.push(ValidationError::new(
-                    Rule::R5421NoText,
-                    path,
-                    format!("text {text:?} in non-mixed content"),
-                ));
-            }
-            if content.is_empty_content() {
-                if let Some(child) = child_names.first() {
-                    errors.push(ValidationError::new(
-                        Rule::R541EmptyContent,
-                        path,
-                        format!("empty content admits no element children (found <{child}>)"),
-                    ));
-                }
-            } else {
-                match cm_cache.get_or_compile(content) {
-                    Err(e) => errors.push(ValidationError::new(
-                        Rule::R5423GroupMatch,
-                        path,
-                        e.to_string(),
-                    )),
-                    Ok(cm) => {
-                        let names: Vec<&str> = child_names.iter().map(String::as_str).collect();
-                        if let xsmodel::MatchOutcome::Reject { position, expected } =
-                            cm.match_children(&names)
-                        {
-                            let found = names
-                                .get(position)
-                                .map(|n| format!("<{n}>"))
-                                .unwrap_or_else(|| "end of content".to_string());
-                            let expected = if expected.is_empty() {
-                                "nothing".to_string()
-                            } else {
-                                expected.join(", ")
-                            };
-                            errors.push(ValidationError::new(
-                                Rule::R5423GroupMatch,
-                                path,
-                                format!(
-                                    "at child {position}: found {found}, \
-                                     expected one of {{{expected}}}"
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    errors
-}
-
 /// The paper's `f` followed by the physical build: validate `xml`
 /// against `schema`, hand the transient S-tree to
 /// [`XmlStorage::from_tree`], and drop it.
@@ -1399,14 +715,15 @@ fn ingest(
 }
 
 /// Whole-document §6.2 validation of a stored document: `f` over `g`
-/// of its descriptors.
-fn validate_storage(
+/// of its descriptors. Returns the violations.
+pub(crate) fn validate_storage(
     schema: &DocumentSchema,
     storage: &XmlStorage,
     options: &LoadOptions,
     cache: &ContentModelCache,
-) -> Result<(), Vec<ValidationError>> {
-    load_document_cached(schema, &storage_to_document(storage), options, cache).map(drop)
+) -> Result<Vec<ValidationError>, DbError> {
+    let doc = storage_to_document(storage)?;
+    Ok(load_document_cached(schema, &doc, options, cache).err().unwrap_or_default())
 }
 
 /// Run `job(0..jobs)` across `threads` scoped OS threads (`0` = one per
@@ -1449,8 +766,14 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Mutable access to a stored document's block storage, beneath the
+    /// update path: how tests plant states no public API can produce.
+    pub(crate) fn storage_mut<'a>(db: &'a mut Database, name: &str) -> &'a mut XmlStorage {
+        &mut Arc::make_mut(db.documents.get_mut(name).unwrap()).storage
+    }
 
     const SCHEMA: &str = r#"
 <xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
@@ -1791,11 +1114,14 @@ mod update_tests {
         db
     }
 
+    fn run(db: &mut Database, update: &str) -> usize {
+        db.execute_update("todo", update).unwrap().nodes
+    }
+
     #[test]
     fn insert_element_updates_queries_and_serialization() {
         let mut db = db();
-        let n = db.update_insert_element("todo", "/list", "item", Some("second")).unwrap();
-        assert_eq!(n, 1);
+        assert_eq!(run(&mut db, "insert node <item>second</item> into /list"), 1);
         assert_eq!(db.query("todo", "/list/item").unwrap(), ["first", "second"]);
         assert!(db.serialize("todo").unwrap().contains("<item>second</item>"));
     }
@@ -1803,42 +1129,54 @@ mod update_tests {
     #[test]
     fn delete_removes_selected_subtrees() {
         let mut db = db();
-        db.update_insert_element("todo", "/list", "item", Some("second")).unwrap();
-        let n = db.update_delete("todo", "/list/item[1]").unwrap();
-        assert_eq!(n, 1);
+        run(&mut db, "insert node <item>second</item> into /list");
+        assert_eq!(run(&mut db, "delete node /list/item[1]"), 1);
         assert_eq!(db.query("todo", "/list/item").unwrap(), ["second"]);
     }
 
     #[test]
     fn delete_never_removes_the_root() {
         let mut db = db();
-        assert_eq!(db.update_delete("todo", "/list").unwrap(), 0);
+        let err = db.execute_update("todo", "delete node /list").unwrap_err();
+        assert!(matches!(err, DbError::UpdateStaticallyInvalid(_)), "{err}");
         assert_eq!(db.query("todo", "/list/item").unwrap(), ["first"]);
+        // A path that also selects the root deletes only what lies under it.
+        assert_eq!(run(&mut db, "delete node //*"), 1);
+        assert_eq!(db.query("todo", "/list").unwrap(), [""]);
     }
 
     #[test]
     fn set_attribute_inserts_and_replaces() {
         let mut db = db();
-        let n = db.update_set_attribute("todo", "/list/item", "state", "done").unwrap();
-        assert_eq!(n, 1);
+        assert_eq!(run(&mut db, r#"insert attribute state="done" into /list/item"#), 1);
         assert_eq!(db.query("todo", "/list/item/@state").unwrap(), ["done"]);
         // Replacing again works and does not duplicate.
-        db.update_set_attribute("todo", "/list/item", "state", "archived").unwrap();
+        run(&mut db, r#"insert attribute state="archived" into /list/item"#);
         assert_eq!(db.query("todo", "/list/item/@state").unwrap(), ["archived"]);
     }
 
     #[test]
     fn revalidate_after_schema_conforming_updates() {
         let mut db = db();
-        db.update_insert_element("todo", "/list", "item", Some("x")).unwrap();
+        run(&mut db, "insert node <item>x</item> into /list");
         assert!(db.revalidate("todo").unwrap().is_empty());
     }
 
     #[test]
-    fn revalidate_detects_schema_violations_introduced_by_updates() {
+    fn schema_violating_updates_never_reach_the_document() {
         let mut db = db();
-        // <list> allows only <item> children; inject a rogue element.
-        db.update_insert_element("todo", "/list", "rogue", None).unwrap();
+        let before = db.serialize("todo").unwrap();
+        // <list> allows only <item> children; a rogue element is refused.
+        let err = db.execute_update("todo", "insert node <rogue/> into /list").unwrap_err();
+        assert!(matches!(err, DbError::UpdateStaticallyInvalid(_)), "{err}");
+        assert_eq!(db.serialize("todo").unwrap(), before);
+        assert!(db.revalidate("todo").unwrap().is_empty());
+
+        // Planted beneath the update path, the same child is what
+        // revalidate exists to report.
+        let storage = super::tests::storage_mut(&mut db, "todo");
+        let list = storage.children(storage.root())[0];
+        storage.insert_element(list, None, "rogue").unwrap();
         let errs = db.revalidate("todo").unwrap();
         assert!(errs.iter().any(|e| e.rule == algebra::Rule::R5423GroupMatch), "{errs:?}");
     }
@@ -1847,10 +1185,9 @@ mod update_tests {
     fn updates_touch_many_nodes_at_once() {
         let mut db = db();
         for i in 0..5 {
-            db.update_insert_element("todo", "/list", "item", Some(&format!("t{i}"))).unwrap();
+            run(&mut db, &format!("insert node <item>t{i}</item> into /list"));
         }
-        let n = db.update_set_attribute("todo", "/list/item", "state", "bulk").unwrap();
-        assert_eq!(n, 6);
+        assert_eq!(run(&mut db, r#"insert attribute state="bulk" into /list/item"#), 6);
         assert_eq!(db.query("todo", "/list/item[@state='bulk']").unwrap().len(), 6);
     }
 
@@ -1858,9 +1195,9 @@ mod update_tests {
     fn storage_invariants_hold_after_update_batches() {
         let mut db = db();
         for i in 0..30 {
-            db.update_insert_element("todo", "/list", "item", Some(&format!("v{i}"))).unwrap();
+            run(&mut db, &format!("insert node <item>v{i}</item> into /list"));
         }
-        db.update_delete("todo", "/list/item[2]").unwrap();
+        run(&mut db, "delete node /list/item[2]");
         let storage = &db.document("todo").unwrap().storage;
         assert_eq!(storage.check_invariants(), None);
         assert_eq!(storage.relabel_count(), 0);
@@ -1888,8 +1225,8 @@ mod set_text_tests {
         )
         .unwrap();
         db.insert("d", "s", "<r><v>old1</v><v>old2</v></r>").unwrap();
-        let n = db.update_set_text("d", "/r/v", "new").unwrap();
-        assert_eq!(n, 2);
+        let out = db.execute_update("d", r#"replace value of node /r/v with "new""#).unwrap();
+        assert_eq!(out.nodes, 2);
         assert_eq!(db.query("d", "/r/v").unwrap(), ["new", "new"]);
         assert!(db.revalidate("d").unwrap().is_empty());
         let storage = &db.document("d").unwrap().storage;
@@ -2064,13 +1401,16 @@ mod guarded_update_tests {
     #[test]
     fn guarded_sibling_inserts_and_replacement() {
         let mut db = log_db();
-        let out = db.update_insert_before("d", "/log/entry[2]", "entry", Some("mid")).unwrap();
+        let out =
+            db.execute_update("d", "insert node <entry>mid</entry> before /log/entry[2]").unwrap();
         assert_eq!(out.verdict, UpdateVerdict::Accept);
         assert_eq!(db.query("d", "/log/entry").unwrap(), ["first", "mid", "second"]);
-        let out = db.update_insert_after("d", "/log/entry[3]", "entry", Some("last")).unwrap();
+        let out =
+            db.execute_update("d", "insert node <entry>last</entry> after /log/entry[3]").unwrap();
         assert_eq!(out.verdict, UpdateVerdict::Accept);
         assert_eq!(db.query("d", "/log/entry").unwrap(), ["first", "mid", "second", "last"]);
-        let out = db.update_replace_node("d", "/log/entry[1]", "entry", Some("zero")).unwrap();
+        let out =
+            db.execute_update("d", "replace node /log/entry[1] with <entry>zero</entry>").unwrap();
         assert_eq!(out.verdict, UpdateVerdict::Accept);
         assert_eq!(db.query("d", "/log/entry").unwrap(), ["zero", "mid", "second", "last"]);
         let storage = &db.document("d").unwrap().storage;

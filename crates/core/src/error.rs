@@ -48,7 +48,9 @@ pub enum DbError {
     UpdateStaticallyInvalid(Vec<xsanalyze::Diagnostic>),
     /// An XPath expression failed to parse.
     XPath(xpath::XPathError),
-    /// An XQuery expression failed to parse or evaluate.
+    /// An XQuery expression failed to parse or evaluate, or an update
+    /// selected a target of the wrong kind (XUTY0005, XUTY0006 or
+    /// XUTY0008; nothing was applied).
     XQuery(xquery::XQueryError),
     /// Filesystem failure during save/load, naming the path involved.
     Io {

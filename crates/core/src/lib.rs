@@ -157,19 +157,21 @@ mod mutation;
 mod persist;
 mod physical;
 mod shared;
+mod update;
 
 // The checksum and VFS layers moved into the storage crate (the page
 // store needs them below the database); the old `xsdb::…` paths remain.
 pub use storage::checksum;
 pub use storage::vfs;
 
-pub use database::{Database, StoredDocument, UpdateOutcome};
+pub use database::{Database, StoredDocument};
 pub use error::DbError;
 pub use mutation::{ApplyOutcome, Mutation};
 pub use persist::{LoadPolicy, LoadReport, Quarantine, QuarantineKind};
 pub use physical::{storage_to_document, storage_to_tree};
 pub use shared::{Durability, ReadSnapshot, SharedDatabase, WriteGuard};
 pub use storage::StorageError;
+pub use update::UpdateOutcome;
 pub use vfs::{FaultMode, FaultyVfs, StdVfs, Vfs};
 
 // Re-export the layer crates so a single dependency suffices downstream.

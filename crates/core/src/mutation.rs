@@ -14,7 +14,10 @@
 //! no-op — it left no trace when first attempted, and it leaves none
 //! on replay. The recovery path therefore skips rejected records
 //! rather than aborting, which also makes replay idempotent when a
-//! record's effect already reached the on-disk state.
+//! record's effect already reached the on-disk state. A record that
+//! does not decode — including one tagged with a retired node-level
+//! update (tags 5–11) — is corruption, not a rejection: it stops
+//! recovery.
 
 use crate::database::Database;
 use crate::error::DbError;
@@ -48,80 +51,6 @@ pub enum Mutation {
         /// Document name.
         doc: String,
     },
-    /// Append a child element under every node selected by an XPath.
-    UpdateInsert {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the parents.
-        parent: String,
-        /// Name of the new element.
-        name: String,
-        /// Optional text content of the new element.
-        text: Option<String>,
-    },
-    /// Delete every node (subtree included) selected by an XPath.
-    UpdateDelete {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the victims.
-        xpath: String,
-    },
-    /// Set an attribute on every element selected by an XPath.
-    UpdateSetAttr {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the elements.
-        xpath: String,
-        /// Attribute name.
-        attr: String,
-        /// Attribute value.
-        value: String,
-    },
-    /// Replace the text content of every element selected by an XPath.
-    UpdateSetText {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the elements.
-        xpath: String,
-        /// The replacement text.
-        value: String,
-    },
-    /// Insert a sibling element immediately before every element
-    /// selected by an XPath (statically type-checked before it runs).
-    UpdateInsertBefore {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the anchor elements.
-        target: String,
-        /// Name of the new element.
-        name: String,
-        /// Optional text content of the new element.
-        text: Option<String>,
-    },
-    /// Insert a sibling element immediately after every element
-    /// selected by an XPath (statically type-checked before it runs).
-    UpdateInsertAfter {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the anchor elements.
-        target: String,
-        /// Name of the new element.
-        name: String,
-        /// Optional text content of the new element.
-        text: Option<String>,
-    },
-    /// Replace every element selected by an XPath with a fresh leaf
-    /// element, in place (statically type-checked before it runs).
-    UpdateReplaceNode {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the victims.
-        target: String,
-        /// Name of the replacement element.
-        name: String,
-        /// Optional text content of the replacement.
-        text: Option<String>,
-    },
     /// Parse and run one XQuery-Update-lite expression (`insert node …
     /// into …`, `delete node …`, `replace value of node … with …`, …)
     /// under the static type-check.
@@ -144,39 +73,25 @@ pub enum ApplyOutcome {
     Inserted,
     /// A document deletion; `true` when the document existed.
     Deleted(bool),
-    /// A node-level update touched this many nodes.
-    Updated(usize),
     /// A statically type-checked update ran; the outcome carries the
     /// verdict it ran under and how much revalidation it cost.
-    UpdatedChecked(crate::database::UpdateOutcome),
+    UpdatedChecked(crate::update::UpdateOutcome),
 }
 
 const TAG_REGISTER_SCHEMA: u8 = 1;
 const TAG_REMOVE_SCHEMA: u8 = 2;
 const TAG_INSERT: u8 = 3;
 const TAG_DELETE: u8 = 4;
-const TAG_UPDATE_INSERT: u8 = 5;
-const TAG_UPDATE_DELETE: u8 = 6;
-const TAG_UPDATE_SET_ATTR: u8 = 7;
-const TAG_UPDATE_SET_TEXT: u8 = 8;
-const TAG_UPDATE_INSERT_BEFORE: u8 = 9;
-const TAG_UPDATE_INSERT_AFTER: u8 = 10;
-const TAG_UPDATE_REPLACE_NODE: u8 = 11;
+/// Tags 5–11 carried the retired node-level update mutations, which
+/// [`Mutation::Update`] replaces. They are never reused, and a record
+/// bearing one is refused: its semantics can no longer be replayed
+/// faithfully.
+const RETIRED_TAGS: std::ops::RangeInclusive<u8> = 5..=11;
 const TAG_UPDATE: u8 = 12;
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt(out: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-    }
 }
 
 struct Cursor<'a> {
@@ -204,14 +119,6 @@ impl<'a> Cursor<'a> {
         self.pos = data_end;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| DbError::Corrupt("mutation record field is not UTF-8".into()))
-    }
-
-    fn opt(&mut self) -> Result<Option<String>, DbError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.str()?)),
-            _ => Err(Self::corrupt()),
-        }
     }
 
     fn finish(self) -> Result<(), DbError> {
@@ -248,52 +155,6 @@ impl Mutation {
                 out.push(TAG_DELETE);
                 put_str(&mut out, doc);
             }
-            Mutation::UpdateInsert { doc, parent, name, text } => {
-                out.push(TAG_UPDATE_INSERT);
-                put_str(&mut out, doc);
-                put_str(&mut out, parent);
-                put_str(&mut out, name);
-                put_opt(&mut out, text.as_deref());
-            }
-            Mutation::UpdateDelete { doc, xpath } => {
-                out.push(TAG_UPDATE_DELETE);
-                put_str(&mut out, doc);
-                put_str(&mut out, xpath);
-            }
-            Mutation::UpdateSetAttr { doc, xpath, attr, value } => {
-                out.push(TAG_UPDATE_SET_ATTR);
-                put_str(&mut out, doc);
-                put_str(&mut out, xpath);
-                put_str(&mut out, attr);
-                put_str(&mut out, value);
-            }
-            Mutation::UpdateSetText { doc, xpath, value } => {
-                out.push(TAG_UPDATE_SET_TEXT);
-                put_str(&mut out, doc);
-                put_str(&mut out, xpath);
-                put_str(&mut out, value);
-            }
-            Mutation::UpdateInsertBefore { doc, target, name, text } => {
-                out.push(TAG_UPDATE_INSERT_BEFORE);
-                put_str(&mut out, doc);
-                put_str(&mut out, target);
-                put_str(&mut out, name);
-                put_opt(&mut out, text.as_deref());
-            }
-            Mutation::UpdateInsertAfter { doc, target, name, text } => {
-                out.push(TAG_UPDATE_INSERT_AFTER);
-                put_str(&mut out, doc);
-                put_str(&mut out, target);
-                put_str(&mut out, name);
-                put_opt(&mut out, text.as_deref());
-            }
-            Mutation::UpdateReplaceNode { doc, target, name, text } => {
-                out.push(TAG_UPDATE_REPLACE_NODE);
-                put_str(&mut out, doc);
-                put_str(&mut out, target);
-                put_str(&mut out, name);
-                put_opt(&mut out, text.as_deref());
-            }
             Mutation::Update { doc, update } => {
                 out.push(TAG_UPDATE);
                 put_str(&mut out, doc);
@@ -313,41 +174,12 @@ impl Mutation {
             TAG_REMOVE_SCHEMA => Mutation::RemoveSchema { name: c.str()? },
             TAG_INSERT => Mutation::Insert { doc: c.str()?, schema: c.str()?, xml: c.str()? },
             TAG_DELETE => Mutation::Delete { doc: c.str()? },
-            TAG_UPDATE_INSERT => Mutation::UpdateInsert {
-                doc: c.str()?,
-                parent: c.str()?,
-                name: c.str()?,
-                text: c.opt()?,
-            },
-            TAG_UPDATE_DELETE => Mutation::UpdateDelete { doc: c.str()?, xpath: c.str()? },
-            TAG_UPDATE_SET_ATTR => Mutation::UpdateSetAttr {
-                doc: c.str()?,
-                xpath: c.str()?,
-                attr: c.str()?,
-                value: c.str()?,
-            },
-            TAG_UPDATE_SET_TEXT => {
-                Mutation::UpdateSetText { doc: c.str()?, xpath: c.str()?, value: c.str()? }
-            }
-            TAG_UPDATE_INSERT_BEFORE => Mutation::UpdateInsertBefore {
-                doc: c.str()?,
-                target: c.str()?,
-                name: c.str()?,
-                text: c.opt()?,
-            },
-            TAG_UPDATE_INSERT_AFTER => Mutation::UpdateInsertAfter {
-                doc: c.str()?,
-                target: c.str()?,
-                name: c.str()?,
-                text: c.opt()?,
-            },
-            TAG_UPDATE_REPLACE_NODE => Mutation::UpdateReplaceNode {
-                doc: c.str()?,
-                target: c.str()?,
-                name: c.str()?,
-                text: c.opt()?,
-            },
             TAG_UPDATE => Mutation::Update { doc: c.str()?, update: c.str()? },
+            tag if RETIRED_TAGS.contains(&tag) => {
+                return Err(DbError::Corrupt(format!(
+                    "mutation tag {tag} is a retired node-level update; it cannot be replayed"
+                )));
+            }
             tag => {
                 return Err(DbError::Corrupt(format!("unknown mutation tag {tag}")));
             }
@@ -364,14 +196,7 @@ impl Mutation {
     /// instead.
     pub fn doc_name(&self) -> Option<&str> {
         match self {
-            Mutation::UpdateInsert { doc, .. }
-            | Mutation::UpdateDelete { doc, .. }
-            | Mutation::UpdateSetAttr { doc, .. }
-            | Mutation::UpdateSetText { doc, .. }
-            | Mutation::UpdateInsertBefore { doc, .. }
-            | Mutation::UpdateInsertAfter { doc, .. }
-            | Mutation::UpdateReplaceNode { doc, .. }
-            | Mutation::Update { doc, .. } => Some(doc),
+            Mutation::Update { doc, .. } => Some(doc),
             _ => None,
         }
     }
@@ -406,45 +231,8 @@ impl Mutation {
                 Ok(ApplyOutcome::Inserted)
             }
             Mutation::Delete { doc } => Ok(ApplyOutcome::Deleted(db.delete(doc))),
-            Mutation::UpdateInsert { doc, parent, name, text } => Ok(ApplyOutcome::Updated(
-                db.update_insert_element(doc, parent, name, text.as_deref())?,
-            )),
-            Mutation::UpdateDelete { doc, xpath } => {
-                Ok(ApplyOutcome::Updated(db.update_delete(doc, xpath)?))
-            }
-            Mutation::UpdateSetAttr { doc, xpath, attr, value } => {
-                Ok(ApplyOutcome::Updated(db.update_set_attribute(doc, xpath, attr, value)?))
-            }
-            Mutation::UpdateSetText { doc, xpath, value } => {
-                Ok(ApplyOutcome::Updated(db.update_set_text(doc, xpath, value)?))
-            }
-            // The guarded operations run the static type-check inside
-            // the database call; a static rejection is a deterministic
-            // no-op, so replay skips it like any other rejection.
-            Mutation::UpdateInsertBefore { doc, target, name, text } => {
-                Ok(ApplyOutcome::UpdatedChecked(db.update_insert_before(
-                    doc,
-                    target,
-                    name,
-                    text.as_deref(),
-                )?))
-            }
-            Mutation::UpdateInsertAfter { doc, target, name, text } => {
-                Ok(ApplyOutcome::UpdatedChecked(db.update_insert_after(
-                    doc,
-                    target,
-                    name,
-                    text.as_deref(),
-                )?))
-            }
-            Mutation::UpdateReplaceNode { doc, target, name, text } => {
-                Ok(ApplyOutcome::UpdatedChecked(db.update_replace_node(
-                    doc,
-                    target,
-                    name,
-                    text.as_deref(),
-                )?))
-            }
+            // A static rejection is a deterministic no-op, so replay
+            // skips it like any other rejection.
             Mutation::Update { doc, update } => {
                 Ok(ApplyOutcome::UpdatedChecked(db.execute_update(doc, update)?))
             }
@@ -469,47 +257,11 @@ mod tests {
             Mutation::RemoveSchema { name: "s".into() },
             Mutation::Insert { doc: "d".into(), schema: "s".into(), xml: "<r/>".into() },
             Mutation::Delete { doc: "d".into() },
-            Mutation::UpdateInsert {
-                doc: "d".into(),
-                parent: "/r".into(),
-                name: "x".into(),
-                text: Some("t".into()),
-            },
-            Mutation::UpdateInsert {
-                doc: "d".into(),
-                parent: "/r".into(),
-                name: "x".into(),
-                text: None,
-            },
-            Mutation::UpdateDelete { doc: "d".into(), xpath: "/r/x".into() },
-            Mutation::UpdateSetAttr {
-                doc: "d".into(),
-                xpath: "/r".into(),
-                attr: "a".into(),
-                value: "v".into(),
-            },
-            Mutation::UpdateSetText {
-                doc: "☂ doc".into(), xpath: "/r".into(), value: "ü".into()
-            },
-            Mutation::UpdateInsertBefore {
-                doc: "d".into(),
-                target: "/r/x".into(),
-                name: "y".into(),
-                text: Some("t".into()),
-            },
-            Mutation::UpdateInsertAfter {
-                doc: "d".into(),
-                target: "/r/x".into(),
-                name: "y".into(),
-                text: None,
-            },
-            Mutation::UpdateReplaceNode {
-                doc: "d".into(),
-                target: "/r/x".into(),
-                name: "x".into(),
-                text: Some("v".into()),
-            },
             Mutation::Update { doc: "d".into(), update: "insert node <x>t</x> into /r".into() },
+            Mutation::Update {
+                doc: "☂ doc".into(),
+                update: r#"replace value of node /r with "ü""#.into(),
+            },
         ]
     }
 
@@ -542,8 +294,26 @@ mod tests {
     }
 
     #[test]
+    fn retired_tags_are_corruption_naming_the_tag() {
+        // The payload shape of the old `UpdateDelete` record.
+        let mut payload = vec![6];
+        put_str(&mut payload, "d");
+        put_str(&mut payload, "/r/x");
+        for tag in RETIRED_TAGS {
+            payload[0] = tag;
+            match Mutation::decode(&payload) {
+                Err(DbError::Corrupt(what)) => {
+                    assert!(what.contains(&format!("tag {tag}")), "{what}");
+                    assert!(what.contains("retired"), "{what}");
+                }
+                other => panic!("tag {tag} decoded to {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn doc_scope_and_registry_classification() {
-        let update = Mutation::UpdateDelete { doc: "d".into(), xpath: "/r".into() };
+        let update = Mutation::Update { doc: "d".into(), update: "delete node /r/x".into() };
         assert_eq!(update.doc_name(), Some("d"));
         assert!(!update.changes_registry());
         let insert = Mutation::Insert { doc: "d".into(), schema: "s".into(), xml: "<r/>".into() };

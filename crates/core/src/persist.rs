@@ -852,7 +852,7 @@ mod tests {
         db.register_schema_text("log", SCHEMA).unwrap();
         db.insert("j", "log", "<log><entry><year>2000</year><text>t</text></entry></log>").unwrap();
         db.save_dir(&dir).unwrap();
-        db.update_set_text("j", "/log/entry/text", "patched").unwrap();
+        db.execute_update("j", r#"replace value of node /log/entry/text with "patched""#).unwrap();
         db.save_dir(&dir).unwrap();
         // The update committed into the existing generation.
         assert!(dir.join("gen-1").exists());
@@ -872,7 +872,7 @@ mod tests {
         // A fresh handle loaded from disk is bound to the generation it
         // read, so its saves are incremental too.
         let mut db2 = Database::load_dir(&dir).unwrap();
-        db2.update_set_text("j", "/log/entry/text", "again").unwrap();
+        db2.execute_update("j", r#"replace value of node /log/entry/text with "again""#).unwrap();
         db2.save_dir(&dir).unwrap();
         assert!(dir.join("gen-1").exists());
         assert!(!dir.join("gen-2").exists());
@@ -923,11 +923,12 @@ mod tests {
         db.register_schema_text("log", SCHEMA).unwrap();
         db.insert("j", "log", "<log><entry><year>2000</year><text>t</text></entry></log>").unwrap();
         db.save_dir(&dir).unwrap();
-        // Node-level updates are not re-validated automatically, so a
-        // facet-violating update persists a consistent-but-invalid
-        // document — validation is the layer that must catch it on the
-        // way back in.
-        db.update_set_text("j", "/log/entry/year", "1492").unwrap();
+        // No update can commit a facet violation, so plant one beneath
+        // the update path: a consistent-but-invalid document that only
+        // validation can catch on the way back in.
+        let xs = crate::database::tests::storage_mut(&mut db, "j");
+        let year = xpath::eval_guided(xs, &xpath::parse("/log/entry/year/text()").unwrap());
+        xs.set_text(year[0], "1492").unwrap();
         db.save_dir(&dir).unwrap();
         match Database::load_dir(&dir) {
             Err(DbError::Invalid(errs)) => {

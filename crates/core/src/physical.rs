@@ -11,20 +11,27 @@ use storage::{DescPtr, XmlStorage};
 use xdm::{NodeId, NodeKind, NodeStore};
 use xmlparse::{Attribute, Document, Element, Node, QName};
 
+use crate::error::DbError;
+
 /// Serialize the storage's document tree to an XML document — the
 /// paper's `g` computed from node descriptors and schema nodes alone
 /// (one more witness of the §9.2 sufficiency claim).
-pub fn storage_to_document(xs: &XmlStorage) -> Document {
-    let root_desc = xs
-        .children(xs.root())
-        .first()
-        .copied()
-        .expect("a document tree has one element child (§6.2 item 3)");
+///
+/// # Errors
+/// [`DbError::Corrupt`] when the document node has no element child
+/// (§6.2 item 3 requires exactly one) — possible only for a storage
+/// decoded from damaged pages or built by hand.
+pub fn storage_to_document(xs: &XmlStorage) -> Result<Document, DbError> {
+    let root_desc =
+        xs.children(xs.root())
+            .into_iter()
+            .find(|&c| xs.kind(c) == NodeKind::Element)
+            .ok_or_else(|| DbError::Corrupt("the document node has no root element".into()))?;
     let root = element_of(xs, root_desc);
-    match xs.base_uri(xs.root()) {
+    Ok(match xs.base_uri(xs.root()) {
         Some(uri) => Document::from_root(root).with_base_uri(uri.to_string()),
         None => Document::from_root(root),
-    }
+    })
 }
 
 fn element_of(xs: &XmlStorage, p: DescPtr) -> Element {
@@ -93,7 +100,7 @@ mod tests {
 
     /// `g` over descriptors agrees with `g` over the rebuilt tree.
     fn storage_roundtrip_agrees(xs: &XmlStorage) -> bool {
-        let direct = storage_to_document(xs);
+        let direct = storage_to_document(xs).unwrap();
         let (store, doc) = storage_to_tree(xs);
         let via_tree = algebra::serialize_tree(&store, doc);
         algebra::content_equal(&direct, &via_tree)
@@ -121,7 +128,7 @@ mod tests {
     #[test]
     fn storage_serializes_directly() {
         let xs = sample_storage();
-        let doc = storage_to_document(&xs);
+        let doc = storage_to_document(&xs).unwrap();
         assert_eq!(
             doc.to_xml(),
             r#"<library><book id="b1"><title>Foundations of Databases</title></book><note xsi:nil="true"/></library>"#
@@ -151,6 +158,14 @@ mod tests {
     }
 
     #[test]
+    fn a_rootless_store_is_corrupt_not_a_panic() {
+        let mut s = NodeStore::new();
+        let doc = s.new_document(None);
+        let xs = XmlStorage::from_tree(&s, doc);
+        assert!(matches!(storage_to_document(&xs), Err(DbError::Corrupt(_))));
+    }
+
+    #[test]
     fn agreement_survives_updates() {
         let mut xs = sample_storage();
         let lib = xs.children(xs.root())[0];
@@ -163,7 +178,7 @@ mod tests {
         }
         assert_eq!(xs.check_invariants(), None);
         assert!(storage_roundtrip_agrees(&xs));
-        let doc = storage_to_document(&xs);
+        let doc = storage_to_document(&xs).unwrap();
         assert_eq!(doc.root().children_named("book").count(), 11);
     }
 }

@@ -511,10 +511,9 @@ mod tests {
         })
         .unwrap();
         let snap = sh.read();
-        sh.apply(&Mutation::UpdateSetText {
+        sh.apply(&Mutation::Update {
             doc: "d".into(),
-            xpath: "/n".into(),
-            value: "after".into(),
+            update: r#"replace value of node /n with "after""#.into(),
         })
         .unwrap();
         // The old snapshot still sees the old value; a new one sees
@@ -581,10 +580,9 @@ mod tests {
         let leftover = storage::wal::replay(&StdVfs, &wal_dir).unwrap();
         assert!(leftover.is_empty(), "{leftover:?}");
         // …and post-checkpoint commits land in the fresh tail.
-        sh.apply(&Mutation::UpdateSetText {
+        sh.apply(&Mutation::Update {
             doc: "d".into(),
-            xpath: "/n".into(),
-            value: "b".into(),
+            update: r#"replace value of node /n with "b""#.into(),
         })
         .unwrap();
         drop(sh);

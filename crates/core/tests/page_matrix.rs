@@ -92,7 +92,8 @@ fn incremental_setup(tag: &str, entries: usize) -> (PathBuf, Database, Database,
     journal_db(entries).save_dir(&dir).unwrap();
     let old = Database::load_dir(&dir).unwrap();
     let mut db = Database::load_dir(&dir).unwrap();
-    assert_eq!(db.update_set_text("journal", "/log/entry[2]", "patched").unwrap(), 1);
+    let update = r#"replace value of node /log/entry[2] with "patched""#;
+    assert_eq!(db.execute_update("journal", update).unwrap().nodes, 1);
     let mut new = Database::new();
     new.register_schema_text("log", SCHEMA).unwrap();
     new.insert("journal", "log", &db.serialize("journal").unwrap()).unwrap();
@@ -186,7 +187,9 @@ fn incremental_save_error_at_any_operation_reloads_old_or_new() {
         }
         // Whatever happened, a retry on a fresh handle must converge.
         let mut retry = Database::load_dir(&dir).unwrap();
-        retry.update_set_text("journal", "/log/entry[2]", "patched").unwrap();
+        retry
+            .execute_update("journal", r#"replace value of node /log/entry[2] with "patched""#)
+            .unwrap();
         retry.save_dir(&dir).unwrap();
         assert!(db_equiv(&Database::load_dir(&dir).unwrap(), &new));
         let _ = fs::remove_dir_all(&dir);
@@ -266,7 +269,8 @@ fn pages_for_single_update(entries: usize) -> u64 {
     // incremental_setup already patched entry[2]; patch again so the
     // measured save carries exactly one fresh dirty node.
     db.save_dir(&dir).unwrap();
-    db.update_set_text("journal", "/log/entry[2]", "patched again").unwrap();
+    db.execute_update("journal", r#"replace value of node /log/entry[2] with "patched again""#)
+        .unwrap();
     let before = global().snapshot().counter(CounterId::StoragePageWrites);
     db.save_dir(&dir).unwrap();
     let delta = global().snapshot().counter(CounterId::StoragePageWrites) - before;

@@ -47,7 +47,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// The scripted workload: every loggable mutation kind, exercising
-/// both registry-level and node-level transitions.
+/// both registry-level and node-level (typed `UPDATE`) transitions.
 fn script() -> Vec<Mutation> {
     vec![
         Mutation::RegisterSchema { name: "log".into(), xsd: SCHEMA_LOG.into() },
@@ -56,10 +56,9 @@ fn script() -> Vec<Mutation> {
             schema: "log".into(),
             xml: "<log><entry>one</entry><entry>two</entry></log>".into(),
         },
-        Mutation::UpdateSetText {
+        Mutation::Update {
             doc: "journal".into(),
-            xpath: "/log/entry[1]".into(),
-            value: "rewritten".into(),
+            update: r#"replace value of node /log/entry[1] with "rewritten""#.into(),
         },
         Mutation::RegisterSchema { name: "notes".into(), xsd: SCHEMA_NOTE.into() },
         Mutation::Insert {
@@ -67,20 +66,16 @@ fn script() -> Vec<Mutation> {
             schema: "notes".into(),
             xml: "<note>remember</note>".into(),
         },
-        Mutation::UpdateInsert {
+        Mutation::Update {
             doc: "journal".into(),
-            parent: "/log".into(),
-            name: "entry".into(),
-            text: Some("appended".into()),
+            update: "insert node <entry>appended</entry> into /log".into(),
         },
-        Mutation::UpdateSetAttr {
+        Mutation::Update {
             doc: "journal".into(),
-            xpath: "/log/entry".into(),
-            attr: "tag".into(),
-            value: "hot".into(),
+            update: "insert node <entry>zero</entry> before /log/entry[1]".into(),
         },
         Mutation::Delete { doc: "memo".into() },
-        Mutation::UpdateDelete { doc: "journal".into(), xpath: "/log/entry[2]".into() },
+        Mutation::Update { doc: "journal".into(), update: "delete node /log/entry[2]".into() },
     ]
 }
 
@@ -340,5 +335,43 @@ fn group_and_async_modes_recover_prefixes_under_crashes_too() {
             );
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// A record tagged with a retired untyped update (tags 5–11) cannot be
+/// replayed faithfully: recovery — from the log alone, or over a
+/// checkpoint — stops with a typed `Corrupt` naming the tag instead of
+/// skipping the record.
+#[test]
+fn a_retired_update_record_stops_recovery() {
+    for checkpointed in [false, true] {
+        let dir = temp_dir(&format!("retired-{checkpointed}"));
+        let (shared, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
+        for m in script().iter().take(2) {
+            shared.apply(m).unwrap();
+        }
+        if checkpointed {
+            shared.checkpoint(&dir).unwrap();
+        }
+        drop(shared);
+        // The old `UpdateSetText` record: tag 8, then doc, xpath, value.
+        let mut payload = vec![8u8];
+        for field in ["journal", "/log/entry[1]", "rewritten"] {
+            payload.extend_from_slice(&(field.len() as u32).to_le_bytes());
+            payload.extend_from_slice(field.as_bytes());
+        }
+        let wal_dir = dir.join("wal");
+        let (mut wal, _) =
+            xsdb::storage::wal::Wal::open(&StdVfs, &wal_dir, xsdb::storage::DEFAULT_ROTATE_BYTES)
+                .unwrap();
+        wal.append(&StdVfs, &payload).unwrap();
+        wal.sync(&StdVfs).unwrap();
+        drop(wal);
+        match SharedDatabase::open_durable(&dir, Durability::Fsync) {
+            Err(DbError::Corrupt(what)) => assert!(what.contains("tag 8"), "{what}"),
+            Err(other) => panic!("checkpointed={checkpointed}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("checkpointed={checkpointed}: a retired record was replayed"),
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

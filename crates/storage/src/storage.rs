@@ -572,15 +572,18 @@ impl XmlStorage {
     /// (`None` = as first child). Returns the new descriptor.
     ///
     /// # Errors
-    /// [`StorageError::Corrupt`] when the storage's §9.2 structures are
-    /// inconsistent (possible only for storages decoded from damaged
-    /// pages) or `after` is not a child of `parent`.
+    /// [`StorageError::Corrupt`] when `parent` is neither an element nor
+    /// the document node (§6.1: text and attribute nodes have no
+    /// children), when `after` is not a child of `parent`, or when the
+    /// storage's §9.2 structures are inconsistent (possible only for
+    /// storages decoded from damaged pages).
     pub fn insert_element(
         &mut self,
         parent: DescPtr,
         after: Option<DescPtr>,
         name: &str,
     ) -> Result<DescPtr, StorageError> {
+        self.admit_child(parent)?;
         self.insert_child(parent, after, Some(name.to_string()), NodeKind::Element, None)
     }
 
@@ -594,7 +597,19 @@ impl XmlStorage {
         after: Option<DescPtr>,
         value: impl Into<String>,
     ) -> Result<DescPtr, StorageError> {
+        self.admit_child(parent)?;
         self.insert_child(parent, after, None, NodeKind::Text, Some(value.into()))
+    }
+
+    /// §6.1: only elements and the document node have children.
+    fn admit_child(&self, parent: DescPtr) -> Result<(), StorageError> {
+        match self.kind(parent) {
+            NodeKind::Element | NodeKind::Document => Ok(()),
+            kind => Err(StorageError::corrupt(format!(
+                "{parent}: a {} node cannot have children",
+                kind.as_str()
+            ))),
+        }
     }
 
     fn insert_child(
@@ -653,13 +668,21 @@ impl XmlStorage {
     /// Insert (or replace) an attribute on `parent`.
     ///
     /// # Errors
-    /// As for [`XmlStorage::insert_element`].
+    /// [`StorageError::Corrupt`] when `parent` is not an element (§6.1:
+    /// only elements own attributes) or the storage's structures are
+    /// inconsistent.
     pub fn insert_attribute(
         &mut self,
         parent: DescPtr,
         name: &str,
         value: &str,
     ) -> Result<DescPtr, StorageError> {
+        if self.kind(parent) != NodeKind::Element {
+            return Err(StorageError::corrupt(format!(
+                "{parent}: a {} node cannot have attributes",
+                self.node_kind(parent)
+            )));
+        }
         let parent_sn = self.schema_node_of(parent);
         let sn = self.ensure_schema_child(parent_sn, Some(name.to_string()), NodeKind::Attribute);
         if let Some(existing) = self.attribute_named(parent, name) {
@@ -1024,7 +1047,23 @@ impl XmlStorage {
                     ));
                 }
                 let mut prev: Option<&Nid> = None;
-                for (_, d) in block.iter_ordered() {
+                for (p, d) in block.iter_ordered() {
+                    // §6.1 per-kind rule: only elements own attributes,
+                    // and only elements and the document have children.
+                    if let Some(parent) = d.parent {
+                        let ok = match (self.kind(parent), self.kind(p)) {
+                            (NodeKind::Element, _) => true,
+                            (NodeKind::Document, kind) => kind != NodeKind::Attribute,
+                            _ => false,
+                        };
+                        if !ok {
+                            return Some(format!(
+                                "{p}: a {} node under a {} node",
+                                self.node_kind(p),
+                                self.node_kind(parent)
+                            ));
+                        }
+                    }
                     if let Some(p) = prev {
                         if p >= &d.nid {
                             return Some(format!("block {b}: intra-block chain out of order"));
@@ -1351,6 +1390,46 @@ mod tests {
         let root = xs.children(xs.root())[0];
         let tv = xs.typed_value(root, &reg);
         assert!(matches!(tv[0], AtomicValue::Integer(42, _)));
+    }
+
+    #[test]
+    fn only_elements_and_the_document_take_children() {
+        let (store, doc) = library();
+        let mut xs = XmlStorage::from_tree(&store, doc);
+        let lib = xs.children(xs.root())[0];
+        let title = xs.children(xs.children(lib)[0])[0];
+        let text = xs.children(title)[0];
+        let id = xs.insert_attribute(lib, "id", "l1").unwrap();
+        let before = xs.len();
+        for leaf in [text, id] {
+            assert!(matches!(xs.insert_element(leaf, None, "evil"), Err(StorageError::Corrupt(_))));
+            assert!(matches!(xs.insert_text(leaf, None, "evil"), Err(StorageError::Corrupt(_))));
+            assert!(matches!(
+                xs.insert_attribute(leaf, "evil", "v"),
+                Err(StorageError::Corrupt(_))
+            ));
+        }
+        // The document node takes children, never attributes.
+        let root = xs.root();
+        assert!(matches!(xs.insert_attribute(root, "evil", "v"), Err(StorageError::Corrupt(_))));
+        assert_eq!(xs.len(), before, "a refused insert leaves no descriptor behind");
+        xs.insert_text(root, Some(lib), "\n").unwrap();
+        assert_eq!(xs.check_invariants(), None);
+    }
+
+    #[test]
+    fn invariants_report_children_under_a_text_node() {
+        let (store, doc) = library();
+        let mut xs = XmlStorage::from_tree(&store, doc);
+        let lib = xs.children(xs.root())[0];
+        let title = xs.children(xs.children(lib)[0])[0];
+        let text = xs.children(title)[0];
+        assert_eq!(xs.check_invariants(), None);
+        // Plant the state the public mutators now refuse: an element
+        // whose parent is a text node.
+        xs.insert_child(text, None, Some("evil".into()), NodeKind::Element, None).unwrap();
+        let found = xs.check_invariants().expect("a child under a text node must be reported");
+        assert!(found.contains("element node under a text node"), "{found}");
     }
 }
 

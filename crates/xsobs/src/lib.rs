@@ -127,13 +127,21 @@ pub enum CounterId {
     SrvOpQuery,
     /// `XQUERY` requests served.
     SrvOpXquery,
-    /// `UPDATE_INSERT` requests served.
+    /// `UPDATE_INSERT` requests served. Retired: the opcode
+    /// is unassigned, so this always reads 0; it stays in the
+    /// semver-stable export.
     SrvOpUpdateInsert,
-    /// `UPDATE_DELETE` requests served.
+    /// `UPDATE_DELETE` requests served. Retired: the opcode
+    /// is unassigned, so this always reads 0; it stays in the
+    /// semver-stable export.
     SrvOpUpdateDelete,
-    /// `UPDATE_SET_ATTR` requests served.
+    /// `UPDATE_SET_ATTR` requests served. Retired: the opcode
+    /// is unassigned, so this always reads 0; it stays in the
+    /// semver-stable export.
     SrvOpUpdateSetAttr,
-    /// `UPDATE_SET_TEXT` requests served.
+    /// `UPDATE_SET_TEXT` requests served. Retired: the opcode
+    /// is unassigned, so this always reads 0; it stays in the
+    /// semver-stable export.
     SrvOpUpdateSetText,
     /// `LIST` requests served.
     SrvOpList,
@@ -171,11 +179,17 @@ pub enum CounterId {
     /// Nodes revalidated by post-update rechecks (one per affected
     /// content model).
     UpdateRevalidateNodes,
-    /// `UPDATE_INSERT_BEFORE` requests served.
+    /// `UPDATE_INSERT_BEFORE` requests served. Retired: the opcode
+    /// is unassigned, so this always reads 0; it stays in the
+    /// semver-stable export.
     SrvOpUpdateInsertBefore,
-    /// `UPDATE_INSERT_AFTER` requests served.
+    /// `UPDATE_INSERT_AFTER` requests served. Retired: the opcode
+    /// is unassigned, so this always reads 0; it stays in the
+    /// semver-stable export.
     SrvOpUpdateInsertAfter,
-    /// `UPDATE_REPLACE_NODE` requests served.
+    /// `UPDATE_REPLACE_NODE` requests served. Retired: the opcode
+    /// is unassigned, so this always reads 0; it stays in the
+    /// semver-stable export.
     SrvOpUpdateReplaceNode,
     /// `UPDATE` (textual XQuery-Update-lite) requests served.
     SrvOpUpdate,

@@ -9,7 +9,8 @@
 //!
 //! Registers the bench schema and one document per connection, then
 //! runs `--connections` threads each issuing `--requests` requests
-//! (`--write-percent` of them through the commit path) and prints one
+//! (`--write-percent` of them statically checked `UPDATE`s through the
+//! commit path, the rest `QUERY` reads) and prints one
 //! summary line: requests, errors, wall time, throughput, and
 //! p50/p90/p99 latency. By default the loop is closed (the next burst
 //! starts when the previous responses land); `--rps N` switches to an
@@ -39,7 +40,9 @@ struct Args {
 
 const USAGE: &str = "usage: xsd-bench-client --addr HOST:PORT [--connections N] \
      [--requests N] [--write-percent P] [--doc-items N] [--pipeline N] [--rps N] \
-     [--retries N] [--backoff-ms MS] [--stats-json]";
+     [--retries N] [--backoff-ms MS] [--stats-json]\n\
+     --write-percent P: share of requests (0..=100, default 10) that are statically \
+     checked UPDATEs; the rest are QUERY reads";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args { addr: String::new(), config: LoadConfig::default(), stats_json: false };

@@ -318,120 +318,14 @@ impl Client {
             .map(|f| f.into_iter().next().unwrap_or_default())
     }
 
-    /// Insert an element under every node `parent_xpath` selects;
-    /// returns the insertion count
-    /// ([`Database::update_insert_element`](xsdb::Database::update_insert_element)).
-    pub fn update_insert(
-        &mut self,
-        doc: &str,
-        parent_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<usize, ClientError> {
-        let mut fields = vec![doc, parent_xpath, name];
-        if let Some(t) = text {
-            fields.push(t);
-        }
-        let out = self.request(Opcode::UpdateInsert, &fields)?;
-        parse_count(&out)
-    }
-
-    /// Delete every node `xpath` selects; returns the deletion count
-    /// ([`Database::update_delete`](xsdb::Database::update_delete)).
-    pub fn update_delete(&mut self, doc: &str, xpath: &str) -> Result<usize, ClientError> {
-        let out = self.request(Opcode::UpdateDelete, &[doc, xpath])?;
-        parse_count(&out)
-    }
-
-    /// Set an attribute on every node `xpath` selects; returns the
-    /// update count
-    /// ([`Database::update_set_attribute`](xsdb::Database::update_set_attribute)).
-    pub fn update_set_attr(
-        &mut self,
-        doc: &str,
-        xpath: &str,
-        attr: &str,
-        value: &str,
-    ) -> Result<usize, ClientError> {
-        let out = self.request(Opcode::UpdateSetAttr, &[doc, xpath, attr, value])?;
-        parse_count(&out)
-    }
-
-    /// Replace the text content of every node `xpath` selects; returns
-    /// the update count
-    /// ([`Database::update_set_text`](xsdb::Database::update_set_text)).
-    pub fn update_set_text(
-        &mut self,
-        doc: &str,
-        xpath: &str,
-        text: &str,
-    ) -> Result<usize, ClientError> {
-        let out = self.request(Opcode::UpdateSetText, &[doc, xpath, text])?;
-        parse_count(&out)
-    }
-
-    /// Insert a sibling element immediately before every element
-    /// `target_xpath` selects, under the static type-check
-    /// ([`Database::update_insert_before`](xsdb::Database::update_insert_before)).
-    pub fn update_insert_before(
-        &mut self,
-        doc: &str,
-        target_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<UpdateReport, ClientError> {
-        self.checked_update(Opcode::UpdateInsertBefore, doc, target_xpath, name, text)
-    }
-
-    /// Insert a sibling element immediately after every element
-    /// `target_xpath` selects, under the static type-check
-    /// ([`Database::update_insert_after`](xsdb::Database::update_insert_after)).
-    pub fn update_insert_after(
-        &mut self,
-        doc: &str,
-        target_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<UpdateReport, ClientError> {
-        self.checked_update(Opcode::UpdateInsertAfter, doc, target_xpath, name, text)
-    }
-
-    /// Replace every element `target_xpath` selects with a fresh leaf
-    /// element, under the static type-check
-    /// ([`Database::update_replace_node`](xsdb::Database::update_replace_node)).
-    pub fn update_replace_node(
-        &mut self,
-        doc: &str,
-        target_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<UpdateReport, ClientError> {
-        self.checked_update(Opcode::UpdateReplaceNode, doc, target_xpath, name, text)
-    }
-
     /// Parse and run one XQuery-Update-lite expression under the static
-    /// type-check ([`Database::execute_update`](xsdb::Database::execute_update)).
-    /// A statically rejected update fails with
+    /// type-check ([`Database::execute_update`](xsdb::Database::execute_update))
+    /// — the only way to change a stored document's content. A
+    /// statically rejected update fails with
     /// [`Status::UpdateStaticallyInvalid`] without touching the
     /// document.
     pub fn update(&mut self, doc: &str, update: &str) -> Result<UpdateReport, ClientError> {
         let out = self.request(Opcode::Update, &[doc, update])?;
-        parse_update_report(&out)
-    }
-
-    fn checked_update(
-        &mut self,
-        op: Opcode,
-        doc: &str,
-        target_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<UpdateReport, ClientError> {
-        let mut fields = vec![doc, target_xpath, name];
-        if let Some(t) = text {
-            fields.push(t);
-        }
-        let out = self.request(op, &fields)?;
         parse_update_report(&out)
     }
 
@@ -452,15 +346,6 @@ impl Client {
     pub fn save(&mut self) -> Result<(), ClientError> {
         self.request(Opcode::Save, &[]).map(|_| ())
     }
-}
-
-fn parse_count(fields: &[String]) -> Result<usize, ClientError> {
-    let first = fields
-        .first()
-        .ok_or_else(|| ClientError::Protocol("count response carried no fields".to_string()))?;
-    first
-        .parse()
-        .map_err(|_| ClientError::Protocol(format!("count response was not a number: {first:?}")))
 }
 
 /// What a statically checked update reported back: the verdict it ran

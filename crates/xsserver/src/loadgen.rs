@@ -90,8 +90,8 @@ pub struct LoadConfig {
     pub connections: usize,
     /// Requests each connection issues.
     pub requests_per_conn: usize,
-    /// Percentage of requests that are writes (`update_set_text`
-    /// through the commit path); the rest are reads (`query`).
+    /// Percentage of requests that are writes (statically checked
+    /// `UPDATE`s through the commit path); the rest are reads (`query`).
     pub write_percent: u8,
     /// `<item>` elements per benchmark document.
     pub doc_items: usize,
@@ -180,24 +180,18 @@ pub fn setup(addr: &str, config: &LoadConfig) -> Result<(), crate::client::Clien
 
 /// The request connection `conn` issues at sequence `n`: a
 /// deterministic interleave spreading writes evenly through the run
-/// instead of front-loading them, alternating raw writes with
-/// statically checked ones so load runs exercise the analyze-first
-/// path (every insert below is provably valid, so the server applies
-/// it without revalidating).
+/// instead of front-loading them. Every write is a statically checked
+/// `UPDATE`, alternating a value replacement with an insert; both are
+/// provably valid, so the server applies them without revalidating.
 fn build_request(conn: usize, n: usize, doc: &str, write_percent: u8) -> (Opcode, Vec<String>) {
     let write = (n * 100 + conn * 37) % 100 < write_percent as usize;
     if write {
-        if n.is_multiple_of(2) {
-            (
-                Opcode::UpdateSetText,
-                vec![doc.to_string(), "/bench/item[1]".to_string(), format!("w{conn}-{n}")],
-            )
+        let update = if n.is_multiple_of(2) {
+            format!(r#"replace value of node /bench/item[1] with "w{conn}-{n}""#)
         } else {
-            (
-                Opcode::Update,
-                vec![doc.to_string(), format!("insert node <item>c{conn}-{n}</item> into /bench")],
-            )
-        }
+            format!("insert node <item>c{conn}-{n}</item> into /bench")
+        };
+        (Opcode::Update, vec![doc.to_string(), update])
     } else {
         (Opcode::Query, vec![doc.to_string(), "/bench/item".to_string()])
     }
@@ -371,10 +365,14 @@ mod tests {
     fn request_mix_is_deterministic() {
         // The interleave assigns the write role per connection
         // (`i*37 % 100 < write_percent`): at 10% writes connection 0
-        // writes on every request — alternating the raw and the
-        // statically checked update — while connection 1 only reads.
-        assert!(matches!(build_request(0, 0, "bench-0", 10), (Opcode::UpdateSetText, _)));
-        assert!(matches!(build_request(0, 1, "bench-0", 10), (Opcode::Update, _)));
+        // writes on every request — alternating a value replacement and
+        // an insert — while connection 1 only reads.
+        let (op, fields) = build_request(0, 0, "bench-0", 10);
+        assert_eq!(op, Opcode::Update);
+        assert_eq!(fields[1], r#"replace value of node /bench/item[1] with "w0-0""#);
+        let (op, fields) = build_request(0, 1, "bench-0", 10);
+        assert_eq!(op, Opcode::Update);
+        assert_eq!(fields[1], "insert node <item>c0-1</item> into /bench");
         assert!(matches!(build_request(1, 0, "bench-1", 10), (Opcode::Query, _)));
         // 0% writes means every request is a query.
         assert!(matches!(build_request(0, 42, "d", 0), (Opcode::Query, _)));

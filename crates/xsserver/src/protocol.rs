@@ -73,7 +73,10 @@ pub fn max_payload_for(limits: &xsdb::xmlparse::ParseLimits) -> usize {
 }
 
 /// Request opcodes. The discriminants are the wire bytes and never
-/// change; new opcodes are only ever appended.
+/// change; new opcodes are only ever appended. Bytes `0x09`–`0x0C` and
+/// `0x10`–`0x12` belonged to the retired node-level update opcodes,
+/// which [`Opcode::Update`] replaces: they are never reassigned and
+/// answer `ERR_UNKNOWN_OPCODE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Opcode {
@@ -94,17 +97,6 @@ pub enum Opcode {
     Query = 0x07,
     /// `[doc, flwor]` — evaluate a FLWOR query; returns one field.
     Xquery = 0x08,
-    /// `[doc, parent_xpath, name]` or `[doc, parent_xpath, name, text]`
-    /// — append an element under every selected parent.
-    UpdateInsert = 0x09,
-    /// `[doc, xpath]` — delete every selected node (subtrees included).
-    UpdateDelete = 0x0A,
-    /// `[doc, xpath, name, value]` — set an attribute on every
-    /// selected element.
-    UpdateSetAttr = 0x0B,
-    /// `[doc, xpath, value]` — replace the text content of every
-    /// selected element.
-    UpdateSetText = 0x0C,
     /// `[]` — list the catalog; returns `schema:<name>` and
     /// `doc:<name>` fields.
     List = 0x0D,
@@ -112,18 +104,6 @@ pub enum Opcode {
     Stats = 0x0E,
     /// `[]` — persist the database to the server's `--dir` now.
     Save = 0x0F,
-    /// `[doc, target_xpath, name]` or `[doc, target_xpath, name, text]`
-    /// — statically type-checked sibling insert before every selected
-    /// element.
-    UpdateInsertBefore = 0x10,
-    /// `[doc, target_xpath, name]` or `[doc, target_xpath, name, text]`
-    /// — statically type-checked sibling insert after every selected
-    /// element.
-    UpdateInsertAfter = 0x11,
-    /// `[doc, target_xpath, name]` or `[doc, target_xpath, name, text]`
-    /// — statically type-checked in-place replacement of every selected
-    /// element with a fresh leaf.
-    UpdateReplaceNode = 0x12,
     /// `[doc, update_text]` — parse and run one XQuery-Update-lite
     /// expression under the static type-check; returns
     /// `[verdict, nodes, revalidated]`.
@@ -136,7 +116,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Every opcode, in wire-byte order.
-    pub const ALL: [Opcode; 20] = [
+    pub const ALL: [Opcode; 13] = [
         Opcode::Ping,
         Opcode::PutSchema,
         Opcode::DelSchema,
@@ -145,16 +125,9 @@ impl Opcode {
         Opcode::Validate,
         Opcode::Query,
         Opcode::Xquery,
-        Opcode::UpdateInsert,
-        Opcode::UpdateDelete,
-        Opcode::UpdateSetAttr,
-        Opcode::UpdateSetText,
         Opcode::List,
         Opcode::Stats,
         Opcode::Save,
-        Opcode::UpdateInsertBefore,
-        Opcode::UpdateInsertAfter,
-        Opcode::UpdateReplaceNode,
         Opcode::Update,
         Opcode::Explain,
     ];
@@ -175,16 +148,9 @@ impl Opcode {
             Opcode::Validate => "VALIDATE",
             Opcode::Query => "QUERY",
             Opcode::Xquery => "XQUERY",
-            Opcode::UpdateInsert => "UPDATE_INSERT",
-            Opcode::UpdateDelete => "UPDATE_DELETE",
-            Opcode::UpdateSetAttr => "UPDATE_SET_ATTR",
-            Opcode::UpdateSetText => "UPDATE_SET_TEXT",
             Opcode::List => "LIST",
             Opcode::Stats => "STATS",
             Opcode::Save => "SAVE",
-            Opcode::UpdateInsertBefore => "UPDATE_INSERT_BEFORE",
-            Opcode::UpdateInsertAfter => "UPDATE_INSERT_AFTER",
-            Opcode::UpdateReplaceNode => "UPDATE_REPLACE_NODE",
             Opcode::Update => "UPDATE",
             Opcode::Explain => "EXPLAIN",
         }
@@ -224,7 +190,8 @@ pub enum Status {
     Invalid = 10,
     /// The XPath expression failed to parse.
     XPath = 11,
-    /// The XQuery expression failed to parse or evaluate.
+    /// The XQuery expression failed to parse or evaluate, or an update
+    /// selected a target of the wrong kind (XUTY0005/6/8).
     XQuery = 12,
     /// Filesystem failure during SAVE.
     Io = 13,
@@ -772,8 +739,8 @@ mod tests {
         // must fail here, not in production.
         assert_eq!(Opcode::Ping as u8, 0x01);
         assert_eq!(Opcode::Save as u8, 0x0F);
-        assert_eq!(Opcode::UpdateInsertBefore as u8, 0x10);
         assert_eq!(Opcode::Update as u8, 0x13);
+        assert_eq!(Opcode::Explain as u8, 0x14);
         assert_eq!(Status::Ok as u8, 0);
         assert_eq!(Status::QueryStaticallyEmpty as u8, 5);
         assert_eq!(Status::SchemaInUse as u8, 16);
@@ -787,6 +754,10 @@ mod tests {
             assert_eq!(Status::from_u8(st as u8), Some(st));
         }
         assert_eq!(Opcode::from_u8(0x7f), None);
+        // The retired node-level update bytes stay unassigned.
+        for retired in (0x09..=0x0C).chain(0x10..=0x12) {
+            assert_eq!(Opcode::from_u8(retired), None, "0x{retired:02x}");
+        }
         assert_eq!(Status::from_u8(0x7f), None);
     }
 

@@ -1004,16 +1004,9 @@ fn op_counter(op: Opcode) -> CounterId {
         Opcode::Validate => CounterId::SrvOpValidate,
         Opcode::Query => CounterId::SrvOpQuery,
         Opcode::Xquery => CounterId::SrvOpXquery,
-        Opcode::UpdateInsert => CounterId::SrvOpUpdateInsert,
-        Opcode::UpdateDelete => CounterId::SrvOpUpdateDelete,
-        Opcode::UpdateSetAttr => CounterId::SrvOpUpdateSetAttr,
-        Opcode::UpdateSetText => CounterId::SrvOpUpdateSetText,
         Opcode::List => CounterId::SrvOpList,
         Opcode::Stats => CounterId::SrvOpStats,
         Opcode::Save => CounterId::SrvOpSave,
-        Opcode::UpdateInsertBefore => CounterId::SrvOpUpdateInsertBefore,
-        Opcode::UpdateInsertAfter => CounterId::SrvOpUpdateInsertAfter,
-        Opcode::UpdateReplaceNode => CounterId::SrvOpUpdateReplaceNode,
         Opcode::Update => CounterId::SrvOpUpdate,
         Opcode::Explain => CounterId::SrvOpExplain,
     }
@@ -1035,10 +1028,6 @@ fn err_response(e: &DbError) -> (Status, Vec<String>) {
     (Status::of(e), vec![e.to_string()])
 }
 
-fn ok_count(n: usize) -> (Status, Vec<String>) {
-    (Status::Ok, vec![n.to_string()])
-}
-
 /// The one checkpoint path: the `SAVE` opcode and graceful shutdown
 /// both commit through here, so there is exactly one place where the
 /// in-memory state is folded into the paged store and the write-ahead
@@ -1053,7 +1042,6 @@ pub fn checkpoint(shared: &SharedDatabase, dir: &Path) -> Result<(), DbError> {
 /// outcome as a response.
 fn apply_mutation(state: &ServerState, m: &Mutation) -> (Status, Vec<String>) {
     match state.shared.apply(m) {
-        Ok(ApplyOutcome::Updated(n)) => ok_count(n),
         Ok(ApplyOutcome::UpdatedChecked(o)) => (
             Status::Ok,
             vec![o.verdict.to_string(), o.nodes.to_string(), o.revalidated.to_string()],
@@ -1146,81 +1134,6 @@ fn dispatch(state: &ServerState, op: Opcode, fields: &[String]) -> (Status, Vec<
                 Ok(plan) => (Status::Ok, vec![plan]),
                 Err(e) => err_response(&e),
             }
-        }
-        Opcode::UpdateInsert => {
-            if fields.len() != 3 && fields.len() != 4 {
-                return (
-                    Status::BadFrame,
-                    vec![format!("UPDATE_INSERT expects 3 or 4 field(s), got {}", fields.len())],
-                );
-            }
-            apply_mutation(
-                state,
-                &Mutation::UpdateInsert {
-                    doc: fields[0].clone(),
-                    parent: fields[1].clone(),
-                    name: fields[2].clone(),
-                    text: fields.get(3).cloned(),
-                },
-            )
-        }
-        Opcode::UpdateDelete => {
-            if let Err(e) = check(2) {
-                return e;
-            }
-            apply_mutation(
-                state,
-                &Mutation::UpdateDelete { doc: fields[0].clone(), xpath: fields[1].clone() },
-            )
-        }
-        Opcode::UpdateSetAttr => {
-            if let Err(e) = check(4) {
-                return e;
-            }
-            apply_mutation(
-                state,
-                &Mutation::UpdateSetAttr {
-                    doc: fields[0].clone(),
-                    xpath: fields[1].clone(),
-                    attr: fields[2].clone(),
-                    value: fields[3].clone(),
-                },
-            )
-        }
-        Opcode::UpdateSetText => {
-            if let Err(e) = check(3) {
-                return e;
-            }
-            apply_mutation(
-                state,
-                &Mutation::UpdateSetText {
-                    doc: fields[0].clone(),
-                    xpath: fields[1].clone(),
-                    value: fields[2].clone(),
-                },
-            )
-        }
-        Opcode::UpdateInsertBefore | Opcode::UpdateInsertAfter | Opcode::UpdateReplaceNode => {
-            if fields.len() != 3 && fields.len() != 4 {
-                return (
-                    Status::BadFrame,
-                    vec![format!("{} expects 3 or 4 field(s), got {}", op.name(), fields.len())],
-                );
-            }
-            let doc = fields[0].clone();
-            let target = fields[1].clone();
-            let name = fields[2].clone();
-            let text = fields.get(3).cloned();
-            let m = match op {
-                Opcode::UpdateInsertBefore => {
-                    Mutation::UpdateInsertBefore { doc, target, name, text }
-                }
-                Opcode::UpdateInsertAfter => {
-                    Mutation::UpdateInsertAfter { doc, target, name, text }
-                }
-                _ => Mutation::UpdateReplaceNode { doc, target, name, text },
-            };
-            apply_mutation(state, &m)
         }
         Opcode::Update => {
             if let Err(e) = check(2) {

@@ -63,11 +63,16 @@ fn every_opcode_round_trips() {
     assert!(plan.starts_with("plan /list/item @ stats generation "), "{plan}");
     assert!(plan.contains("strategy=") && plan.contains("actual_rows="), "{plan}");
 
-    assert_eq!(c.update_insert("d", "/list", "item", Some("gamma")).expect("insert"), 1);
-    assert_eq!(c.update_set_attr("d", "/list", "state", "new").expect("set_attr"), 1);
-    assert_eq!(c.update_set_text("d", "/list/item[1]", "ALPHA").expect("set_text"), 1);
+    let nodes = |r: Result<xsserver::client::UpdateReport, ClientError>| r.expect("update").nodes;
+    assert_eq!(nodes(c.update("d", "insert node <item>gamma</item> into /list")), 1);
+    // <list> declares no attributes: refused, not planted.
+    expect_status(
+        c.update("d", r#"insert attribute state="new" into /list"#),
+        Status::UpdateStaticallyInvalid,
+    );
+    assert_eq!(nodes(c.update("d", r#"replace value of node /list/item[1] with "ALPHA""#)), 1);
     assert_eq!(c.query("d", "/list/item").expect("query"), ["ALPHA", "beta", "gamma"]);
-    assert_eq!(c.update_delete("d", "/list/item[2]").expect("delete"), 1);
+    assert_eq!(nodes(c.update("d", "delete node /list/item[2]")), 1);
     assert_eq!(c.query("d", "/list/item").expect("query"), ["ALPHA", "gamma"]);
 
     let listing = c.list().expect("list");
@@ -102,12 +107,12 @@ fn guarded_update_opcodes_round_trip() {
     assert_eq!((r.verdict.as_str(), r.nodes, r.revalidated), ("accept", 1, 0));
     assert_eq!(c.query("d", "/list/item").expect("query"), ["alpha", "beta", "gamma"]);
 
-    // The structured statically-checked opcodes.
-    let r = c.update_insert_before("d", "/list/item[1]", "item", Some("zero")).expect("before");
+    // Sibling inserts and replacement, through the same opcode.
+    let r = c.update("d", "insert node <item>zero</item> before /list/item[1]").expect("before");
     assert_eq!((r.verdict.as_str(), r.nodes), ("accept", 1));
-    let r = c.update_insert_after("d", "/list/item[4]", "item", Some("delta")).expect("after");
+    let r = c.update("d", "insert node <item>delta</item> after /list/item[4]").expect("after");
     assert_eq!((r.verdict.as_str(), r.nodes), ("accept", 1));
-    let r = c.update_replace_node("d", "/list/item[2]", "item", Some("ALPHA")).expect("replace");
+    let r = c.update("d", "replace node /list/item[2] with <item>ALPHA</item>").expect("replace");
     assert_eq!((r.verdict.as_str(), r.nodes), ("accept", 1));
     assert_eq!(
         c.query("d", "/list/item").expect("query"),
@@ -121,7 +126,7 @@ fn guarded_update_opcodes_round_trip() {
         Status::UpdateStaticallyInvalid,
     );
     expect_status(
-        c.update_replace_node("d", "/list/item[1]", "rogue", None),
+        c.update("d", "replace node /list/item[1] with <rogue/>"),
         Status::UpdateStaticallyInvalid,
     );
     assert_eq!(
@@ -129,7 +134,8 @@ fn guarded_update_opcodes_round_trip() {
         ["zero", "ALPHA", "beta", "gamma", "delta"]
     );
 
-    // The new per-opcode and analysis counters are published.
+    // The per-opcode and analysis counters are published; the retired
+    // opcodes' counters stay in the stable export.
     let stats = c.stats_json().expect("stats");
     for key in [
         "server.op.update_total",
@@ -177,9 +183,12 @@ fn results_are_byte_identical_to_in_process_calls() {
     assert_eq!(local, remote, "validation rendering diverged");
 
     // Updates produce identical states, observed through queries.
+    let update = "insert node <item>new</item> into /list";
+    let local = db.execute_update("d", update).unwrap();
+    let remote = c.update("d", update).unwrap();
     assert_eq!(
-        db.update_insert_element("d", "/list", "item", Some("new")).unwrap(),
-        c.update_insert("d", "/list", "item", Some("new")).unwrap()
+        (local.verdict.to_string(), local.nodes, local.revalidated),
+        (remote.verdict, remote.nodes, remote.revalidated)
     );
     assert_eq!(db.query("d", "/list/item").unwrap(), c.query("d", "/list/item").unwrap());
 
@@ -295,6 +304,31 @@ fn malformed_and_oversized_frames_are_rejected() {
     let stats = c.stats_json().expect("stats");
     assert!(stats.contains("server.frame_rejections_total"), "{stats}");
 
+    handle.shutdown().expect("shutdown");
+}
+
+/// The retired node-level update opcodes (`0x09`–`0x0C`, `0x10`–`0x12`)
+/// are unassigned bytes: each gets the typed `ERR_UNKNOWN_OPCODE`
+/// refusal, and the same connection goes on answering `PING`.
+#[test]
+fn retired_update_opcodes_are_unknown_and_the_connection_survives() {
+    let (handle, addr) = start_default();
+    let mut s = TcpStream::connect(&addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut header = [0u8; 6];
+    let mut read_status = |s: &mut TcpStream| {
+        s.read_exact(&mut header).unwrap();
+        let len = u32::from_be_bytes([header[2], header[3], header[4], header[5]]) as usize;
+        s.read_exact(&mut vec![0u8; len]).unwrap();
+        header[1]
+    };
+    for retired in (0x09..=0x0C).chain(0x10..=0x12) {
+        let fields: [&[u8]; 2] = [b"d", b"/list/item"];
+        s.write_all(&raw_frame(WIRE_VERSION, retired, &fields_payload(&fields))).unwrap();
+        assert_eq!(read_status(&mut s), Status::UnknownOpcode as u8, "opcode 0x{retired:02x}");
+        s.write_all(&raw_frame(WIRE_VERSION, Opcode::Ping as u8, &fields_payload(&[]))).unwrap();
+        assert_eq!(read_status(&mut s), Status::Ok as u8, "PING after 0x{retired:02x}");
+    }
     handle.shutdown().expect("shutdown");
 }
 

@@ -242,7 +242,6 @@ fn mid_pipeline_disconnects_are_harmless() {
 /// snapshot and legitimately differs between runs.)
 #[test]
 fn pipelined_responses_are_byte_identical_to_lockstep() {
-    let update = "insert node <item>zeta</item> into /list";
     let xq = "for $i in /list/item return $i";
     let sequence: Vec<(Opcode, Vec<&str>)> = vec![
         (Opcode::Ping, vec![]),
@@ -253,14 +252,14 @@ fn pipelined_responses_are_byte_identical_to_lockstep() {
         (Opcode::Query, vec!["d", "/list/item"]),
         (Opcode::Xquery, vec!["d", xq]),
         (Opcode::Explain, vec!["d", "/list/item"]),
-        (Opcode::UpdateInsert, vec!["d", "/list", "item", "gamma"]),
-        (Opcode::UpdateSetAttr, vec!["d", "/list", "state", "new"]),
-        (Opcode::UpdateSetText, vec!["d", "/list/item[1]", "ALPHA"]),
-        (Opcode::UpdateDelete, vec!["d", "/list/item[2]"]),
-        (Opcode::Update, vec!["d", update]),
-        (Opcode::UpdateInsertBefore, vec!["d", "/list/item[1]", "item", "zero"]),
-        (Opcode::UpdateInsertAfter, vec!["d", "/list/item[1]", "item", "half"]),
-        (Opcode::UpdateReplaceNode, vec!["d", "/list/item[2]", "item", "HALF"]),
+        (Opcode::Update, vec!["d", "insert node <item>gamma</item> into /list"]),
+        (Opcode::Update, vec!["d", r#"insert attribute state="new" into /list"#]),
+        (Opcode::Update, vec!["d", r#"replace value of node /list/item[1] with "ALPHA""#]),
+        (Opcode::Update, vec!["d", "delete node /list/item[2]"]),
+        (Opcode::Update, vec!["d", "insert node <item>zeta</item> into /list"]),
+        (Opcode::Update, vec!["d", "insert node <item>zero</item> before /list/item[1]"]),
+        (Opcode::Update, vec!["d", "insert node <item>half</item> after /list/item[1]"]),
+        (Opcode::Update, vec!["d", "replace node /list/item[2] with <item>HALF</item>"]),
         (Opcode::Query, vec!["d", "/list/item"]),
         (Opcode::List, vec![]),
         (Opcode::Stats, vec![]),

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Update one node, then crash the (incremental) save at every
     //    other operation; the directory always loads as one complete
     //    state — the old text or the new, never a torn hybrid.
-    db.update_set_text("memo", "/note", "pick up oat milk")?;
+    db.execute_update("memo", r#"replace value of node /note with "pick up oat milk""#)?;
     let total = {
         let counter = FaultyVfs::counting();
         db.save_dir_vfs(&dir, &counter)?;
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("\nthe one-node update cost {total} VFS operations; crashing a few:");
     for k in (0..total).step_by(2) {
-        db.update_set_text("memo", "/note", &format!("crash run {k}"))?;
+        db.execute_update("memo", &format!(r#"replace value of node /note with "crash run {k}""#))?;
         let vfs = FaultyVfs::crash_at(k);
         let result = db.save_dir_vfs(&dir, &vfs);
         let loaded = Database::load_dir(&dir)?;

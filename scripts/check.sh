@@ -39,6 +39,13 @@ cargo test -q -p xsdb --test broken_pipe
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 
+# Both benchmark drivers (their own workspaces) build against the
+# current API, so a change that breaks the traced replay fails here
+# instead of silently dropping its per-layer metrics.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
+cargo build --release --offline --manifest-path benchmark/trace/Cargo.toml \
+  --target-dir target/benchmark
+
 # xsd-lint golden corpus: the diagnostic codes for each fixture are
 # pinned — a pass that starts (or stops) firing is a visible diff here.
 for xsd in fixtures/lint/*.xsd; do
@@ -85,7 +92,7 @@ done
 # No new unwrap()/expect() in non-test library code (bins, benches,
 # tests, doc comments, and vendor shims excluded). Lower the baseline
 # when you remove some; never raise it.
-UNWRAP_BASELINE=37
+UNWRAP_BASELINE=36
 unwraps=$(find crates -path '*/src/*' -name '*.rs' ! -path '*/src/bin/*' | sort | xargs awk '
   FNR == 1 { intest = 0 }
   /#\[cfg\(test\)\]/ { intest = 1 }

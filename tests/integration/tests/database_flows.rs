@@ -77,23 +77,23 @@ fn full_lifecycle_update_persist_reload() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut db = seeded();
-    // Update through the physical layer…
-    db.update_insert_element("shelf", "/books", "book", None).unwrap();
-    // …which leaves the new book empty → schema-invalid; revalidate says so.
-    assert!(!db.revalidate("shelf").unwrap().is_empty());
-    // Repair it with further updates.
-    db.update_insert_element("shelf", "/books/book[2]", "title", Some("Transaction Processing"))
+    // An update that would leave an empty, schema-invalid book is
+    // refused before it reaches the document…
+    let before = db.serialize("shelf").unwrap();
+    assert!(db.execute_update("shelf", "insert node <book/> into /books").is_err());
+    assert_eq!(db.serialize("shelf").unwrap(), before);
+    assert!(db.revalidate("shelf").unwrap().is_empty());
+    // …while schema-conforming ones commit.
+    db.execute_update("shelf", r#"replace value of node /books/book/title with "Transactions""#)
         .unwrap();
-    db.update_insert_element("shelf", "/books/book[2]", "year", Some("1993")).unwrap();
+    db.execute_update("shelf", r#"replace value of node /books/book/year with "1993""#).unwrap();
     assert!(db.revalidate("shelf").unwrap().is_empty());
 
     // Persist and reload (reload re-runs f on everything).
     db.save_dir(&dir).unwrap();
     let restored = Database::load_dir(&dir).unwrap();
-    assert_eq!(
-        restored.query("shelf", "/books/book/title").unwrap(),
-        ["Foundations", "Transaction Processing"]
-    );
+    assert_eq!(restored.query("shelf", "/books/book/title").unwrap(), ["Transactions"]);
+    assert_eq!(restored.query("shelf", "/books/book/year").unwrap(), ["1993"]);
     // Serializations are content-equal across the save/load boundary.
     let a = Document::parse(&db.serialize("shelf").unwrap()).unwrap();
     let b = Document::parse(&restored.serialize("shelf").unwrap()).unwrap();
@@ -104,14 +104,19 @@ fn full_lifecycle_update_persist_reload() {
 #[test]
 fn xquery_and_xpath_see_the_same_database_state() {
     let mut db = seeded();
-    db.update_insert_element("shelf", "/books", "book", None).unwrap();
-    db.update_insert_element("shelf", "/books/book[2]", "title", Some("Zen")).unwrap();
-    db.update_insert_element("shelf", "/books/book[2]", "year", Some("2001")).unwrap();
+    db.execute_update("shelf", r#"replace value of node /books/book/title with "Zen""#).unwrap();
     let via_xpath = db.query("shelf", "/books/book/title").unwrap();
     let via_xquery =
         db.xquery("shelf", "for $b in /books/book return <t>{$b/title/text()}</t>").unwrap();
-    assert_eq!(via_xpath, ["Foundations", "Zen"]);
-    assert_eq!(via_xquery, "<t>Foundations</t><t>Zen</t>");
+    assert_eq!(via_xpath, ["Zen"]);
+    assert_eq!(via_xquery, "<t>Zen</t>");
+    // A new text node, resolved through the same descriptors.
+    db.execute_update("pad", "insert node <em>too</em> into /notes/note").unwrap();
+    assert_eq!(db.query("pad", "/notes/note/em").unwrap(), ["this", "too"]);
+    assert_eq!(
+        db.xquery("pad", "for $e in /notes/note/em return $e").unwrap(),
+        "<em>this</em><em>too</em>"
+    );
 }
 
 #[test]

@@ -15,7 +15,7 @@ proptest! {
     fn physical_g_equals_logical_g(books in 1usize..30, seed in 0u64..1000) {
         let (store, doc) = bench::build_library_tree(books, books / 2, seed);
         let storage = XmlStorage::from_tree(&store, doc);
-        let physical = storage_to_document(&storage);
+        let physical = storage_to_document(&storage).unwrap();
         let logical = serialize_tree(&store, doc);
         prop_assert!(content_equal(&physical, &logical));
     }
@@ -30,8 +30,8 @@ proptest! {
         let storage2 = XmlStorage::from_tree(&rebuilt, rebuilt_doc);
         prop_assert_eq!(storage2.check_invariants(), None);
         prop_assert!(content_equal(
-            &storage_to_document(&storage),
-            &storage_to_document(&storage2)
+            &storage_to_document(&storage).unwrap(),
+            &storage_to_document(&storage2).unwrap()
         ));
     }
 
@@ -57,7 +57,7 @@ proptest! {
             }
         }
         prop_assert_eq!(storage.check_invariants(), None);
-        let physical = storage_to_document(&storage);
+        let physical = storage_to_document(&storage).unwrap();
         let (rebuilt, rebuilt_doc) = storage_to_tree(&storage);
         let via_tree = serialize_tree(&rebuilt, rebuilt_doc);
         prop_assert!(content_equal(&physical, &via_tree));

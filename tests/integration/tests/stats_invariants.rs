@@ -117,9 +117,10 @@ proptest! {
         prop_assert_eq!(storage.check_invariants(), None);
     }
 
-    /// Database-level `Mutation` sequences (the WAL/replication
-    /// vocabulary): whatever subset applies cleanly, every stored
-    /// document's catalog still equals a rebuild afterwards.
+    /// A path-targeted insert/attribute/set/delete mix: applied through
+    /// the raw storage mutators, and as `Mutation`s (the WAL/replication
+    /// vocabulary) through the commit path — after every operation, each
+    /// catalog still equals a rebuild.
     #[test]
     fn mutation_sequences_preserve_stats(ops in 1usize..25, seed in 0u64..1_000_000) {
         const XSD: &str = r#"
@@ -149,39 +150,65 @@ proptest! {
         })
         .unwrap();
 
+        // The same path-targeted mix twice: through `XmlStorage`'s own
+        // mutators on a private copy (which also plants the empty,
+        // schema-invalid books no checked update admits), and as
+        // statically checked `UPDATE` mutations through the commit path.
+        let mut raw = sh.read().document("d").unwrap().storage.clone();
         let mut rng = TestRng::for_case("stats_mutations", seed);
         for op in 0..ops {
-            let m = match rng.below(5) {
-                0 => Mutation::UpdateInsert {
-                    doc: "d".into(),
-                    parent: "/library".into(),
-                    name: "book".into(),
-                    text: None,
-                },
-                1 => Mutation::UpdateInsert {
-                    doc: "d".into(),
-                    parent: format!("/library/book[{}]", 1 + rng.below(4)),
-                    name: "author".into(),
-                    text: Some(format!("a{op}")),
-                },
-                2 => Mutation::UpdateSetAttr {
-                    doc: "d".into(),
-                    xpath: format!("/library/book[{}]", 1 + rng.below(4)),
-                    attr: "id".into(),
-                    value: format!("b{op}"),
-                },
-                3 => Mutation::UpdateSetText {
-                    doc: "d".into(),
-                    xpath: format!("/library/book[{}]/title", 1 + rng.below(4)),
-                    value: format!("t{op}"),
-                },
-                _ => Mutation::UpdateDelete {
-                    doc: "d".into(),
-                    xpath: format!("/library/book[{}]/author[1]", 1 + rng.below(4)),
-                },
+            let (kind, book) = (rng.below(5), 1 + rng.below(4));
+            let (path, update) = match kind {
+                0 => ("/library".to_string(), "insert node <book/> into /library".to_string()),
+                1 => (
+                    format!("/library/book[{book}]"),
+                    format!("insert node <author>a{op}</author> into /library/book[{book}]"),
+                ),
+                2 => (
+                    format!("/library/book[{book}]"),
+                    format!(r#"insert attribute id="b{op}" into /library/book[{book}]"#),
+                ),
+                3 => (
+                    format!("/library/book[{book}]/title"),
+                    format!(r#"replace value of node /library/book[{book}]/title with "t{op}""#),
+                ),
+                _ => (
+                    format!("/library/book[{book}]/author[1]"),
+                    format!("delete node /library/book[{book}]/author[1]"),
+                ),
             };
+            for target in xsdb::xpath::eval_guided(&raw, &parse(&path).unwrap()) {
+                match kind {
+                    0 => {
+                        let last = raw.children(target).last().copied();
+                        raw.insert_element(target, last, "book").unwrap();
+                    }
+                    1 => {
+                        let last = raw.children(target).last().copied();
+                        let author = raw.insert_element(target, last, "author").unwrap();
+                        raw.insert_text(author, None, format!("a{op}")).unwrap();
+                    }
+                    2 => {
+                        raw.insert_attribute(target, "id", &format!("b{op}")).unwrap();
+                    }
+                    3 => {
+                        for c in raw.children(target) {
+                            raw.delete(c).unwrap();
+                        }
+                        raw.insert_text(target, None, format!("t{op}")).unwrap();
+                    }
+                    _ => raw.delete(target).unwrap(),
+                }
+            }
+            prop_assert_eq!(
+                raw.stats().clone(), raw.rebuild_stats(),
+                "raw stats diverged after {} ({})", op, update
+            );
+            prop_assert_eq!(raw.check_invariants(), None);
+
             // Statically unsafe or empty-target updates may be refused —
             // the invariant is about whatever actually applied.
+            let m = Mutation::Update { doc: "d".into(), update: update.clone() };
             let _ = sh.apply(&m);
             let db = sh.read();
             let storage = &db.document("d").unwrap().storage;
@@ -236,7 +263,7 @@ fn database_replans_after_update() {
         <xs:element name="book" minOccurs="0" maxOccurs="unbounded">
           <xs:complexType>
             <xs:sequence>
-              <xs:element name="title" type="xs:string"/>
+              <xs:element name="title" type="xs:string" maxOccurs="unbounded"/>
             </xs:sequence>
           </xs:complexType>
         </xs:element>
@@ -255,9 +282,8 @@ fn database_replans_after_update() {
     };
     assert_eq!(db.query("d", "/library/book/title").unwrap().len(), 1);
 
-    let book = db.update_insert_element("d", "/library", "book", None).unwrap();
-    assert_eq!(book, 1);
-    db.update_insert_element("d", "/library/book[2]", "title", Some("two")).unwrap();
+    let out = db.execute_update("d", "insert node <title>two</title> into /library/book").unwrap();
+    assert_eq!(out.nodes, 1);
 
     // The post-update query sees both titles — it planned (and ran)
     // against the post-update catalog, never the stale one.

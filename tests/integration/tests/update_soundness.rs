@@ -270,17 +270,13 @@ fn nested_delete_targets_resolve_to_the_outermost() {
     assert_eq!(out.nodes, 2);
     assert_eq!(db.serialize("d").expect("serializes"), "<doc/>");
     assert_sound(&db, "typed delete");
-
-    let mut db = nested_db();
-    assert_eq!(db.update_delete("d", "//section").expect("untyped delete"), 2);
-    assert_eq!(db.serialize("d").expect("serializes"), "<doc/>");
-    assert_sound(&db, "untyped delete");
 }
 
 #[test]
 fn nested_set_text_targets_resolve_to_the_outermost() {
     let mut db = nested_db();
-    assert_eq!(db.update_set_text("d", "//section", "x").expect("set text"), 2);
+    let out = db.execute_update("d", r#"replace value of node //section with "x""#);
+    assert_eq!(out.expect("typed replace value").nodes, 2);
     assert_eq!(
         db.serialize("d").expect("serializes"),
         "<doc><section>x</section><section>x</section></doc>"
@@ -325,3 +321,126 @@ fn a_logged_nested_delete_replays_cleanly() {
     assert_sound(&again.read(), "recovered");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `book` is mixed: a `title`, any number of `note`s, free text, and an
+/// `id` attribute — so element, text and attribute targets all exist.
+const KINDS_XSD: &str = r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="library">
+    <xs:complexType>
+      <xs:sequence>
+        <xs:element name="book" maxOccurs="unbounded">
+          <xs:complexType mixed="true">
+            <xs:sequence>
+              <xs:element name="title" type="xs:string"/>
+              <xs:element name="note" type="xs:string" minOccurs="0" maxOccurs="unbounded"/>
+            </xs:sequence>
+            <xs:attribute name="id" type="xs:string"/>
+          </xs:complexType>
+        </xs:element>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>"#;
+
+const KINDS_DOC: &str = r#"<library><book id="b1"><title>T1</title>tail</book><book id="b2"><title>T2</title>tail</book></library>"#;
+
+fn kinds_db() -> Database {
+    let opts = xsdb::LoadOptions { require_all_attributes: false, ..Default::default() };
+    let mut db = Database::with_options(opts);
+    db.register_schema_text("lib", KINDS_XSD).expect("schema registers");
+    db.insert("d", "lib", KINDS_DOC).expect("document is valid");
+    db
+}
+
+/// Every kind of target gets a real answer: it applies, or the whole
+/// update is refused with the XQuery Update Facility's error code —
+/// never a silent "0 nodes". A refused update leaves no trace, hidden
+/// or visible.
+#[test]
+fn every_target_kind_gets_a_real_answer() {
+    let applied = [
+        (r#"replace value of node //title/text() with "new""#, "<title>new</title>"),
+        (r#"replace value of node //book/@id with "x""#, r#"<book id="x">"#),
+        ("insert node <note>n</note> after //book/text()", "tail<note>n</note>"),
+        ("insert node <note>n</note> before //book/text()", "</title><note>n</note>tail"),
+        ("replace node //book/text() with <note>n</note>", "</title><note>n</note></book>"),
+    ];
+    for (update, shows) in applied {
+        let mut db = kinds_db();
+        let out = db.execute_update("d", update).unwrap_or_else(|e| panic!("{update}: {e}"));
+        assert_eq!(out.nodes, 2, "{update}");
+        let xml = db.serialize("d").expect("serializes");
+        assert_eq!(xml.matches(shows).count(), 2, "{update}: {xml}");
+        assert_eq!(db.document("d").expect("doc").storage.check_invariants(), None, "{update}");
+        assert!(db.revalidate("d").expect("revalidate runs").is_empty(), "{update}");
+    }
+
+    let refused = [
+        ("insert node <evil/> into //book/title/text()", "XUTY0005", "/library/book/title/text()"),
+        (
+            r#"insert attribute evil="v" into //title/text()"#,
+            "XUTY0005",
+            "/library/book/title/text()",
+        ),
+        ("insert node <evil/> into //book/@id", "XUTY0005", "/library/book/@id"),
+        ("insert node <note/> before //book/@id", "XUTY0006", "/library/book/@id"),
+        ("insert node <note/> after //book/@id", "XUTY0006", "/library/book/@id"),
+        ("replace node //book/@id with <note/>", "XUTY0008", "/library/book/@id"),
+        ("insert node <note/> after /", "XUTY0006", "/"),
+    ];
+    for (update, code, host) in refused {
+        let mut db = kinds_db();
+        let err = db.execute_update("d", update).expect_err(update);
+        let DbError::XQuery(e) = &err else { panic!("{update}: expected XQuery, got {err}") };
+        assert!(e.reason.starts_with(code), "{update}: {}", e.reason);
+        // Two books, two offending targets, one host named once.
+        assert!(e.reason.ends_with(&format!("not {host}")), "{update}: {}", e.reason);
+        assert_eq!(db.serialize("d").expect("serializes"), KINDS_DOC, "{update}");
+        let storage = &db.document("d").expect("doc").storage;
+        assert_eq!(storage.check_invariants(), None, "{update}");
+        assert!(db.query("d", "//evil").expect("query").is_empty(), "{update}");
+        let flwor = db.xquery("d", "for $e in //evil return $e").expect("xquery");
+        assert!(flwor.is_empty(), "{update}: {flwor}");
+    }
+
+    // One path can yield an element, its descendant, and that
+    // descendant's attribute. Rewriting the outer element's value frees
+    // the attribute, so it must not be edited afterwards; the attributes
+    // of a target element itself survive and stay targets.
+    let mut db = Database::with_options(xsdb::LoadOptions {
+        require_all_attributes: false,
+        ..Default::default()
+    });
+    db.register_schema_text("mixed", MIXED_XSD).expect("schema registers");
+    let subsumed = [
+        (r#"replace value of node /r/b/@id/ancestor-or-self::node()[..] with "x""#, 1, "<r>x</r>"),
+        (
+            r#"replace value of node /r/b/@id/ancestor-or-self::node()[../..] with "x""#,
+            2,
+            r#"<r><b id="x">x</b></r>"#,
+        ),
+    ];
+    for (update, nodes, shows) in subsumed {
+        db.insert("d", "mixed", r#"<r><b id="1"/></r>"#).expect("document is valid");
+        let out = db.execute_update("d", update).unwrap_or_else(|e| panic!("{update}: {e}"));
+        assert_eq!(out.nodes, nodes, "{update}");
+        assert_eq!(db.serialize("d").expect("serializes"), shows, "{update}");
+        assert_sound(&db, update);
+        assert!(db.delete("d"), "{update}");
+    }
+}
+
+/// `r` is mixed with an optional `b`, and `b` is mixed with an `id`.
+const MIXED_XSD: &str = r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="r">
+    <xs:complexType mixed="true">
+      <xs:sequence>
+        <xs:element name="b" minOccurs="0">
+          <xs:complexType mixed="true">
+            <xs:attribute name="id" type="xs:string"/>
+          </xs:complexType>
+        </xs:element>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>"#;
