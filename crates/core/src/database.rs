@@ -21,6 +21,7 @@ use xmlparse::{Document, ParseLimits};
 use xsmodel::DocumentSchema;
 
 use crate::error::DbError;
+use crate::mutation::ApplyOutcome;
 use crate::persist::PersistState;
 use crate::physical::storage_to_document;
 use crate::update::{self, UpdateOutcome};
@@ -34,6 +35,73 @@ pub struct StoredDocument {
     /// §9 block storage — the document's only stored form.
     pub storage: XmlStorage,
 }
+
+/// A mutation computed against one database state and not yet
+/// installed: what [`crate::Mutation::prepare`] returns and
+/// [`Database::commit`] installs. §6.1 makes a mutation a function from
+/// one state to the next, so its value is computed first — parse, `f`,
+/// the storage build, an update's apply-on-copy — and installing it is
+/// one map insert or removal. It keeps the `Arc`s its preparation read,
+/// so a commit can tell whether they are still installed.
+#[derive(Debug)]
+pub struct Prepared {
+    effect: Effect,
+    outcome: ApplyOutcome,
+}
+
+/// What installing a [`Prepared`] changes, with what its preparation
+/// read.
+#[derive(Debug)]
+enum Effect {
+    /// Register `schema` under the absent name `name`.
+    RegisterSchema { name: String, schema: Arc<DocumentSchema> },
+    /// Remove `schema`, registered as `name` and validating no document.
+    RemoveSchema { name: String, schema: Arc<DocumentSchema> },
+    /// Install `post` as `name` over `pre` (`None`: the name was
+    /// absent), validated against `schema`.
+    Put {
+        name: String,
+        pre: Option<Arc<StoredDocument>>,
+        schema: Arc<DocumentSchema>,
+        post: Arc<StoredDocument>,
+    },
+    /// Remove `pre`, stored as `name`.
+    Delete { name: String, pre: Arc<StoredDocument> },
+}
+
+impl Prepared {
+    /// A new document `doc_name`, built against `schema`.
+    fn inserted(
+        doc_name: &str,
+        schema_name: &str,
+        schema: &Arc<DocumentSchema>,
+        storage: XmlStorage,
+    ) -> Prepared {
+        let post = StoredDocument { schema_name: schema_name.to_string(), storage };
+        Prepared {
+            effect: Effect::Put {
+                name: doc_name.to_string(),
+                pre: None,
+                schema: Arc::clone(schema),
+                post: Arc::new(post),
+            },
+            outcome: ApplyOutcome::Inserted,
+        }
+    }
+}
+
+/// [`Database::commit`]'s refusal: another commit replaced something the
+/// preparation read since it was prepared. Prepare again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stale;
+
+impl std::fmt::Display for Stale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("the state a preparation read has since been replaced")
+    }
+}
+
+impl std::error::Error for Stale {}
 
 /// An XML database over the formal model.
 #[derive(Debug)]
@@ -219,22 +287,8 @@ impl Database {
 
     /// Register an already-built schema.
     pub fn register_schema(&mut self, name: &str, schema: DocumentSchema) -> Result<(), DbError> {
-        if self.schemas.contains_key(name) {
-            return Err(DbError::DuplicateSchema(name.to_string()));
-        }
-        let issues = xsmodel::check(&schema);
-        if !issues.is_empty() {
-            return Err(DbError::SchemaNotWellFormed(issues));
-        }
-        if self.strict_analysis {
-            let diags = xsanalyze::analyze_schema(&schema);
-            if xsanalyze::max_severity(&diags) == Some(xsanalyze::Severity::Error) {
-                self.obs.incr(xsobs::CounterId::StrictSchemaRejections);
-                return Err(DbError::SchemaRejected(diags));
-            }
-        }
-        self.schemas.insert(name.to_string(), Arc::new(schema));
-        self.touch_registry();
+        let prepared = self.prepare_register_schema(name, schema)?;
+        self.commit_current(prepared)?;
         Ok(())
     }
 
@@ -247,20 +301,8 @@ impl Database {
     /// registered* can never break. Returns
     /// [`DbError::UnknownSchema`] when no schema has this name.
     pub fn remove_schema(&mut self, name: &str) -> Result<(), DbError> {
-        if !self.schemas.contains_key(name) {
-            return Err(DbError::UnknownSchema(name.to_string()));
-        }
-        let documents: Vec<String> = self
-            .documents
-            .iter()
-            .filter(|(_, d)| d.schema_name == name)
-            .map(|(n, _)| n.clone())
-            .collect();
-        if !documents.is_empty() {
-            return Err(DbError::SchemaInUse { schema: name.to_string(), documents });
-        }
-        self.schemas.remove(name);
-        self.touch_registry();
+        let prepared = self.prepare_remove_schema(name)?;
+        self.commit_current(prepared)?;
         Ok(())
     }
 
@@ -279,8 +321,9 @@ impl Database {
     /// Insert a document from XML text, validating it against the named
     /// schema (the paper's `f`).
     pub fn insert(&mut self, doc_name: &str, schema_name: &str, xml: &str) -> Result<(), DbError> {
-        let parsed = Document::parse_with_limits(xml, &self.limits)?;
-        self.insert_document(doc_name, schema_name, &parsed)
+        let prepared = self.prepare_insert(doc_name, schema_name, xml)?;
+        self.commit_current(prepared)?;
+        Ok(())
     }
 
     /// Insert an already-parsed document.
@@ -290,29 +333,15 @@ impl Database {
         schema_name: &str,
         xml: &Document,
     ) -> Result<(), DbError> {
-        if self.documents.contains_key(doc_name) {
-            return Err(DbError::DuplicateDocument(doc_name.to_string()));
-        }
-        let schema = self
-            .schemas
-            .get(schema_name)
-            .ok_or_else(|| DbError::UnknownSchema(schema_name.to_string()))?;
+        let schema = self.insert_target(doc_name, schema_name)?;
         let storage = {
             let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
             span.set_detail(doc_name);
             ingest(schema, xml, &self.options, &self.cm_cache)?
         };
-        self.store(doc_name, schema_name, storage);
+        let prepared = Prepared::inserted(doc_name, schema_name, schema, storage);
+        self.commit_current(prepared)?;
         Ok(())
-    }
-
-    /// Enter an ingested document into the catalog.
-    fn store(&mut self, doc_name: &str, schema_name: &str, storage: XmlStorage) {
-        self.documents.insert(
-            doc_name.to_string(),
-            Arc::new(StoredDocument { schema_name: schema_name.to_string(), storage }),
-        );
-        self.touch_registry();
     }
 
     /// Admit a document decoded from the paged on-disk form: re-validate
@@ -325,13 +354,7 @@ impl Database {
         schema_name: &str,
         xs: XmlStorage,
     ) -> Result<(), DbError> {
-        if self.documents.contains_key(doc_name) {
-            return Err(DbError::DuplicateDocument(doc_name.to_string()));
-        }
-        let schema = self
-            .schemas
-            .get(schema_name)
-            .ok_or_else(|| DbError::UnknownSchema(schema_name.to_string()))?;
+        let schema = self.insert_target(doc_name, schema_name)?;
         {
             let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
             span.set_detail(doc_name);
@@ -340,7 +363,8 @@ impl Database {
                 return Err(DbError::Invalid(errors));
             }
         }
-        self.store(doc_name, schema_name, xs);
+        let prepared = Prepared::inserted(doc_name, schema_name, schema, xs);
+        self.commit_current(prepared)?;
         Ok(())
     }
 
@@ -432,10 +456,9 @@ impl Database {
             .zip(entries)
             .map(|(res, &(name, schema_name, _))| {
                 let storage = res?;
-                if self.documents.contains_key(name) {
-                    return Err(DbError::DuplicateDocument(name.to_string()));
-                }
-                self.store(name, schema_name, storage);
+                let schema = self.insert_target(name, schema_name)?;
+                let prepared = Prepared::inserted(name, schema_name, schema, storage);
+                self.commit_current(prepared)?;
                 Ok(())
             })
             .collect()
@@ -467,11 +490,7 @@ impl Database {
 
     /// Delete a document. Returns `true` when it existed.
     pub fn delete(&mut self, name: &str) -> bool {
-        let existed = self.documents.remove(name).is_some();
-        if existed {
-            self.touch_registry();
-        }
-        existed
+        self.prepare_delete(name).is_ok_and(|prepared| self.commit_current(prepared).is_ok())
     }
 
     /// Names of all stored documents.
@@ -547,23 +566,132 @@ impl Database {
         doc_name: &str,
         upd: &xquery::UpdateExpr,
     ) -> Result<UpdateOutcome, DbError> {
-        self.obs.incr(xsobs::CounterId::UpdateChecks);
+        let (outcome, prepared) = self.prepare_update(doc_name, upd)?;
+        self.commit_current(prepared)?;
+        Ok(outcome)
+    }
+
+    // ------------------------------------------------ prepare and commit
+
+    /// Prepare registering `schema` under `name`: the duplicate-name,
+    /// well-formedness and (under strict analysis) static checks.
+    pub(crate) fn prepare_register_schema(
+        &self,
+        name: &str,
+        schema: DocumentSchema,
+    ) -> Result<Prepared, DbError> {
+        if self.schemas.contains_key(name) {
+            return Err(DbError::DuplicateSchema(name.to_string()));
+        }
+        let issues = xsmodel::check(&schema);
+        if !issues.is_empty() {
+            return Err(DbError::SchemaNotWellFormed(issues));
+        }
+        if self.strict_analysis {
+            let diags = xsanalyze::analyze_schema(&schema);
+            if xsanalyze::max_severity(&diags) == Some(xsanalyze::Severity::Error) {
+                self.obs.incr(xsobs::CounterId::StrictSchemaRejections);
+                return Err(DbError::SchemaRejected(diags));
+            }
+        }
+        Ok(Prepared {
+            effect: Effect::RegisterSchema { name: name.to_string(), schema: Arc::new(schema) },
+            outcome: ApplyOutcome::Registered,
+        })
+    }
+
+    /// Prepare removing the schema `name`: it must exist and no stored
+    /// document may validate against it.
+    pub(crate) fn prepare_remove_schema(&self, name: &str) -> Result<Prepared, DbError> {
+        let schema =
+            self.schemas.get(name).ok_or_else(|| DbError::UnknownSchema(name.to_string()))?;
+        let documents = self.documents_of(name);
+        if !documents.is_empty() {
+            return Err(DbError::SchemaInUse { schema: name.to_string(), documents });
+        }
+        Ok(Prepared {
+            effect: Effect::RemoveSchema { name: name.to_string(), schema: Arc::clone(schema) },
+            outcome: ApplyOutcome::Removed,
+        })
+    }
+
+    /// The names of the stored documents validated against `schema`.
+    fn documents_of(&self, schema: &str) -> Vec<String> {
+        self.documents
+            .iter()
+            .filter(|(_, d)| d.schema_name == schema)
+            .map(|(n, _)| n.clone())
+            .collect()
+    }
+
+    /// Prepare inserting `xml` as `doc_name`: the duplicate-name and
+    /// unknown-schema checks, then the parse, `f` and the storage build.
+    pub(crate) fn prepare_insert(
+        &self,
+        doc_name: &str,
+        schema_name: &str,
+        xml: &str,
+    ) -> Result<Prepared, DbError> {
+        let schema = self.insert_target(doc_name, schema_name)?;
+        let parsed = Document::parse_with_limits(xml, &self.limits)?;
+        let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
+        span.set_detail(doc_name);
+        let loaded = load_document_cached(schema, &parsed, &self.options, &self.cm_cache)
+            .map_err(DbError::Invalid)?;
+        // `f` holds its S-tree now: free the DOM before the storage
+        // build, so the DOM, the S-tree and the blocks never coexist.
+        drop(parsed);
+        let storage = XmlStorage::from_tree(&loaded.store, loaded.doc);
+        Ok(Prepared::inserted(doc_name, schema_name, schema, storage))
+    }
+
+    /// The schema a new document `doc_name` would validate against,
+    /// after the duplicate-name and unknown-schema checks.
+    fn insert_target(
+        &self,
+        doc_name: &str,
+        schema_name: &str,
+    ) -> Result<&Arc<DocumentSchema>, DbError> {
+        if self.documents.contains_key(doc_name) {
+            return Err(DbError::DuplicateDocument(doc_name.to_string()));
+        }
+        self.schemas.get(schema_name).ok_or_else(|| DbError::UnknownSchema(schema_name.to_string()))
+    }
+
+    /// Prepare deleting `doc_name`, which must be stored.
+    pub(crate) fn prepare_delete(&self, doc_name: &str) -> Result<Prepared, DbError> {
         let pre = self
             .documents
             .get(doc_name)
             .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
-        let schema = self
-            .schemas
-            .get(&pre.schema_name)
-            .ok_or_else(|| DbError::UnknownSchema(pre.schema_name.clone()))?;
+        Ok(Prepared {
+            effect: Effect::Delete { name: doc_name.to_string(), pre: Arc::clone(pre) },
+            outcome: ApplyOutcome::Deleted(true),
+        })
+    }
+
+    /// Prepare the update `upd` of `doc_name`: the static verdict, then
+    /// resolve → copy → edit → recheck on the pre-state (see the
+    /// `update` module). A refusal is counted here, where it is final;
+    /// a success is counted when it commits, since a stale preparation
+    /// is prepared again.
+    pub(crate) fn prepare_update(
+        &self,
+        doc_name: &str,
+        upd: &xquery::UpdateExpr,
+    ) -> Result<(UpdateOutcome, Prepared), DbError> {
+        let Some(pre) = self.documents.get(doc_name) else {
+            self.count_update(None);
+            return Err(DbError::UnknownDocument(doc_name.to_string()));
+        };
+        let Some(schema) = self.schemas.get(&pre.schema_name) else {
+            self.count_update(None);
+            return Err(DbError::UnknownSchema(pre.schema_name.clone()));
+        };
         let analysis = xsanalyze::analyze_update(schema, upd);
-        match analysis.verdict {
-            xsanalyze::UpdateVerdict::Reject => {
-                self.obs.incr(xsobs::CounterId::UpdateRejected);
-                return Err(DbError::UpdateStaticallyInvalid(analysis.diagnostics));
-            }
-            xsanalyze::UpdateVerdict::Accept => self.obs.incr(xsobs::CounterId::UpdateAccepted),
-            xsanalyze::UpdateVerdict::Recheck => self.obs.incr(xsobs::CounterId::UpdateRechecked),
+        if analysis.verdict == xsanalyze::UpdateVerdict::Reject {
+            self.count_update(Some(analysis.verdict));
+            return Err(DbError::UpdateStaticallyInvalid(analysis.diagnostics));
         }
         let cx = update::Recheck {
             schema,
@@ -571,10 +699,112 @@ impl Database {
             cm_cache: &self.cm_cache,
             obs: &self.obs,
         };
-        let (outcome, storage) = update::apply(&pre.storage, upd, analysis.verdict, &cx)?;
+        let (outcome, storage) = update::apply(&pre.storage, upd, analysis.verdict, &cx)
+            .inspect_err(|_| self.count_update(Some(analysis.verdict)))?;
         let post = StoredDocument { schema_name: pre.schema_name.clone(), storage };
-        self.documents.insert(doc_name.to_string(), Arc::new(post));
-        Ok(outcome)
+        let prepared = Prepared {
+            effect: Effect::Put {
+                name: doc_name.to_string(),
+                pre: Some(Arc::clone(pre)),
+                schema: Arc::clone(schema),
+                post: Arc::new(post),
+            },
+            outcome: ApplyOutcome::UpdatedChecked(outcome),
+        };
+        Ok((outcome, prepared))
+    }
+
+    /// Count one update request under the `update.*` counters: every
+    /// request is a check, and one that reached the static analysis
+    /// also counts under its verdict.
+    fn count_update(&self, verdict: Option<xsanalyze::UpdateVerdict>) {
+        self.obs.incr(xsobs::CounterId::UpdateChecks);
+        if let Some(verdict) = verdict {
+            self.obs.incr(match verdict {
+                xsanalyze::UpdateVerdict::Accept => xsobs::CounterId::UpdateAccepted,
+                xsanalyze::UpdateVerdict::Recheck => xsobs::CounterId::UpdateRechecked,
+                xsanalyze::UpdateVerdict::Reject => xsobs::CounterId::UpdateRejected,
+            });
+        }
+    }
+
+    /// Whether everything `prepared` read is still installed: the slot
+    /// it replaces holds the same `Arc` (or is still empty), and the
+    /// schema a new document state validated against is still the one
+    /// registered. A preparation that is current commits to exactly the
+    /// state preparing it against this database would produce.
+    pub(crate) fn is_current(&self, prepared: &Prepared) -> bool {
+        let same =
+            |installed: Option<&Arc<StoredDocument>>, read: Option<&Arc<StoredDocument>>| match (
+                installed, read,
+            ) {
+                (None, None) => true,
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            };
+        match &prepared.effect {
+            Effect::RegisterSchema { name, .. } => !self.schemas.contains_key(name),
+            Effect::RemoveSchema { name, schema } => {
+                self.schemas.get(name).is_some_and(|s| Arc::ptr_eq(s, schema))
+                    && self.documents_of(name).is_empty()
+            }
+            Effect::Put { name, pre, schema, post } => {
+                same(self.documents.get(name), pre.as_ref())
+                    && self.schemas.get(&post.schema_name).is_some_and(|s| Arc::ptr_eq(s, schema))
+            }
+            Effect::Delete { name, pre } => same(self.documents.get(name), Some(pre)),
+        }
+    }
+
+    /// Install a preparation: check that everything it read is still
+    /// installed, then make its effect with one map insert or removal.
+    /// Commit has no other failure.
+    ///
+    /// # Errors
+    /// [`Stale`] when another commit replaced something the preparation
+    /// read; prepare the mutation again against this state.
+    pub fn commit(&mut self, prepared: Prepared) -> Result<ApplyOutcome, Stale> {
+        if !self.is_current(&prepared) {
+            return Err(Stale);
+        }
+        Ok(self.install(prepared))
+    }
+
+    /// [`Database::commit`] of a preparation made against this very
+    /// state, or found current under the lock that keeps it so. Stale is
+    /// then a broken invariant, so it is reported, not retried.
+    pub(crate) fn commit_current(&mut self, prepared: Prepared) -> Result<ApplyOutcome, DbError> {
+        self.commit(prepared).map_err(|Stale| {
+            DbError::Corrupt("a preparation went stale on the state it was checked against".into())
+        })
+    }
+
+    /// Make a current preparation's effect.
+    fn install(&mut self, prepared: Prepared) -> ApplyOutcome {
+        match prepared.effect {
+            Effect::RegisterSchema { name, schema } => {
+                self.schemas.insert(name, schema);
+                self.touch_registry();
+            }
+            Effect::RemoveSchema { name, .. } => {
+                self.schemas.remove(&name);
+                self.touch_registry();
+            }
+            Effect::Put { name, pre, post, .. } => {
+                self.documents.insert(name, post);
+                if pre.is_none() {
+                    self.touch_registry();
+                }
+            }
+            Effect::Delete { name, .. } => {
+                self.documents.remove(&name);
+                self.touch_registry();
+            }
+        }
+        if let ApplyOutcome::UpdatedChecked(outcome) = prepared.outcome {
+            self.count_update(Some(outcome.verdict));
+        }
+        prepared.outcome
     }
 
     // --------------------------------------------------------- queries

@@ -136,8 +136,10 @@
 //! [`SharedDatabase`] shares one database across threads with
 //! snapshot reads and a single-writer commit path: readers clone an
 //! `Arc` of the last committed epoch and never block (or observe a
-//! half-applied mutation), while writers serialize through a mutex
-//! and publish a fresh epoch per commit. Opened with
+//! half-applied mutation), while writers prepare each mutation against
+//! a snapshot without any lock ([`Mutation::prepare`]) and serialize
+//! only to commit it ([`Database::commit`]) and publish a fresh epoch.
+//! Opened with
 //! [`SharedDatabase::open_durable`], every [`Mutation`] committed via
 //! [`SharedDatabase::apply`] is appended to a write-ahead log before
 //! it is acknowledged — under the [`Durability`] mode chosen
@@ -164,7 +166,7 @@ mod update;
 pub use storage::checksum;
 pub use storage::vfs;
 
-pub use database::{Database, StoredDocument};
+pub use database::{Database, Prepared, Stale, StoredDocument};
 pub use error::DbError;
 pub use mutation::{ApplyOutcome, Mutation};
 pub use persist::{LoadPolicy, LoadReport, Quarantine, QuarantineKind};

@@ -1,25 +1,30 @@
 //! The loggable state transitions of the database — one enum variant
 //! per §6.1 algebra operation that evolves the state.
 //!
-//! A [`Mutation`] is the unit the write-ahead log records: it encodes
-//! to a self-contained byte payload *before* it is applied, and
-//! recovery re-applies decoded payloads in log order. Applying a
-//! mutation is deterministic given the database state, so replaying a
-//! prefix of the log over the matching on-disk state reproduces the
-//! exact in-memory state the writer had — the property the crash
-//! matrix asserts.
+//! A [`Mutation`] is the unit the write-ahead log records. It runs in
+//! two steps. [`Mutation::prepare`] is pure: it reads one database state
+//! and computes the next one's difference — the checks, the parse, `f`,
+//! the storage build, an update's apply-on-copy — as a [`Prepared`].
+//! [`Database::commit`] installs that with one map insert or removal,
+//! after checking that what the preparation read is still installed.
+//! [`Mutation::apply`] is both steps on one state, and recovery
+//! re-applies decoded payloads in log order through it. Preparing is
+//! deterministic given the state it reads, so replaying a prefix of the
+//! log over the matching on-disk state reproduces the exact in-memory
+//! state the writer had — the property the crash matrix asserts.
 //!
-//! Replay tolerance: a mutation the database *rejects* (duplicate
-//! name, unknown name, invalid document, bad XPath) is a deterministic
-//! no-op — it left no trace when first attempted, and it leaves none
-//! on replay. The recovery path therefore skips rejected records
-//! rather than aborting, which also makes replay idempotent when a
-//! record's effect already reached the on-disk state. A record that
-//! does not decode — including one tagged with a retired node-level
-//! update (tags 5–11) — is corruption, not a rejection: it stops
-//! recovery.
+//! A mutation the database rejects (duplicate name, unknown name,
+//! invalid document, a refused update) fails in `prepare`, so the
+//! shared write path never logs it. Replay still skips a record that
+//! fails deterministically rather than aborting: that makes replay
+//! idempotent when a registry record's effect already reached the
+//! on-disk state (a crash between a checkpoint's save and its log
+//! truncation), and it keeps logs written by older binaries, which
+//! logged rejected mutations too, replayable. A record that does not
+//! decode — including one tagged with a retired node-level update (tags
+//! 5–11) — is corruption, not a rejection: it stops recovery.
 
-use crate::database::Database;
+use crate::database::{Database, Prepared};
 use crate::error::DbError;
 
 /// One durable state transition, as written to the write-ahead log.
@@ -71,7 +76,8 @@ pub enum ApplyOutcome {
     Removed,
     /// A document was inserted.
     Inserted,
-    /// A document deletion; `true` when the document existed.
+    /// A document was deleted. Always `true`: deleting a document that
+    /// is not stored is refused with [`DbError::UnknownDocument`].
     Deleted(bool),
     /// A statically type-checked update ran; the outcome carries the
     /// verdict it ran under and how much revalidation it cost.
@@ -213,30 +219,33 @@ impl Mutation {
         )
     }
 
-    /// Apply this mutation to a database — the dispatch the write path
-    /// and the recovery path share, so a replayed record runs exactly
-    /// the code the original call did.
-    pub fn apply(&self, db: &mut Database) -> Result<ApplyOutcome, DbError> {
+    /// Compute this mutation against `db` without changing it: every
+    /// check, and for an insert the parse, `f` and the storage build, for
+    /// an update the static verdict and resolve → copy → edit → recheck.
+    /// The dispatch the write path and the recovery path share, so a
+    /// replayed record runs exactly the code the original call did.
+    ///
+    /// # Errors
+    /// Whatever the mutation is refused with; nothing has changed.
+    pub fn prepare(&self, db: &Database) -> Result<Prepared, DbError> {
         match self {
             Mutation::RegisterSchema { name, xsd } => {
-                db.register_schema_text(name, xsd)?;
-                Ok(ApplyOutcome::Registered)
+                db.prepare_register_schema(name, xsmodel::parse_schema_text(xsd)?)
             }
-            Mutation::RemoveSchema { name } => {
-                db.remove_schema(name)?;
-                Ok(ApplyOutcome::Removed)
-            }
-            Mutation::Insert { doc, schema, xml } => {
-                db.insert(doc, schema, xml)?;
-                Ok(ApplyOutcome::Inserted)
-            }
-            Mutation::Delete { doc } => Ok(ApplyOutcome::Deleted(db.delete(doc))),
-            // A static rejection is a deterministic no-op, so replay
-            // skips it like any other rejection.
+            Mutation::RemoveSchema { name } => db.prepare_remove_schema(name),
+            Mutation::Insert { doc, schema, xml } => db.prepare_insert(doc, schema, xml),
+            Mutation::Delete { doc } => db.prepare_delete(doc),
             Mutation::Update { doc, update } => {
-                Ok(ApplyOutcome::UpdatedChecked(db.execute_update(doc, update)?))
+                Ok(db.prepare_update(doc, &xquery::parse_update(update)?)?.1)
             }
         }
+    }
+
+    /// Apply this mutation to a database: [`Mutation::prepare`] then
+    /// [`Database::commit`] on the same state.
+    pub fn apply(&self, db: &mut Database) -> Result<ApplyOutcome, DbError> {
+        let prepared = self.prepare(db)?;
+        db.commit_current(prepared)
     }
 }
 

@@ -57,7 +57,7 @@ use xmlparse::{Document, Element};
 use crate::checksum::sha256_hex;
 use crate::database::Database;
 use crate::error::DbError;
-use crate::mutation::{is_deterministic_rejection, ApplyOutcome, Mutation};
+use crate::mutation::{is_deterministic_rejection, Mutation};
 use crate::vfs::{StdVfs, Vfs};
 
 /// The subdirectory of a database directory holding its write-ahead
@@ -282,10 +282,16 @@ pub(crate) struct WalReplaySummary {
 /// unknown): a document-scoped record with `seq <= doc_epoch(doc)` is
 /// already folded into the pages and is skipped. A record the database
 /// *rejects* deterministically (duplicate/unknown name, invalid
-/// document, bad XPath) is skipped too — rejection is replay's proof
-/// the record never took effect or already did. Environmental failures
-/// (I/O, corruption) abort under [`LoadPolicy::Strict`] and stop the
-/// replay with a warning under [`LoadPolicy::Lenient`].
+/// document, refused update) is skipped too. The write path prepares a
+/// mutation before logging it and never logs a rejection, so such a
+/// record is either one whose effect already reached the paged store (a
+/// registry record that survived a crash between a checkpoint's save
+/// and its log truncation) or one written by an older binary, which
+/// logged before it applied. Run `SAVE` (a checkpoint) before switching
+/// binaries, so no log record outlives the binary that wrote it.
+/// Environmental failures (I/O, corruption) abort under
+/// [`LoadPolicy::Strict`] and stop the replay with a warning under
+/// [`LoadPolicy::Lenient`].
 pub(crate) fn replay_wal_records(
     db: &mut Database,
     records: &[WalRecord],
@@ -315,9 +321,6 @@ pub(crate) fn replay_wal_records(
             }
         }
         match m.apply(db) {
-            Ok(ApplyOutcome::Deleted(false)) => {
-                obs.incr(xsobs::CounterId::WalReplaySkipped);
-            }
             Ok(_) => {
                 if m.changes_registry() {
                     summary.registry_changed = true;

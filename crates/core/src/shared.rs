@@ -14,14 +14,34 @@
 //!   listings) runs against that frozen state for as long as the guard
 //!   lives, no matter how many writers commit meanwhile. Snapshots are
 //!   cheap: documents sit behind `Arc`s and writers copy-on-write.
-//! * **Writers serialize through one mutex** and commit by publishing
-//!   a fresh epoch snapshot. [`SharedDatabase::apply`] is the durable
-//!   write path: it encodes the [`Mutation`], appends it to the
-//!   write-ahead log, applies it, and publishes — so a crash at any
-//!   point recovers the complete old or complete new state of every
-//!   acknowledged commit. [`SharedDatabase::write`] remains as the
-//!   legacy escape hatch for direct, *unlogged* mutation (volatile
-//!   databases, tests); it republishes the epoch on guard drop.
+//! * **Writers prepare in parallel and commit through one mutex.**
+//!   [`SharedDatabase::apply`] is the durable write path, in five steps:
+//!   1. **prepare** — [`Mutation::prepare`] against a read snapshot,
+//!      without the lock: every check, the parse, `f` and the storage
+//!      build of an insert, the apply-on-copy and recheck of an update.
+//!      A refusal returns here: nothing was locked, nothing logged.
+//!   2. **check** — under the writer mutex, the staleness check of
+//!      [`Database::commit`]: is everything the preparation read (the
+//!      `Arc`s of the document and schema it used, the absence of an
+//!      inserted name) still installed? If another writer replaced it,
+//!      the mutation is prepared once more, against the primary and
+//!      under the lock, where nothing can move
+//!      (`wal.commit_retries_total` counts these).
+//!   3. **log** — append the encoded record (fsynced under
+//!      [`Durability::Fsync`]).
+//!   4. **commit** — [`Database::commit`] installs the preparation with
+//!      one map insert or removal.
+//!   5. **publish** — swap in a fresh epoch snapshot for readers.
+//!
+//!   The mutex covers steps 2–5 only: the staleness check, the append
+//!   (+ fsync), the map insert and the epoch publish — plus, after a
+//!   conflict, the one re-preparation. A crash at any point recovers
+//!   the complete old or complete new state of every acknowledged
+//!   commit, and a mutation that fails never reaches the log.
+//!   [`SharedDatabase::write`] remains as the legacy escape hatch for
+//!   direct, *unlogged* mutation (volatile databases, tests); it
+//!   republishes the epoch on guard drop, and a commit prepared before
+//!   its edits finds them and prepares again.
 //!
 //! # Durability modes
 //!
@@ -30,11 +50,11 @@
 //! disciplines ([`Durability`]):
 //!
 //! * [`Durability::Fsync`] — every commit fsyncs its record *before*
-//!   the mutation is applied or acknowledged. A failed fsync means the
-//!   mutation is **not applied and not acknowledged** (and the log
+//!   the mutation is installed or acknowledged. A failed fsync means the
+//!   mutation is **not installed and not acknowledged** (and the log
 //!   refuses further appends until a checkpoint), so the client is
 //!   never told "done" about a write that might not survive.
-//! * [`Durability::Group`] — the mutation applies and publishes
+//! * [`Durability::Group`] — the mutation installs and publishes
 //!   immediately, but the acknowledgment waits for a group fsync that
 //!   covers every record appended so far: concurrent committers share
 //!   one fsync (the `wal.batch_records` histogram shows the batch
@@ -92,11 +112,11 @@ use crate::vfs::{StdVfs, Vfs};
 /// reaching the device. See the [module docs](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// Fsync the record before applying or acknowledging. A failed
-    /// fsync leaves the mutation unapplied and unacknowledged.
+    /// Fsync the record before installing or acknowledging. A failed
+    /// fsync leaves the mutation uninstalled and unacknowledged.
     #[default]
     Fsync,
-    /// Apply immediately; acknowledge after a shared group fsync.
+    /// Install immediately; acknowledge after a shared group fsync.
     Group,
     /// Never fsync per commit (rotation and checkpoints only).
     Async,
@@ -295,7 +315,7 @@ impl SharedDatabase {
     /// Acquire the exclusive writer lock for a direct, unlogged state
     /// transition. The new state is published to readers when the
     /// guard drops. On a durable handle prefer
-    /// [`SharedDatabase::apply`], which logs the mutation first.
+    /// [`SharedDatabase::apply`], which logs every mutation it installs.
     pub fn write(&self) -> WriteGuard<'_> {
         let start = self.lock_clock();
         let db = self.inner.primary.lock().unwrap_or_else(|p| p.into_inner());
@@ -303,39 +323,51 @@ impl SharedDatabase {
         WriteGuard { db, epoch: &self.inner.epoch, retired: None }
     }
 
-    /// Commit one mutation: append its record to the write-ahead log,
-    /// make it as durable as the [`Durability`] mode promises, apply
-    /// it to the primary, and publish the new epoch to readers.
+    /// Commit one mutation: prepare it against a read snapshot, check
+    /// under the writer lock that what it read is still installed,
+    /// append its record to the write-ahead log and make it as durable
+    /// as the [`Durability`] mode promises, install it in the primary,
+    /// and publish the new epoch to readers.
     ///
-    /// On a volatile handle (no log) this is apply-and-publish only.
-    /// A mutation the database rejects (duplicate name, invalid
-    /// document, …) returns the rejection and leaves the state
-    /// unchanged; its log record replays as the same rejection and is
-    /// skipped by recovery.
+    /// On a volatile handle (no log) the append is skipped. A mutation
+    /// the database rejects (duplicate name, invalid document, refused
+    /// update, deletion of a missing document, …) is refused by the
+    /// preparation, before the lock is taken: it returns the rejection,
+    /// leaves the state unchanged and writes no log record.
     pub fn apply(&self, m: &Mutation) -> Result<ApplyOutcome, DbError> {
         let commit_clock = self.lock_clock();
+        // The expensive part — parse, `f`, the storage build, an
+        // update's apply-on-copy — runs here, outside the writer lock.
+        let mut prepared = m.prepare(&self.read())?;
+        let payload = self.inner.wal.as_ref().map(|_| m.encode());
         let start = self.lock_clock();
         let mut db = self.inner.primary.lock().unwrap_or_else(|p| p.into_inner());
         self.record_wait(xsobs::HistogramId::SrvWriteLockWait, start);
-        let seq = match &self.inner.wal {
-            Some(w) => {
-                let payload = m.encode();
+        if !db.is_current(&prepared) {
+            // Another writer replaced what the snapshot showed. Prepare
+            // again, against the primary and under the lock: nothing can
+            // move under this one, so it commits or is refused.
+            self.inner.obs.incr(xsobs::CounterId::WalCommitRetries);
+            prepared = m.prepare(&db)?;
+        }
+        let seq = match (&self.inner.wal, payload) {
+            (Some(w), Some(payload)) => {
                 let mut wal = w.wal.lock().unwrap_or_else(|p| p.into_inner());
                 // (the storage layer counts the append into
                 // `wal.appends_total`)
                 let seq = wal.append(&*w.vfs, &payload)?;
                 if w.durability == Durability::Fsync {
                     // Record first, state second: a failed fsync means
-                    // the mutation is neither applied nor acknowledged.
+                    // the mutation is neither installed nor acknowledged.
                     let high = wal.sync(&*w.vfs)?;
                     let mut durable = w.durable.lock().unwrap_or_else(|p| p.into_inner());
                     *durable = (*durable).max(high);
                 }
                 Some(seq)
             }
-            None => None,
+            _ => None,
         };
-        let outcome = m.apply(&mut db)?;
+        let outcome = db.commit_current(prepared)?;
         if let Some(seq) = seq {
             db.note_wal_epoch(seq);
         }
@@ -538,12 +570,60 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, DbError::DuplicateDocument(_)));
-        // …and recovery over the log (which contains its record)
-        // reproduces the accepted state.
+        // …and leaves no record: the log holds the two accepted
+        // mutations only, and recovery reproduces the accepted state.
+        let records = storage::wal::replay(&StdVfs, &dir.join(WAL_SUBDIR)).unwrap();
+        assert_eq!(records.len(), 2, "{records:?}");
         drop(sh);
         let (again, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
         assert_eq!(again.read().query("d", "/n").unwrap(), ["v"]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `f` runs before the writer lock is taken. While this thread holds
+    /// the lock, another thread's insert of an invalid document is
+    /// refused without waiting, and a valid one is validated and built
+    /// (its `db.insert` span ends) and then waits only for the commit.
+    #[test]
+    fn preparation_runs_outside_the_writer_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        const PATIENCE: Duration = Duration::from_secs(60);
+        let reg = Arc::new(xsobs::Registry::new());
+        let mut db = Database::with_metrics_registry(Arc::clone(&reg));
+        db.register_schema_text("s", SCHEMA).unwrap();
+        let sh = SharedDatabase::new(db);
+        let inserts = || reg.snapshot().histogram(xsobs::HistogramId::DbInsert).count;
+        let insert = |doc: &str, xml: &str| Mutation::Insert {
+            doc: doc.into(),
+            schema: "s".into(),
+            xml: xml.into(),
+        };
+        std::thread::scope(|s| {
+            // Taken inside the scope, so a failed assertion releases it
+            // before the scope joins the blocked writer.
+            let guard = sh.write();
+            let (sh, insert) = (&sh, &insert);
+            let (tx, rx) = mpsc::channel();
+            s.spawn(move || tx.send(sh.apply(&insert("bad", "<n><x/></n>"))).unwrap());
+            let refused = rx.recv_timeout(PATIENCE).expect("a refusal waited for the lock");
+            assert!(matches!(refused, Err(DbError::Invalid(_))), "{refused:?}");
+
+            let built = inserts();
+            let writer = s.spawn(|| sh.apply(&insert("good", "<n>v</n>")));
+            let start = Instant::now();
+            while inserts() == built {
+                assert!(start.elapsed() < PATIENCE, "the valid document was never built");
+                std::thread::yield_now();
+            }
+            // Built, but not committed: the commit needs the lock.
+            assert!(!writer.is_finished());
+            assert!(sh.read().document("good").is_none());
+            drop(guard);
+            assert_eq!(writer.join().unwrap().unwrap(), ApplyOutcome::Inserted);
+        });
+        assert_eq!(sh.read().query("good", "/n").unwrap(), ["v"]);
+        assert_eq!(sh.metrics().counter(xsobs::CounterId::WalCommitRetries), 0);
     }
 
     #[test]

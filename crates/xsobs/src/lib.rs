@@ -168,6 +168,10 @@ pub enum CounterId {
     WalCheckpoints,
     /// Pages written by checkpoints into the paged store.
     WalCheckpointPages,
+    /// Commits whose preparation was found stale under the writer lock
+    /// (another writer replaced what its snapshot showed) and was
+    /// prepared again there.
+    WalCommitRetries,
     /// Static update checks run (every guarded update, any verdict).
     UpdateChecks,
     /// Update checks that proved the update valid (revalidation skipped).
@@ -226,7 +230,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in stable export order.
-    pub const ALL: [CounterId; 71] = [
+    pub const ALL: [CounterId; 72] = [
         CounterId::ParseDocuments,
         CounterId::ParseBytes,
         CounterId::ParseEntityExpansions,
@@ -278,6 +282,7 @@ impl CounterId {
         CounterId::WalReplaySkipped,
         CounterId::WalCheckpoints,
         CounterId::WalCheckpointPages,
+        CounterId::WalCommitRetries,
         CounterId::UpdateChecks,
         CounterId::UpdateAccepted,
         CounterId::UpdateRechecked,
@@ -357,6 +362,7 @@ impl CounterId {
             CounterId::WalReplaySkipped => "wal.replay_skipped_total",
             CounterId::WalCheckpoints => "wal.checkpoints_total",
             CounterId::WalCheckpointPages => "wal.checkpoint_pages_total",
+            CounterId::WalCommitRetries => "wal.commit_retries_total",
             CounterId::UpdateChecks => "analysis.update_checks_total",
             CounterId::UpdateAccepted => "analysis.update_accept_total",
             CounterId::UpdateRechecked => "analysis.update_recheck_total",

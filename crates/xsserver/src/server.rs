@@ -1046,10 +1046,6 @@ fn apply_mutation(state: &ServerState, m: &Mutation) -> (Status, Vec<String>) {
             Status::Ok,
             vec![o.verdict.to_string(), o.nodes.to_string(), o.revalidated.to_string()],
         ),
-        Ok(ApplyOutcome::Deleted(false)) => match m {
-            Mutation::Delete { doc } => err_response(&DbError::UnknownDocument(doc.clone())),
-            _ => (Status::Ok, Vec::new()),
-        },
         Ok(_) => (Status::Ok, Vec::new()),
         Err(e) => err_response(&e),
     }

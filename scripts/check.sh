@@ -10,6 +10,10 @@ cargo test -q --workspace
 # `cargo test` run elsewhere can't silently skip them.
 cargo test -q -p xsdb --test crash_matrix
 cargo test -q -p xsdb --test wal_matrix
+# Commit protocol: a refused mutation never reaches the log, a stale
+# preparation is never installed, and `f` runs outside the writer lock.
+cargo test -q -p xsdb --test commit_protocol
+cargo test -q -p xsdb --lib shared::tests::preparation_runs_outside_the_writer_lock
 cargo test -q -p xsdb --test page_matrix
 # Block-granular copy-on-write: a mutated clone copies a constant number
 # of blocks and location segments, the original is untouched, and freed
@@ -34,7 +38,7 @@ cargo test -q -p xsdb-integration --test stats_invariants
 cargo test -q -p xsserver --test server_integration
 cargo test -q -p xsserver --test server_reactor   # hostile-client torture + SIGTERM path
 cargo test -q -p xsserver --lib   # protocol + reactor + retry-policy regression tests
-cargo test -q -p xsdb-integration --test shared_stress
+cargo test -q -p xsdb-integration --test shared_stress   # incl. lost-update and double-insert races
 cargo test -q -p xsdb --test broken_pipe
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check

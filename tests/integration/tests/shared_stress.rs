@@ -3,9 +3,38 @@
 //! observes a consistent snapshot (never a torn state) and that the
 //! lock-wait instrumentation records traffic.
 
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
-use xsdb::{Database, DbError, Durability, Mutation, SharedDatabase};
+use xsdb::{Database, DbError, Durability, Mutation, SharedDatabase, StdVfs};
+
+/// The durable tests count appends on the process-global
+/// `wal.appends_total`, so they take turns.
+static DURABLE: Mutex<()> = Mutex::new(());
+
+fn durable_turn() -> MutexGuard<'static, ()> {
+    DURABLE.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("xsdb-stress-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The mutations the write-ahead log under `dir` holds.
+fn logged(dir: &Path) -> Vec<Mutation> {
+    xsdb::storage::wal::replay(&StdVfs, &dir.join("wal"))
+        .unwrap()
+        .iter()
+        .map(|rec| Mutation::decode(&rec.payload).unwrap())
+        .collect()
+}
+
+fn retries(sh: &SharedDatabase) -> u64 {
+    sh.metrics().counter(xsobs::CounterId::WalCommitRetries)
+}
 
 const SCHEMA: &str = r#"
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
@@ -193,6 +222,7 @@ fn held_snapshots_stay_frozen_under_churn() {
 /// acknowledged commit.
 #[test]
 fn concurrent_durable_appliers_recover_completely() {
+    let _turn = durable_turn();
     let dir = std::env::temp_dir().join(format!(
         "xsdb-stress-wal-{}-{:?}",
         std::process::id(),
@@ -314,4 +344,127 @@ fn lock_survives_a_panicking_holder() {
     assert_eq!(sh.read().query("d", "/list/item").unwrap().len(), 2);
     sh.write().insert("e", "s", &doc(1, "y")).unwrap();
     assert_eq!(sh.read().document_names().count(), 2);
+}
+
+/// Two writers race appends into one document. Each preparation reads a
+/// snapshot the other writer may commit over first; that commit finds
+/// it stale and prepares it again under the lock, so no append is lost
+/// and none lands twice — in memory and after recovery.
+#[test]
+fn racing_updates_of_one_document_are_never_lost() {
+    const PER_WRITER: usize = 200;
+    let _turn = durable_turn();
+    let dir = temp_dir("lost-updates");
+    let (sh, _) = SharedDatabase::open_durable(&dir, Durability::Async).unwrap();
+    sh.apply(&Mutation::RegisterSchema { name: "s".into(), xsd: SCHEMA.into() }).unwrap();
+    sh.apply(&Mutation::Insert { doc: "d".into(), schema: "s".into(), xml: doc(0, "x") }).unwrap();
+    let before = retries(&sh);
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for w in 0..2 {
+            let (sh, start) = (&sh, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..PER_WRITER {
+                    let update = format!("insert node <item>w{w}-{i}</item> into /list");
+                    sh.apply(&Mutation::Update { doc: "d".into(), update }).unwrap();
+                }
+            });
+        }
+    });
+    let items = |sh: &SharedDatabase| sh.read().query("d", "/list/item").unwrap();
+    assert_eq!(items(&sh).len(), 2 * PER_WRITER);
+    assert!(retries(&sh) > before, "two writers on one document never conflicted");
+    assert!(sh.read().revalidate("d").unwrap().is_empty());
+    let in_memory = items(&sh);
+    drop(sh);
+    let (again, _) = SharedDatabase::open_durable(&dir, Durability::Async).unwrap();
+    assert_eq!(items(&again), in_memory, "recovery diverged from the acknowledged state");
+    drop(again);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two writers race to insert the same document name: exactly one wins,
+/// the other is refused as a duplicate, and only the winner is logged.
+#[test]
+fn racing_inserts_of_one_name_commit_once() {
+    const ROUNDS: usize = 30;
+    let _turn = durable_turn();
+    let dir = temp_dir("double-insert");
+    let (sh, _) = SharedDatabase::open_durable(&dir, Durability::Async).unwrap();
+    sh.apply(&Mutation::RegisterSchema { name: "s".into(), xsd: SCHEMA.into() }).unwrap();
+    for round in 0..ROUNDS {
+        let name = format!("p{round}");
+        let start = Barrier::new(2);
+        let outcomes: Vec<Result<_, DbError>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|w| {
+                    let (sh, start, name) = (&sh, &start, &name);
+                    s.spawn(move || {
+                        let xml = doc(500, &format!("w{w}"));
+                        start.wait();
+                        sh.apply(&Mutation::Insert { doc: name.clone(), schema: "s".into(), xml })
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(outcomes.iter().filter(|o| o.is_ok()).count(), 1, "{name}: {outcomes:?}");
+        assert!(
+            outcomes.iter().any(|o| matches!(o, Err(DbError::DuplicateDocument(_)))),
+            "{name}: {outcomes:?}"
+        );
+    }
+    let inserts: Vec<String> = logged(&dir)
+        .into_iter()
+        .filter_map(|m| match m {
+            Mutation::Insert { doc, .. } => Some(doc),
+            _ => None,
+        })
+        .collect();
+    let expected: Vec<String> = (0..ROUNDS).map(|r| format!("p{r}")).collect();
+    assert_eq!(inserts, expected, "one log record per name, the winner's");
+    let snapshot = |sh: &SharedDatabase| -> Vec<(String, Vec<String>)> {
+        let db = sh.read();
+        expected.iter().map(|n| (n.clone(), db.query(n, "/list/item").unwrap())).collect()
+    };
+    let in_memory = snapshot(&sh);
+    drop(sh);
+    let (again, _) = SharedDatabase::open_durable(&dir, Durability::Async).unwrap();
+    assert_eq!(snapshot(&again), in_memory, "recovery diverged from the acknowledged state");
+    drop(again);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writers of disjoint documents never invalidate each other's
+/// preparations: no commit is prepared twice.
+#[test]
+fn disjoint_appliers_never_retry() {
+    let mut db = Database::with_metrics_registry(Arc::new(xsobs::Registry::new()));
+    db.register_schema_text("s", SCHEMA).unwrap();
+    let sh = SharedDatabase::new(db);
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for w in 0..2 {
+            let (sh, start) = (&sh, &start);
+            s.spawn(move || {
+                let name = format!("doc-{w}");
+                start.wait();
+                sh.apply(&Mutation::Insert {
+                    doc: name.clone(),
+                    schema: "s".into(),
+                    xml: doc(0, "x"),
+                })
+                .unwrap();
+                for i in 0..100 {
+                    let update = format!("insert node <item>{w}-{i}</item> into /list");
+                    sh.apply(&Mutation::Update { doc: name.clone(), update }).unwrap();
+                }
+            });
+        }
+    });
+    for w in 0..2 {
+        assert_eq!(sh.read().query(&format!("doc-{w}"), "/list/item").unwrap().len(), 100);
+    }
+    assert_eq!(retries(&sh), 0);
 }
