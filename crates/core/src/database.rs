@@ -11,7 +11,10 @@
 //! `g` (serialization) read the node descriptors directly — §9.2's claim
 //! that descriptors plus the descriptive schema answer every accessor.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -333,37 +336,7 @@ impl Database {
         schema_name: &str,
         xml: &Document,
     ) -> Result<(), DbError> {
-        let schema = self.insert_target(doc_name, schema_name)?;
-        let storage = {
-            let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
-            span.set_detail(doc_name);
-            ingest(schema, xml, &self.options, &self.cm_cache)?
-        };
-        let prepared = Prepared::inserted(doc_name, schema_name, schema, storage);
-        self.commit_current(prepared)?;
-        Ok(())
-    }
-
-    /// Admit a document decoded from the paged on-disk form: re-validate
-    /// it through `f` (over `g` of its descriptors) and keep the
-    /// *decoded* block storage, so later incremental saves stay aligned
-    /// with the page layout on disk.
-    pub(crate) fn insert_paged(
-        &mut self,
-        doc_name: &str,
-        schema_name: &str,
-        xs: XmlStorage,
-    ) -> Result<(), DbError> {
-        let schema = self.insert_target(doc_name, schema_name)?;
-        {
-            let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
-            span.set_detail(doc_name);
-            let errors = validate_storage(schema, &xs, &self.options, &self.cm_cache)?;
-            if !errors.is_empty() {
-                return Err(DbError::Invalid(errors));
-            }
-        }
-        let prepared = Prepared::inserted(doc_name, schema_name, schema, xs);
+        let prepared = self.prepare_parsed(doc_name, schema_name, xml)?;
         self.commit_current(prepared)?;
         Ok(())
     }
@@ -422,46 +395,62 @@ impl Database {
     }
 
     /// Insert a batch of `(document name, schema name, xml)` triples.
-    /// Parsing and validation (the expensive, read-only part of `f`)
-    /// run on `threads` OS threads (`0` = one per available core);
-    /// insertion into the catalog is then sequential in input order, so
-    /// duplicate-name resolution is deterministic: the first occurrence
-    /// of a name wins, later ones report
-    /// [`DbError::DuplicateDocument`]. Returns one outcome per input,
-    /// in input order; a failed document never partially inserts.
+    /// Each entry is prepared as an insert (parse, `f`, the storage
+    /// build) on `threads` OS threads (`0` = one per available core)
+    /// against the state before the batch; the preparations then commit
+    /// in input order, and one whose commit is stale or which was
+    /// refused after an earlier entry committed is prepared again, so
+    /// every outcome is exactly what [`Database::insert`] in input order
+    /// would return: the first occurrence of a name wins, later ones
+    /// report [`DbError::DuplicateDocument`]. Returns one outcome per
+    /// input, in input order; a failed document never partially inserts.
     pub fn load_many(
         &mut self,
         entries: &[(&str, &str, &str)],
         threads: usize,
     ) -> Vec<Result<(), DbError>> {
-        let ingested: Vec<Result<XmlStorage, DbError>> = {
-            let schemas = &self.schemas;
-            let options = &self.options;
-            let cache = &self.cm_cache;
-            let limits = &self.limits;
-            let obs = &self.obs;
-            run_parallel(entries.len(), threads, |i| {
+        let mut outcomes = Vec::with_capacity(entries.len());
+        let mut changed = false;
+        let done: ControlFlow<Infallible> = self.prepare_then_commit(
+            entries.len(),
+            threads,
+            |db, i| {
                 let (name, schema_name, xml) = entries[i];
-                let schema = schemas
-                    .get(schema_name)
-                    .ok_or_else(|| DbError::UnknownSchema(schema_name.to_string()))?;
-                let mut span = obs.span(xsobs::HistogramId::DbInsert);
-                span.set_detail(name);
-                let parsed = Document::parse_with_limits(xml, limits)?;
-                ingest(schema, &parsed, options, cache)
-            })
-        };
-        ingested
-            .into_iter()
-            .zip(entries)
-            .map(|(res, &(name, schema_name, _))| {
-                let storage = res?;
-                let schema = self.insert_target(name, schema_name)?;
-                let prepared = Prepared::inserted(name, schema_name, schema, storage);
-                self.commit_current(prepared)?;
-                Ok(())
-            })
-            .collect()
+                db.prepare_insert(name, schema_name, xml)
+            },
+            |db, i, prepared| {
+                let (name, schema_name, xml) = entries[i];
+                let outcome = match db.commit_speculative(prepared, changed) {
+                    Some(verdict) => verdict.map(drop),
+                    None => db.insert(name, schema_name, xml),
+                };
+                changed |= outcome.is_ok();
+                outcomes.push(outcome);
+                ControlFlow::Continue(())
+            },
+        );
+        let ControlFlow::Continue(()) = done;
+        outcomes
+    }
+
+    /// The prepare-in-parallel, commit-in-order pattern behind
+    /// [`Database::load_many`], the checkpoint load and the recovery
+    /// waves: `prepare(self, i)` runs for every `i < jobs` on `threads`
+    /// OS threads (`0` = one per available core) against this state as
+    /// it stands, then `commit(self, i, prepared)` runs in index order
+    /// with the database mutable, until one breaks.
+    pub(crate) fn prepare_then_commit<P: Send, B>(
+        &mut self,
+        jobs: usize,
+        threads: usize,
+        prepare: impl Fn(&Database, usize) -> P + Sync,
+        mut commit: impl FnMut(&mut Database, usize, P) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let prepared = run_parallel(jobs, threads, |i| prepare(self, i));
+        for (i, p) in prepared.into_iter().enumerate() {
+            commit(self, i, p)?;
+        }
+        ControlFlow::Continue(())
     }
 
     /// The shared compiled-content-model cache (for statistics).
@@ -632,16 +621,67 @@ impl Database {
         schema_name: &str,
         xml: &str,
     ) -> Result<Prepared, DbError> {
-        let schema = self.insert_target(doc_name, schema_name)?;
+        self.insert_target(doc_name, schema_name)?;
         let parsed = Document::parse_with_limits(xml, &self.limits)?;
+        self.prepare_parsed(doc_name, schema_name, parsed)
+    }
+
+    /// Prepare inserting the parsed `xml` as `doc_name`: the
+    /// duplicate-name and unknown-schema checks, `f` and the storage
+    /// build. An owned document is freed as soon as `f` holds its
+    /// S-tree, so the DOM, the S-tree and the blocks never coexist.
+    fn prepare_parsed(
+        &self,
+        doc_name: &str,
+        schema_name: &str,
+        xml: impl Borrow<Document>,
+    ) -> Result<Prepared, DbError> {
+        let schema = self.insert_target(doc_name, schema_name)?;
         let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
         span.set_detail(doc_name);
-        let loaded = load_document_cached(schema, &parsed, &self.options, &self.cm_cache)
+        let loaded = load_document_cached(schema, xml.borrow(), &self.options, &self.cm_cache)
             .map_err(DbError::Invalid)?;
-        // `f` holds its S-tree now: free the DOM before the storage
-        // build, so the DOM, the S-tree and the blocks never coexist.
-        drop(parsed);
+        drop(xml);
         let storage = XmlStorage::from_tree(&loaded.store, loaded.doc);
+        Ok(Prepared::inserted(doc_name, schema_name, schema, storage))
+    }
+
+    /// Re-check a document decoded from the paged on-disk form against
+    /// the registered schema `schema_name`: §6.2 validation of `g` of
+    /// its descriptors. Reads only the schema registry, so the
+    /// checkpoint load runs it for every document at once.
+    pub(crate) fn check_decoded(
+        &self,
+        doc_name: &str,
+        schema_name: &str,
+        storage: &XmlStorage,
+    ) -> Result<Vec<ValidationError>, DbError> {
+        let schema = self
+            .schemas
+            .get(schema_name)
+            .ok_or_else(|| DbError::UnknownSchema(schema_name.to_string()))?;
+        let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
+        span.set_detail(doc_name);
+        validate_storage(schema, storage, &self.options, &self.cm_cache)
+    }
+
+    /// Prepare admitting a decoded document that [`Database::check_decoded`]
+    /// checked: the duplicate-name and unknown-schema checks first, then
+    /// the check's verdict. The *decoded* block storage is what the
+    /// database keeps, so later incremental saves stay aligned with the
+    /// page layout on disk.
+    pub(crate) fn prepare_decoded(
+        &self,
+        doc_name: &str,
+        schema_name: &str,
+        storage: XmlStorage,
+        checked: Result<Vec<ValidationError>, DbError>,
+    ) -> Result<Prepared, DbError> {
+        let schema = self.insert_target(doc_name, schema_name)?;
+        let violations = checked?;
+        if !violations.is_empty() {
+            return Err(DbError::Invalid(violations));
+        }
         Ok(Prepared::inserted(doc_name, schema_name, schema, storage))
     }
 
@@ -768,6 +808,25 @@ impl Database {
             return Err(Stale);
         }
         Ok(self.install(prepared))
+    }
+
+    /// Commit a preparation made against an earlier state of this
+    /// database, in a batch that prepared every entry against the state
+    /// before it (`changed`: whether an earlier entry has committed
+    /// since). `None` when the verdict is not the one preparing against
+    /// this state would give — the commit was [`Stale`], or a refusal
+    /// was prepared before the state changed — and the entry must be
+    /// prepared again; otherwise the committed outcome, or the refusal.
+    pub(crate) fn commit_speculative(
+        &mut self,
+        prepared: Result<Prepared, DbError>,
+        changed: bool,
+    ) -> Option<Result<ApplyOutcome, DbError>> {
+        match prepared {
+            Ok(prepared) => self.commit(prepared).ok().map(Ok),
+            Err(e) if !changed => Some(Err(e)),
+            Err(_) => None,
+        }
     }
 
     /// [`Database::commit`] of a preparation made against this very
@@ -929,19 +988,6 @@ impl Database {
         }
         Ok(())
     }
-}
-
-/// The paper's `f` followed by the physical build: validate `xml`
-/// against `schema`, hand the transient S-tree to
-/// [`XmlStorage::from_tree`], and drop it.
-fn ingest(
-    schema: &DocumentSchema,
-    xml: &Document,
-    options: &LoadOptions,
-    cache: &ContentModelCache,
-) -> Result<XmlStorage, DbError> {
-    let loaded = load_document_cached(schema, xml, options, cache).map_err(DbError::Invalid)?;
-    Ok(XmlStorage::from_tree(&loaded.store, loaded.doc))
 }
 
 /// Whole-document §6.2 validation of a stored document: `f` over `g`
@@ -1257,6 +1303,7 @@ pub(crate) mod tests {
             ("store1", "books", DOC), // duplicate of the pre-inserted doc
             ("a", "books", DOC),      // duplicate within the batch
             ("d", "books", DOC),
+            ("a", "books", "<BookStore>"), // malformed, but the name is taken first
         ];
         let results = db.load_many(&entries, 4);
         assert!(results[0].is_ok());
@@ -1265,6 +1312,7 @@ pub(crate) mod tests {
         assert!(matches!(results[3], Err(DbError::DuplicateDocument(_))));
         assert!(matches!(results[4], Err(DbError::DuplicateDocument(_))));
         assert!(results[5].is_ok());
+        assert!(matches!(results[6], Err(DbError::DuplicateDocument(_))), "{:?}", results[6]);
         let names: Vec<_> = db.document_names().collect();
         assert_eq!(names, ["a", "d", "store1"]);
         assert_eq!(db.query("a", "/BookStore/Book/Title").unwrap().len(), 2);

@@ -47,11 +47,24 @@
 //! aborts the load; under [`LoadPolicy::Lenient`] corrupt, invalid, or
 //! missing schemas/documents are quarantined in the [`LoadReport`] and
 //! the rest of the database loads.
+//!
+//! # Parallel recovery
+//!
+//! Recovery ([`Recovery`]) keeps the result of the sequential fold and
+//! spreads its work over every core. Documents are independent, so each
+//! checkpointed document is read, checksummed, decoded and re-validated
+//! on a worker thread, and the documents then enter the catalog one at
+//! a time in manifest order. The write-ahead-log tail replays in waves
+//! of records naming distinct documents: a wave is prepared in parallel
+//! against the state before it and committed in log order (see
+//! [`replay_wal_records`]).
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
-use storage::{PageStore, WalRecord, PAGE_SIZE};
+use algebra::ValidationError;
+use storage::{PageStore, WalRecord, XmlStorage, PAGE_SIZE};
 use xmlparse::{Document, Element};
 
 use crate::checksum::sha256_hex;
@@ -265,18 +278,52 @@ fn utf8(path: &Path, bytes: Vec<u8>) -> Result<String, DbError> {
 
 /// What a write-ahead-log replay did.
 #[derive(Debug, Default)]
-pub(crate) struct WalReplaySummary {
+struct WalReplaySummary {
     /// Highest sequence number observed across catalogs and records —
     /// the epoch the recovered database is at.
-    pub(crate) max_seq: u64,
+    max_seq: u64,
     /// Whether a replayed record changed the schema/document registry
     /// (the next save must then stage a fresh generation).
-    pub(crate) registry_changed: bool,
+    registry_changed: bool,
     /// A lenient-mode message when replay stopped before the end.
-    pub(crate) stopped: Option<String>,
+    stopped: Option<String>,
 }
 
-/// Re-apply recovered write-ahead-log records to `db` in log order.
+/// One decoded record of a replay wave, and whether its document's
+/// catalog epoch already covers it.
+struct Pending<'a> {
+    rec: &'a WalRecord,
+    m: Mutation,
+    covered: bool,
+}
+
+/// The document a record reads and writes; `None` for a schema record,
+/// whose preparation reads the whole registry.
+fn document_of(m: &Mutation) -> Option<&str> {
+    match m {
+        Mutation::Insert { doc, .. } | Mutation::Delete { doc } | Mutation::Update { doc, .. } => {
+            Some(doc)
+        }
+        Mutation::RegisterSchema { .. } | Mutation::RemoveSchema { .. } => None,
+    }
+}
+
+/// Re-apply recovered write-ahead-log records to `db` in log order,
+/// with their preparations spread over every core.
+///
+/// The log is cut into *waves*: maximal runs of consecutive records
+/// that name distinct documents, at most four per worker. A schema
+/// record is a wave of its own, since its preparation reads the whole
+/// registry. A document record's preparation reads only its own
+/// document slot and the schema registry, and no other record of its
+/// wave writes either, so every record of a wave is prepared in
+/// parallel ([`Mutation::prepare`]: parse, `f`, the static verdict, the
+/// recheck) against the state before the wave, and the preparations
+/// then commit in log order. A commit that is [`crate::Stale`], or a
+/// refusal prepared before an earlier record of its wave committed, is
+/// prepared again against the current state before it counts
+/// (`wal.replay_reprepared_total`), so every verdict is the one the
+/// sequential fold would reach and the recovered state equals it.
 ///
 /// `doc_epoch` reports the on-disk catalog epoch of a document (0 when
 /// unknown): a document-scoped record with `seq <= doc_epoch(doc)` is
@@ -291,8 +338,8 @@ pub(crate) struct WalReplaySummary {
 /// binaries, so no log record outlives the binary that wrote it.
 /// Environmental failures (I/O, corruption) abort under
 /// [`LoadPolicy::Strict`] and stop the replay with a warning under
-/// [`LoadPolicy::Lenient`].
-pub(crate) fn replay_wal_records(
+/// [`LoadPolicy::Lenient`]; no record after the failing one commits.
+fn replay_wal_records(
     db: &mut Database,
     records: &[WalRecord],
     doc_epoch: impl Fn(&str) -> u64,
@@ -300,46 +347,347 @@ pub(crate) fn replay_wal_records(
     summary: &mut WalReplaySummary,
 ) -> Result<(), DbError> {
     let obs = xsobs::global();
+    let _span = obs.span(xsobs::HistogramId::WalReplay);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut wave: Vec<Pending> = Vec::new();
     for rec in records {
-        obs.incr(xsobs::CounterId::WalReplayRecords);
         let m = match Mutation::decode(&rec.payload) {
             Ok(m) => m,
-            Err(e) => match policy {
-                LoadPolicy::Strict => return Err(e),
-                LoadPolicy::Lenient => {
-                    summary.stopped =
-                        Some(format!("wal replay stopped at record {}: {e}", rec.seq));
-                    return Ok(());
+            Err(e) => {
+                if replay_wave(db, &mut wave, workers, policy, summary)?.is_continue() {
+                    obs.incr(xsobs::CounterId::WalReplayRecords);
+                    stop(rec.seq, e, policy, summary)?;
                 }
-            },
+                return Ok(());
+            }
         };
-        summary.max_seq = summary.max_seq.max(rec.seq);
-        if let Some(doc) = m.doc_name() {
-            if rec.seq <= doc_epoch(doc) {
-                obs.incr(xsobs::CounterId::WalReplaySkipped);
-                continue;
-            }
+        let covered = m.doc_name().is_some_and(|doc| rec.seq <= doc_epoch(doc));
+        let doc = document_of(&m);
+        let barrier = !covered && doc.is_none();
+        let clash = !covered && wave.iter().any(|p| !p.covered && document_of(&p.m) == doc);
+        let cut = barrier || clash || wave.len() >= 4 * workers;
+        if cut && replay_wave(db, &mut wave, workers, policy, summary)?.is_break() {
+            return Ok(());
         }
-        match m.apply(db) {
-            Ok(_) => {
-                if m.changes_registry() {
-                    summary.registry_changed = true;
-                }
-            }
-            Err(e) if is_deterministic_rejection(&e) => {
-                obs.incr(xsobs::CounterId::WalReplaySkipped);
-            }
-            Err(e) => match policy {
-                LoadPolicy::Strict => return Err(e),
-                LoadPolicy::Lenient => {
-                    summary.stopped =
-                        Some(format!("wal replay stopped at record {}: {e}", rec.seq));
-                    return Ok(());
-                }
-            },
+        wave.push(Pending { rec, m, covered });
+        if barrier && replay_wave(db, &mut wave, workers, policy, summary)?.is_break() {
+            return Ok(());
         }
     }
-    Ok(())
+    replay_wave(db, &mut wave, workers, policy, summary).map(drop)
+}
+
+/// Replay one wave (see [`replay_wal_records`]) and empty it. Breaks
+/// when a lenient replay stopped.
+fn replay_wave(
+    db: &mut Database,
+    wave: &mut Vec<Pending>,
+    workers: usize,
+    policy: LoadPolicy,
+    summary: &mut WalReplaySummary,
+) -> Result<ControlFlow<()>, DbError> {
+    if wave.is_empty() {
+        return Ok(ControlFlow::Continue(()));
+    }
+    let obs = xsobs::global();
+    obs.incr(xsobs::CounterId::WalReplayWaves);
+    let wave = std::mem::take(wave);
+    let mut changed = false;
+    let flow = db.prepare_then_commit(
+        wave.len(),
+        workers,
+        |db, i| (!wave[i].covered).then(|| wave[i].m.prepare(db)),
+        |db, i, prepared| {
+            let Pending { rec, m, .. } = &wave[i];
+            obs.incr(xsobs::CounterId::WalReplayRecords);
+            summary.max_seq = summary.max_seq.max(rec.seq);
+            let Some(prepared) = prepared else {
+                obs.incr(xsobs::CounterId::WalReplaySkipped);
+                return ControlFlow::Continue(());
+            };
+            let verdict = db.commit_speculative(prepared, changed).unwrap_or_else(|| {
+                obs.incr(xsobs::CounterId::WalReplayReprepared);
+                m.apply(db)
+            });
+            match verdict {
+                Ok(_) => {
+                    changed = true;
+                    summary.registry_changed |= m.changes_registry();
+                    ControlFlow::Continue(())
+                }
+                Err(e) if is_deterministic_rejection(&e) => {
+                    obs.incr(xsobs::CounterId::WalReplaySkipped);
+                    ControlFlow::Continue(())
+                }
+                Err(e) => ControlFlow::Break((rec.seq, e)),
+            }
+        },
+    );
+    match flow {
+        ControlFlow::Continue(()) => Ok(ControlFlow::Continue(())),
+        ControlFlow::Break((seq, e)) => {
+            stop(seq, e, policy, summary)?;
+            Ok(ControlFlow::Break(()))
+        }
+    }
+}
+
+/// Stop a replay at record `seq`, which failed with `e`: an error under
+/// [`LoadPolicy::Strict`], a warning under [`LoadPolicy::Lenient`].
+fn stop(
+    seq: u64,
+    e: DbError,
+    policy: LoadPolicy,
+    summary: &mut WalReplaySummary,
+) -> Result<(), DbError> {
+    match policy {
+        LoadPolicy::Strict => Err(e),
+        LoadPolicy::Lenient => {
+            summary.stopped = Some(format!("wal replay stopped at record {seq}: {e}"));
+            Ok(())
+        }
+    }
+}
+
+/// A document decoded from its page store by a checkpoint-load worker,
+/// with the verdict of its re-check.
+struct Decoded {
+    schema: String,
+    storage: XmlStorage,
+    checked: Result<Vec<ValidationError>, DbError>,
+    persist: DocPersist,
+}
+
+/// Decode one manifest `<document>` entry: open its self-verifying map,
+/// read and checksum every page, decode the blocks, check the storage
+/// invariants, and re-validate it through `f` against its registered
+/// schema. Reads only the files and the schema registry, so the
+/// checkpoint load runs it for every entry at once.
+fn decode_document(
+    db: &Database,
+    entry: &Element,
+    docs_dir: &Path,
+    dead_schemas: &[String],
+    vfs: &dyn Vfs,
+) -> Result<Decoded, DbError> {
+    let schema = required_attr(entry, "schema", "document")?;
+    if dead_schemas.contains(&schema) {
+        return Err(DbError::UnknownSchema(schema));
+    }
+    let file = required_attr(entry, "file", "document")?;
+    safe_file_name(&file)?;
+    let map = required_attr(entry, "map", "document")?;
+    safe_file_name(&map)?;
+    let store = PageStore::open(vfs, &docs_dir.join(&map))?;
+    let (storage, saved_epoch) =
+        storage::paged::load_with_epoch(&store, vfs, &docs_dir.join(&file))?;
+    let checked = db.check_decoded(entry.attribute("name").unwrap_or_default(), &schema, &storage);
+    let watermark = storage.tick();
+    Ok(Decoded {
+        schema,
+        storage,
+        checked,
+        persist: DocPersist { file, map, store, watermark, saved_epoch },
+    })
+}
+
+/// A recovery in progress: the checkpointed state a directory's
+/// `CURRENT` names (or an empty database, for a directory never
+/// checkpointed), then the write-ahead-log tail replayed over it.
+pub(crate) struct Recovery {
+    db: Database,
+    report: LoadReport,
+    /// The generation the checkpoint was loaded from.
+    binding: Option<Binding>,
+    docs: BTreeMap<String, DocPersist>,
+    summary: WalReplaySummary,
+}
+
+impl Recovery {
+    /// Nothing checkpointed: the log alone is the state.
+    pub(crate) fn fresh() -> Recovery {
+        Recovery {
+            db: Database::new(),
+            report: LoadReport::default(),
+            binding: None,
+            docs: BTreeMap::new(),
+            summary: WalReplaySummary::default(),
+        }
+    }
+
+    /// Load the checkpoint `dir`'s `CURRENT` names: sweep stale temps,
+    /// verify the digest chain to the manifest, register the schemas in
+    /// manifest order, then decode and re-check every document on every
+    /// core ([`decode_document`]) and admit them one at a time in
+    /// manifest order — a duplicate name is refused before its
+    /// validation verdict, as a sequential load would.
+    pub(crate) fn checkpoint(
+        dir: &Path,
+        policy: LoadPolicy,
+        vfs: &dyn Vfs,
+    ) -> Result<Recovery, DbError> {
+        // An associated fn has no database yet, so recovery metrics go
+        // to the process-global registry.
+        let mut span = xsobs::global().span(xsobs::HistogramId::PersistLoad);
+        span.set_detail(dir.display().to_string());
+        let mut report = LoadReport::default();
+
+        // Stale-temp cleanup: uncommitted saves are garbage by protocol.
+        if let Ok(entries) = vfs.read_dir(dir) {
+            for entry in entries {
+                let Some(name) = entry.file_name().and_then(|n| n.to_str()) else { continue };
+                if name.starts_with(".tmp-") && vfs.remove_dir_all(&entry).is_ok() {
+                    report.cleaned_temps.push(entry.clone());
+                }
+                if name == "CURRENT.tmp" && vfs.remove_file(&entry).is_ok() {
+                    report.cleaned_temps.push(entry.clone());
+                }
+            }
+        }
+
+        // CURRENT → generation → manifest, with a digest chain
+        // protecting each hop.
+        let current_path = dir.join("CURRENT");
+        let bytes = vfs.read(&current_path).map_err(|e| DbError::io(&current_path, e))?;
+        let current_text = utf8(&current_path, bytes)?;
+        let (gen, manifest_digest) = parse_current(&current_text)?;
+        let root_dir = dir.join(format!("gen-{gen}"));
+        let manifest_path = root_dir.join("manifest.xml");
+        let manifest_bytes =
+            vfs.read(&manifest_path).map_err(|e| DbError::io(&manifest_path, e))?;
+        verify_checksum(&manifest_path, &manifest_bytes, &manifest_digest)?;
+        let manifest = Document::parse(&utf8(&manifest_path, manifest_bytes)?)
+            .map_err(|e| DbError::Corrupt(format!("{}: {e}", manifest_path.display())))?;
+        if manifest.root().name != "xsdb".into() {
+            return Err(DbError::Corrupt(format!(
+                "{}: root element is <{}>, expected <xsdb>",
+                manifest_path.display(),
+                manifest.root().name
+            )));
+        }
+        if manifest.root().attribute("version") != Some(LAYOUT_VERSION) {
+            return Err(DbError::Corrupt(format!(
+                "{}: expected manifest version {LAYOUT_VERSION}",
+                manifest_path.display()
+            )));
+        }
+        report.generation = Some(gen);
+
+        let mut db = Database::new();
+        // Schemas that failed to load; their documents quarantine too.
+        let mut dead_schemas: Vec<String> = Vec::new();
+
+        for entry in manifest.root().children_named("schema") {
+            let name = required_attr(entry, "name", "schema")?;
+            let mut load = || -> Result<(), DbError> {
+                let file = required_attr(entry, "file", "schema")?;
+                safe_file_name(&file)?;
+                let path = root_dir.join("schemas").join(&file);
+                let bytes = vfs.read(&path).map_err(|e| DbError::io(&path, e))?;
+                verify_checksum(&path, &bytes, &required_attr(entry, "sha256", "schema")?)?;
+                db.register_schema_text(&name, &utf8(&path, bytes)?)
+            };
+            if let Err(error) = load() {
+                match policy {
+                    LoadPolicy::Strict => return Err(error),
+                    LoadPolicy::Lenient => {
+                        dead_schemas.push(name.clone());
+                        report.quarantined.push(Quarantine {
+                            kind: QuarantineKind::Schema,
+                            file: entry.attribute("file").map(|f| root_dir.join("schemas").join(f)),
+                            name,
+                            error,
+                        });
+                    }
+                }
+            }
+        }
+
+        let docs_dir = root_dir.join("documents");
+        let entries: Vec<&Element> = manifest.root().children_named("document").collect();
+        let mut docs: BTreeMap<String, DocPersist> = BTreeMap::new();
+        let flow = db.prepare_then_commit(
+            entries.len(),
+            0,
+            |db, i| decode_document(db, entries[i], &docs_dir, &dead_schemas, vfs),
+            |db, i, decoded| {
+                let entry = entries[i];
+                let name = match required_attr(entry, "name", "document") {
+                    Ok(name) => name,
+                    Err(e) => return ControlFlow::Break(e),
+                };
+                let admitted = decoded.and_then(|d| {
+                    let prepared = db.prepare_decoded(&name, &d.schema, d.storage, d.checked)?;
+                    db.commit_current(prepared)?;
+                    docs.insert(name.clone(), d.persist);
+                    Ok(())
+                });
+                match (admitted, policy) {
+                    (Ok(()), _) => ControlFlow::Continue(()),
+                    (Err(error), LoadPolicy::Strict) => ControlFlow::Break(error),
+                    (Err(error), LoadPolicy::Lenient) => {
+                        report.quarantined.push(Quarantine {
+                            kind: QuarantineKind::Document,
+                            file: entry.attribute("file").map(|f| docs_dir.join(f)),
+                            name,
+                            error,
+                        });
+                        ControlFlow::Continue(())
+                    }
+                }
+            },
+        );
+        if let ControlFlow::Break(error) = flow {
+            return Err(error);
+        }
+        let summary = WalReplaySummary {
+            max_seq: docs.values().map(|d| d.saved_epoch).max().unwrap_or(0),
+            ..WalReplaySummary::default()
+        };
+        let binding = Some(Binding { dir: dir.to_path_buf(), gen, current_line: current_text });
+        Ok(Recovery { db, report, binding, docs, summary })
+    }
+
+    /// Replay the write-ahead-log tail over the loaded state
+    /// ([`replay_wal_records`]): records a checkpoint already folded
+    /// into a document's pages are skipped by its catalog epoch.
+    pub(crate) fn replay(
+        &mut self,
+        records: &[WalRecord],
+        policy: LoadPolicy,
+    ) -> Result<(), DbError> {
+        let docs = &self.docs;
+        let epoch = |doc: &str| docs.get(doc).map_or(0, |d| d.saved_epoch);
+        replay_wal_records(&mut self.db, records, epoch, policy, &mut self.summary)?;
+        self.report.warnings.extend(self.summary.stopped.take());
+        Ok(())
+    }
+
+    /// The recovered database and its report. A cleanly-loaded
+    /// checkpoint leaves the database bound to its generation, so the
+    /// very next save can be incremental (or free) — unless replayed
+    /// records changed the registry, in which case the next save must
+    /// stage a fresh generation.
+    pub(crate) fn finish(self) -> (Database, LoadReport) {
+        let Recovery { db, report, binding, docs, summary } = self;
+        if binding.is_some() && report.quarantined.is_empty() {
+            *db.persist.lock().unwrap_or_else(|p| p.into_inner()) = PersistState {
+                bound: binding,
+                registry_dirty: summary.registry_changed,
+                docs,
+                wal_epoch: 0,
+            };
+        }
+        db.note_wal_epoch(summary.max_seq);
+        if report.generation.is_some() {
+            let obs = xsobs::global();
+            obs.incr(xsobs::CounterId::PersistLoads);
+            obs.add(xsobs::CounterId::PersistQuarantined, report.quarantined.len() as u64);
+            obs.add(xsobs::CounterId::PersistRecoveryWarnings, report.warnings.len() as u64);
+            obs.add(xsobs::CounterId::PersistTempsSwept, report.cleaned_temps.len() as u64);
+        }
+        (db, report)
+    }
 }
 
 impl Database {
@@ -568,180 +916,27 @@ impl Database {
         Database::load_dir_vfs(dir.as_ref(), policy, &StdVfs)
     }
 
-    /// [`Database::load_dir_report`] over an explicit [`Vfs`].
+    /// [`Database::load_dir_report`] over an explicit [`Vfs`]: load the
+    /// checkpoint, then replay the write-ahead-log tail over it.
     pub fn load_dir_vfs(
         dir: &Path,
         policy: LoadPolicy,
         vfs: &dyn Vfs,
     ) -> Result<(Database, LoadReport), DbError> {
-        // An associated fn has no database yet, so recovery metrics go
-        // to the process-global registry.
-        let obs = xsobs::global();
-        let mut span = obs.span(xsobs::HistogramId::PersistLoad);
-        span.set_detail(dir.display().to_string());
-        let mut report = LoadReport::default();
-
-        // Stale-temp cleanup: uncommitted saves are garbage by protocol.
-        if let Ok(entries) = vfs.read_dir(dir) {
-            for entry in entries {
-                let Some(name) = entry.file_name().and_then(|n| n.to_str()) else { continue };
-                if name.starts_with(".tmp-") && vfs.remove_dir_all(&entry).is_ok() {
-                    report.cleaned_temps.push(entry.clone());
-                }
-                if name == "CURRENT.tmp" && vfs.remove_file(&entry).is_ok() {
-                    report.cleaned_temps.push(entry.clone());
-                }
-            }
-        }
-
-        // CURRENT → generation → manifest, with a digest chain
-        // protecting each hop.
-        let current_path = dir.join("CURRENT");
-        let bytes = vfs.read(&current_path).map_err(|e| DbError::io(&current_path, e))?;
-        let current_text = utf8(&current_path, bytes)?;
-        let (gen, manifest_digest) = parse_current(&current_text)?;
-        let root_dir = dir.join(format!("gen-{gen}"));
-        let manifest_path = root_dir.join("manifest.xml");
-        let manifest_bytes =
-            vfs.read(&manifest_path).map_err(|e| DbError::io(&manifest_path, e))?;
-        verify_checksum(&manifest_path, &manifest_bytes, &manifest_digest)?;
-        let manifest = Document::parse(&utf8(&manifest_path, manifest_bytes)?)
-            .map_err(|e| DbError::Corrupt(format!("{}: {e}", manifest_path.display())))?;
-        if manifest.root().name != "xsdb".into() {
-            return Err(DbError::Corrupt(format!(
-                "{}: root element is <{}>, expected <xsdb>",
-                manifest_path.display(),
-                manifest.root().name
-            )));
-        }
-        if manifest.root().attribute("version") != Some(LAYOUT_VERSION) {
-            return Err(DbError::Corrupt(format!(
-                "{}: expected manifest version {LAYOUT_VERSION}",
-                manifest_path.display()
-            )));
-        }
-        report.generation = Some(gen);
-
-        let mut db = Database::new();
-        let mut doc_states: BTreeMap<String, DocPersist> = BTreeMap::new();
-        // Schemas that failed to load; their documents quarantine too.
-        let mut dead_schemas: Vec<String> = Vec::new();
-
-        for entry in manifest.root().children_named("schema") {
-            let name = required_attr(entry, "name", "schema")?;
-            let mut load = || -> Result<(), DbError> {
-                let file = required_attr(entry, "file", "schema")?;
-                safe_file_name(&file)?;
-                let path = root_dir.join("schemas").join(&file);
-                let bytes = vfs.read(&path).map_err(|e| DbError::io(&path, e))?;
-                verify_checksum(&path, &bytes, &required_attr(entry, "sha256", "schema")?)?;
-                db.register_schema_text(&name, &utf8(&path, bytes)?)
-            };
-            if let Err(error) = load() {
-                match policy {
-                    LoadPolicy::Strict => return Err(error),
-                    LoadPolicy::Lenient => {
-                        dead_schemas.push(name.clone());
-                        report.quarantined.push(Quarantine {
-                            kind: QuarantineKind::Schema,
-                            file: entry.attribute("file").map(|f| root_dir.join("schemas").join(f)),
-                            name,
-                            error,
-                        });
-                    }
-                }
-            }
-        }
-
-        for entry in manifest.root().children_named("document") {
-            let name = required_attr(entry, "name", "document")?;
-            let mut load = || -> Result<(), DbError> {
-                let schema = required_attr(entry, "schema", "document")?;
-                if dead_schemas.contains(&schema) {
-                    return Err(DbError::UnknownSchema(schema));
-                }
-                let file = required_attr(entry, "file", "document")?;
-                safe_file_name(&file)?;
-                let path = root_dir.join("documents").join(&file);
-                // Open the self-verifying map, decode the block storage
-                // page by page, and re-validate it through `f`. The
-                // *decoded* storage (not a rebuild) is what the database
-                // keeps: later incremental saves must stay aligned with
-                // the page layout on disk.
-                let map = required_attr(entry, "map", "document")?;
-                safe_file_name(&map)?;
-                let map_path = root_dir.join("documents").join(&map);
-                let store = PageStore::open(vfs, &map_path)?;
-                let (xs, saved_epoch) = storage::paged::load_with_epoch(&store, vfs, &path)?;
-                let watermark = xs.tick();
-                db.insert_paged(&name, &schema, xs)?;
-                doc_states
-                    .insert(name.clone(), DocPersist { file, map, store, watermark, saved_epoch });
-                Ok(())
-            };
-            if let Err(error) = load() {
-                match policy {
-                    LoadPolicy::Strict => return Err(error),
-                    LoadPolicy::Lenient => report.quarantined.push(Quarantine {
-                        kind: QuarantineKind::Document,
-                        file: entry.attribute("file").map(|f| root_dir.join("documents").join(f)),
-                        name,
-                        error,
-                    }),
-                }
-            }
-        }
-        // Replay the write-ahead-log tail over the loaded state: records
-        // a checkpoint already folded into a document's pages are
-        // skipped by its catalog epoch; deterministic rejections
-        // (duplicate/unknown names, invalid content) mean the record's
-        // effect is already present (or never was) and are skipped too.
-        let mut replay = WalReplaySummary {
-            max_seq: doc_states.values().map(|d| d.saved_epoch).max().unwrap_or(0),
-            ..WalReplaySummary::default()
-        };
+        let mut recovery = Recovery::checkpoint(dir, policy, vfs)?;
         let wal_dir = dir.join(WAL_SUBDIR);
         if vfs.exists(&wal_dir) {
             match storage::wal::replay(vfs, &wal_dir) {
-                Ok(records) => {
-                    let epochs: BTreeMap<&str, u64> =
-                        doc_states.iter().map(|(n, d)| (n.as_str(), d.saved_epoch)).collect();
-                    replay_wal_records(
-                        &mut db,
-                        &records,
-                        |doc| epochs.get(doc).copied().unwrap_or(0),
-                        policy,
-                        &mut replay,
-                    )?;
-                    report.warnings.extend(replay.stopped.clone());
-                }
+                Ok(records) => recovery.replay(&records, policy)?,
                 Err(e) => match policy {
                     LoadPolicy::Strict => return Err(e.into()),
                     LoadPolicy::Lenient => {
-                        report.warnings.push(format!("write-ahead log not replayed: {e}"));
+                        recovery.report.warnings.push(format!("write-ahead log not replayed: {e}"));
                     }
                 },
             }
         }
-
-        // A cleanly-loaded directory leaves the database bound to its
-        // generation, so the very next save can be incremental (or free)
-        // — unless replayed records changed the registry, in which case
-        // the next save must stage a fresh generation.
-        if report.quarantined.is_empty() {
-            *db.persist.lock().unwrap_or_else(|p| p.into_inner()) = PersistState {
-                bound: Some(Binding { dir: dir.to_path_buf(), gen, current_line: current_text }),
-                registry_dirty: replay.registry_changed,
-                docs: doc_states,
-                wal_epoch: 0,
-            };
-        }
-        db.note_wal_epoch(replay.max_seq);
-        obs.incr(xsobs::CounterId::PersistLoads);
-        obs.add(xsobs::CounterId::PersistQuarantined, report.quarantined.len() as u64);
-        obs.add(xsobs::CounterId::PersistRecoveryWarnings, report.warnings.len() as u64);
-        obs.add(xsobs::CounterId::PersistTempsSwept, report.cleaned_temps.len() as u64);
-        Ok((db, report))
+        Ok(recovery.finish())
     }
 }
 

@@ -105,7 +105,7 @@ use storage::Wal;
 use crate::database::Database;
 use crate::error::DbError;
 use crate::mutation::{ApplyOutcome, Mutation};
-use crate::persist::{replay_wal_records, LoadPolicy, LoadReport, WalReplaySummary, WAL_SUBDIR};
+use crate::persist::{LoadPolicy, LoadReport, Recovery, WAL_SUBDIR};
 use crate::vfs::{StdVfs, Vfs};
 
 /// When a logged mutation is acknowledged relative to its record
@@ -139,7 +139,7 @@ impl std::str::FromStr for Durability {
 #[derive(Debug)]
 struct WalHandle {
     wal: Mutex<Wal>,
-    vfs: Arc<dyn Vfs + Send + Sync>,
+    vfs: Arc<dyn Vfs>,
     durability: Durability,
     /// Highest sequence number known durable — the group-commit gate:
     /// a committer whose sequence is already covered piggybacks on the
@@ -257,26 +257,21 @@ impl SharedDatabase {
     pub fn open_durable_vfs(
         dir: &Path,
         durability: Durability,
-        vfs: Arc<dyn Vfs + Send + Sync>,
+        vfs: Arc<dyn Vfs>,
     ) -> Result<(SharedDatabase, LoadReport), DbError> {
-        let committed = vfs.exists(&dir.join("CURRENT"));
-        let (mut db, report) = if committed {
-            // load_dir_vfs replays the WAL tail internally, skipping
-            // records already folded into each document's epoch.
-            Database::load_dir_vfs(dir, LoadPolicy::Strict, &*vfs)?
+        // The checkpoint first, then the log — opened once, and its
+        // records handed to the replay.
+        let mut recovery = if vfs.exists(&dir.join("CURRENT")) {
+            Recovery::checkpoint(dir, LoadPolicy::Strict, &*vfs)?
         } else {
+            // Never checkpointed: the log is the only state there is.
             vfs.create_dir_all(dir).map_err(|e| DbError::io(dir, e))?;
-            (Database::new(), LoadReport::default())
+            Recovery::fresh()
         };
         let wal_dir = dir.join(WAL_SUBDIR);
         let (mut wal, records) = Wal::open(&*vfs, &wal_dir, storage::DEFAULT_ROTATE_BYTES)?;
-        if !committed && !records.is_empty() {
-            // Crash before the first checkpoint: the log is the only
-            // state there is.
-            let mut summary = WalReplaySummary::default();
-            replay_wal_records(&mut db, &records, |_| 0, LoadPolicy::Strict, &mut summary)?;
-            db.note_wal_epoch(summary.max_seq);
-        }
+        recovery.replay(&records, LoadPolicy::Strict)?;
+        let (db, report) = recovery.finish();
         // Sequences stay monotonic across restarts even when a
         // checkpoint truncated the records they were seeded from.
         let epoch_seq = db.persist.lock().unwrap_or_else(|p| p.into_inner()).wal_epoch;

@@ -15,7 +15,10 @@
 //!   document is (`storage.page_writes` counter);
 //! - a large document opens lazily — the catalog and one block list
 //!   can be read without touching most data pages
-//!   (`storage.page_reads` counter).
+//!   (`storage.page_reads` counter);
+//! - a read fault at any operation of a reopen — whichever worker of
+//!   the parallel document load it lands in — fails a strict load
+//!   whole and quarantines exactly the faulted entry in a lenient one.
 //!
 //! The page counters are process-global, so every test here grabs one
 //! shared lock; the file deliberately contains *only* page-counter-
@@ -194,6 +197,92 @@ fn incremental_save_error_at_any_operation_reloads_old_or_new() {
         assert!(db_equiv(&Database::load_dir(&dir).unwrap(), &new));
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+// ------------------------------------- read faults in a parallel load
+
+/// Four journals of different sizes under one schema, saved.
+fn journals_dir(tag: &str) -> (PathBuf, Database) {
+    let dir = temp_dir(tag);
+    let mut db = Database::new();
+    db.register_schema_text("log", SCHEMA).unwrap();
+    for (i, entries) in [3usize, 40, 7, 120].into_iter().enumerate() {
+        db.insert(&format!("j{i}"), "log", &log_xml(entries)).unwrap();
+    }
+    db.save_dir(&dir).unwrap();
+    (dir, db)
+}
+
+/// A transient read fault at every operation of a reopen, whichever
+/// worker of the parallel document load it lands in. `Strict` returns
+/// an error and never a partial database. `Lenient` fails only when the
+/// fault hits an integrity root (`CURRENT`, the manifest); otherwise it
+/// quarantines exactly the faulted entry — the document whose file the
+/// fault hit, or the schema and every document that needs it — and
+/// every other document equals the checkpoint.
+#[test]
+fn a_read_fault_at_any_operation_of_a_parallel_load_is_contained() {
+    let _g = lock();
+    let (dir, saved) = journals_dir("read-faults");
+    let counter = FaultyVfs::counting();
+    let (clean, report) = Database::load_dir_vfs(&dir, LoadPolicy::Strict, &counter).unwrap();
+    assert!(report.is_clean() && db_equiv(&clean, &saved));
+    let total = counter.ops();
+    let injected = |e: &DbError| match e {
+        DbError::Io { path, source } if source.to_string().contains("injected") => {
+            Some(path.clone())
+        }
+        _ => None,
+    };
+    let (mut strict_errors, mut quarantined_docs) = (0, 0);
+    for k in 0..total {
+        match Database::load_dir_vfs(&dir, LoadPolicy::Strict, &FaultyVfs::error_at(k)) {
+            Err(e) => {
+                assert!(injected(&e).is_some(), "strict, fault at op {k}: {e}");
+                strict_errors += 1;
+            }
+            Ok((db, _)) => assert!(db_equiv(&db, &saved), "strict, fault at op {k}: partial load"),
+        }
+        let (db, report) =
+            match Database::load_dir_vfs(&dir, LoadPolicy::Lenient, &FaultyVfs::error_at(k)) {
+                Ok(loaded) => loaded,
+                Err(e) => {
+                    let path =
+                        injected(&e).unwrap_or_else(|| panic!("lenient, fault at op {k}: {e}"));
+                    let root = path.ends_with("CURRENT") || path.ends_with("manifest.xml");
+                    assert!(root, "lenient, fault at op {k} aborted on {}", path.display());
+                    continue;
+                }
+            };
+        let lost: Vec<&str> = report
+            .quarantined
+            .iter()
+            .filter(|q| q.kind == xsdb::QuarantineKind::Document)
+            .map(|q| q.name.as_str())
+            .collect();
+        match report.quarantined.first() {
+            None => {}
+            Some(q) if q.kind == xsdb::QuarantineKind::Schema => {
+                assert!(injected(&q.error).is_some(), "op {k}: {:?}", q.error);
+                assert_eq!(lost.len(), saved.len(), "op {k}: a dead schema keeps no document");
+            }
+            Some(q) => {
+                let path = injected(&q.error).unwrap_or_else(|| panic!("op {k}: {:?}", q.error));
+                let stem = path.file_stem().and_then(|s| s.to_str());
+                assert_eq!(stem, Some(q.name.as_str()), "op {k}: quarantined the wrong entry");
+                assert_eq!(report.quarantined.len(), 1, "op {k}: {report:?}");
+                quarantined_docs += 1;
+            }
+        }
+        let kept: Vec<&str> = saved.document_names().filter(|n| !lost.contains(n)).collect();
+        assert_eq!(db.document_names().collect::<Vec<_>>(), kept, "op {k}");
+        for name in kept {
+            assert_eq!(db.serialize(name).unwrap(), saved.serialize(name).unwrap(), "op {k}");
+        }
+    }
+    assert!(strict_errors > 0, "no fault ever reached the load");
+    assert!(quarantined_docs > 0, "no fault ever landed in a document");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // ------------------------------------------------- byte-flip walking

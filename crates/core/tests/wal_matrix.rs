@@ -118,12 +118,7 @@ fn matching_prefix(db: &Database, len: usize) -> Option<usize> {
 /// first error, or the full count. `stop_on_error` ends the run at the
 /// first failure (the error-matrix discipline: a sane client stops or
 /// retries; it does not plough on past an unacknowledged commit).
-fn run_script(
-    dir: &Path,
-    vfs: Arc<dyn Vfs + Send + Sync>,
-    durability: Durability,
-    stop_on_error: bool,
-) -> usize {
+fn run_script(dir: &Path, vfs: Arc<dyn Vfs>, durability: Durability, stop_on_error: bool) -> usize {
     let Ok((shared, _)) = SharedDatabase::open_durable_vfs(dir, durability, vfs) else {
         return 0;
     };
@@ -217,7 +212,7 @@ fn fsync_failure_reports_not_durable_instead_of_acking() {
     let mut saw_apply_failure = false;
     for n in 0..total {
         let dir = temp_dir("fsync");
-        let vfs: Arc<dyn Vfs + Send + Sync> = Arc::new(FaultyVfs::fsync_error_at(n));
+        let vfs: Arc<dyn Vfs> = Arc::new(FaultyVfs::fsync_error_at(n));
         let Ok((shared, _)) = SharedDatabase::open_durable_vfs(&dir, Durability::Fsync, vfs) else {
             let _ = fs::remove_dir_all(&dir);
             continue;

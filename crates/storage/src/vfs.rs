@@ -25,8 +25,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// All operations are fallible; implementations must not panic. `write`
 /// and `write_at` are required to be durable (data reaches the device
 /// before they return), and `rename` is required to be atomic — the
-/// properties the commit protocols are built on.
-pub trait Vfs: std::fmt::Debug {
+/// properties the commit protocols are built on. A `Vfs` is shared by
+/// the worker threads of a parallel recovery, so it is `Send + Sync`.
+pub trait Vfs: std::fmt::Debug + Send + Sync {
     /// Create a directory and all missing parents.
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
     /// Create or replace a file with `data`, fsyncing it.

@@ -112,7 +112,6 @@ impl Wal {
             let bytes = vfs.read(path).map_err(|e| StorageError::io(path, e))?;
             read_segment(path, *index, &bytes, newest, &mut last_seq, &mut records)?;
         }
-        xsobs::global().add(xsobs::CounterId::WalReplayRecords, records.len() as u64);
 
         let seg = segments.last().map_or(0, |(index, _)| index + 1);
         let wal = Wal {

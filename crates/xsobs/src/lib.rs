@@ -172,6 +172,14 @@ pub enum CounterId {
     /// (another writer replaced what its snapshot showed) and was
     /// prepared again there.
     WalCommitRetries,
+    /// Waves recovery cut the log tail into: maximal runs of records
+    /// naming distinct documents, prepared in parallel and committed in
+    /// log order.
+    WalReplayWaves,
+    /// Replayed records whose speculative preparation was stale or
+    /// refused after an earlier record of its wave committed, and were
+    /// prepared again against the current state.
+    WalReplayReprepared,
     /// Static update checks run (every guarded update, any verdict).
     UpdateChecks,
     /// Update checks that proved the update valid (revalidation skipped).
@@ -230,7 +238,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in stable export order.
-    pub const ALL: [CounterId; 72] = [
+    pub const ALL: [CounterId; 74] = [
         CounterId::ParseDocuments,
         CounterId::ParseBytes,
         CounterId::ParseEntityExpansions,
@@ -283,6 +291,8 @@ impl CounterId {
         CounterId::WalCheckpoints,
         CounterId::WalCheckpointPages,
         CounterId::WalCommitRetries,
+        CounterId::WalReplayWaves,
+        CounterId::WalReplayReprepared,
         CounterId::UpdateChecks,
         CounterId::UpdateAccepted,
         CounterId::UpdateRechecked,
@@ -363,6 +373,8 @@ impl CounterId {
             CounterId::WalCheckpoints => "wal.checkpoints_total",
             CounterId::WalCheckpointPages => "wal.checkpoint_pages_total",
             CounterId::WalCommitRetries => "wal.commit_retries_total",
+            CounterId::WalReplayWaves => "wal.replay_waves_total",
+            CounterId::WalReplayReprepared => "wal.replay_reprepared_total",
             CounterId::UpdateChecks => "analysis.update_checks_total",
             CounterId::UpdateAccepted => "analysis.update_accept_total",
             CounterId::UpdateRechecked => "analysis.update_recheck_total",
@@ -442,7 +454,8 @@ pub enum HistogramId {
     DbXquery,
     /// One atomic-commit save of the whole database.
     PersistSave,
-    /// One verifying load of a persisted directory.
+    /// One verifying load of a persisted directory's checkpoint (the
+    /// write-ahead-log tail is [`HistogramId::WalReplay`]).
     PersistLoad,
     /// xsanalyze: schema well-formedness pass.
     AnalyzeWellformed,
@@ -468,6 +481,9 @@ pub enum HistogramId {
     WalBatchRecords,
     /// One durable commit: WAL append through fsync acknowledgement.
     WalCommit,
+    /// One recovery replay of the write-ahead-log tail over the
+    /// checkpointed state.
+    WalReplay,
     /// Cost-based planning of one query (statistics lookups + operator
     /// choice, execution excluded).
     PlanBuild,
@@ -479,7 +495,7 @@ pub enum HistogramId {
 
 impl HistogramId {
     /// Every histogram, in stable export order.
-    pub const ALL: [HistogramId; 19] = [
+    pub const ALL: [HistogramId; 20] = [
         HistogramId::DbInsert,
         HistogramId::DbValidate,
         HistogramId::DbQuery,
@@ -497,6 +513,7 @@ impl HistogramId {
         HistogramId::ClientRequest,
         HistogramId::WalBatchRecords,
         HistogramId::WalCommit,
+        HistogramId::WalReplay,
         HistogramId::PlanBuild,
         HistogramId::NetPipelineDepth,
     ];
@@ -524,6 +541,7 @@ impl HistogramId {
             HistogramId::ClientRequest => "client.request_ns",
             HistogramId::WalBatchRecords => "wal.batch_records",
             HistogramId::WalCommit => "wal.commit_ns",
+            HistogramId::WalReplay => "wal.replay_ns",
             HistogramId::PlanBuild => "plan.build_ns",
             HistogramId::NetPipelineDepth => "net.pipeline_depth",
         }

@@ -10,6 +10,9 @@ cargo test -q --workspace
 # `cargo test` run elsewhere can't silently skip them.
 cargo test -q -p xsdb --test crash_matrix
 cargo test -q -p xsdb --test wal_matrix
+# Parallel recovery equals the sequential fold on adversarial logs, and
+# a reopen reads the log once and counts each record once.
+cargo test -q -p xsdb --test parallel_recovery
 # Commit protocol: a refused mutation never reaches the log, a stale
 # preparation is never installed, and `f` runs outside the writer lock.
 cargo test -q -p xsdb --test commit_protocol
