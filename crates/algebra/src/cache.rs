@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use xsmodel::{
     CombinationFactor, ComplexTypeDefinition, ContentModel, ContentModelError, GroupDefinition,
@@ -75,8 +75,10 @@ impl ContentModelCache {
         self.obs.incr(xsobs::CounterId::CmCacheLookups);
         let key = fingerprint(group);
         // One lock across lookup and compile: racing first sights of a
-        // group must count (and pay for) exactly one miss.
-        let mut map = self.map.lock().expect("content-model cache lock");
+        // group must count (and pay for) exactly one miss. A panic while
+        // compiling poisons the lock but inserts nothing, and the map only
+        // ever holds complete entries, so a poisoned lock is still sound.
+        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(cm) = map.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.obs.incr(xsobs::CounterId::CmCacheHits);
@@ -91,7 +93,7 @@ impl ContentModelCache {
 
     /// Number of distinct content models cached.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("content-model cache lock").len()
+        self.map.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// True when nothing has been cached yet.
@@ -249,6 +251,25 @@ mod tests {
         let g1 = GroupDefinition::sequence(vec![eld("ab"), eld("c")]);
         let g2 = GroupDefinition::sequence(vec![eld("a"), eld("bc")]);
         assert_ne!(fingerprint(&g1), fingerprint(&g2));
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_cache_usable() {
+        let cache = ContentModelCache::new();
+        let seq = GroupDefinition::sequence(vec![eld("B"), eld("C")]);
+        cache.get_or_compile(&seq).unwrap();
+        let poisoned = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _map = cache.map.lock().unwrap();
+                panic!("compile panicked");
+            })
+            .join()
+        });
+        assert!(poisoned.is_err() && cache.map.is_poisoned());
+        assert_eq!(cache.len(), 1);
+        let choice = GroupDefinition::choice(vec![eld("B"), eld("C")]);
+        assert!(cache.get_or_compile(&choice).unwrap().accepts(&["C"]));
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (2, 0, 2));
     }
 
     #[test]

@@ -5,10 +5,17 @@
 //! (provided by `xstypes`), and whose operations are the node accessors.
 //! This crate supplies the *dynamic* part of the model:
 //!
-//! * [`load_document`] — the function `f`: validate an XML document
-//!   against a document schema and build the corresponding S-tree with
-//!   all accessor values of §6.2 (type annotations, typed values, nilled
-//!   flags, text-node placement, attribute permutation σ);
+//! * [`PushValidator`] — the §6.2 core: requirements 1–7 checked over a
+//!   push stream of `start / text / end` events with an explicit stack
+//!   of frames and no tree, handing the valid instance's nodes to an
+//!   [`InstanceSink`]. [`validate_text`] and [`ingest_text`] drive it
+//!   from the pull parser; the database also drives it from a walk of
+//!   stored descriptors, and its sink builds block storage;
+//! * [`load_document`] — the function `f` as a tree: validate an XML
+//!   document against a document schema and build the corresponding
+//!   S-tree with all accessor values of §6.2 (type annotations, typed
+//!   values, nilled flags, text-node placement, attribute permutation
+//!   σ). It is the independent oracle the core is tested against;
 //! * [`serialize_tree`] — the function `g`: serialize an S-tree back to
 //!   an XML document;
 //! * [`content_equal`] — the equivalence `=_c`;
@@ -39,8 +46,8 @@ mod equality;
 mod error;
 mod identity;
 mod load;
+mod push;
 mod serialize;
-mod stream;
 mod theorem;
 
 pub use cache::ContentModelCache;
@@ -48,9 +55,8 @@ pub use equality::{content_diff, content_equal};
 pub use error::{Rule, ValidationError};
 pub use identity::check_identity;
 pub use load::{
-    load_document, load_document_cached, load_document_with, validate, validate_cached,
-    LoadOptions, LoadedDocument,
+    load_document, load_document_cached, load_document_with, LoadOptions, LoadedDocument,
 };
+pub use push::{ingest_text, validate_text, IngestError, InstanceSink, PushValidator};
 pub use serialize::serialize_tree;
-pub use stream::{validate_streaming, validate_streaming_cached, validate_streaming_with};
 pub use theorem::{check_roundtrip, check_roundtrip_with, RoundTripFailure};

@@ -139,27 +139,6 @@ fn load_document_impl(
     }
 }
 
-/// Validate without keeping the tree. Returns the rule violations.
-pub fn validate(schema: &DocumentSchema, xml: &Document) -> Vec<ValidationError> {
-    match load_document(schema, xml) {
-        Ok(_) => Vec::new(),
-        Err(errors) => errors,
-    }
-}
-
-/// [`validate`] sharing compiled content models through `cache`.
-pub fn validate_cached(
-    schema: &DocumentSchema,
-    xml: &Document,
-    options: &LoadOptions,
-    cache: &ContentModelCache,
-) -> Vec<ValidationError> {
-    match load_document_cached(schema, xml, options, cache) {
-        Ok(_) => Vec::new(),
-        Err(errors) => errors,
-    }
-}
-
 struct Loader<'a> {
     schema: &'a DocumentSchema,
     options: &'a LoadOptions,
@@ -179,11 +158,11 @@ struct Loader<'a> {
 /// True for the reserved attributes that are not part of the §6.2
 /// attribute model: `xsi:*` (schema-instance controls) and namespace
 /// declarations.
-fn is_reserved_attribute(name: &xmlparse::QName) -> bool {
+pub(crate) fn is_reserved_attribute(name: &xmlparse::QName) -> bool {
     matches!(name.prefix(), Some("xsi") | Some("xmlns")) || name.local() == "xmlns"
 }
 
-fn is_whitespace(text: &str) -> bool {
+pub(crate) fn is_whitespace(text: &str) -> bool {
     text.chars().all(|c| matches!(c, ' ' | '\t' | '\n' | '\r'))
 }
 
@@ -490,13 +469,16 @@ impl<'a> Loader<'a> {
                         let t = std::mem::take(&mut pending_text);
                         self.store.new_text(end, t);
                     }
+                    // Borrowed from the content model, never cloned: the
+                    // model stays cached for the whole load, so an
+                    // anonymous type's group keeps one address, and
+                    // `cm_cache` can never mistake a freed clone's address
+                    // for another group's.
                     let decl = &cm.declarations()[assignments[elem_index]];
                     let n = sibling_count.entry(decl.name.as_str()).or_insert(0);
                     *n += 1;
                     let child_path = format!("{path}/{}[{n}]", decl.name);
-                    // Clone the declaration to drop the borrow on cm.
-                    let decl = decl.clone();
-                    self.element(ce, &decl, end, &child_path);
+                    self.element(ce, decl, end, &child_path);
                     elem_index += 1;
                 }
                 Node::Comment(_) | Node::ProcessingInstruction { .. } => {}
@@ -806,6 +788,22 @@ mod tests {
         // 5.1.1: there is a text node (with the empty string value).
         assert_eq!(loaded.store.children(root).len(), 1);
         assert_eq!(loaded.store.node_kind(loaded.store.children(root)[0]), "text");
+    }
+
+    #[test]
+    fn sibling_anonymous_types_keep_their_own_content_models() {
+        let schema = parse_schema_text(
+            r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="r"><xs:complexType><xs:sequence>
+    <xs:element name="a"><xs:complexType><xs:sequence>
+      <xs:element name="x" type="xs:string"/></xs:sequence></xs:complexType></xs:element>
+    <xs:element name="b"><xs:complexType><xs:sequence>
+      <xs:element name="y" type="xs:string"/></xs:sequence></xs:complexType></xs:element>
+  </xs:sequence></xs:complexType></xs:element></xs:schema>"#,
+        )
+        .unwrap();
+        let xml = Document::parse("<r><a><x>1</x></a><b><y>2</y></b></r>").unwrap();
+        assert!(load_document(&schema, &xml).is_ok());
     }
 
     #[test]

@@ -151,11 +151,14 @@ fn e2_validate() {
             let load_s = per_run(3, || {
                 load_document(&schema, &doc).unwrap();
             });
-            let stream_opts =
-                xsdb::LoadOptions { check_identity: false, ..xsdb::LoadOptions::default() };
-            assert!(xsdb::algebra::validate_streaming_with(&schema, &xml, &stream_opts).is_empty());
+            // The tree-free core over the parser's events, identity
+            // constraints included: what VALIDATE runs.
+            let (opts, limits) =
+                (xsdb::LoadOptions::default(), xsdb::xmlparse::ParseLimits::default());
+            let stream = || xsdb::algebra::validate_text(&schema, &xml, &opts, &limits, None);
+            assert_eq!(stream().unwrap(), []);
             let stream_s = per_run(3, || {
-                xsdb::algebra::validate_streaming_with(&schema, &xml, &stream_opts);
+                stream().unwrap();
             });
             println!(
                 "{:<8} {:>9} {:>12.3} {:>12.3} {:>12.3} {:>14.0}",
@@ -217,18 +220,19 @@ fn e2_cached() {
         let opts = xsdb::LoadOptions::default();
         let cache = xsdb::algebra::ContentModelCache::default();
         // Warm the cache, and cross-check the verdicts agree.
+        let cached = |doc| xsdb::algebra::load_document_cached(&schema, doc, &opts, &cache);
         for doc in &docs {
-            assert!(xsdb::algebra::validate_cached(&schema, doc, &opts, &cache).is_empty());
-            assert!(xsdb::algebra::validate(&schema, doc).is_empty());
+            assert!(cached(doc).is_ok());
+            assert!(load_document(&schema, doc).is_ok());
         }
         let fresh_s = per_run(3, || {
             for doc in &docs {
-                xsdb::algebra::validate(&schema, doc);
+                let _ = load_document(&schema, doc);
             }
         });
         let cached_s = per_run(3, || {
             for doc in &docs {
-                xsdb::algebra::validate_cached(&schema, doc, &opts, &cache);
+                let _ = cached(doc);
             }
         });
         println!(

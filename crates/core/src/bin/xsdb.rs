@@ -11,9 +11,7 @@
 use std::process::ExitCode;
 
 use xsdb::cli::out_line;
-use xsdb::{
-    check_roundtrip, load_document, parse_schema_text, Database, DbError, Document, DocumentSchema,
-};
+use xsdb::{check_roundtrip, parse_schema_text, Database, DbError, Document, DocumentSchema};
 
 /// The name the one document is stored under.
 const DOC: &str = "doc";
@@ -34,11 +32,18 @@ fn usage() -> String {
         .to_string()
 }
 
-/// A database holding `doc`, validated against `schema`, as [`DOC`].
-fn stored(schema: DocumentSchema, doc: &Document) -> Result<Database, String> {
+/// A database holding only `schema`, as `"schema"`.
+fn with_schema(schema: DocumentSchema) -> Result<Database, String> {
     let mut db = Database::new();
     db.register_schema("schema", schema).map_err(|e| e.to_string())?;
-    match db.insert_document(DOC, "schema", doc) {
+    Ok(db)
+}
+
+/// A database holding the document text `xml`, validated against
+/// `schema`, as [`DOC`].
+fn stored(schema: DocumentSchema, xml: &str) -> Result<Database, String> {
+    let mut db = with_schema(schema)?;
+    match db.insert(DOC, "schema", xml) {
         Ok(()) => Ok(db),
         Err(DbError::Invalid(errors)) => Err(format!("document invalid: {}", errors[0])),
         Err(e) => Err(e.to_string()),
@@ -59,24 +64,23 @@ fn run(args: &[String]) -> Result<(), String> {
         let lines: Vec<String> = issues.iter().map(|i| format!("  {i}")).collect();
         return Err(format!("schema is not well-formed:\n{}", lines.join("\n")));
     }
-    let doc = Document::parse(&doc_text).map_err(|e| e.to_string())?;
 
     match command {
-        "validate" => match load_document(&schema, &doc) {
-            Ok(loaded) => {
-                out_line(format_args!("valid: {} nodes", loaded.store.len()));
-                Ok(())
+        "validate" => {
+            let errors =
+                with_schema(schema)?.validate("schema", &doc_text).map_err(|e| e.to_string())?;
+            if errors.is_empty() {
+                out_line(format_args!("valid"));
+                return Ok(());
             }
-            Err(errors) => {
-                for e in &errors {
-                    eprintln!("{e}");
-                }
-                Err(format!("{} violation(s)", errors.len()))
+            for e in &errors {
+                eprintln!("{e}");
             }
-        },
+            Err(format!("{} violation(s)", errors.len()))
+        }
         "query" => {
             let expr = args.get(3).ok_or_else(usage)?;
-            let db = stored(schema, &doc)?;
+            let db = stored(schema, &doc_text)?;
             for value in db.query(DOC, expr).map_err(|e| e.to_string())? {
                 out_line(format_args!("{value}"));
             }
@@ -84,19 +88,22 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "xquery" => {
             let expr = args.get(3).ok_or_else(usage)?;
-            let db = stored(schema, &doc)?;
+            let db = stored(schema, &doc_text)?;
             out_line(format_args!("{}", db.xquery(DOC, expr).map_err(|e| e.to_string())?));
             Ok(())
         }
-        "roundtrip" => match check_roundtrip(&schema, &doc) {
-            Ok(_) => {
-                out_line(format_args!("g(f(X)) =_c X holds"));
-                Ok(())
+        "roundtrip" => {
+            match check_roundtrip(&schema, &Document::parse(&doc_text).map_err(|e| e.to_string())?)
+            {
+                Ok(_) => {
+                    out_line(format_args!("g(f(X)) =_c X holds"));
+                    Ok(())
+                }
+                Err(e) => Err(format!("round trip failed: {e}")),
             }
-            Err(e) => Err(format!("round trip failed: {e}")),
-        },
+        }
         "inspect" => {
-            let db = stored(schema, &doc)?;
+            let db = stored(schema, &doc_text)?;
             let storage = &db.document(DOC).ok_or("document vanished")?.storage;
             out_line(format_args!("document nodes:        {}", storage.len()));
             out_line(format_args!("descriptive schema:    {} nodes", storage.schema().len()));

@@ -6,27 +6,30 @@
 //! through different database states. Each state can be formally
 //! represented as a many sorted algebra." [`Database`] is that evolving
 //! object. Each stored document has exactly one form, the §9 block
-//! storage: inserting runs `f` (validate + build the S-tree), hands the
-//! tree to [`XmlStorage::from_tree`] and drops it; queries, updates and
-//! `g` (serialization) read the node descriptors directly — §9.2's claim
-//! that descriptors plus the descriptive schema answer every accessor.
+//! storage. Inserting is one streaming pass: the pull parser's events run
+//! through the §6.2 core ([`algebra::PushValidator`]), which hands the
+//! valid instance's nodes straight to a [`storage::StorageBuilder`], so
+//! no DOM or XDM tree is ever built. Validating is the same pass with no
+//! sink, and revalidating a stored document walks its descriptors into
+//! the core. Queries, updates and `g` (serialization) read the node
+//! descriptors directly — §9.2's claim that descriptors plus the
+//! descriptive schema answer every accessor.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use algebra::{load_document_cached, ContentModelCache, LoadOptions, ValidationError};
+use algebra::{validate_text, ContentModelCache, LoadOptions, ValidationError};
 use storage::XmlStorage;
-use xmlparse::{Document, ParseLimits};
+use xmlparse::ParseLimits;
 use xsmodel::DocumentSchema;
 
-use crate::error::DbError;
+use crate::error::{catch_panic, DbError};
 use crate::mutation::ApplyOutcome;
 use crate::persist::PersistState;
-use crate::physical::storage_to_document;
+use crate::physical::{build_storage, storage_to_document, validate_storage};
 use crate::update::{self, UpdateOutcome};
 
 /// One stored document: its §9 block storage and the schema it
@@ -329,18 +332,6 @@ impl Database {
         Ok(())
     }
 
-    /// Insert an already-parsed document.
-    pub fn insert_document(
-        &mut self,
-        doc_name: &str,
-        schema_name: &str,
-        xml: &Document,
-    ) -> Result<(), DbError> {
-        let prepared = self.prepare_parsed(doc_name, schema_name, xml)?;
-        self.commit_current(prepared)?;
-        Ok(())
-    }
-
     /// The stored documents, for the persistence layer.
     pub(crate) fn doc_registry(&self) -> &BTreeMap<String, Arc<StoredDocument>> {
         &self.documents
@@ -353,11 +344,7 @@ impl Database {
             .get(schema_name)
             .ok_or_else(|| DbError::UnknownSchema(schema_name.to_string()))?;
         let _span = self.obs.span(xsobs::HistogramId::DbValidate);
-        let parsed = Document::parse_with_limits(xml, &self.limits)?;
-        Ok(match load_document_cached(schema, &parsed, &self.options, &self.cm_cache) {
-            Ok(_) => Vec::new(),
-            Err(errs) => errs,
-        })
+        validate_guarded(schema, xml, &self.options, &self.limits, &self.cm_cache, &self.obs)
     }
 
     /// Validate a batch of documents against one registered schema,
@@ -386,11 +373,7 @@ impl Database {
         let obs = &self.obs;
         Ok(run_parallel(xmls.len(), threads, |i| {
             let _span = obs.span(xsobs::HistogramId::DbValidate);
-            let parsed = Document::parse_with_limits(xmls[i], limits)?;
-            Ok(match load_document_cached(schema, &parsed, options, cache) {
-                Ok(_) => Vec::new(),
-                Err(errs) => errs,
-            })
+            validate_guarded(schema, xmls[i], options, limits, cache, obs)
         }))
     }
 
@@ -614,40 +597,23 @@ impl Database {
     }
 
     /// Prepare inserting `xml` as `doc_name`: the duplicate-name and
-    /// unknown-schema checks, then the parse, `f` and the storage build.
+    /// unknown-schema checks, then one streaming pass that parses, runs
+    /// `f` and builds the block storage.
     pub(crate) fn prepare_insert(
         &self,
         doc_name: &str,
         schema_name: &str,
         xml: &str,
     ) -> Result<Prepared, DbError> {
-        self.insert_target(doc_name, schema_name)?;
-        let parsed = Document::parse_with_limits(xml, &self.limits)?;
-        self.prepare_parsed(doc_name, schema_name, parsed)
-    }
-
-    /// Prepare inserting the parsed `xml` as `doc_name`: the
-    /// duplicate-name and unknown-schema checks, `f` and the storage
-    /// build. An owned document is freed as soon as `f` holds its
-    /// S-tree, so the DOM, the S-tree and the blocks never coexist.
-    fn prepare_parsed(
-        &self,
-        doc_name: &str,
-        schema_name: &str,
-        xml: impl Borrow<Document>,
-    ) -> Result<Prepared, DbError> {
         let schema = self.insert_target(doc_name, schema_name)?;
         let mut span = self.obs.span(xsobs::HistogramId::DbInsert);
         span.set_detail(doc_name);
-        let loaded = load_document_cached(schema, xml.borrow(), &self.options, &self.cm_cache)
-            .map_err(DbError::Invalid)?;
-        drop(xml);
-        let storage = XmlStorage::from_tree(&loaded.store, loaded.doc);
+        let storage = build_storage(schema, xml, &self.options, &self.limits, &self.cm_cache)?;
         Ok(Prepared::inserted(doc_name, schema_name, schema, storage))
     }
 
     /// Re-check a document decoded from the paged on-disk form against
-    /// the registered schema `schema_name`: §6.2 validation of `g` of
+    /// the registered schema `schema_name`: §6.2 validation of a walk of
     /// its descriptors. Reads only the schema registry, so the
     /// checkpoint load runs it for every document at once.
     pub(crate) fn check_decoded(
@@ -990,16 +956,18 @@ impl Database {
     }
 }
 
-/// Whole-document §6.2 validation of a stored document: `f` over `g`
-/// of its descriptors. Returns the violations.
-pub(crate) fn validate_storage(
+/// [`validate_text`] for `VALIDATE` and [`Database::validate_many`], with
+/// a panic in the core turned into [`DbError::Panicked`]: hostile input
+/// must not take the caller's thread down with it.
+fn validate_guarded(
     schema: &DocumentSchema,
-    storage: &XmlStorage,
+    xml: &str,
     options: &LoadOptions,
+    limits: &ParseLimits,
     cache: &ContentModelCache,
+    obs: &xsobs::Registry,
 ) -> Result<Vec<ValidationError>, DbError> {
-    let doc = storage_to_document(storage)?;
-    Ok(load_document_cached(schema, &doc, options, cache).err().unwrap_or_default())
+    catch_panic(obs, "validation", || Ok(validate_text(schema, xml, options, limits, Some(cache))?))
 }
 
 /// Run `job(0..jobs)` across `threads` scoped OS threads (`0` = one per
@@ -1044,6 +1012,7 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use xmlparse::Document;
 
     /// Mutable access to a stored document's block storage, beneath the
     /// update path: how tests plant states no public API can produce.

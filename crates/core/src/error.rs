@@ -71,6 +71,12 @@ pub enum DbError {
     },
     /// A persisted database directory is structurally broken.
     Corrupt(String),
+    /// Preparing a mutation or validating a document panicked. The
+    /// panic was caught before it could unwind the caller's thread or
+    /// poison a lock, nothing was installed or logged, and it was counted
+    /// under `db.panics_caught_total`. The text names the step and the
+    /// panic's message.
+    Panicked(String),
 }
 
 impl DbError {
@@ -166,11 +172,34 @@ impl fmt::Display for DbError {
                 path.display()
             ),
             DbError::Corrupt(what) => write!(f, "corrupt database directory: {what}"),
+            DbError::Panicked(what) => write!(f, "internal error: {what}"),
         }
     }
 }
 
 impl std::error::Error for DbError {}
+
+/// Run `f`, a step that must not take its caller down: a panic inside it
+/// becomes [`DbError::Panicked`] naming `step`, counted under
+/// `db.panics_caught_total` in `obs`. The steps guarded this way read
+/// shared state and build private values; the one lock they take, the
+/// content-model cache's, guards a map of complete entries and ignores
+/// poisoning, so a panic leaves nothing half-changed behind.
+pub(crate) fn catch_panic<T>(
+    obs: &xsobs::Registry,
+    step: &str,
+    f: impl FnOnce() -> Result<T, DbError>,
+) -> Result<T, DbError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        obs.incr(xsobs::CounterId::PanicsCaught);
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a non-text payload".to_string());
+        Err(DbError::Panicked(format!("{step} panicked: {message}")))
+    })
+}
 
 impl From<xmlparse::Error> for DbError {
     fn from(e: xmlparse::Error) -> Self {
@@ -211,6 +240,19 @@ impl From<storage::StorageError> for DbError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn caught_panics_are_typed_and_counted() {
+        let obs = xsobs::Registry::new();
+        let fine: Result<u8, DbError> = catch_panic(&obs, "step", || Ok(7));
+        assert_eq!(fine.unwrap(), 7);
+        let caught: Result<(), DbError> = catch_panic(&obs, "step", || panic!("boom {}", 1));
+        match caught {
+            Err(DbError::Panicked(what)) => assert_eq!(what, "step panicked: boom 1"),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(obs.snapshot().counter(xsobs::CounterId::PanicsCaught), 1);
+    }
 
     #[test]
     fn display_variants() {

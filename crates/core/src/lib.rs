@@ -21,9 +21,11 @@
 //! # One stored form per document
 //!
 //! A stored document *is* its §9 block storage
-//! ([`StoredDocument::storage`]). At ingest the paper's `f` validates
-//! the text and builds the XDM tree, [`storage::XmlStorage::from_tree`]
-//! converts it, and the tree is dropped; queries and updates run on the
+//! ([`StoredDocument::storage`]). At ingest the paper's `f` is one
+//! streaming pass: the parser's events run through the §6.2 core
+//! ([`algebra::PushValidator`]), which hands the valid instance's nodes
+//! in document order to a [`storage::StorageBuilder`] — no DOM or XDM
+//! tree is built. Queries and updates run on the
 //! node descriptors, and `g` ([`Database::serialize`],
 //! [`storage_to_document`]) reads them back out — §9.2's claim that
 //! descriptors plus the descriptive schema answer all ten accessors.

@@ -3,8 +3,9 @@
 //!
 //! A [`Mutation`] is the unit the write-ahead log records. It runs in
 //! two steps. [`Mutation::prepare`] is pure: it reads one database state
-//! and computes the next one's difference — the checks, the parse, `f`,
-//! the storage build, an update's apply-on-copy — as a [`Prepared`].
+//! and computes the next one's difference — the checks, the one-pass
+//! parse, `f` and storage build, an update's apply-on-copy — as a
+//! [`Prepared`].
 //! [`Database::commit`] installs that with one map insert or removal,
 //! after checking that what the preparation read is still installed.
 //! [`Mutation::apply`] is both steps on one state, and recovery
@@ -220,7 +221,7 @@ impl Mutation {
     }
 
     /// Compute this mutation against `db` without changing it: every
-    /// check, and for an insert the parse, `f` and the storage build, for
+    /// check, and for an insert the one-pass parse, `f` and storage build, for
     /// an update the static verdict and resolve → copy → edit → recheck.
     /// The dispatch the write path and the recovery path share, so a
     /// replayed record runs exactly the code the original call did.

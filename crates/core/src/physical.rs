@@ -1,17 +1,135 @@
 //! Bridges between the physical layer (§9) and the logical layers.
 //!
-//! [`storage_to_document`] is the database's `g`: it serializes a
-//! block-stored document straight from its descriptors, closing the loop
-//! `XML → f → XDM → storage → XML` without a second stored form.
-//! [`storage_to_tree`] rebuilds the transient XDM tree; the database
-//! never calls it — it is the oracle the test suites compare the
-//! descriptor-level accessors, queries and `g` against.
+//! [`build_storage`] is the database's `f`: the §6.2 core
+//! ([`algebra::PushValidator`]) runs over the parser's events and hands
+//! the valid instance's nodes to a [`StorageBuilder`], so a document
+//! becomes block storage in one pass with no tree in between.
+//! [`validate_storage`] runs the same core over a walk of a stored
+//! document's descriptors. [`storage_to_document`] is the database's
+//! `g`: it serializes a block-stored document straight from its
+//! descriptors, closing the loop `XML → f → storage → XML` without a
+//! second stored form. [`storage_to_tree`] rebuilds the transient XDM
+//! tree; the database never calls it — it is the oracle the test suites
+//! compare the descriptor-level accessors, queries and `g` against.
 
-use storage::{DescPtr, XmlStorage};
+use algebra::{
+    ingest_text, ContentModelCache, IngestError, InstanceSink, LoadOptions, PushValidator,
+    ValidationError,
+};
+use storage::{DescPtr, StorageBuilder, StorageError, XmlStorage};
 use xdm::{NodeId, NodeKind, NodeStore};
-use xmlparse::{Attribute, Document, Element, Node, QName};
+use xmlparse::{Attribute, Document, Element, Node, ParseLimits, QName};
+use xsmodel::DocumentSchema;
 
 use crate::error::DbError;
+
+/// The storage-builder sink: the nodes the core accepts become
+/// descriptors, in document order.
+struct BuildSink(StorageBuilder);
+
+impl InstanceSink for BuildSink {
+    type Error = StorageError;
+    fn start_element(&mut self, name: &str, ty: &str, nilled: bool) -> Result<(), StorageError> {
+        self.0.start_element(name, ty, nilled)
+    }
+    fn attribute(&mut self, name: &str, ty: &str, value: &str) -> Result<(), StorageError> {
+        self.0.attribute(name, ty, value)
+    }
+    fn text(&mut self, value: &str) -> Result<(), StorageError> {
+        self.0.text(value)
+    }
+    fn end_element(&mut self) -> Result<(), StorageError> {
+        self.0.end_element()
+    }
+}
+
+/// The paper's `f` as one streaming pass: parse `xml` under `limits`,
+/// check §6.2 against `schema`, and build the document's block storage —
+/// the same storage, byte for byte, as materializing `f`'s S-tree.
+///
+/// # Errors
+/// [`DbError::Xml`] for malformed or over-limit text, else
+/// [`DbError::Invalid`] with the violations.
+pub(crate) fn build_storage(
+    schema: &DocumentSchema,
+    xml: &str,
+    options: &LoadOptions,
+    limits: &ParseLimits,
+    cache: &ContentModelCache,
+) -> Result<XmlStorage, DbError> {
+    let sink = BuildSink(StorageBuilder::new());
+    match ingest_text(schema, xml, options, limits, Some(cache), sink) {
+        Ok(BuildSink(builder)) => Ok(builder.finish()?),
+        Err(IngestError::Xml(e)) => Err(DbError::Xml(e)),
+        Err(IngestError::Invalid(errors)) => Err(DbError::Invalid(errors)),
+        Err(IngestError::Sink(e)) => Err(e.into()),
+    }
+}
+
+/// Whole-document §6.2 validation of a stored document: its descriptors,
+/// walked in document order with an explicit stack, drive the core as
+/// the text of `g` of them would. Returns the violations.
+///
+/// # Errors
+/// [`DbError::Corrupt`] when the document node has no element child.
+pub(crate) fn validate_storage(
+    schema: &DocumentSchema,
+    xs: &XmlStorage,
+    options: &LoadOptions,
+    cache: &ContentModelCache,
+) -> Result<Vec<ValidationError>, DbError> {
+    let mut core = PushValidator::new(schema, options, Some(cache), ());
+    let start = |core: &mut PushValidator<'_, ()>, p: DescPtr| {
+        let mut attributes: Vec<(QName, String)> = xs
+            .attributes(p)
+            .into_iter()
+            .map(|a| (QName::parse(xs.node_name(a).unwrap_or("")), xs.string_value(a)))
+            .collect();
+        if xs.nilled(p) == Some(true) {
+            attributes.push((QName::prefixed("xsi", "nil"), "true".to_string()));
+        }
+        core.start(&QName::parse(xs.node_name(p).unwrap_or("")), &attributes);
+    };
+    let root = root_element(xs)?;
+    start(&mut core, root);
+    let mut open = vec![xs.children(root).into_iter()];
+    while let Some(level) = open.last_mut() {
+        match level.next() {
+            None => {
+                open.pop();
+                core.end();
+            }
+            Some(c) if xs.kind(c) == NodeKind::Element => {
+                start(&mut core, c);
+                open.push(xs.children(c).into_iter());
+            }
+            Some(c) => {
+                // Each stored text node is one text node of `g`'s output.
+                core.text(&xs.string_value(c));
+                core.boundary();
+            }
+        }
+    }
+    match core.finish() {
+        Ok(()) => Ok(Vec::new()),
+        Err(IngestError::Invalid(errors)) => Ok(errors),
+        Err(IngestError::Xml(e)) => Err(DbError::Xml(e)),
+        Err(IngestError::Sink(never)) => match never {},
+    }
+}
+
+/// The document node's element child (§6.2 item 3 requires exactly
+/// one).
+///
+/// # Errors
+/// [`DbError::Corrupt`] when there is none — possible only for a storage
+/// decoded from damaged pages or built by hand.
+fn root_element(xs: &XmlStorage) -> Result<DescPtr, DbError> {
+    xs.children(xs.root())
+        .into_iter()
+        .find(|&c| xs.kind(c) == NodeKind::Element)
+        .ok_or_else(|| DbError::Corrupt("the document node has no root element".into()))
+}
 
 /// Serialize the storage's document tree to an XML document — the
 /// paper's `g` computed from node descriptors and schema nodes alone
@@ -22,12 +140,7 @@ use crate::error::DbError;
 /// (§6.2 item 3 requires exactly one) — possible only for a storage
 /// decoded from damaged pages or built by hand.
 pub fn storage_to_document(xs: &XmlStorage) -> Result<Document, DbError> {
-    let root_desc =
-        xs.children(xs.root())
-            .into_iter()
-            .find(|&c| xs.kind(c) == NodeKind::Element)
-            .ok_or_else(|| DbError::Corrupt("the document node has no root element".into()))?;
-    let root = element_of(xs, root_desc);
+    let root = element_of(xs, root_element(xs)?);
     Ok(match xs.base_uri(xs.root()) {
         Some(uri) => Document::from_root(root).with_base_uri(uri.to_string()),
         None => Document::from_root(root),
@@ -163,6 +276,57 @@ mod tests {
         let doc = s.new_document(None);
         let xs = XmlStorage::from_tree(&s, doc);
         assert!(matches!(storage_to_document(&xs), Err(DbError::Corrupt(_))));
+    }
+
+    /// The storage walk and a parse of `g`'s text report the same violations
+    /// for a stored document checked against a schema it does not meet.
+    #[test]
+    fn the_storage_walk_matches_the_parsed_text_on_violations() {
+        let loose = xsmodel::parse_schema_text(
+            r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="r"><xs:complexType mixed="true"><xs:sequence>
+    <xs:element name="a" type="xs:string" minOccurs="0" maxOccurs="unbounded"/>
+  </xs:sequence><xs:attribute name="k" type="xs:string"/></xs:complexType></xs:element>
+</xs:schema>"#,
+        )
+        .unwrap();
+        let strict = |content: &str| {
+            xsmodel::parse_schema_text(&format!(
+                r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="r"><xs:complexType>{content}</xs:complexType></xs:element>
+</xs:schema>"#
+            ))
+            .unwrap()
+        };
+        let opts = LoadOptions::default();
+        let cache = ContentModelCache::new();
+        let limits = ParseLimits::default();
+        for (xml, schema) in [
+            (
+                r#"<r k="v">text<a>1</a></r>"#,
+                strict(r#"<xs:sequence><xs:element name="a" type="xs:int"/></xs:sequence>"#),
+            ),
+            (
+                r#"<r k="v"><a>x</a><a>2</a></r>"#,
+                strict(
+                    r#"<xs:sequence><xs:element name="a" type="xs:int" maxOccurs="unbounded"/></xs:sequence><xs:attribute name="k" type="xs:int"/>"#,
+                ),
+            ),
+            (r#"<r k="v"><a>1</a></r>"#, strict(r#"<xs:sequence/>"#)),
+            (
+                r#"<r k="v">one<a/>two</r>"#,
+                strict(
+                    r#"<xs:sequence><xs:element name="a" type="xs:string" maxOccurs="unbounded"/></xs:sequence>"#,
+                ),
+            ),
+        ] {
+            let xs = build_storage(&loose, xml, &opts, &limits, &cache).unwrap();
+            let walked = validate_storage(&schema, &xs, &opts, &cache).unwrap();
+            let text = storage_to_document(&xs).unwrap().to_xml();
+            let read = algebra::validate_text(&schema, &text, &opts, &limits, None).unwrap();
+            assert!(!walked.is_empty(), "{xml}");
+            assert_eq!(walked, read, "{xml}");
+        }
     }
 
     #[test]

@@ -102,8 +102,8 @@ use std::time::Instant;
 
 use storage::Wal;
 
-use crate::database::Database;
-use crate::error::DbError;
+use crate::database::{Database, Prepared};
+use crate::error::{catch_panic, DbError};
 use crate::mutation::{ApplyOutcome, Mutation};
 use crate::persist::{LoadPolicy, LoadReport, Recovery, WAL_SUBDIR};
 use crate::vfs::{StdVfs, Vfs};
@@ -330,10 +330,22 @@ impl SharedDatabase {
     /// preparation, before the lock is taken: it returns the rejection,
     /// leaves the state unchanged and writes no log record.
     pub fn apply(&self, m: &Mutation) -> Result<ApplyOutcome, DbError> {
+        self.apply_with(m, |db| m.prepare(db))
+    }
+
+    /// [`SharedDatabase::apply`] with `prepare` standing in for
+    /// [`Mutation::prepare`]; the record logged is still `m`'s.
+    fn apply_with(
+        &self,
+        m: &Mutation,
+        prepare: impl Fn(&Database) -> Result<Prepared, DbError>,
+    ) -> Result<ApplyOutcome, DbError> {
         let commit_clock = self.lock_clock();
-        // The expensive part — parse, `f`, the storage build, an
-        // update's apply-on-copy — runs here, outside the writer lock.
-        let mut prepared = m.prepare(&self.read())?;
+        // The expensive part — the one-pass parse, `f` and storage
+        // build, an update's apply-on-copy — runs here, outside the
+        // writer lock. A panic in it is refused like any rejection.
+        let obs = &self.inner.obs;
+        let mut prepared = catch_panic(obs, "preparation", || prepare(&self.read()))?;
         let payload = self.inner.wal.as_ref().map(|_| m.encode());
         let start = self.lock_clock();
         let mut db = self.inner.primary.lock().unwrap_or_else(|p| p.into_inner());
@@ -343,7 +355,8 @@ impl SharedDatabase {
             // again, against the primary and under the lock: nothing can
             // move under this one, so it commits or is refused.
             self.inner.obs.incr(xsobs::CounterId::WalCommitRetries);
-            prepared = m.prepare(&db)?;
+            // Caught here too, so a panic cannot poison the lock.
+            prepared = catch_panic(obs, "preparation", || prepare(&db))?;
         }
         let seq = match (&self.inner.wal, payload) {
             (Some(w), Some(payload)) => {
@@ -619,6 +632,78 @@ mod tests {
         });
         assert_eq!(sh.read().query("good", "/n").unwrap(), ["v"]);
         assert_eq!(sh.metrics().counter(xsobs::CounterId::WalCommitRetries), 0);
+    }
+
+    /// Total bytes of the files under `dir`.
+    fn dir_bytes(dir: &Path) -> u64 {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| match e.file_type().unwrap().is_dir() {
+                true => dir_bytes(&e.path()),
+                false => e.metadata().unwrap().len(),
+            })
+            .sum()
+    }
+
+    /// Serializes the tests that panic on purpose, which share the
+    /// global `db.panics_caught_total`.
+    static PANICS: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn a_panicking_preparation_is_refused_like_any_rejection() {
+        let _serial = PANICS.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = temp_dir("panic");
+        let (sh, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
+        sh.apply(&Mutation::RegisterSchema { name: "s".into(), xsd: SCHEMA.into() }).unwrap();
+        let insert =
+            Mutation::Insert { doc: "d".into(), schema: "s".into(), xml: "<n>v</n>".into() };
+        let caught = || sh.metrics().counter(xsobs::CounterId::PanicsCaught);
+        let (before, logged) = (caught(), dir_bytes(&dir));
+        // The insert, with a preparation that panics.
+        let panicking =
+            |_: &Database| -> Result<Prepared, DbError> { panic!("a preparation went wrong") };
+        match sh.apply_with(&insert, panicking) {
+            Err(DbError::Panicked(what)) => {
+                assert!(what.contains("a preparation went wrong"), "{what}")
+            }
+            other => panic!("a panicking preparation gave {other:?}"),
+        }
+        assert_eq!(caught(), before + 1);
+        assert_eq!(dir_bytes(&dir), logged, "the log gained a record");
+        assert!(!sh.inner.primary.is_poisoned());
+        // The next mutation commits, and the reopened log holds it.
+        assert_eq!(sh.apply(&insert).unwrap(), ApplyOutcome::Inserted);
+        drop(sh);
+        let (again, report) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(again.read().query("d", "/n").unwrap(), ["v"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_preparation_panicking_under_the_writer_lock_does_not_poison_it() {
+        let _serial = PANICS.lock().unwrap_or_else(|p| p.into_inner());
+        let sh = shared();
+        let insert =
+            Mutation::Insert { doc: "d".into(), schema: "s".into(), xml: "<n>v</n>".into() };
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        // The first preparation is made stale before the lock is taken,
+        // so the second runs under it — and panics there.
+        let outcome = sh.apply_with(&insert, |db| {
+            if calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+                let prepared = insert.prepare(db);
+                sh.apply(&Mutation::RemoveSchema { name: "s".into() }).unwrap();
+                sh.apply(&Mutation::RegisterSchema { name: "s".into(), xsd: SCHEMA.into() })
+                    .unwrap();
+                prepared
+            } else {
+                panic!("under the lock")
+            }
+        });
+        assert!(matches!(outcome, Err(DbError::Panicked(_))), "{outcome:?}");
+        assert!(!sh.inner.primary.is_poisoned());
+        assert_eq!(sh.apply(&insert).unwrap(), ApplyOutcome::Inserted);
     }
 
     #[test]

@@ -39,8 +39,8 @@ use xquery::UpdateExpr;
 use xsanalyze::UpdateVerdict;
 use xsmodel::DocumentSchema;
 
-use crate::database::validate_storage;
 use crate::error::DbError;
+use crate::physical::validate_storage;
 
 /// The outcome of a statically checked update
 /// ([`crate::Database::execute_update`]).

@@ -125,6 +125,12 @@ impl DescriptiveSchema {
         sn
     }
 
+    /// Set the schema-type annotation of a node created by
+    /// [`DescriptiveSchema::add_child`] (the first instance's type).
+    pub(crate) fn set_type_name(&mut self, id: SchemaNodeId, type_name: &str) {
+        self.nodes[id.index()].type_name = Some(type_name.to_string());
+    }
+
     fn push(&mut self, node: SchemaNode) -> SchemaNodeId {
         let id = SchemaNodeId(u32::try_from(self.nodes.len()).expect("schema arena overflow"));
         self.nodes.push(node);

@@ -2,12 +2,13 @@
 //! assembled per §9, with updates that never relabel (Proposition 1).
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use xdm::{NodeId, NodeKind, NodeStore};
 use xstypes::{AtomicValue, TypeRegistry};
 
 use crate::blocks::{BlockTable, DescPtr, NodeDescriptor};
-use crate::descriptive::{DescriptiveSchema, SchemaNodeId};
+use crate::descriptive::{DescriptiveSchema, SchemaNode, SchemaNodeId};
 use crate::error::StorageError;
 use crate::nid::{between_components, ComponentAllocator, Nid};
 use crate::stats::{CatalogStats, LeafHistogram, NodeStats};
@@ -188,7 +189,9 @@ impl XmlStorage {
     }
 
     /// Record `ptr` as the parent's first child for schema child `sn`
-    /// when it is the first (build appends in document order).
+    /// when it is the first (build appends in document order). A
+    /// [`StorageBuilder`] may have created the parent before the schema
+    /// grew `sn`; its first-child array then grows to the schema's width.
     fn link_first_child(
         &mut self,
         parent: DescPtr,
@@ -197,11 +200,14 @@ impl XmlStorage {
     ) -> Result<(), StorageError> {
         let parent_sn = self.table.schema_node_of(parent);
         let pos = self.schema_child_pos(parent_sn, sn)?;
+        let width = self.schema.node(parent_sn).children.len();
         let desc = self.table.desc_mut(parent);
-        let slot = desc
-            .first_child
-            .get_mut(pos)
-            .ok_or_else(|| StorageError::corrupt("first-child array shorter than schema"))?;
+        if desc.first_child.len() <= pos {
+            let mut grown = std::mem::take(&mut desc.first_child).into_vec();
+            grown.resize(width, None);
+            desc.first_child = grown.into_boxed_slice();
+        }
+        let slot = &mut desc.first_child[pos];
         if slot.is_none() {
             *slot = Some(ptr);
         }
@@ -1120,6 +1126,233 @@ impl XmlStorage {
     }
 }
 
+/// One open node of a [`StorageBuilder`]: where its next child goes.
+#[derive(Debug)]
+struct OpenNode {
+    ptr: DescPtr,
+    sn: SchemaNodeId,
+    nid: Nid,
+    /// Labels for the node's attributes and children, in order.
+    alloc: ComponentAllocator,
+    /// The latest element or text child: the next one's left sibling.
+    last_child: Option<DescPtr>,
+}
+
+/// Builds an [`XmlStorage`] from a document's nodes in document order —
+/// an element, its attributes, its children, its end — with no tree in
+/// between: the streaming form of [`XmlStorage::from_tree`], and the same
+/// storage, byte for byte.
+///
+/// The descriptive schema grows as nodes arrive: a schema node is made
+/// the first time its path occurs, the order [`DescriptiveSchema::build`]
+/// numbers them in. Descriptors are minted and appended in document
+/// order, so labels, blocks and mutation ticks come out as the one-shot
+/// build's; first-child arrays made before their schema node grew a
+/// child are widened when linked, or by [`StorageBuilder::finish`].
+///
+/// ```
+/// use storage::StorageBuilder;
+///
+/// let mut b = StorageBuilder::new();
+/// b.start_element("library", "Library", false).unwrap();
+/// b.attribute("open", "xs:boolean", "true").unwrap();
+/// b.start_element("book", "xs:string", false).unwrap();
+/// b.text("content").unwrap();
+/// b.end_element().unwrap();
+/// b.end_element().unwrap();
+/// let xs = b.finish().unwrap();
+/// assert_eq!(xs.len(), 5);
+/// assert!(xs.check_invariants().is_none());
+/// ```
+#[derive(Debug)]
+pub struct StorageBuilder {
+    xs: XmlStorage,
+    /// The open nodes, the document node first.
+    open: Vec<OpenNode>,
+}
+
+impl Default for StorageBuilder {
+    fn default() -> StorageBuilder {
+        StorageBuilder::new()
+    }
+}
+
+impl StorageBuilder {
+    /// A builder holding only the document node.
+    pub fn new() -> StorageBuilder {
+        StorageBuilder::with_capacity(DEFAULT_BLOCK_CAPACITY)
+    }
+
+    /// [`StorageBuilder::new`] with an explicit block capacity (at least
+    /// two descriptors per block).
+    fn with_capacity(capacity: u16) -> StorageBuilder {
+        let root = SchemaNode {
+            name: None,
+            kind: NodeKind::Document,
+            parent: None,
+            children: Vec::new(),
+            type_name: None,
+        };
+        let mut xs = XmlStorage {
+            schema: DescriptiveSchema::from_nodes(vec![root]),
+            table: BlockTable::default(),
+            root: DescPtr(0),
+            capacity: capacity.max(2),
+            base_uri: None,
+            relabels: 0,
+            stats: CatalogStats::default(),
+        };
+        xs.table.ensure_schema_capacity(&xs.schema);
+        let (sn, id) = (xs.schema.root(), xs.table.mint_ptr());
+        let desc = NodeDescriptor {
+            id,
+            nid: Nid::root(),
+            parent: None,
+            left_sibling: None,
+            right_sibling: None,
+            next_in_block: None,
+            prev_in_block: None,
+            first_child: Box::new([]),
+            text: None,
+            nilled: false,
+        };
+        // Appending to an empty table cannot fail; if it did, `finish`
+        // would report the missing document node.
+        let open = xs.append_descriptor(sn, desc).ok().map(|ptr| {
+            xs.root = ptr;
+            OpenNode {
+                ptr,
+                sn,
+                nid: Nid::root(),
+                alloc: ComponentAllocator::new(),
+                last_child: None,
+            }
+        });
+        StorageBuilder { xs, open: open.into_iter().collect() }
+    }
+
+    /// Open an element, the next child of the innermost open node.
+    pub fn start_element(
+        &mut self,
+        name: &str,
+        ty: &str,
+        nilled: bool,
+    ) -> Result<(), StorageError> {
+        let (ptr, sn) = self.add(Some(name), NodeKind::Element, ty, None, nilled)?;
+        let nid = self.xs.table.desc(ptr).nid.clone();
+        self.open.push(OpenNode {
+            ptr,
+            sn,
+            nid,
+            alloc: ComponentAllocator::new(),
+            last_child: None,
+        });
+        Ok(())
+    }
+
+    /// An attribute of the innermost open element, before its children.
+    pub fn attribute(&mut self, name: &str, ty: &str, value: &str) -> Result<(), StorageError> {
+        self.add(Some(name), NodeKind::Attribute, ty, Some(value), false).map(drop)
+    }
+
+    /// A text node, the next child of the innermost open element.
+    pub fn text(&mut self, value: &str) -> Result<(), StorageError> {
+        self.add(None, NodeKind::Text, "xdt:untypedAtomic", Some(value), false).map(drop)
+    }
+
+    /// Close the innermost open element.
+    pub fn end_element(&mut self) -> Result<(), StorageError> {
+        if self.open.len() < 2 {
+            return Err(StorageError::corrupt("no open element to close"));
+        }
+        self.open.pop();
+        Ok(())
+    }
+
+    /// Add a node under the innermost open node, as the one-shot build
+    /// does: find or make its schema node, label it after its earlier
+    /// siblings, append its descriptor, chain it after its left sibling
+    /// (elements and text only) and link it as the parent's first child
+    /// for its schema node.
+    fn add(
+        &mut self,
+        name: Option<&str>,
+        kind: NodeKind,
+        ty: &str,
+        text: Option<&str>,
+        nilled: bool,
+    ) -> Result<(DescPtr, SchemaNodeId), StorageError> {
+        let (element, sibling) = (kind == NodeKind::Element, kind != NodeKind::Attribute);
+        let open_elements = self.open.len().saturating_sub(1);
+        let xs = &mut self.xs;
+        let parent = match self.open.last_mut() {
+            Some(p) if !sibling && p.last_child.is_some() => {
+                return Err(StorageError::corrupt("an attribute follows its element's children"))
+            }
+            Some(p) if element || open_elements > 0 => p,
+            _ => return Err(StorageError::corrupt("no open element to add to")),
+        };
+        let schema = &mut xs.schema;
+        let found = schema.node(parent.sn).children.iter().copied().find(|&c| {
+            let n = schema.node(c);
+            n.kind == kind && n.name.as_deref() == name
+        });
+        // A new schema node takes the first instance's type; growing the
+        // list heads is no mutation tick, as the one-shot build sizes them
+        // once.
+        let sn = found.unwrap_or_else(|| {
+            let sn = schema.add_child(parent.sn, name.map(str::to_string), kind);
+            schema.set_type_name(sn, ty);
+            xs.table.lists.resize(schema.len(), None);
+            sn
+        });
+        let nid = parent.nid.child(&parent.alloc.next());
+        let id = xs.table.mint_ptr();
+        let first_child = if element { xs.fresh_child_array(sn) } else { Box::new([]) };
+        let desc = NodeDescriptor {
+            id,
+            nid,
+            parent: Some(parent.ptr),
+            left_sibling: parent.last_child.filter(|_| sibling),
+            right_sibling: None,
+            next_in_block: None,
+            prev_in_block: None,
+            first_child,
+            text: text.map(str::to_string),
+            nilled,
+        };
+        let ptr = xs.append_descriptor(sn, desc)?;
+        if sibling {
+            if let Some(prev) = parent.last_child.replace(ptr) {
+                xs.table.desc_mut(prev).right_sibling = Some(ptr);
+            }
+        }
+        xs.link_first_child(parent.ptr, sn, ptr)?;
+        Ok((ptr, sn))
+    }
+
+    /// The finished storage: every element closed, first-child arrays at
+    /// their schema node's final width, statistics built.
+    pub fn finish(mut self) -> Result<XmlStorage, StorageError> {
+        if self.open.len() != 1 {
+            return Err(StorageError::corrupt("the document ended with open elements"));
+        }
+        let schema = &self.xs.schema;
+        for block in &mut self.xs.table.blocks {
+            let width = schema.node(block.schema_node).children.len();
+            if block.slots.iter().flatten().any(|d| d.first_child.len() < width) {
+                for d in Arc::make_mut(block).slots.iter_mut().flatten() {
+                    let mut grown = std::mem::take(&mut d.first_child).into_vec();
+                    grown.resize(width, None);
+                    d.first_child = grown.into_boxed_slice();
+                }
+            }
+        }
+        self.xs.stats = self.xs.rebuild_stats();
+        Ok(self.xs)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1479,5 +1712,81 @@ mod indirection_tests {
         }
         assert_eq!(xs.children(lib).len(), 504);
         assert_eq!(xs.check_invariants(), None);
+    }
+}
+
+#[cfg(test)]
+mod builder_tests {
+    use super::*;
+
+    /// Feed a tree to a [`StorageBuilder`] in document order, with an
+    /// explicit stack.
+    fn streamed(store: &NodeStore, doc: NodeId, capacity: u16) -> XmlStorage {
+        let mut b = StorageBuilder::with_capacity(capacity);
+        b.xs.base_uri = store.base_uri(doc).map(str::to_string);
+        let mut stack: Vec<std::vec::IntoIter<NodeId>> =
+            vec![store.children(doc).to_vec().into_iter()];
+        while let Some(level) = stack.last_mut() {
+            let Some(n) = level.next() else {
+                stack.pop();
+                if !stack.is_empty() {
+                    b.end_element().unwrap();
+                }
+                continue;
+            };
+            if store.kind(n) == NodeKind::Text {
+                b.text(&store.string_value(n)).unwrap();
+                continue;
+            }
+            let ty = store.type_name(n).unwrap_or("xs:anyType");
+            b.start_element(store.node_name(n).unwrap(), ty, store.nilled(n) == Some(true))
+                .unwrap();
+            for &a in store.attributes(n) {
+                let aty = store.type_name(a).unwrap_or("xs:anySimpleType");
+                b.attribute(store.node_name(a).unwrap(), aty, &store.string_value(a)).unwrap();
+            }
+            stack.push(store.children(n).to_vec().into_iter());
+        }
+        b.finish().unwrap()
+    }
+
+    /// The library of the tests above, with paths that first occur late:
+    /// an attribute only on the second book and a nilled third paper.
+    fn ragged() -> (NodeStore, NodeId) {
+        let (mut s, doc) = tests::library();
+        let lib = s.children(doc)[0];
+        let book2 = s.child_elements(lib)[1];
+        let a = s.new_attribute(book2, "id", "b2");
+        s.set_type(a, "xs:ID");
+        let extra = s.new_element(lib, "paper");
+        s.set_type(extra, "Paper");
+        s.set_nilled(extra, true);
+        (s, doc)
+    }
+
+    #[test]
+    fn builder_reproduces_from_tree_exactly() {
+        for (store, doc) in [tests::library(), ragged()] {
+            for capacity in [2, 3, DEFAULT_BLOCK_CAPACITY] {
+                let want = XmlStorage::from_tree_with_capacity(&store, doc, capacity);
+                let got = streamed(&store, doc, capacity);
+                assert_eq!(got.check_invariants(), None);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "capacity {capacity}");
+            }
+        }
+    }
+
+    #[test]
+    fn builder_refuses_out_of_order_calls() {
+        let mut b = StorageBuilder::new();
+        assert!(b.text("stray").is_err());
+        assert!(b.attribute("a", "xs:string", "v").is_err());
+        assert!(b.end_element().is_err());
+        b.start_element("r", "R", false).unwrap();
+        b.text("t").unwrap();
+        assert!(b.attribute("late", "xs:string", "v").is_err());
+        let mut open = StorageBuilder::new();
+        open.start_element("r", "R", false).unwrap();
+        assert!(open.finish().is_err());
     }
 }

@@ -130,6 +130,7 @@ pub fn registered_codes() -> &'static [(&'static str, Severity)] {
         ("XSA004", Severity::Error),
         ("XSA005", Severity::Error),
         ("XSA006", Severity::Error),
+        ("XSA007", Severity::Error),
         ("XSA101", Severity::Error),
         ("XSA103", Severity::Warning),
         ("XSA201", Severity::Error),

@@ -38,6 +38,7 @@
 //! | `XSA004` | error | simpleContent base is not a simple type |
 //! | `XSA005` | error | attribute type is not a simple type |
 //! | `XSA006` | error | required choice with no alternatives |
+//! | `XSA007` | error | one content model declares a name with two types or nillabilities |
 //! | `XSA101` | error | content model violates UPA (ambiguous); witness word attached |
 //! | `XSA103` | warning | content model too large to compile/analyze |
 //! | `XSA201` | error | content model admits no finite instance |
@@ -53,7 +54,7 @@
 //! | `XSA505` | warning | verdict depends on run-time state or load options — recheck |
 //! | `XSA506` | warning | target or type not statically resolvable — recheck |
 //!
-//! `XSA001`–`XSA006` are the findings of [`xsmodel::check`] lifted onto
+//! `XSA001`–`XSA007` are the findings of [`xsmodel::check`] lifted onto
 //! the shared [`Diagnostic`] type (the legacy `SchemaIssue` API remains
 //! as a compatibility shim). `XSA000` (reserved for unparseable input,
 //! reported by `xsd-lint` itself) completes the registry returned by

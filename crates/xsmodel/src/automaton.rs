@@ -19,7 +19,6 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
-use std::rc::Rc;
 
 use crate::ast::{ElementDeclaration, GroupDefinition, Maximum, Particle};
 
@@ -127,6 +126,73 @@ pub enum MatchOutcome {
         /// Element names that would have been acceptable at `position`.
         expected: Vec<String>,
     },
+}
+
+/// Where an incremental match stands: the live threads of the compiled
+/// automaton (or, for an `xsd:all` model, the per-member counts), plus
+/// scratch buffers reused from step to step. Drive it with
+/// [`ContentModel::start`], [`ContentModel::step`] and
+/// [`ContentModel::finish`]; [`ContentModel::restart`] reuses one state
+/// for another element.
+#[derive(Debug, Clone, Default)]
+pub struct MatchState {
+    /// Live `Elem`/`Match` program counters, in priority order.
+    threads: Vec<usize>,
+    /// The next step's threads (scratch).
+    next: Vec<usize>,
+    /// Per-instruction visited marks of the closure being computed; all
+    /// `false` between calls.
+    seen: Vec<bool>,
+    /// The instructions marked in `seen`, to clear them afterwards.
+    marked: Vec<usize>,
+    /// The closure's work list (scratch).
+    stack: Vec<usize>,
+    /// Per-member occurrence counts of an `xsd:all` model.
+    counts: Vec<u32>,
+    /// Children consumed so far.
+    consumed: usize,
+}
+
+impl MatchState {
+    /// How many children the state has consumed.
+    pub fn consumed(&self) -> usize {
+        self.consumed
+    }
+}
+
+/// Append to `out` the ε-closure of `pc`: the `Elem` and `Match`
+/// instructions reachable through `Split`/`Jump`, depth-first with a
+/// `Split`'s first branch first, skipping instructions already marked.
+fn closure_into(
+    program: &[Inst],
+    pc: usize,
+    out: &mut Vec<usize>,
+    seen: &mut [bool],
+    stack: &mut Vec<usize>,
+    marked: &mut Vec<usize>,
+) {
+    stack.push(pc);
+    while let Some(pc) = stack.pop() {
+        if seen[pc] {
+            continue;
+        }
+        seen[pc] = true;
+        marked.push(pc);
+        match program[pc] {
+            Inst::Jump(t) => stack.push(t),
+            Inst::Split(a, b) => {
+                stack.push(b);
+                stack.push(a);
+            }
+            _ => out.push(pc),
+        }
+    }
+}
+
+fn reset_marks(seen: &mut [bool], marked: &mut Vec<usize>) {
+    for pc in marked.drain(..) {
+        seen[pc] = false;
+    }
 }
 
 impl ContentModel {
@@ -317,153 +383,158 @@ impl ContentModel {
     }
 
     /// Match a child-name sequence, reconstructing per-child declaration
-    /// assignments on success and the failure frontier on rejection.
+    /// assignments on success and the failure frontier on rejection: a
+    /// fold of [`ContentModel::step`] closed by [`ContentModel::finish`].
     pub fn match_children(&self, names: &[&str]) -> MatchOutcome {
-        if let Some(members) = &self.all_members {
-            return self.match_all(members, names);
-        }
-        self.match_nfa(names)
-    }
-
-    /// Counting matcher for `xsd:all`: any order, each member within its
-    /// own occurrence bounds.
-    fn match_all(&self, members: &[AllMember], names: &[&str]) -> MatchOutcome {
-        let mut counts = vec![0u32; members.len()];
+        let mut state = self.start();
         let mut assignments = Vec::with_capacity(names.len());
         for (position, name) in names.iter().enumerate() {
-            match members.iter().position(|m| m.name == *name) {
-                None => {
-                    return MatchOutcome::Reject {
-                        position,
-                        expected: members
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, m)| m.max.admits(counts[*i] + 1))
-                            .map(|(_, m)| m.name.clone())
-                            .collect(),
-                    }
-                }
-                Some(i) => {
-                    counts[i] += 1;
-                    if !members[i].max.admits(counts[i]) {
-                        return MatchOutcome::Reject {
-                            position,
-                            expected: members
-                                .iter()
-                                .enumerate()
-                                .filter(|(j, m)| m.max.admits(counts[*j] + 1))
-                                .map(|(_, m)| m.name.clone())
-                                .collect(),
-                        };
-                    }
-                    assignments.push(members[i].decl);
-                }
+            match self.step(&mut state, name) {
+                Ok(decl) => assignments.push(decl),
+                Err(expected) => return MatchOutcome::Reject { position, expected },
             }
         }
-        // Empty content satisfies an optional all-group trivially; a
-        // non-empty prefix must satisfy every member's minimum.
-        let unmet: Vec<String> = members
-            .iter()
-            .enumerate()
-            .filter(|(i, m)| counts[*i] < m.min)
-            .map(|(_, m)| m.name.clone())
-            .collect();
-        if !unmet.is_empty() && !names.is_empty() {
-            return MatchOutcome::Reject { position: names.len(), expected: unmet };
+        match self.finish(&state) {
+            Ok(()) => MatchOutcome::Accept { assignments },
+            Err(expected) => MatchOutcome::Reject { position: names.len(), expected },
         }
-        if names.is_empty() && !self.all_optional && members.iter().any(|m| m.min > 0) {
-            // An absent optional all-group is fine; a *required* one with
-            // required members rejects the empty sequence.
-            return MatchOutcome::Reject {
-                position: 0,
-                expected: members.iter().filter(|m| m.min > 0).map(|m| m.name.clone()).collect(),
-            };
-        }
-        MatchOutcome::Accept { assignments }
     }
 
-    fn match_nfa(&self, names: &[&str]) -> MatchOutcome {
-        // Threads: (pc, reverse history of decl indices).
-        type History = Option<Rc<HNode>>;
-        struct HNode {
-            decl: usize,
-            prev: History,
-        }
-        let mut current: Vec<(usize, History)> = Vec::new();
-        let mut on_current = vec![false; self.program.len()];
-        let mut next: Vec<(usize, History)> = Vec::new();
-        let mut on_next = vec![false; self.program.len()];
+    /// A fresh match state: no child consumed yet.
+    pub fn start(&self) -> MatchState {
+        let mut state = MatchState::default();
+        self.restart(&mut state);
+        state
+    }
 
-        fn add(
-            program: &[Inst],
-            list: &mut Vec<(usize, History)>,
-            seen: &mut [bool],
-            pc: usize,
-            hist: History,
-        ) {
-            if seen[pc] {
-                return;
-            }
-            seen[pc] = true;
-            match program[pc] {
-                Inst::Jump(t) => add(program, list, seen, t, hist),
-                Inst::Split(a, b) => {
-                    add(program, list, seen, a, hist.clone());
-                    add(program, list, seen, b, hist);
-                }
-                _ => list.push((pc, hist)),
-            }
+    /// Reset `state` to the start of this model, reusing its buffers
+    /// (a state may have served another model before).
+    pub fn restart(&self, state: &mut MatchState) {
+        state.consumed = 0;
+        state.threads.clear();
+        state.counts.clear();
+        if let Some(members) = &self.all_members {
+            state.counts.resize(members.len(), 0);
+            return;
         }
+        state.seen.clear();
+        state.seen.resize(self.program.len(), false);
+        let MatchState { threads, seen, stack, marked, .. } = state;
+        closure_into(&self.program, 0, threads, seen, stack, marked);
+        reset_marks(seen, marked);
+    }
 
-        add(&self.program, &mut current, &mut on_current, 0, None);
-        for (i, name) in names.iter().enumerate() {
-            if current.is_empty() {
-                return MatchOutcome::Reject { position: i, expected: Vec::new() };
-            }
-            next.clear();
-            on_next.iter_mut().for_each(|b| *b = false);
-            let mut matched_any = false;
-            for (pc, hist) in current.drain(..) {
-                if let Inst::Elem { name: want, decl } = &self.program[pc] {
-                    if want == name {
-                        matched_any = true;
-                        let hist = Some(Rc::new(HNode { decl: *decl, prev: hist }));
-                        add(&self.program, &mut next, &mut on_next, pc + 1, hist);
-                    }
+    /// Consume the next child, named `name`. On success, the index (into
+    /// [`ContentModel::declarations`]) of the declaration that licenses
+    /// it; on rejection, the names acceptable instead — `state` is then
+    /// spent.
+    ///
+    /// The declaration is decided when the child is read, as a streaming
+    /// validator must: the first live particle (in the model's priority
+    /// order) that accepts `name`. A model satisfying Unique Particle
+    /// Attribution ([`ContentModel::upa_conflict`] is `None`) has exactly
+    /// one such particle, so the choice is forced. In an ambiguous model
+    /// the particles a name could take carry the same type and
+    /// nillability when the schema passes [`crate::check`] (Element
+    /// Declarations Consistent), so the choice never changes a verdict;
+    /// the live threads still follow every particle, so acceptance is
+    /// exact either way.
+    pub fn step(&self, state: &mut MatchState, name: &str) -> Result<usize, Vec<String>> {
+        if let Some(members) = &self.all_members {
+            return self.step_all(members, state, name);
+        }
+        let MatchState { threads, next, seen, stack, marked, .. } = state;
+        next.clear();
+        let mut decl = None;
+        for &pc in threads.iter() {
+            if let Inst::Elem { name: want, decl: d } = &self.program[pc] {
+                if want == name {
+                    decl.get_or_insert(*d);
+                    closure_into(&self.program, pc + 1, next, seen, stack, marked);
                 }
             }
-            if !matched_any {
-                // Rebuild the expected set from the (now drained) set: we
-                // need the frontier before the drain; recompute instead.
-                let expected = self.expected_after(&names[..i]);
-                return MatchOutcome::Reject { position: i, expected };
-            }
-            std::mem::swap(&mut current, &mut next);
-            std::mem::swap(&mut on_current, &mut on_next);
         }
-        // Prefer an accepting thread.
-        for (pc, hist) in &current {
-            if matches!(self.program[*pc], Inst::Match) {
-                let mut assignments = Vec::with_capacity(names.len());
-                let mut cursor = hist.clone();
-                while let Some(node) = cursor {
-                    assignments.push(node.decl);
-                    cursor = node.prev.clone();
-                }
-                assignments.reverse();
-                return MatchOutcome::Accept { assignments };
+        reset_marks(seen, marked);
+        match decl {
+            Some(d) => {
+                std::mem::swap(threads, next);
+                state.consumed += 1;
+                Ok(d)
+            }
+            None => {
+                let mut expected: Vec<String> =
+                    self.thread_names(threads).map(str::to_string).collect();
+                expected.sort();
+                expected.dedup();
+                Err(expected)
             }
         }
-        MatchOutcome::Reject {
-            position: names.len(),
-            expected: current
+    }
+
+    /// Counting step for `xsd:all`: any order, each member within its
+    /// own occurrence bounds.
+    fn step_all(
+        &self,
+        members: &[AllMember],
+        state: &mut MatchState,
+        name: &str,
+    ) -> Result<usize, Vec<String>> {
+        let counts = &mut state.counts;
+        let admitted = |counts: &[u32]| -> Vec<String> {
+            members
                 .iter()
-                .filter_map(|(pc, _)| match &self.program[*pc] {
-                    Inst::Elem { name, .. } => Some(name.clone()),
-                    _ => None,
-                })
-                .collect(),
+                .enumerate()
+                .filter(|(i, m)| m.max.admits(counts[*i] + 1))
+                .map(|(_, m)| m.name.clone())
+                .collect()
+        };
+        let Some(i) = members.iter().position(|m| m.name == name) else {
+            return Err(admitted(counts));
+        };
+        counts[i] += 1;
+        if !members[i].max.admits(counts[i]) {
+            return Err(admitted(counts));
         }
+        state.consumed += 1;
+        Ok(members[i].decl)
+    }
+
+    /// Whether the children consumed so far form a complete word of the
+    /// model. On rejection, the names that could still follow.
+    pub fn finish(&self, state: &MatchState) -> Result<(), Vec<String>> {
+        if let Some(members) = &self.all_members {
+            // Empty content satisfies an optional all-group trivially; a
+            // non-empty prefix must satisfy every member's minimum.
+            let unmet: Vec<String> = members
+                .iter()
+                .enumerate()
+                .filter(|(i, m)| state.counts[*i] < m.min)
+                .map(|(_, m)| m.name.clone())
+                .collect();
+            if !unmet.is_empty() && state.consumed > 0 {
+                return Err(unmet);
+            }
+            if state.consumed == 0 && !self.all_optional && members.iter().any(|m| m.min > 0) {
+                // An absent optional all-group is fine; a *required* one
+                // with required members rejects the empty sequence.
+                return Err(members.iter().filter(|m| m.min > 0).map(|m| m.name.clone()).collect());
+            }
+            return Ok(());
+        }
+        if state.threads.iter().any(|&pc| matches!(self.program[pc], Inst::Match)) {
+            Ok(())
+        } else {
+            Err(self.thread_names(&state.threads).map(str::to_string).collect())
+        }
+    }
+
+    /// The element names the `Elem` threads among `threads` accept, in
+    /// thread order.
+    fn thread_names<'a>(&'a self, threads: &'a [usize]) -> impl Iterator<Item = &'a str> {
+        threads.iter().filter_map(|&pc| match &self.program[pc] {
+            Inst::Elem { name, .. } => Some(name.as_str()),
+            _ => None,
+        })
     }
 
     /// The set of element names acceptable after consuming `prefix`.
@@ -489,43 +560,16 @@ impl ContentModel {
     }
 
     fn expected_after_nfa(&self, prefix: &[&str]) -> Vec<String> {
-        // Re-simulate without history (cheap; used only on error paths).
-        let mut current: Vec<usize> = Vec::new();
-        let mut seen = vec![false; self.program.len()];
-        fn add(program: &[Inst], list: &mut Vec<usize>, seen: &mut [bool], pc: usize) {
-            if seen[pc] {
-                return;
-            }
-            seen[pc] = true;
-            match program[pc] {
-                Inst::Jump(t) => add(program, list, seen, t),
-                Inst::Split(a, b) => {
-                    add(program, list, seen, a);
-                    add(program, list, seen, b);
-                }
-                _ => list.push(pc),
-            }
-        }
-        add(&self.program, &mut current, &mut seen, 0);
+        let mut current = self.closure_of(&[0]);
         for name in prefix {
-            let mut next = Vec::new();
-            let mut seen_next = vec![false; self.program.len()];
-            for pc in current {
-                if let Inst::Elem { name: want, .. } = &self.program[pc] {
-                    if want == name {
-                        add(&self.program, &mut next, &mut seen_next, pc + 1);
-                    }
-                }
-            }
-            current = next;
+            let seeds: Vec<usize> = current
+                .iter()
+                .filter(|&&pc| matches!(&self.program[pc], Inst::Elem { name: want, .. } if want == name))
+                .map(|&pc| pc + 1)
+                .collect();
+            current = self.closure_of(&seeds);
         }
-        let mut expected: Vec<String> = current
-            .into_iter()
-            .filter_map(|pc| match &self.program[pc] {
-                Inst::Elem { name, .. } => Some(name.clone()),
-                _ => None,
-            })
-            .collect();
+        let mut expected: Vec<String> = self.thread_names(&current).map(str::to_string).collect();
         expected.sort();
         expected.dedup();
         expected
@@ -534,24 +578,10 @@ impl ContentModel {
     /// The ε-closure of `seeds` as a sorted, deduplicated set of
     /// non-ε program counters (`Elem` and `Match` instructions).
     pub(crate) fn closure_of(&self, seeds: &[usize]) -> Vec<usize> {
-        let mut out = Vec::new();
+        let (mut out, mut stack, mut marked) = (Vec::new(), Vec::new(), Vec::new());
         let mut seen = vec![false; self.program.len()];
-        fn add(program: &[Inst], list: &mut Vec<usize>, seen: &mut [bool], pc: usize) {
-            if seen[pc] {
-                return;
-            }
-            seen[pc] = true;
-            match program[pc] {
-                Inst::Jump(t) => add(program, list, seen, t),
-                Inst::Split(a, b) => {
-                    add(program, list, seen, a);
-                    add(program, list, seen, b);
-                }
-                _ => list.push(pc),
-            }
-        }
         for &pc in seeds {
-            add(&self.program, &mut out, &mut seen, pc);
+            closure_into(&self.program, pc, &mut out, &mut seen, &mut stack, &mut marked);
         }
         out.sort_unstable();
         out

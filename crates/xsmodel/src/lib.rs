@@ -54,7 +54,7 @@ pub use ast::{
     AttributeDeclarations, CombinationFactor, ComplexTypeDefinition, DocumentSchema,
     ElementDeclaration, GroupDefinition, Maximum, Name, Particle, RepetitionFactor, Type,
 };
-pub use automaton::{ContentModel, ContentModelError, MatchOutcome, UpaConflict};
+pub use automaton::{ContentModel, ContentModelError, MatchOutcome, MatchState, UpaConflict};
 pub use canonical::{canonicalize_group, group_size};
 pub use edits::{EditFeasibility, EditOp};
 pub use wellformed::{check, SchemaIssue};

@@ -1,7 +1,7 @@
 //! Schema well-formedness: the static requirements the paper places on a
 //! document schema (§2–3), checked before any document validation.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::ast::{
@@ -59,11 +59,20 @@ pub enum SchemaIssue {
         /// The complex type containing the group.
         context: String,
     },
+    /// XSD's Element Declarations Consistent rule: one content model,
+    /// nested groups included, declares a name with two different types
+    /// or nillabilities.
+    InconsistentDeclarations {
+        /// The name declared inconsistently.
+        name: String,
+        /// The complex type containing the content model.
+        context: String,
+    },
 }
 
 impl SchemaIssue {
     /// The stable diagnostic code for this issue, shared with the
-    /// `xsanalyze` diagnostics engine (`XSA001`–`XSA006`). Codes are part
+    /// `xsanalyze` diagnostics engine (`XSA001`–`XSA007`). Codes are part
     /// of the public contract: tools may match on them, so a variant's
     /// code never changes and retired codes are never reused.
     pub fn code(&self) -> &'static str {
@@ -74,6 +83,7 @@ impl SchemaIssue {
             SchemaIssue::SimpleContentBaseNotSimple { .. } => "XSA004",
             SchemaIssue::AttributeTypeNotSimple { .. } => "XSA005",
             SchemaIssue::EmptyChoice { .. } => "XSA006",
+            SchemaIssue::InconsistentDeclarations { .. } => "XSA007",
         }
     }
 
@@ -87,7 +97,8 @@ impl SchemaIssue {
             | SchemaIssue::IncoherentRepetition { context, .. }
             | SchemaIssue::SimpleContentBaseNotSimple { context, .. }
             | SchemaIssue::AttributeTypeNotSimple { context, .. }
-            | SchemaIssue::EmptyChoice { context } => context,
+            | SchemaIssue::EmptyChoice { context }
+            | SchemaIssue::InconsistentDeclarations { context, .. } => context,
         }
     }
 }
@@ -113,6 +124,11 @@ impl fmt::Display for SchemaIssue {
             SchemaIssue::EmptyChoice { context } => {
                 write!(f, "{context}: required choice group has no alternatives")
             }
+            SchemaIssue::InconsistentDeclarations { name, context } => write!(
+                f,
+                "element name {name:?} declared with different types or nillability \
+                 in one content model in {context} (Element Declarations Consistent)"
+            ),
         }
     }
 }
@@ -193,6 +209,43 @@ fn check_complex(
         }
         ComplexTypeDefinition::ComplexContent { content, .. } => {
             check_group(schema, content, context, issues);
+            check_consistent(content, context, issues);
+        }
+    }
+}
+
+/// Element Declarations Consistent: same-named declarations anywhere in
+/// one content model have the same type and nillability. A validator
+/// reading children one at a time fixes a child's declaration when it
+/// reads the child (the first particle accepting the name,
+/// [`crate::ContentModel::step`]); under this rule every particle it
+/// could have taken licenses the child alike, so the choice never
+/// changes a verdict.
+fn check_consistent(content: &GroupDefinition, context: &str, issues: &mut Vec<SchemaIssue>) {
+    fn collect<'a>(group: &'a GroupDefinition, out: &mut Vec<&'a ElementDeclaration>) {
+        for particle in &group.particles {
+            match particle {
+                Particle::Element(decl) => out.push(decl),
+                Particle::Group(sub) => collect(sub, out),
+            }
+        }
+    }
+    let mut decls = Vec::new();
+    collect(content, &mut decls);
+    let mut first: BTreeMap<&str, &ElementDeclaration> = BTreeMap::new();
+    let mut reported = BTreeSet::new();
+    for decl in decls {
+        let seen = *first.entry(&decl.name).or_insert(decl);
+        // Types have no equality; their derived `Debug` rendering is a
+        // full, deterministic one.
+        let alike = std::ptr::eq(seen, decl)
+            || (seen.nillable == decl.nillable
+                && format!("{:?}", seen.ty) == format!("{:?}", decl.ty));
+        if !alike && reported.insert(&decl.name) {
+            issues.push(SchemaIssue::InconsistentDeclarations {
+                name: decl.name.clone(),
+                context: context.to_string(),
+            });
         }
     }
 }
@@ -328,6 +381,67 @@ mod tests {
         let schema =
             DocumentSchema::new(ElementDeclaration::new("Root", "T")).with_complex_type("T", t);
         assert!(check(&schema).is_empty());
+    }
+
+    /// `choice(seq(A, B), seq(A, C))` with the two `A`s declared as
+    /// `a_type` and `xs:string`.
+    fn ambiguous(a_type: &str, nillable: bool) -> DocumentSchema {
+        let mut second = ElementDeclaration::new("A", "xs:string");
+        second.nillable = nillable;
+        let t = ComplexTypeDefinition::ComplexContent {
+            mixed: false,
+            content: GroupDefinition {
+                particles: vec![
+                    Particle::Group(GroupDefinition::sequence(vec![
+                        ElementDeclaration::new("A", a_type),
+                        ElementDeclaration::new("B", "xs:string"),
+                    ])),
+                    Particle::Group(GroupDefinition::sequence(vec![
+                        second,
+                        ElementDeclaration::new("C", "xs:string"),
+                    ])),
+                ],
+                combination: CombinationFactor::Choice,
+                repetition: RepetitionFactor::ONCE,
+            },
+            attributes: AttributeDeclarations::new(),
+        };
+        DocumentSchema::new(ElementDeclaration::new("Root", "T")).with_complex_type("T", t)
+    }
+
+    #[test]
+    fn same_names_in_one_content_model_need_one_type_and_nillability() {
+        assert!(check(&ambiguous("xs:string", false)).is_empty());
+        for schema in [ambiguous("xs:int", false), ambiguous("xs:string", true)] {
+            let issues = check(&schema);
+            assert_eq!(issues.len(), 1, "{issues:?}");
+            assert!(matches!(
+                &issues[0],
+                SchemaIssue::InconsistentDeclarations { name, context }
+                    if name == "A" && context == "complexType \"T\""
+            ));
+            assert_eq!(issues[0].code(), "XSA007");
+        }
+        // As in XSD, an unambiguous model is held to the rule too.
+        let t = ComplexTypeDefinition::ComplexContent {
+            mixed: false,
+            content: GroupDefinition {
+                particles: vec![
+                    Particle::Group(GroupDefinition::sequence(vec![
+                        ElementDeclaration::new("A", "xs:int"),
+                        ElementDeclaration::new("B", "xs:string"),
+                    ])),
+                    Particle::Element(ElementDeclaration::new("A", "xs:string")),
+                ],
+                combination: CombinationFactor::Sequence,
+                repetition: RepetitionFactor::ONCE,
+            },
+            attributes: AttributeDeclarations::new(),
+        };
+        let schema =
+            DocumentSchema::new(ElementDeclaration::new("Root", "T")).with_complex_type("T", t);
+        let codes: Vec<&str> = check(&schema).iter().map(SchemaIssue::code).collect();
+        assert_eq!(codes, ["XSA007"]);
     }
 
     #[test]

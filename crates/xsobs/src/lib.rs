@@ -234,11 +234,15 @@ pub enum CounterId {
     /// requests or pending-write bytes) and had its read interest
     /// parked until the budget drained.
     NetBackpressureStalls,
+    /// Panics caught in a mutation's preparation or a document's
+    /// validation, each turned into a typed error instead of unwinding
+    /// the caller.
+    PanicsCaught,
 }
 
 impl CounterId {
     /// Every counter, in stable export order.
-    pub const ALL: [CounterId; 74] = [
+    pub const ALL: [CounterId; 75] = [
         CounterId::ParseDocuments,
         CounterId::ParseBytes,
         CounterId::ParseEntityExpansions,
@@ -313,6 +317,7 @@ impl CounterId {
         CounterId::NetEventsDispatched,
         CounterId::NetWakeups,
         CounterId::NetBackpressureStalls,
+        CounterId::PanicsCaught,
     ];
 
     /// Number of counters.
@@ -395,6 +400,7 @@ impl CounterId {
             CounterId::NetEventsDispatched => "net.events_dispatched_total",
             CounterId::NetWakeups => "net.wakeups_total",
             CounterId::NetBackpressureStalls => "net.backpressure_stalls_total",
+            CounterId::PanicsCaught => "db.panics_caught_total",
         }
     }
 }

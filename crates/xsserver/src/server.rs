@@ -218,10 +218,11 @@ impl Server {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("xsserver-worker-{i}"))
-                    // Database work (parse, validate, query) recurses
-                    // with document size; give workers the same
-                    // headroom a main thread gets instead of the 2 MiB
-                    // spawn default. Virtual until touched.
+                    // Parsing and validation keep explicit stacks, but
+                    // query evaluation still recurses with document
+                    // depth; give workers the same headroom a main
+                    // thread gets instead of the 2 MiB spawn default.
+                    // Virtual until touched.
                     .stack_size(16 << 20)
                     .spawn(move || worker_loop(&state))?,
             );

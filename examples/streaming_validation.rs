@@ -1,11 +1,14 @@
-//! Streaming vs tree-building validation on a large generated document:
-//! same §6.2 verdicts, O(depth) memory, one pass.
+//! The tree-free §6.2 core vs tree-building validation on a large
+//! generated document: same verdicts, one pass, no DOM and no S-tree.
+//! `VALIDATE` runs this core over the parser's events, and `PUT_DOC`
+//! runs it with a sink that builds the block storage.
 //!
 //! Run with `cargo run --release --example streaming_validation`.
 
 use std::time::Instant;
 
-use xsdb::algebra::{validate_streaming_with, LoadOptions};
+use xsdb::algebra::{validate_text, LoadOptions};
+use xsdb::xmlparse::ParseLimits;
 use xsdb::{load_document, parse_schema_text, Document};
 
 const SCHEMA: &str = r#"
@@ -47,14 +50,14 @@ fn generate(readings: usize) -> String {
 
 fn main() {
     let schema = parse_schema_text(SCHEMA).expect("schema parses");
-    let opts = LoadOptions { check_identity: false, ..LoadOptions::default() };
+    let (opts, limits) = (LoadOptions::default(), ParseLimits::default());
 
     for &readings in &[1_000usize, 10_000, 100_000] {
         let xml = generate(readings);
         println!("\n{readings} readings ({} KiB of XML)", xml.len() / 1024);
 
         let t = Instant::now();
-        let streamed = validate_streaming_with(&schema, &xml, &opts);
+        let streamed = validate_text(&schema, &xml, &opts, &limits, None).expect("well-formed");
         let stream_ms = t.elapsed().as_secs_f64() * 1e3;
         assert!(streamed.is_empty(), "{:?}", streamed.first());
         println!("  streaming (parse+validate, no tree): {stream_ms:8.2} ms");
@@ -74,9 +77,10 @@ fn main() {
         );
     }
 
-    // Both paths agree on invalid input, rule for rule.
+    // Both paths agree on invalid input: the same error, path and
+    // message.
     let bad = generate(10).replace("<value>5.05</value>", "<value>not-a-number</value>");
-    let streamed = validate_streaming_with(&schema, &bad, &opts);
+    let streamed = validate_text(&schema, &bad, &opts, &limits, None).expect("well-formed");
     let treed = match load_document(&schema, &Document::parse(&bad).unwrap()) {
         Err(errs) => errs,
         Ok(_) => panic!("should be invalid"),
@@ -84,5 +88,5 @@ fn main() {
     println!("\ninvalid document:");
     println!("  streaming: {}", streamed[0]);
     println!("  tree:      {}", treed[0]);
-    assert_eq!(streamed[0].rule, treed[0].rule);
+    assert_eq!(streamed, treed);
 }
