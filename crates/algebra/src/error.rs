@@ -88,9 +88,8 @@ pub struct ValidationError {
 }
 
 impl ValidationError {
-    /// Build a validation error (used by this crate's passes and by
-    /// downstream layers that re-run individual §6.2 obligations, such
-    /// as the database's local post-update rechecks).
+    /// Build a validation error (used by this crate's passes; the
+    /// database layers only report the errors the §6.2 core returns).
     pub fn new(rule: Rule, path: impl Into<String>, message: impl Into<String>) -> Self {
         ValidationError { rule, path: path.into(), message: message.into() }
     }

@@ -12,9 +12,14 @@
 //!
 //! While the document is valid, the nodes §6.2 calls for go to an
 //! [`InstanceSink`] in document order: `()` drops them (validation
-//! alone), and the database's sink builds §9 block storage. Events come
-//! from the pull parser ([`ingest_text`], [`validate_text`]) or from the
-//! database's walk of stored descriptors.
+//! alone), and the database's sink builds §9 block storage. Four drivers
+//! feed it: the pull parser alone ([`validate_text`]) and with the
+//! storage builder ([`ingest_text`]), the database's walk of a stored
+//! document's descriptors, and the update recheck. The recheck opens
+//! the ancestors of each edited element as trusted frames
+//! ([`PushValidator::enter`]), feeds the element's own start tag and
+//! text, and passes over its untouched child elements with
+//! [`PushValidator::skip`], so the rules it applies are these.
 //!
 //! The errors — rule, path, message and order — are those of the
 //! tree-building [`crate::load_document`], the oracle the core is tested
@@ -157,6 +162,9 @@ enum Content {
     Nilled,
     /// A content model (items 5.4.2.*).
     Group { cm: Arc<ContentModel>, mixed: bool },
+    /// Not checked, but a child is resolved by name in the model
+    /// ([`PushValidator::enter`]).
+    Trusted(Arc<ContentModel>),
 }
 
 /// One open element; closed frames are kept for reuse.
@@ -176,6 +184,8 @@ struct Frame {
     /// and nilled content, the pending text node in mixed content, the
     /// current text node (present when `run`) in element-only content.
     text: String,
+    /// Whether a text event came: since the last boundary in element-only
+    /// content, at all in simple content.
     run: bool,
     state: MatchState,
     /// Same-named children so far: a declaration standing for the name,
@@ -189,6 +199,28 @@ impl Frame {
     fn declaration<'a>(&'a self, schema: &'a DocumentSchema) -> &'a ElementDeclaration {
         self.owner.as_ref().map_or(&schema.root, |cm| &cm.declarations()[self.decl])
     }
+
+    /// Count a child matching declaration `decl` of `cm`: its position
+    /// among the same-named children so far.
+    fn sibling(&mut self, cm: &ContentModel, decl: usize) -> u32 {
+        let named = |d: usize| &cm.declarations()[d].name;
+        match self.siblings.iter_mut().find(|e| named(e.0) == named(decl)) {
+            Some((_, n)) => {
+                *n += 1;
+                *n
+            }
+            None => {
+                self.siblings.push((decl, 1));
+                1
+            }
+        }
+    }
+}
+
+/// The declaration of the child `local` in `cm`, found by name.
+fn declared(cm: &Arc<ContentModel>, local: &str) -> Option<(Arc<ContentModel>, usize)> {
+    let decl = cm.declarations().iter().position(|d| d.name == local)?;
+    Some((Arc::clone(cm), decl))
 }
 
 /// The push-style §6.2 core. Feed it [`PushValidator::start`],
@@ -333,7 +365,7 @@ impl<'s, S: InstanceSink> PushValidator<'s, S> {
             return;
         }
         let local = name.local();
-        let Some(top) = self.depth.checked_sub(1) else {
+        if self.depth == 0 {
             if local == self.schema.root.name {
                 return self.open(None, 0, 1, attributes);
             }
@@ -344,11 +376,81 @@ impl<'s, S: InstanceSink> PushValidator<'s, S> {
             self.errors.push(ValidationError::new(Rule::RootName, "/", message));
             self.skip = 1;
             return;
+        }
+        match self.child(local) {
+            Some((cm, decl, pos)) => self.open(Some(cm), decl, pos, attributes),
+            None => self.skip = 1,
+        }
+    }
+
+    /// A child element of the open element whose own subtree is known to
+    /// be valid: the open element's content check reads it exactly as
+    /// [`PushValidator::start`] does, but no frame is opened for it, so
+    /// nothing inside it is looked at.
+    pub fn skip(&mut self, name: &QName) {
+        if self.skip == 0 && self.depth > 0 {
+            self.child(name.local());
+        }
+    }
+
+    /// Open a *trusted* frame for `name`, an ancestor of a part of a
+    /// stored document being rechecked. Its declaration is resolved by
+    /// name in the open trusted frame's content model (the global
+    /// declaration at the root); registration's Element Declarations
+    /// Consistent rule (XSA007) makes that one declaration. Nothing about
+    /// the element is checked (attributes, content, identity values),
+    /// and its `end` checks nothing. A child the trusted element does not
+    /// declare opens no frame and reports nothing, so a driver checks
+    /// that element's own content where a new child may stand (the
+    /// update recheck does: a new element's parent is a site too). Its
+    /// position among its siblings is not counted, so an error path
+    /// through it reads `name[1]`.
+    pub fn enter(&mut self, name: &QName) {
+        if self.skip > 0 {
+            self.skip += 1;
+            return;
+        }
+        let local = name.local();
+        let found = match self.depth.checked_sub(1) {
+            None => (local == self.schema.root.name).then_some((None, 0)),
+            Some(top) => match &self.frames[top].content {
+                Content::Trusted(cm) => declared(cm, local).map(|(cm, d)| (Some(cm), d)),
+                _ => None,
+            },
         };
+        let Some((owner, decl)) = found else {
+            self.skip = 1;
+            return;
+        };
+        let i = self.push_frame(owner.clone(), decl, 1);
+        let decl = owner.as_ref().map_or(&self.schema.root, |cm| &cm.declarations()[decl]);
+        // Without a content model no child can be resolved.
+        self.frames[i].content = match self.schema.complex_of(&decl.ty) {
+            Some(ComplexTypeDefinition::ComplexContent { content, .. }) => {
+                self.content_model(content).map_or(Content::Skipped, Content::Trusted)
+            }
+            _ => Content::Skipped,
+        };
+    }
+
+    /// Open frame `top`'s content check reads the child element `local`:
+    /// the child's declaration in the model and its position among its
+    /// same-named siblings, or `None` when it opens no frame — the
+    /// content refuses it, or is not checked — and the rest of the open
+    /// element is skipped.
+    fn child(&mut self, local: &str) -> Option<(Arc<ContentModel>, usize, u32)> {
+        let top = self.depth - 1;
         self.end_text_node(top, true);
         let frame = &mut self.frames[top];
         let refusal = match &frame.content {
             Content::Skipped => None,
+            Content::Trusted(cm) => {
+                if let Some((cm, decl)) = declared(cm, local) {
+                    let pos = frame.sibling(&cm, decl);
+                    return Some((cm, decl, pos));
+                }
+                None
+            }
             Content::Simple(_) => Some((
                 Rule::R511SimpleValue,
                 format!("element <{local}> inside simple-typed content"),
@@ -363,19 +465,8 @@ impl<'s, S: InstanceSink> PushValidator<'s, S> {
                 match cm.step(&mut frame.state, local) {
                     Ok(decl) => {
                         let cm = Arc::clone(cm);
-                        let named = |d: usize| &cm.declarations()[d].name;
-                        let pos =
-                            match frame.siblings.iter_mut().find(|e| named(e.0) == named(decl)) {
-                                Some((_, n)) => {
-                                    *n += 1;
-                                    *n
-                                }
-                                None => {
-                                    frame.siblings.push((decl, 1));
-                                    1
-                                }
-                            };
-                        return self.open(Some(cm), decl, pos, attributes);
+                        let pos = frame.sibling(&cm, decl);
+                        return Some((cm, decl, pos));
                     }
                     Err(expected) => Some((
                         Rule::R5423GroupMatch,
@@ -384,13 +475,30 @@ impl<'s, S: InstanceSink> PushValidator<'s, S> {
                 }
             }
         };
-        // Skip the rest of this element: the child just opened, its later
-        // siblings and any text.
+        // Skip the rest of this element: the child, its later siblings
+        // and any text.
         frame.content = Content::Skipped;
-        self.skip = 1;
         if let Some((rule, message)) = refusal {
             self.reject(top, rule, message);
         }
+        None
+    }
+
+    /// Open a frame at the next depth for an element matching declaration
+    /// `decl` of `owner` at position `pos`, and return its index.
+    fn push_frame(&mut self, owner: Option<Arc<ContentModel>>, decl: usize, pos: u32) -> usize {
+        let i = self.depth;
+        if self.frames.len() == i {
+            self.frames.push(Frame::default());
+        }
+        self.seq += 1;
+        let frame = &mut self.frames[i];
+        (frame.owner, frame.decl, frame.pos, frame.seq) = (owner, decl, pos, self.seq);
+        frame.text.clear();
+        frame.siblings.clear();
+        frame.run = false;
+        self.depth += 1;
+        i
     }
 
     /// §6.2 items 2–6: open a frame for an element matching declaration
@@ -403,17 +511,8 @@ impl<'s, S: InstanceSink> PushValidator<'s, S> {
         pos: u32,
         attributes: &[(QName, String)],
     ) {
-        let (schema, i) = (self.schema, self.depth);
-        if self.frames.len() == i {
-            self.frames.push(Frame::default());
-        }
-        self.seq += 1;
-        let frame = &mut self.frames[i];
-        (frame.owner, frame.decl, frame.pos, frame.seq) = (owner.clone(), decl, pos, self.seq);
-        frame.text.clear();
-        frame.siblings.clear();
-        frame.run = false;
-        self.depth += 1;
+        let schema = self.schema;
+        let i = self.push_frame(owner.clone(), decl, pos);
         let decl = owner.as_ref().map_or(&schema.root, |cm| &cm.declarations()[decl]);
 
         // Item 6: nil handling.
@@ -575,11 +674,12 @@ impl<'s, S: InstanceSink> PushValidator<'s, S> {
         };
         self.end_text_node(top, true);
         let frame = &mut self.frames[top];
-        let (text, nilled) = (std::mem::take(&mut frame.text), frame.nilled);
+        let (text, nilled, run) = (std::mem::take(&mut frame.text), frame.nilled, frame.run);
         match std::mem::take(&mut frame.content) {
-            Content::Skipped => {}
-            // 6.1: a nilled element has no children.
-            Content::Simple(_) if nilled && !text.is_empty() => {
+            Content::Skipped | Content::Trusted(_) => {}
+            // 6.1: a nilled element has no children — not even an empty
+            // text node, which only a stored document can hold.
+            Content::Simple(_) if nilled && run => {
                 self.fail(top, Rule::R6Nil, "nilled element must have no content")
             }
             Content::Simple(_) if nilled => {}

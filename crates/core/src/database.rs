@@ -1482,7 +1482,7 @@ mod set_text_tests {
 }
 
 #[cfg(test)]
-mod guarded_update_tests {
+pub(crate) mod guarded_update_tests {
     use super::*;
     use xsanalyze::UpdateVerdict;
 
@@ -1521,14 +1521,14 @@ mod guarded_update_tests {
 
     // A private registry per test: the default one is process-global,
     // so parallel tests would see each other's counters.
-    fn log_db() -> Database {
+    pub(crate) fn log_db() -> Database {
         let mut db = Database::with_metrics_registry(Arc::new(xsobs::Registry::new()));
         db.register_schema_text("log", LOG).unwrap();
         db.insert("d", "log", "<log><entry>first</entry><entry>second</entry></log>").unwrap();
         db
     }
 
-    fn lib_db() -> Database {
+    pub(crate) fn lib_db() -> Database {
         let mut db = Database::with_metrics_registry(Arc::new(xsobs::Registry::new()));
         db.register_schema_text("lib", LIB).unwrap();
         db.insert("d", "lib", "<library><book><title>t</title></book></library>").unwrap();
@@ -1564,7 +1564,7 @@ mod guarded_update_tests {
   </xs:element>
 </xs:schema>"#;
 
-    fn nil_db() -> Database {
+    pub(crate) fn nil_db() -> Database {
         let mut db = Database::with_metrics_registry(Arc::new(xsobs::Registry::new()));
         db.register_schema_text("nil", NIL).unwrap();
         db.insert("d", "nil", r#"<form><note xsi:nil="true"/><note>kept</note></form>"#).unwrap();

@@ -173,7 +173,7 @@ pub use error::DbError;
 pub use mutation::{ApplyOutcome, Mutation};
 pub use persist::{LoadPolicy, LoadReport, Quarantine, QuarantineKind};
 pub use physical::{storage_to_document, storage_to_tree};
-pub use shared::{Durability, ReadSnapshot, SharedDatabase, WriteGuard};
+pub use shared::{Durability, ReadSnapshot, SharedDatabase};
 pub use storage::StorageError;
 pub use update::UpdateOutcome;
 pub use vfs::{FaultMode, FaultyVfs, StdVfs, Vfs};

@@ -5,7 +5,8 @@
 //! the valid instance's nodes to a [`StorageBuilder`], so a document
 //! becomes block storage in one pass with no tree in between.
 //! [`validate_storage`] runs the same core over a walk of a stored
-//! document's descriptors. [`storage_to_document`] is the database's
+//! document's descriptors, and [`site_is_valid`] over one element of
+//! it, the update recheck's unit. [`storage_to_document`] is the database's
 //! `g`: it serializes a block-stored document straight from its
 //! descriptors, closing the loop `XML → f → storage → XML` without a
 //! second stored form. [`storage_to_tree`] rebuilds the transient XDM
@@ -79,19 +80,8 @@ pub(crate) fn validate_storage(
     cache: &ContentModelCache,
 ) -> Result<Vec<ValidationError>, DbError> {
     let mut core = PushValidator::new(schema, options, Some(cache), ());
-    let start = |core: &mut PushValidator<'_, ()>, p: DescPtr| {
-        let mut attributes: Vec<(QName, String)> = xs
-            .attributes(p)
-            .into_iter()
-            .map(|a| (QName::parse(xs.node_name(a).unwrap_or("")), xs.string_value(a)))
-            .collect();
-        if xs.nilled(p) == Some(true) {
-            attributes.push((QName::prefixed("xsi", "nil"), "true".to_string()));
-        }
-        core.start(&QName::parse(xs.node_name(p).unwrap_or("")), &attributes);
-    };
     let root = root_element(xs)?;
-    start(&mut core, root);
+    start_stored(&mut core, xs, root);
     let mut open = vec![xs.children(root).into_iter()];
     while let Some(level) = open.last_mut() {
         match level.next() {
@@ -100,16 +90,75 @@ pub(crate) fn validate_storage(
                 core.end();
             }
             Some(c) if xs.kind(c) == NodeKind::Element => {
-                start(&mut core, c);
+                start_stored(&mut core, xs, c);
                 open.push(xs.children(c).into_iter());
             }
-            Some(c) => {
-                // Each stored text node is one text node of `g`'s output.
-                core.text(&xs.string_value(c));
-                core.boundary();
-            }
+            Some(c) => text_stored(&mut core, xs, c),
         }
     }
+    violations(core)
+}
+
+/// Whether the stored element `site` meets its own §6.2 obligations —
+/// attributes, nil, character content and child sequence — given that
+/// its ancestors and its child elements' subtrees are valid: one site
+/// of an update's recheck. The ancestors open as trusted frames, and
+/// the child elements are read by the site's content check but not
+/// entered, so the cost does not grow with the ancestors' sibling
+/// counts or the children's subtrees. It gives a verdict, not errors:
+/// their paths would place every ancestor at position 1.
+pub(crate) fn site_is_valid(
+    schema: &DocumentSchema,
+    xs: &XmlStorage,
+    site: DescPtr,
+    options: &LoadOptions,
+    cache: &ContentModelCache,
+) -> bool {
+    let mut core = PushValidator::new(schema, options, Some(cache), ());
+    let name = |p: DescPtr| QName::parse(xs.node_name(p).unwrap_or(""));
+    let mut ancestors = Vec::new();
+    let mut up = xs.parent(site);
+    while let Some(a) = up.filter(|&a| xs.kind(a) == NodeKind::Element) {
+        ancestors.push(a);
+        up = xs.parent(a);
+    }
+    for &a in ancestors.iter().rev() {
+        core.enter(&name(a));
+    }
+    start_stored(&mut core, xs, site);
+    for c in xs.children(site) {
+        match xs.kind(c) {
+            NodeKind::Element => core.skip(&name(c)),
+            _ => text_stored(&mut core, xs, c),
+        }
+    }
+    core.end();
+    core.finish().is_ok()
+}
+
+/// Feed stored element `p`'s start tag to `core`: its stored attributes,
+/// and `xsi:nil` when it is nilled.
+fn start_stored(core: &mut PushValidator<'_, ()>, xs: &XmlStorage, p: DescPtr) {
+    let mut attributes: Vec<(QName, String)> = xs
+        .attributes(p)
+        .into_iter()
+        .map(|a| (QName::parse(xs.node_name(a).unwrap_or("")), xs.string_value(a)))
+        .collect();
+    if xs.nilled(p) == Some(true) {
+        attributes.push((QName::prefixed("xsi", "nil"), "true".to_string()));
+    }
+    core.start(&QName::parse(xs.node_name(p).unwrap_or("")), &attributes);
+}
+
+/// Feed stored text node `t` to `core`: each stored text node is one
+/// text node of `g`'s output.
+fn text_stored(core: &mut PushValidator<'_, ()>, xs: &XmlStorage, t: DescPtr) {
+    core.text(&xs.string_value(t));
+    core.boundary();
+}
+
+/// The violations a storage walk found.
+fn violations(core: PushValidator<'_, ()>) -> Result<Vec<ValidationError>, DbError> {
     match core.finish() {
         Ok(()) => Ok(Vec::new()),
         Err(IngestError::Invalid(errors)) => Ok(errors),

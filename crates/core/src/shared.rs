@@ -37,11 +37,9 @@
 //!   (+ fsync), the map insert and the epoch publish — plus, after a
 //!   conflict, the one re-preparation. A crash at any point recovers
 //!   the complete old or complete new state of every acknowledged
-//!   commit, and a mutation that fails never reaches the log.
-//!   [`SharedDatabase::write`] remains as the legacy escape hatch for
-//!   direct, *unlogged* mutation (volatile databases, tests); it
-//!   republishes the epoch on guard drop, and a commit prepared before
-//!   its edits finds them and prepares again.
+//!   commit, and a mutation that fails never reaches the log. There is
+//!   no other write path: every change of state is a logged
+//!   [`Mutation`].
 //!
 //! # Durability modes
 //!
@@ -69,13 +67,13 @@
 //! replays only the tail written since.
 //!
 //! Lock acquisition is instrumented: the time callers spend entering
-//! `read`/`write` is recorded into the `server.read_lock_wait_ns` /
+//! `read` and the writer lock of `apply` is recorded into the `server.read_lock_wait_ns` /
 //! `server.write_lock_wait_ns` histograms and the
 //! `server.lock_wait_high_water_ns` gauge, and the whole commit path
 //! into `wal.commit_ns`.
 //!
 //! ```
-//! use xsdb::{Database, SharedDatabase};
+//! use xsdb::{Database, Mutation, SharedDatabase};
 //!
 //! let mut db = Database::new();
 //! db.register_schema_text("greetings", r#"
@@ -90,12 +88,14 @@
 //!         // Readers evaluate against an immutable snapshot.
 //!         let _ = reader.read().document_names().count();
 //!     });
-//!     shared.write().insert("hello", "greetings", "<greeting>hi</greeting>").unwrap();
+//!     let xml = "<greeting>hi</greeting>".to_string();
+//!     let put = Mutation::Insert { doc: "hello".into(), schema: "greetings".into(), xml };
+//!     shared.apply(&put).unwrap();
 //! });
 //! assert_eq!(shared.read().query("hello", "/greeting").unwrap(), ["hi"]);
 //! ```
 
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -184,45 +184,6 @@ impl Deref for ReadSnapshot {
     }
 }
 
-/// Exclusive, *unlogged* access to the primary database, returned by
-/// [`SharedDatabase::write`]. Dropping the guard publishes the state
-/// as the new committed epoch. Mutations made through it bypass the
-/// write-ahead log — prefer [`SharedDatabase::apply`] on durable
-/// handles.
-#[derive(Debug)]
-pub struct WriteGuard<'a> {
-    db: MutexGuard<'a, Database>,
-    epoch: &'a Mutex<Arc<Database>>,
-    /// The epoch this guard's publish superseded. Fields drop in
-    /// declaration order, so it is freed only after `db` has released
-    /// the writer lock.
-    retired: Option<Arc<Database>>,
-}
-
-impl Deref for WriteGuard<'_> {
-    type Target = Database;
-
-    fn deref(&self) -> &Database {
-        &self.db
-    }
-}
-
-impl DerefMut for WriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-}
-
-impl Drop for WriteGuard<'_> {
-    fn drop(&mut self) {
-        // Clone outside the epoch lock: readers must only ever wait
-        // for the pointer swap, never for the snapshot construction.
-        let next = Arc::new(self.db.snapshot());
-        let mut epoch = self.epoch.lock().unwrap_or_else(|p| p.into_inner());
-        self.retired = Some(std::mem::replace(&mut *epoch, next));
-    }
-}
-
 impl SharedDatabase {
     /// Wrap a database for shared, **volatile** use (no write-ahead
     /// log). The handle records its lock-wait metrics into the
@@ -307,15 +268,13 @@ impl SharedDatabase {
         ReadSnapshot { db }
     }
 
-    /// Acquire the exclusive writer lock for a direct, unlogged state
-    /// transition. The new state is published to readers when the
-    /// guard drops. On a durable handle prefer
-    /// [`SharedDatabase::apply`], which logs every mutation it installs.
-    pub fn write(&self) -> WriteGuard<'_> {
-        let start = self.lock_clock();
-        let db = self.inner.primary.lock().unwrap_or_else(|p| p.into_inner());
-        self.record_wait(xsobs::HistogramId::SrvWriteLockWait, start);
-        WriteGuard { db, epoch: &self.inner.epoch, retired: None }
+    /// Turn strict analysis ([`Database::set_strict_analysis`]) on or off
+    /// for later writes and reads. A process setting, not state: it is
+    /// not logged, and a reopened database starts without it.
+    pub fn set_strict_analysis(&self, on: bool) {
+        let mut db = self.inner.primary.lock().unwrap_or_else(|p| p.into_inner());
+        db.set_strict_analysis(on);
+        self.publish(db);
     }
 
     /// Commit one mutation: prepare it against a read snapshot, check
@@ -379,17 +338,7 @@ impl SharedDatabase {
         if let Some(seq) = seq {
             db.note_wal_epoch(seq);
         }
-        // As in `WriteGuard::drop`: build the snapshot before taking
-        // the epoch lock, so readers wait only for a pointer swap.
-        let next = Arc::new(db.snapshot());
-        let mut epoch = self.inner.epoch.lock().unwrap_or_else(|p| p.into_inner());
-        let retired = std::mem::replace(&mut *epoch, next);
-        drop(epoch);
-        drop(db);
-        // Free the superseded epoch outside both locks: when no reader
-        // still holds it, this drop releases every block the new epoch
-        // copied, and neither readers nor the next writer wait for that.
-        drop(retired);
+        self.publish(db);
         if let (Some(w), Some(seq)) = (&self.inner.wal, seq) {
             if w.durability == Durability::Group {
                 // The group-commit gate: whoever arrives first fsyncs
@@ -452,6 +401,22 @@ impl SharedDatabase {
         self.inner.obs.snapshot()
     }
 
+    /// Publish the primary `db` as the epoch readers snapshot, and
+    /// release the writer lock.
+    fn publish(&self, db: MutexGuard<'_, Database>) {
+        // Build the snapshot before taking the epoch lock, so readers
+        // wait only for a pointer swap.
+        let next = Arc::new(db.snapshot());
+        let mut epoch = self.inner.epoch.lock().unwrap_or_else(|p| p.into_inner());
+        let retired = std::mem::replace(&mut *epoch, next);
+        drop(epoch);
+        drop(db);
+        // Free the superseded epoch outside both locks: when no reader
+        // still holds it, this drop releases every block the new epoch
+        // copied, and neither readers nor the next writer wait for that.
+        drop(retired);
+    }
+
     fn lock_clock(&self) -> Option<Instant> {
         self.inner.obs.is_enabled().then(Instant::now)
     }
@@ -493,20 +458,25 @@ mod tests {
         dir
     }
 
+    fn put(doc: &str, xml: &str) -> Mutation {
+        Mutation::Insert { doc: doc.into(), schema: "s".into(), xml: xml.into() }
+    }
+
     #[test]
     fn clones_see_each_others_writes() {
         let a = shared();
         let b = a.clone();
-        a.write().insert("d", "s", "<n>x</n>").unwrap();
+        a.apply(&put("d", "<n>x</n>")).unwrap();
         assert_eq!(b.read().query("d", "/n").unwrap(), ["x"]);
-        assert!(b.write().delete("d"));
+        let deleted = b.apply(&Mutation::Delete { doc: "d".into() }).unwrap();
+        assert_eq!(deleted, ApplyOutcome::Deleted(true));
         assert!(a.read().is_empty());
     }
 
     #[test]
     fn concurrent_readers_share_the_lock() {
         let sh = shared();
-        sh.write().insert("d", "s", "<n>x</n>").unwrap();
+        sh.apply(&put("d", "<n>x</n>")).unwrap();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let sh = &sh;
@@ -523,8 +493,8 @@ mod tests {
     fn lock_waits_are_recorded() {
         let db = Database::with_metrics_registry(Arc::new(xsobs::Registry::new()));
         let sh = SharedDatabase::new(db);
-        drop(sh.read());
-        drop(sh.write());
+        // One snapshot for the preparation, one turn of the writer lock.
+        sh.apply(&Mutation::RegisterSchema { name: "s".into(), xsd: SCHEMA.into() }).unwrap();
         let snap = sh.metrics();
         assert_eq!(snap.histogram(xsobs::HistogramId::SrvReadLockWait).count, 1);
         assert_eq!(snap.histogram(xsobs::HistogramId::SrvWriteLockWait).count, 1);
@@ -534,8 +504,7 @@ mod tests {
     fn disabled_registry_records_no_lock_waits() {
         let reg = Arc::new(xsobs::Registry::disabled());
         let sh = SharedDatabase::new(Database::with_metrics_registry(Arc::clone(&reg)));
-        drop(sh.read());
-        drop(sh.write());
+        sh.apply(&Mutation::RegisterSchema { name: "s".into(), xsd: SCHEMA.into() }).unwrap();
         let snap = reg.snapshot();
         assert_eq!(snap.histogram(xsobs::HistogramId::SrvReadLockWait).count, 0);
         assert_eq!(snap.histogram(xsobs::HistogramId::SrvWriteLockWait).count, 0);
@@ -610,7 +579,7 @@ mod tests {
         std::thread::scope(|s| {
             // Taken inside the scope, so a failed assertion releases it
             // before the scope joins the blocked writer.
-            let guard = sh.write();
+            let guard = sh.inner.primary.lock().unwrap();
             let (sh, insert) = (&sh, &insert);
             let (tx, rx) = mpsc::channel();
             s.spawn(move || tx.send(sh.apply(&insert("bad", "<n><x/></n>"))).unwrap());

@@ -31,7 +31,7 @@
 //! no duplicates, so the XQUF ordering and compatibility rules
 //! (XUDY0015–17) cannot arise.
 
-use algebra::{ContentModelCache, LoadOptions, Rule, ValidationError};
+use algebra::{ContentModelCache, LoadOptions};
 use storage::{DescPtr, XmlStorage};
 use xdm::NodeKind;
 use xpath::eval_guided;
@@ -40,7 +40,7 @@ use xsanalyze::UpdateVerdict;
 use xsmodel::DocumentSchema;
 
 use crate::error::DbError;
-use crate::physical::validate_storage;
+use crate::physical::{site_is_valid, validate_storage};
 
 /// The outcome of a statically checked update
 /// ([`crate::Database::execute_update`]).
@@ -266,72 +266,35 @@ fn parent_of(xs: &XmlStorage, p: DescPtr) -> Result<DescPtr, DbError> {
     xs.parent(p).ok_or_else(|| DbError::Corrupt(format!("update target {p} has no parent")))
 }
 
-/// Step 4: revalidate exactly the content models the edit touched — one
-/// per distinct site — instead of the whole document. Returns how many
-/// sites were checked.
+/// Step 4: revalidate exactly the elements the edit touched — one
+/// [`site_is_valid`] per distinct site — instead of the whole document.
+/// Returns how many sites were checked. A refusal reports the
+/// whole-document pass's violations, so it names what `VALIDATE` and
+/// `revalidate` would name for the same state.
 fn recheck(post: &XmlStorage, sites: Vec<DescPtr>, cx: &Recheck<'_>) -> Result<usize, DbError> {
-    let schema = cx.schema;
     let mut unique: Vec<DescPtr> = Vec::with_capacity(sites.len());
     for s in sites {
         if !unique.contains(&s) {
             unique.push(s);
         }
     }
-    let mut errors = Vec::new();
     // Identity constraints (ID uniqueness, IDREF resolution) are
-    // document-global: a local content-model check cannot see a
-    // duplicate ID two subtrees away, so such schemas always take the
-    // whole-document pass.
-    let mut needs_full_pass = xsanalyze::schema_involves_identity(schema);
-    for &node in &unique {
+    // document-global — a local check cannot see a duplicate ID two
+    // subtrees away — and a root replacement's site is the document
+    // node: both take the whole-document pass.
+    let mut valid = !xsanalyze::schema_involves_identity(cx.schema);
+    for &site in &unique {
         cx.obs.incr(xsobs::CounterId::UpdateRevalidateNodes);
-        let names = name_path(post, node);
-        if names.is_empty() {
-            // The site is the document node (root replacement): exactly
-            // one element child, with the declared root name and a
-            // valid shallow state.
-            let kids: Vec<_> = post
-                .children(post.root())
-                .into_iter()
-                .filter(|&c| post.kind(c) == NodeKind::Element)
-                .collect();
-            if kids.len() == 1 && post.node_name(kids[0]) == Some(schema.root.name.as_str()) {
-                errors.extend(check_node_against(
-                    cx,
-                    post,
-                    kids[0],
-                    &schema.root.ty,
-                    &format!("/{}", schema.root.name),
-                ));
-            } else {
-                errors.push(ValidationError::new(
-                    Rule::RootName,
-                    "/",
-                    format!("document must hold exactly one <{}>", schema.root.name),
-                ));
-            }
-        } else {
-            match type_at_name_path(schema, &names) {
-                Some(ty) => errors.extend(check_node_against(
-                    cx,
-                    post,
-                    node,
-                    ty,
-                    &format!("/{}", names.join("/")),
-                )),
-                // The schema types this element ambiguously (or not at
-                // all): fall back to a whole-document pass.
-                None => needs_full_pass = true,
-            }
-        }
+        valid = valid
+            && post.kind(site) == NodeKind::Element
+            && site_is_valid(cx.schema, post, site, cx.options, cx.cm_cache);
     }
-    if needs_full_pass {
-        errors.extend(validate_storage(schema, post, cx.options, cx.cm_cache)?);
+    if valid {
+        return Ok(unique.len());
     }
-    if errors.is_empty() {
-        Ok(unique.len())
-    } else {
-        Err(DbError::Invalid(errors))
+    match validate_storage(cx.schema, post, cx.options, cx.cm_cache)? {
+        errors if errors.is_empty() => Ok(unique.len()),
+        errors => Err(DbError::Invalid(errors)),
     }
 }
 
@@ -380,232 +343,218 @@ fn describe(storage: &XmlStorage, p: DescPtr) -> String {
     format!("/{}", owner.into_iter().chain([step]).collect::<Vec<_>>().join("/"))
 }
 
-/// Shallow-revalidate one element against its schema type: attributes,
-/// character content, and the immediate child-name sequence — exactly
-/// the §6.2 obligations local to a single node. Grandchildren were not
-/// touched by the update, so their own checks still hold.
-fn check_node_against(
-    cx: &Recheck<'_>,
-    storage: &XmlStorage,
-    node: DescPtr,
-    ty: &xsmodel::Type,
-    path: &str,
-) -> Vec<ValidationError> {
-    use xsmodel::ComplexTypeDefinition as Ctd;
-    let schema = cx.schema;
-    let mut errors = Vec::new();
-    let attrs: Vec<(String, String)> = storage
-        .attributes(node)
-        .into_iter()
-        .map(|a| (storage.node_name(a).unwrap_or_default().to_string(), storage.string_value(a)))
-        .collect();
-    let kids = storage.children(node);
-    let child_names: Vec<String> = kids
-        .iter()
-        .filter(|&&c| storage.kind(c) == NodeKind::Element)
-        .map(|&c| storage.node_name(c).unwrap_or_default().to_string())
-        .collect();
-    let text: String = kids
-        .iter()
-        .filter(|&&c| storage.kind(c) == NodeKind::Text)
-        .map(|&c| storage.string_value(c))
-        .collect();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::database::guarded_update_tests::{lib_db, log_db, nil_db};
+    use crate::Database;
 
-    // §6.2 item 6.1: a nilled element has no content — and, conversely,
-    // no content obligations, so the child/text checks below are
-    // waived. Attributes are still checked: items 6.2/6.3 keep them
-    // even when nilled.
-    let nilled = storage.nilled(node) == Some(true);
-    if nilled && !kids.is_empty() {
-        errors.push(ValidationError::new(Rule::R6Nil, path, "nilled element must have no content"));
-    }
+    /// Element-only `item`s with a simple-content `price` (an attribute),
+    /// mixed `note`s and a nillable `qty`.
+    const SHOP: &str = r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="shop">
+    <xs:complexType>
+      <xs:sequence>
+        <xs:element name="item" maxOccurs="unbounded">
+          <xs:complexType>
+            <xs:sequence>
+              <xs:element name="name" type="xs:string"/>
+              <xs:element name="price" type="Price"/>
+              <xs:element name="note" type="Note" minOccurs="0" maxOccurs="unbounded"/>
+              <xs:element name="qty" type="xs:int" nillable="true" minOccurs="0"/>
+            </xs:sequence>
+            <xs:attribute name="sku" type="xs:NCName"/>
+          </xs:complexType>
+        </xs:element>
+        <xs:element name="tags" minOccurs="0">
+          <xs:complexType>
+            <xs:sequence>
+              <xs:element name="tag" type="xs:string" minOccurs="0" maxOccurs="unbounded"/>
+            </xs:sequence>
+          </xs:complexType>
+        </xs:element>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+  <xs:complexType name="Price">
+    <xs:simpleContent>
+      <xs:extension base="xs:decimal">
+        <xs:attribute name="currency" type="xs:string"/>
+      </xs:extension>
+    </xs:simpleContent>
+  </xs:complexType>
+  <xs:complexType name="Note" mixed="true">
+    <xs:sequence>
+      <xs:element name="em" type="xs:string" minOccurs="0" maxOccurs="unbounded"/>
+    </xs:sequence>
+  </xs:complexType>
+</xs:schema>"#;
 
-    if let Some(st) = schema.simple_of(ty) {
-        if let Some((name, _)) = attrs.first() {
-            errors.push(ValidationError::new(
-                Rule::R531Attributes,
-                path,
-                format!("simple-typed element admits no attributes (found {name:?})"),
-            ));
-        }
-        if nilled {
-            return errors;
-        }
-        if let Some(child) = child_names.first() {
-            errors.push(ValidationError::new(
-                Rule::R511SimpleValue,
-                path,
-                format!("simple-typed element admits no element children (found <{child}>)"),
-            ));
-        }
-        if let Err(e) = st.validate(&text) {
-            errors.push(ValidationError::new(Rule::R511SimpleValue, path, e.to_string()));
-        }
-        return errors;
-    }
-    let Some(ctd) = schema.complex_of(ty) else {
-        errors.push(ValidationError::new(
-            Rule::TypeUsage,
-            path,
-            format!("type {:?} is not defined", ty.name().unwrap_or("<anonymous>")),
-        ));
-        return errors;
-    };
+    const SHOP_DOC: &str = r#"<shop><item sku="a1"><name>Pen</name><price currency="EUR">1.50</price><note>see <em>this</em></note><qty xsi:nil="true"/></item><item sku="b2"><name>Ink</name><price currency="USD">3</price><qty>4</qty></item><tags><tag>t</tag></tags></shop>"#;
 
-    // 5.3.1: attributes of either variant.
-    let declared = ctd.attributes();
-    for (name, value) in &attrs {
-        match declared.get(name.as_str()) {
-            None => errors.push(ValidationError::new(
-                Rule::R531Attributes,
-                path,
-                format!("attribute {name:?} is not declared"),
-            )),
-            Some(ty_name) => match schema.simple_types.get(ty_name) {
-                None => errors.push(ValidationError::new(
-                    Rule::TypeUsage,
-                    path,
-                    format!("attribute {name:?} has undefined type {ty_name:?}"),
-                )),
-                Some(st) => {
-                    if let Err(e) = st.validate(value) {
-                        errors.push(ValidationError::new(
-                            Rule::R531Attributes,
-                            path,
-                            format!("attribute {name:?}: {e}"),
-                        ));
-                    }
-                }
-            },
-        }
-    }
-    if cx.options.require_all_attributes {
-        for name in declared.keys() {
-            if !attrs.iter().any(|(n, _)| n == name) {
-                errors.push(ValidationError::new(
-                    Rule::R531Attributes,
-                    path,
-                    format!("required attribute {name:?} is missing"),
-                ));
-            }
-        }
+    fn shop_db() -> Database {
+        let mut db = Database::new();
+        db.register_schema_text("shop", SHOP).unwrap();
+        db.insert("d", "shop", SHOP_DOC).unwrap();
+        db
     }
 
-    if nilled {
-        return errors;
-    }
-    match ctd {
-        Ctd::SimpleContent { base, .. } => {
-            if let Some(child) = child_names.first() {
-                errors.push(ValidationError::new(
-                    Rule::R511SimpleValue,
-                    path,
-                    format!("simple-content element admits no element children (found <{child}>)"),
-                ));
-            }
-            match schema.simple_types.get(base) {
-                None => errors.push(ValidationError::new(
-                    Rule::TypeUsage,
-                    path,
-                    format!("simple content base {base:?} is not defined"),
-                )),
-                Some(st) => {
-                    if let Err(e) = st.validate(&text) {
-                        errors.push(ValidationError::new(
-                            Rule::R511SimpleValue,
-                            path,
-                            e.to_string(),
-                        ));
-                    }
-                }
-            }
-        }
-        Ctd::ComplexContent { mixed, content, .. } => {
-            let ignorable =
-                cx.options.ignore_ignorable_whitespace && text.chars().all(char::is_whitespace);
-            if !mixed && !text.is_empty() && !ignorable {
-                errors.push(ValidationError::new(
-                    Rule::R5421NoText,
-                    path,
-                    format!("text {text:?} in non-mixed content"),
-                ));
-            }
-            if content.is_empty_content() {
-                if let Some(child) = child_names.first() {
-                    errors.push(ValidationError::new(
-                        Rule::R541EmptyContent,
-                        path,
-                        format!("empty content admits no element children (found <{child}>)"),
-                    ));
-                }
-            } else {
-                match cx.cm_cache.get_or_compile(content) {
-                    Err(e) => errors.push(ValidationError::new(
-                        Rule::R5423GroupMatch,
-                        path,
-                        e.to_string(),
-                    )),
-                    Ok(cm) => {
-                        let names: Vec<&str> = child_names.iter().map(String::as_str).collect();
-                        if let xsmodel::MatchOutcome::Reject { position, expected } =
-                            cm.match_children(&names)
-                        {
-                            let found = names
-                                .get(position)
-                                .map(|n| format!("<{n}>"))
-                                .unwrap_or_else(|| "end of content".to_string());
-                            let expected = if expected.is_empty() {
-                                "nothing".to_string()
-                            } else {
-                                expected.join(", ")
-                            };
-                            errors.push(ValidationError::new(
-                                Rule::R5423GroupMatch,
-                                path,
-                                format!(
-                                    "at child {position}: found {found}, \
-                                     expected one of {{{expected}}}"
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    errors
-}
+    /// Whitespace values: XML's four characters, the empty string, and
+    /// Unicode spaces XML does not count as whitespace.
+    const SPACES: [&str; 6] = [" ", "\t\n \r", "", "\u{A0}", "\u{2003}", " \u{85} "];
 
-/// Resolve the schema type of the element reached by `names` (a
-/// root-first element-name path). `None` when the path leaves the
-/// schema or a name is ambiguously typed inside its content model —
-/// callers then fall back to a whole-document pass.
-fn type_at_name_path<'a>(
-    schema: &'a DocumentSchema,
-    names: &[String],
-) -> Option<&'a xsmodel::Type> {
-    let mut iter = names.iter();
-    if iter.next()? != &schema.root.name {
-        return None;
-    }
-    let mut ty = &schema.root.ty;
-    for name in iter {
-        let ctd = schema.complex_of(ty)?;
-        let xsmodel::ComplexTypeDefinition::ComplexContent { content, .. } = ctd else {
-            return None;
+    /// Run `update` on document `d` of `db` twice from the same pre-state:
+    /// once unchecked (verdict `Accept`), once through the recheck. The
+    /// recheck commits iff the whole-document check of the unchecked
+    /// post-state is clean, and refuses with exactly its violations.
+    /// Returns whether it committed (`None`: a target-kind refusal).
+    fn agree(db: &Database, update: &str, options: &LoadOptions) -> Option<bool> {
+        let doc = db.document("d").unwrap();
+        let schema = db.schema(&doc.schema_name).unwrap();
+        let upd = xquery::parse_update(update).unwrap();
+        let (cache, obs) = (ContentModelCache::new(), xsobs::Registry::new());
+        let cx = Recheck { schema, options, cm_cache: &cache, obs: &obs };
+        let post = match apply(&doc.storage, &upd, UpdateVerdict::Accept, &cx) {
+            Ok((_, post)) => post,
+            Err(DbError::XQuery(_)) => return None,
+            Err(e) => panic!("{update}: {e}"),
         };
-        let decls: Vec<_> =
-            content.element_declarations().into_iter().filter(|d| &d.name == name).collect();
-        let first = *decls.first()?;
-        // Several declarations of one name are fine only when they all
-        // agree on a single named type.
-        if decls.len() > 1 {
-            let reference = first.ty.name();
-            if reference.is_none() || decls.iter().any(|d| d.ty.name() != reference) {
-                return None;
+        let whole = validate_storage(schema, &post, options, &cache).unwrap();
+        match apply(&doc.storage, &upd, UpdateVerdict::Recheck, &cx) {
+            Ok((outcome, rechecked)) => {
+                assert_eq!(whole, [], "{update}: committed an invalid state");
+                assert!(outcome.revalidated > 0, "{update}");
+                assert_eq!(format!("{rechecked:?}"), format!("{post:?}"), "{update}");
+                Some(true)
+            }
+            Err(DbError::Invalid(errors)) => {
+                assert_eq!(errors, whole, "{update}");
+                assert!(!errors.is_empty(), "{update}");
+                Some(false)
+            }
+            Err(e) => panic!("{update}: {e}"),
+        }
+    }
+
+    #[test]
+    fn the_recheck_agrees_with_the_whole_document_check() {
+        let mut updates: Vec<String> = [
+            // insert into: host content model and the new element
+            "insert node <note>x</note> into /shop/item[2]",
+            "insert node <note>x</note> into //item",
+            "insert node <qty>5</qty> into /shop/item[1]",
+            "insert node <em>bold</em> into //note",
+            "insert node <em>bold</em> into //price",
+            "insert node <bogus/> into /shop/item[1]",
+            "insert node <tag>z</tag> into /shop/tags",
+            "insert node <qty>x</qty> into /shop/item[2]",
+            // insert before / after
+            "insert node <name>n</name> before //price",
+            "insert node <note>n</note> after //price",
+            "insert node <item/> after /shop/item[2]",
+            "insert node <em>e</em> before //note/text()",
+            // insert attribute
+            r#"insert attribute currency="GBP" into //price"#,
+            r#"insert attribute bogus="1" into //price"#,
+            r#"insert attribute sku="two words" into /shop/item[1]"#,
+            r#"insert attribute sku="c3" into //qty"#,
+            // delete
+            "delete node //name",
+            "delete node //qty",
+            "delete node //em",
+            "delete node //price/@currency",
+            "delete node /shop/tags",
+            // replace node
+            "replace node //qty with <qty>7</qty>",
+            "replace node //note with <qty>1</qty>",
+            "replace node /shop with <shop/>",
+            "replace node /shop with <store/>",
+            "replace node //note/text() with <em>e</em>",
+            // replace value
+            r#"replace value of node //qty with "12""#,
+            r#"replace value of node /shop/item[1]/qty with "12""#,
+            r#"replace value of node /shop/item[2]/qty with "12""#,
+            r#"replace value of node /shop/item[2]/qty with "x""#,
+            r#"replace value of node //price with "abc""#,
+            r#"replace value of node //price with "2.5""#,
+            r#"replace value of node //note with "plain""#,
+            r#"replace value of node //price/@currency with "x""#,
+            r#"replace value of node /shop/item[2] with "x""#,
+        ]
+        .map(String::from)
+        .to_vec();
+        for space in SPACES {
+            for target in ["/shop/tags", "//item", "//note", "//qty", "//price", "//tag", "//em"] {
+                updates.push(format!("replace value of node {target} with \"{space}\""));
             }
         }
-        ty = &first.ty;
+        let strict = LoadOptions::default();
+        let loose = LoadOptions {
+            require_all_attributes: false,
+            ignore_ignorable_whitespace: false,
+            ..LoadOptions::default()
+        };
+        let db = shop_db();
+        let (mut committed, mut refused) = (0, 0);
+        for options in [&strict, &loose] {
+            for update in &updates {
+                match agree(&db, update, options) {
+                    Some(true) => committed += 1,
+                    Some(false) => refused += 1,
+                    None => {}
+                }
+            }
+        }
+        // Both outcomes are exercised, under both option sets.
+        assert!(committed > 20 && refused > 20, "{committed} committed, {refused} refused");
     }
-    Some(ty)
+
+    #[test]
+    fn the_recheck_agrees_on_the_nillable_and_element_only_schemas() {
+        let cases: [(Database, &[&str]); 3] = [
+            (
+                nil_db(),
+                &[
+                    r#"replace value of node /form/note[1] with """#,
+                    r#"replace value of node /form/note[1] with "x""#,
+                    r#"replace value of node /form/note[2] with """#,
+                    r#"replace value of node /form/note with " ""#,
+                    "insert node <note/> before /form/note[1]",
+                    "delete node /form/note[2]/text()",
+                    r#"insert attribute k="v" into /form/note[1]"#,
+                ],
+            ),
+            (
+                lib_db(),
+                &[
+                    "insert node <author>Codd</author> into /library/book",
+                    "insert node <title>u</title> into /library/book",
+                    "insert node <book>u</book> into /library",
+                    "insert node <book/> into /library",
+                    r#"replace value of node /library/book with "x""#,
+                    r#"replace value of node /library with "\u{2003}""#,
+                ],
+            ),
+            (
+                log_db(),
+                &[
+                    "insert node <entry>third</entry> into /log",
+                    "insert node <log/> into /log",
+                    r#"replace value of node /log with " ""#,
+                    r#"replace value of node /log with "\u{A0}""#,
+                    "delete node /log/entry",
+                ],
+            ),
+        ];
+        for (db, updates) in &cases {
+            for update in *updates {
+                agree(db, update, &LoadOptions::default());
+            }
+        }
+        // The stored empty text node of a nilled element is content
+        // (§6.2 item 6.1): refused, as it always was.
+        let (db, _) = &cases[0];
+        let empty = r#"replace value of node /form/note[1] with """#;
+        assert_eq!(agree(db, empty, &LoadOptions::default()), Some(false));
+    }
 }

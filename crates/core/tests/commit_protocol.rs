@@ -160,20 +160,18 @@ fn a_stale_update_is_prepared_again() {
     );
 }
 
-/// The same race through a shared handle: a preparation taken from a
-/// read snapshot goes stale when another writer commits, and is refused
-/// by the primary.
+/// The same race for an insert: a preparation taken before another
+/// writer inserted the same name goes stale, and is refused.
 #[test]
 fn a_snapshot_preparation_goes_stale_under_a_concurrent_commit() {
     let mut db = Database::with_metrics_registry(Arc::new(xsobs::Registry::new()));
     db.register_schema_text("lib", LIB).unwrap();
-    let sh = SharedDatabase::new(db);
     let put = insert("d", "lib", r#"<library><book id="b1"><title>T</title></book></library>"#);
-    let prepared = put.prepare(&sh.read()).unwrap();
-    sh.apply(&put).unwrap();
+    let prepared = put.prepare(&db).unwrap();
+    put.apply(&mut db).unwrap();
     // The name is taken now: the preparation is stale, and preparing it
     // again is refused as a duplicate.
-    assert_eq!(sh.write().commit(prepared).unwrap_err(), Stale);
-    assert!(matches!(put.prepare(&sh.read()), Err(DbError::DuplicateDocument(_))));
-    assert_eq!(sh.read().document_names().count(), 1);
+    assert_eq!(db.commit(prepared).unwrap_err(), Stale);
+    assert!(matches!(put.prepare(&db), Err(DbError::DuplicateDocument(_))));
+    assert_eq!(db.document_names().count(), 1);
 }

@@ -164,7 +164,7 @@ fn run(args: &Args) -> Result<(), String> {
         }
         None => SharedDatabase::new(Database::new()),
     };
-    shared.write().set_strict_analysis(args.strict_analysis);
+    shared.set_strict_analysis(args.strict_analysis);
     let config = ServerConfig {
         threads: args.threads,
         max_conns: args.max_conns,

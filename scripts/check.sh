@@ -139,6 +139,19 @@ if ! awk '
   exit 1
 fi
 
+# One §6.2 engine: outside their tests, the database layers never apply
+# a §6.2 rule themselves — no content-model match, no type lookup, no
+# rule named. Insert, validate, revalidate and the update recheck all
+# drive `algebra::PushValidator`.
+if ! awk '
+  FNR == 1 { intest = 0 }
+  /#\[cfg\(test\)\]/ { intest = 1 }
+  !intest && /match_children|complex_of|simple_of|simple_types|element_declarations|Rule::/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+  END { exit bad }' crates/core/src/*.rs >&2; then
+  echo "one-engine gate: non-test code in crates/core applies §6.2 rules outside the core" >&2
+  exit 1
+fi
+
 # Metrics-export schema golden: the JSON field layout is semver-stable.
 # Regenerate with `cargo run -p xsobs --bin xsobs-schema` when changing
 # it deliberately.

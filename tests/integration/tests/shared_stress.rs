@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
-use xsdb::{Database, DbError, Durability, Mutation, SharedDatabase, StdVfs};
+use xsdb::{ApplyOutcome, Database, DbError, Durability, Mutation, SharedDatabase, StdVfs};
 
 /// The durable tests count appends on the process-global
 /// `wal.appends_total`, so they take turns.
@@ -53,6 +53,18 @@ fn shared() -> SharedDatabase {
     SharedDatabase::new(db)
 }
 
+/// Insert document `name` with the text `xml` through the logged path.
+fn put(sh: &SharedDatabase, name: &str, xml: String) {
+    let m = Mutation::Insert { doc: name.into(), schema: "s".into(), xml };
+    assert_eq!(sh.apply(&m).unwrap(), ApplyOutcome::Inserted);
+}
+
+/// Delete the stored document `name` through the logged path.
+fn delete(sh: &SharedDatabase, name: &str) {
+    let m = Mutation::Delete { doc: name.into() };
+    assert_eq!(sh.apply(&m).unwrap(), ApplyOutcome::Deleted(true));
+}
+
 fn doc(items: usize, tag: &str) -> String {
     let mut xml = String::from("<list>");
     for i in 0..items {
@@ -69,9 +81,10 @@ fn doc(items: usize, tag: &str) -> String {
 #[test]
 fn readers_see_only_whole_states() {
     let sh = shared();
-    sh.write().insert("d", "s", &doc(10, "v0")).unwrap();
+    put(&sh, "d", doc(10, "v0"));
     let torn = AtomicUsize::new(0);
     let reads = AtomicUsize::new(0);
+    let replace = &Mutex::new(());
     std::thread::scope(|s| {
         // 6 readers × many iterations.
         for _ in 0..6 {
@@ -80,16 +93,24 @@ fn readers_see_only_whole_states() {
             let reads = &reads;
             s.spawn(move || {
                 for i in 0..300 {
+                    // Between a writer's delete and its insert the
+                    // committed state holds no `d`; read the next one.
+                    let db = loop {
+                        let db = sh.read();
+                        if db.document("d").is_some() {
+                            break db;
+                        }
+                        std::thread::yield_now();
+                    };
                     // Periodically check full consistency of the
                     // snapshot: it serializes, and the serialization
                     // validates clean against the schema (the §8
                     // round trip under the shared read lock).
                     if i % 50 == 0 {
-                        let db = sh.read();
                         let xml = db.serialize("d").unwrap();
                         assert!(db.validate("s", &xml).unwrap().is_empty(), "torn serialize");
                     }
-                    let values = sh.read().query("d", "/list/item").unwrap();
+                    let values = db.query("d", "/list/item").unwrap();
                     reads.fetch_add(1, Ordering::Relaxed);
                     // Writers only ever install whole documents of 10
                     // or 25 items; a torn read would show otherwise.
@@ -105,15 +126,16 @@ fn readers_see_only_whole_states() {
                 }
             });
         }
-        // 2 writers alternating whole-document replacements.
+        // 2 writers alternating whole-document replacements: a delete
+        // and an insert, one writer's pair at a time.
         for w in 0..2 {
             let sh = sh.clone();
             s.spawn(move || {
                 for i in 0..40 {
                     let (n, tag) = if (i + w) % 2 == 0 { (10, "v0") } else { (25, "v1") };
-                    let mut db = sh.write();
-                    db.delete("d");
-                    db.insert("d", "s", &doc(n, tag)).unwrap();
+                    let _pair = replace.lock().unwrap();
+                    delete(&sh, "d");
+                    put(&sh, "d", doc(n, tag));
                 }
             });
         }
@@ -137,7 +159,7 @@ fn disjoint_writers_all_land() {
             s.spawn(move || {
                 for i in 0..20 {
                     let name = format!("doc-{t}-{i}");
-                    sh.write().insert(&name, "s", &doc(3, "x")).unwrap();
+                    put(&sh, &name, doc(3, "x"));
                 }
             });
         }
@@ -159,21 +181,24 @@ fn disjoint_writers_all_land() {
 fn remove_schema_races_with_deletes() {
     let sh = shared();
     for i in 0..50 {
-        sh.write().insert(&format!("d{i}"), "s", &doc(1, "x")).unwrap();
+        put(&sh, &format!("d{i}"), doc(1, "x"));
     }
     std::thread::scope(|s| {
         {
             let sh = sh.clone();
             s.spawn(move || {
                 for i in 0..50 {
-                    assert!(sh.write().delete(&format!("d{i}")));
+                    delete(&sh, &format!("d{i}"));
                 }
             });
         }
         let sh = sh.clone();
         s.spawn(move || loop {
-            match sh.write().remove_schema("s") {
-                Ok(()) => break,
+            match sh.apply(&Mutation::RemoveSchema { name: "s".into() }) {
+                Ok(outcome) => {
+                    assert_eq!(outcome, ApplyOutcome::Removed);
+                    break;
+                }
                 Err(DbError::SchemaInUse { schema, documents }) => {
                     assert_eq!(schema, "s");
                     assert!(!documents.is_empty());
@@ -194,15 +219,14 @@ fn remove_schema_races_with_deletes() {
 #[test]
 fn held_snapshots_stay_frozen_under_churn() {
     let sh = shared();
-    sh.write().insert("d", "s", &doc(10, "v0")).unwrap();
+    put(&sh, "d", doc(10, "v0"));
     let pinned = sh.read();
     std::thread::scope(|s| {
         let writer = sh.clone();
         s.spawn(move || {
             for i in 0..60 {
-                let mut db = writer.write();
-                db.delete("d");
-                db.insert("d", "s", &doc(25, &format!("w{i}"))).unwrap();
+                delete(&writer, "d");
+                put(&writer, "d", doc(25, &format!("w{i}")));
             }
         });
         for _ in 0..300 {
@@ -285,7 +309,7 @@ fn concurrent_durable_appliers_recover_completely() {
 #[test]
 fn guarded_updates_never_relabel_under_live_traffic() {
     let sh = shared();
-    sh.write().insert("d", "s", &doc(4, "seed")).unwrap();
+    put(&sh, "d", doc(4, "seed"));
     std::thread::scope(|s| {
         for _ in 0..4 {
             let sh = sh.clone();
@@ -302,19 +326,18 @@ fn guarded_updates_never_relabel_under_live_traffic() {
         for w in 0..2 {
             let sh = sh.clone();
             s.spawn(move || {
+                let update = |text: String| Mutation::Update { doc: "d".into(), update: text };
                 for i in 0..40 {
-                    let mut db = sh.write();
-                    let out = db
-                        .execute_update(
-                            "d",
-                            &format!("insert node <item>w{w}-{i}</item> into /list"),
-                        )
-                        .unwrap();
+                    let append = update(format!("insert node <item>w{w}-{i}</item> into /list"));
+                    let ApplyOutcome::UpdatedChecked(out) = sh.apply(&append).unwrap() else {
+                        panic!("an update reports an update outcome");
+                    };
                     // `item*` admits any append: provably valid, so the
                     // commit skipped revalidation entirely.
                     assert_eq!(out.revalidated, 0);
                     // A provably-invalid update is refused up front.
-                    assert!(db.execute_update("d", "insert node <rogue/> into /list").is_err());
+                    let rogue = update("insert node <rogue/> into /list".into());
+                    assert!(sh.apply(&rogue).is_err());
                 }
             });
         }
@@ -332,7 +355,7 @@ fn guarded_updates_never_relabel_under_live_traffic() {
 #[test]
 fn lock_survives_a_panicking_holder() {
     let sh = shared();
-    sh.write().insert("d", "s", &doc(2, "x")).unwrap();
+    put(&sh, "d", doc(2, "x"));
     let sh2 = sh.clone();
     let result = std::thread::spawn(move || {
         let _guard = sh2.read();
@@ -342,7 +365,7 @@ fn lock_survives_a_panicking_holder() {
     assert!(result.is_err());
     // The handle still serves both lock modes.
     assert_eq!(sh.read().query("d", "/list/item").unwrap().len(), 2);
-    sh.write().insert("e", "s", &doc(1, "y")).unwrap();
+    put(&sh, "e", doc(1, "y"));
     assert_eq!(sh.read().document_names().count(), 2);
 }
 

@@ -444,3 +444,127 @@ const MIXED_XSD: &str = r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema
     </xs:complexType>
   </xs:element>
 </xs:schema>"#;
+
+// ---- The recheck applies the §6.2 core's own rules ----------------------
+//
+// A committed update must leave a state that `revalidate`, `VALIDATE` and
+// a reopen read back as valid, and a refused one must name the violation
+// as they do.
+
+/// Two `box` declarations in two models: under `a` a mixed one, under `b`
+/// an element-only one, so `//box` reaches both.
+const BOXES_XSD: &str = r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="r">
+    <xs:complexType>
+      <xs:sequence>
+        <xs:element name="a">
+          <xs:complexType>
+            <xs:sequence><xs:element name="box" type="Mixed"/></xs:sequence>
+          </xs:complexType>
+        </xs:element>
+        <xs:element name="b" maxOccurs="unbounded">
+          <xs:complexType>
+            <xs:sequence><xs:element name="box" type="Shelf"/></xs:sequence>
+          </xs:complexType>
+        </xs:element>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+  <xs:complexType name="Mixed" mixed="true">
+    <xs:sequence><xs:element name="item" type="xs:string" minOccurs="0"/></xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="Shelf">
+    <xs:sequence><xs:element name="item" type="xs:string" minOccurs="0"/></xs:sequence>
+  </xs:complexType>
+</xs:schema>"#;
+
+const BOXES_DOC: &str = "<r><a><box/></a><b><box/></b></r>";
+
+/// XML's whitespace is four characters. A no-break space or an em space
+/// in element-only content is text the core refuses, so the recheck
+/// must refuse it too, with the core's rule, path and message.
+#[test]
+fn non_xml_whitespace_in_element_only_content_is_refused() {
+    for value in ["\u{A0}", "\u{2003}"] {
+        let mut db = Database::new();
+        db.register_schema_text("boxes", BOXES_XSD).expect("schema registers");
+        db.insert("d", "boxes", BOXES_DOC).expect("document is valid");
+        let update = format!(r#"replace value of node //box with "{value}""#);
+        assert_eq!(
+            analyze_update(db.schema("boxes").expect("schema"), &update_expr(&update)).verdict,
+            UpdateVerdict::Recheck
+        );
+        let err = db.execute_update("d", &update).expect_err(&update);
+        let DbError::Invalid(errors) = err else { panic!("{update}: {err}") };
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert_eq!(errors[0].rule, xsdb::Rule::R5421NoText);
+        assert_eq!(errors[0].path, "/r/b[1]/box[1]");
+        assert_eq!(errors[0].message, format!("text {value:?} in non-mixed element content"));
+        assert_eq!(db.serialize("d").expect("serializes"), BOXES_DOC);
+        assert!(db.revalidate("d").expect("revalidate runs").is_empty());
+    }
+}
+
+/// The same update on a durable store: refused before it reaches the
+/// log, so the checkpointed store reopens.
+#[test]
+fn a_store_reopens_after_a_refused_whitespace_update() {
+    use xsdb::{Durability, Mutation, SharedDatabase};
+    let dir = std::env::temp_dir().join(format!("xsdb-recheck-ws-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (sh, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).expect("open");
+    sh.apply(&Mutation::RegisterSchema { name: "boxes".into(), xsd: BOXES_XSD.into() })
+        .expect("schema");
+    sh.apply(&Mutation::Insert { doc: "d".into(), schema: "boxes".into(), xml: BOXES_DOC.into() })
+        .expect("insert");
+    let update = "replace value of node //box with \"\u{A0}\"".to_string();
+    let err = sh.apply(&Mutation::Update { doc: "d".into(), update }).expect_err("refused");
+    assert!(matches!(err, DbError::Invalid(_)), "{err}");
+    sh.checkpoint(&dir).expect("checkpoint");
+    drop(sh);
+    let (again, report) = SharedDatabase::open_durable(&dir, Durability::Fsync).expect("reopen");
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(again.read().serialize("d").expect("serializes"), BOXES_DOC);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A refused update names the violation by the same path `VALIDATE`
+/// gives for the post-state's text: `/library/book[2]`, not
+/// `/library/book`.
+#[test]
+fn a_refused_update_names_the_path_validate_names() {
+    const LIB: &str = r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="library">
+    <xs:complexType>
+      <xs:sequence>
+        <xs:element name="book" maxOccurs="unbounded">
+          <xs:complexType>
+            <xs:sequence>
+              <xs:element name="title" type="xs:string"/>
+              <xs:element name="author" type="xs:string" minOccurs="0"/>
+            </xs:sequence>
+          </xs:complexType>
+        </xs:element>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>"#;
+    let mut db = Database::new();
+    db.register_schema_text("lib", LIB).expect("schema registers");
+    let pre = "<library><book><title>a</title></book>\
+               <book><title>b</title><author>Codd</author></book></library>";
+    db.insert("d", "lib", pre).expect("document is valid");
+    let err = db
+        .execute_update("d", "insert node <author>Date</author> into /library/book[2]")
+        .expect_err("a second author");
+    let DbError::Invalid(errors) = err else { panic!("{err}") };
+    let post = "<library><book><title>a</title></book>\
+                <book><title>b</title><author>Codd</author><author>Date</author></book></library>";
+    assert_eq!(errors, db.validate("lib", post).expect("validates"));
+    assert_eq!(errors[0].path, "/library/book[2]");
+    assert_eq!(db.serialize("d").expect("serializes"), pre);
+}
+
+fn update_expr(text: &str) -> xsdb::xquery::UpdateExpr {
+    xsdb::xquery::parse_update(text).expect("update parses")
+}
