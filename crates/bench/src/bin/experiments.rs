@@ -820,14 +820,15 @@ fn e13_paged_updates(guard: bool) {
         let mut db = xsdb::Database::new();
         db.register_schema_text("log", schema).unwrap();
         db.insert("journal", "log", &xml).unwrap();
+        let mut store = xsdb::Store::new(&dir);
         let before = global().snapshot().counter(CounterId::StoragePageWrites);
-        db.save_dir(&dir).unwrap();
+        store.save(&db).unwrap();
         let full = pages(before);
 
         db.execute_update("journal", r#"replace value of node /log/entry[2] with "patched""#)
             .unwrap();
         let before = global().snapshot().counter(CounterId::StoragePageWrites);
-        db.save_dir(&dir).unwrap();
+        store.save(&db).unwrap();
         let update = pages(before);
         update_pages.push(update);
 

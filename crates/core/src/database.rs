@@ -18,8 +18,8 @@
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use algebra::{validate_text, ContentModelCache, LoadOptions, ValidationError};
 use storage::XmlStorage;
@@ -28,7 +28,6 @@ use xsmodel::DocumentSchema;
 
 use crate::error::{catch_panic, DbError};
 use crate::mutation::ApplyOutcome;
-use crate::persist::PersistState;
 use crate::physical::{build_storage, storage_to_document, validate_storage};
 use crate::update::{self, UpdateOutcome};
 
@@ -109,8 +108,10 @@ impl std::fmt::Display for Stale {
 
 impl std::error::Error for Stale {}
 
-/// An XML database over the formal model.
-#[derive(Debug)]
+/// An XML database over the formal model: one §6.1 state, a plain value.
+/// A clone shares every document, schema and cache by `Arc`, so a
+/// mutation of the clone leaves the original observing its own state.
+#[derive(Debug, Clone)]
 pub struct Database {
     schemas: BTreeMap<String, Arc<DocumentSchema>>,
     /// Stored documents behind `Arc` so a snapshot of the whole
@@ -150,13 +151,19 @@ pub struct Database {
     /// content-model cache traffic. Defaults to the process-global
     /// registry; see [`Database::with_metrics_registry`].
     obs: Arc<xsobs::Registry>,
-    /// What the persistence layer knows about this database's on-disk
-    /// mirror: the bound generation (if any), whether the registry
-    /// changed since binding, and one page store per document. Interior
-    /// mutability because [`Database::save_dir`] takes `&self` (the
-    /// shared-database layer saves under its read lock).
-    pub(crate) persist: Mutex<PersistState>,
+    /// Which schema and document names this state holds: every insert,
+    /// delete and schema change draws a fresh value from one process-wide
+    /// counter, so two states share it only when they hold the same names
+    /// (and a [`crate::Store`] may then save incrementally).
+    pub(crate) registry_version: u64,
+    /// The last write-ahead-log sequence number folded into this state
+    /// (0 when no log is attached). A save stamps it into every catalog
+    /// it writes, so recovery skips the records already on disk.
+    pub(crate) wal_epoch: u64,
 }
+
+/// Where [`Database::registry_version`] values are drawn from.
+static REGISTRY_VERSIONS: AtomicU64 = AtomicU64::new(1);
 
 impl Default for Database {
     fn default() -> Self {
@@ -185,42 +192,8 @@ impl Database {
             strict_analysis: false,
             cm_cache: Arc::new(ContentModelCache::with_registry(Arc::clone(&obs))),
             obs,
-            persist: Mutex::new(PersistState::default()),
-        }
-    }
-
-    /// Record that the schema/document registry diverged from the bound
-    /// on-disk generation, forcing the next save to write a fresh one.
-    pub(crate) fn touch_registry(&self) {
-        self.persist.lock().unwrap_or_else(|p| p.into_inner()).registry_dirty = true;
-    }
-
-    /// Record that every mutation up to write-ahead-log sequence `seq`
-    /// is reflected in this database's in-memory state; the next save
-    /// stamps it into each document's on-disk catalog so recovery can
-    /// skip already-persisted records.
-    pub(crate) fn note_wal_epoch(&self, seq: u64) {
-        let mut state = self.persist.lock().unwrap_or_else(|p| p.into_inner());
-        state.wal_epoch = state.wal_epoch.max(seq);
-    }
-
-    /// A read-only copy sharing this database's documents (by `Arc`),
-    /// schemas, caches, and metrics registry. The copy observes the
-    /// state as of this call forever: mutators on the original
-    /// copy-on-write. The copy carries *no* persistence binding —
-    /// saving through it stages a full generation — because the page
-    /// stores mirroring the bound directory must stay aligned with the
-    /// primary's storage, not a frozen snapshot's.
-    pub(crate) fn snapshot(&self) -> Database {
-        Database {
-            schemas: self.schemas.clone(),
-            documents: self.documents.clone(),
-            options: self.options.clone(),
-            limits: self.limits.clone(),
-            strict_analysis: self.strict_analysis,
-            cm_cache: Arc::clone(&self.cm_cache),
-            obs: Arc::clone(&self.obs),
-            persist: Mutex::new(PersistState::default()),
+            registry_version: 0,
+            wal_epoch: 0,
         }
     }
 
@@ -806,25 +779,15 @@ impl Database {
 
     /// Make a current preparation's effect.
     fn install(&mut self, prepared: Prepared) -> ApplyOutcome {
+        // Every effect but an update changes the names the state holds.
+        if !matches!(prepared.effect, Effect::Put { pre: Some(_), .. }) {
+            self.registry_version = REGISTRY_VERSIONS.fetch_add(1, Ordering::Relaxed);
+        }
         match prepared.effect {
-            Effect::RegisterSchema { name, schema } => {
-                self.schemas.insert(name, schema);
-                self.touch_registry();
-            }
-            Effect::RemoveSchema { name, .. } => {
-                self.schemas.remove(&name);
-                self.touch_registry();
-            }
-            Effect::Put { name, pre, post, .. } => {
-                self.documents.insert(name, post);
-                if pre.is_none() {
-                    self.touch_registry();
-                }
-            }
-            Effect::Delete { name, .. } => {
-                self.documents.remove(&name);
-                self.touch_registry();
-            }
+            Effect::RegisterSchema { name, schema } => drop(self.schemas.insert(name, schema)),
+            Effect::RemoveSchema { name, .. } => drop(self.schemas.remove(&name)),
+            Effect::Put { name, post, .. } => drop(self.documents.insert(name, post)),
+            Effect::Delete { name, .. } => drop(self.documents.remove(&name)),
         }
         if let ApplyOutcome::UpdatedChecked(outcome) = prepared.outcome {
             self.count_update(Some(outcome.verdict));
@@ -988,23 +951,24 @@ where
         return (0..jobs).map(job).collect();
     }
     let next = AtomicUsize::new(0);
-    let results = Mutex::new(Vec::with_capacity(jobs));
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs {
-                        break;
+    let mut indexed: Vec<(usize, T)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs {
+                            break local;
+                        }
+                        local.push((i, job(i)));
                     }
-                    local.push((i, job(i)));
-                }
-                results.lock().unwrap_or_else(|p| p.into_inner()).append(&mut local);
-            });
-        }
+                })
+            })
+            .collect();
+        let joined = workers.into_iter().map(|w| w.join());
+        joined.flat_map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic))).collect()
     });
-    let mut indexed = results.into_inner().unwrap_or_else(|p| p.into_inner());
     indexed.sort_unstable_by_key(|&(i, _)| i);
     indexed.into_iter().map(|(_, r)| r).collect()
 }
@@ -1569,6 +1533,46 @@ pub(crate) mod guarded_update_tests {
         db.register_schema_text("nil", NIL).unwrap();
         db.insert("d", "nil", r#"<form><note xsi:nil="true"/><note>kept</note></form>"#).unwrap();
         db
+    }
+
+    /// Every node of a stored document in document order: kind, name,
+    /// type annotation and string value.
+    fn stored_nodes(db: &Database, name: &str) -> Vec<String> {
+        let xs = &db.document(name).unwrap().storage;
+        let mut out = Vec::new();
+        let mut todo = vec![xs.root()];
+        while let Some(p) = todo.pop() {
+            let (kind, value) = (xs.kind(p), xs.string_value(p));
+            out.push(format!("{kind:?} {:?} {:?} {value:?}", xs.node_name(p), xs.type_name(p)));
+            todo.extend(xs.children(p).into_iter().rev());
+        }
+        out
+    }
+
+    /// An inserted leaf is stored as `f` stores the same element: a
+    /// text-less `xs:string` leaf gets its one empty text node (§6.2
+    /// item 5.1.1), so the updated document and the insert of its own
+    /// serialization agree on every query and on the stored form.
+    #[test]
+    fn inserted_leaves_are_stored_as_f_stores_them() {
+        for update in [
+            "insert node <note/> into /form",
+            "insert node <note>x</note> into /form",
+            "insert node <note/> before /form/note[2]",
+            "insert node <note/> after /form/note[1]",
+            "replace node /form/note[2] with <note/>",
+        ] {
+            let mut db = nil_db();
+            db.execute_update("d", update).unwrap();
+            let xml = db.serialize("d").unwrap();
+            db.insert("again", "nil", &xml).unwrap();
+            for path in ["/form/note[last()]/text()", "/form/note/text()", "//text()", "/form/note"]
+            {
+                let (updated, reinserted) = (db.query("d", path), db.query("again", path));
+                assert_eq!(updated.unwrap(), reinserted.unwrap(), "{update}: {path}");
+            }
+            assert_eq!(stored_nodes(&db, "d"), stored_nodes(&db, "again"), "{update}");
+        }
     }
 
     #[test]

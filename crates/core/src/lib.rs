@@ -74,7 +74,8 @@
 //!
 //! # Durability guarantees
 //!
-//! [`Database::save_dir`] commits atomically. A *full* save stages the
+//! [`Store::save`] (and its one-shot form [`Database::save_dir`])
+//! commits atomically. A *full* save stages the
 //! complete new generation under `<dir>/.tmp-<N>` — schemas with a
 //! SHA-256 each in `manifest.xml`, documents as paged stores (a
 //! `.xsp` data file of fixed-size pages with per-page SHA-256 headers
@@ -90,8 +91,9 @@
 //! crash-matrix and page-matrix suites enumerate every injection
 //! point of a [`FaultyVfs`] and assert exactly this.
 //!
-//! When the database is *bound* to a directory (its last save or load
-//! used it) and the registry hasn't changed, `save_dir` is
+//! A [`Store`] mirrors its directory between saves. It belongs to
+//! whoever saves, not to the [`Database`] value, and when the state
+//! holds the names it saved (or opened) last, its next save is
 //! **incremental** instead: untouched documents are skipped — a clean
 //! re-save performs zero Vfs write operations and keeps `CURRENT` at
 //! the existing generation — and a dirtied document shadow-pages only
@@ -136,16 +138,17 @@
 //! # Serving concurrent clients, durably
 //!
 //! [`SharedDatabase`] shares one database across threads with
-//! snapshot reads and a single-writer commit path: readers clone an
-//! `Arc` of the last committed epoch and never block (or observe a
-//! half-applied mutation), while writers prepare each mutation against
-//! a snapshot without any lock ([`Mutation::prepare`]) and serialize
-//! only to commit it ([`Database::commit`]) and publish a fresh epoch.
+//! snapshot reads and a single-writer commit path. It holds one state
+//! value, an `Arc<Database>`: readers clone the `Arc` and never block
+//! (or observe a half-applied mutation), while writers prepare each
+//! mutation against a snapshot without any lock ([`Mutation::prepare`])
+//! and serialize only to commit it ([`Database::commit`]) into a copy
+//! of the state, which they publish in its place.
 //! Opened with
 //! [`SharedDatabase::open_durable`], every [`Mutation`] committed via
 //! [`SharedDatabase::apply`] is appended to a write-ahead log before
-//! it is acknowledged — under the [`Durability`] mode chosen
-//! (`fsync` per commit, shared `group` commit, or `async`) — and
+//! it is acknowledged — under the [`Durability`] mode chosen (`fsync`
+//! per commit, before the write is visible, or `async`) — and
 //! [`Database::load_dir`] replays the log tail over the paged store,
 //! so a crash at any instant recovers the complete old or complete
 //! new state of every acknowledged write, never a torn hybrid. The
@@ -171,7 +174,7 @@ pub use storage::vfs;
 pub use database::{Database, Prepared, Stale, StoredDocument};
 pub use error::DbError;
 pub use mutation::{ApplyOutcome, Mutation};
-pub use persist::{LoadPolicy, LoadReport, Quarantine, QuarantineKind};
+pub use persist::{LoadPolicy, LoadReport, Quarantine, QuarantineKind, Store};
 pub use physical::{storage_to_document, storage_to_tree};
 pub use shared::{Durability, ReadSnapshot, SharedDatabase};
 pub use storage::StorageError;

@@ -208,18 +208,6 @@ impl Mutation {
         }
     }
 
-    /// Whether applying this mutation changes the schema/document
-    /// registry (forcing the next save to stage a full generation).
-    pub fn changes_registry(&self) -> bool {
-        matches!(
-            self,
-            Mutation::RegisterSchema { .. }
-                | Mutation::RemoveSchema { .. }
-                | Mutation::Insert { .. }
-                | Mutation::Delete { .. }
-        )
-    }
-
     /// Compute this mutation against `db` without changing it: every
     /// check, and for an insert the one-pass parse, `f` and storage build, for
     /// an update the static verdict and resolve → copy → edit → recheck.
@@ -325,10 +313,8 @@ mod tests {
     fn doc_scope_and_registry_classification() {
         let update = Mutation::Update { doc: "d".into(), update: "delete node /r/x".into() };
         assert_eq!(update.doc_name(), Some("d"));
-        assert!(!update.changes_registry());
         let insert = Mutation::Insert { doc: "d".into(), schema: "s".into(), xml: "<r/>".into() };
         assert_eq!(insert.doc_name(), None);
-        assert!(insert.changes_registry());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! # Atomic-commit protocol
 //!
-//! A *full* save (the first save into a directory, or any save after the
-//! schema/document registry changed) stages the complete new generation
+//! A *full* save (a [`Store`]'s first save, or any save of a state whose
+//! schema/document registry changed since) stages the complete new generation
 //! under `<dir>/.tmp-<N>` — every document written page by page into a
 //! [`storage::PageStore`] and committed inside the staging tree, every
 //! file fsynced, every directory fsynced — renames it to `<dir>/gen-<N>`,
@@ -25,9 +25,9 @@
 //! *any* intermediate step leaves `CURRENT` pointing at the old, complete
 //! generation; a torn write of any file is caught at load time.
 //!
-//! When the registry has *not* changed since the database was bound to a
-//! generation (by the save or load that produced it),
-//! [`Database::save_dir`] skips the staging protocol entirely: documents
+//! When the registry has *not* changed since the store was bound to a
+//! generation (by the save or load that produced it), [`Store::save`]
+//! skips the staging protocol entirely: documents
 //! whose block storage is untouched cost **zero** write operations, and
 //! a document with a one-node update re-writes only the pages of the
 //! dirtied block plus one map rename. Shadow paging makes the map rename
@@ -77,7 +77,8 @@ use crate::vfs::{StdVfs, Vfs};
 /// log segments (see [`crate::SharedDatabase::open_durable`]).
 pub(crate) const WAL_SUBDIR: &str = "wal";
 
-/// How [`Database::load_dir_report`] reacts to a damaged entry.
+/// How a load ([`Store::open`], [`Database::load_dir_report`]) reacts to
+/// a damaged entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoadPolicy {
     /// Any corrupt, invalid, or missing file aborts the whole load
@@ -112,7 +113,7 @@ pub struct Quarantine {
     pub error: DbError,
 }
 
-/// The outcome report of a [`Database::load_dir_report`] call.
+/// The outcome report of a load ([`Store::open`], [`Database::load_dir_report`]).
 #[derive(Debug, Default)]
 pub struct LoadReport {
     /// The generation that was loaded (`None` when nothing was: a
@@ -135,12 +136,10 @@ impl LoadReport {
     }
 }
 
-/// The on-disk generation a database is bound to: saves into the same
-/// directory can skip the staging protocol while this pointer still
-/// names the generation we wrote or loaded.
+/// The generation a [`Store`] last wrote or loaded: saves can skip the
+/// staging protocol while `CURRENT` still names it.
 #[derive(Debug)]
-pub(crate) struct Binding {
-    dir: PathBuf,
+struct Binding {
     gen: u64,
     /// The exact `CURRENT` contents, re-verified before every
     /// incremental save so a concurrent writer is never clobbered.
@@ -151,7 +150,7 @@ pub(crate) struct Binding {
 /// generation, the page store mirroring them, and the
 /// [`XmlStorage::tick`] watermark of the last committed save.
 #[derive(Debug)]
-pub(crate) struct DocPersist {
+struct DocPersist {
     file: String,
     map: String,
     store: PageStore,
@@ -163,18 +162,38 @@ pub(crate) struct DocPersist {
     saved_epoch: u64,
 }
 
-/// Everything [`Database::save_dir`] knows between calls.
-#[derive(Debug, Default)]
-pub(crate) struct PersistState {
+/// The on-disk mirror of a database directory: which generation it
+/// holds, and one page store per document. It belongs to whoever saves
+/// — a [`crate::SharedDatabase`]'s writer, or a caller holding a plain
+/// [`Database`] — not to the state it saves. It mirrors one line of
+/// states: save a state derived from the one saved (or opened) last.
+///
+/// ```
+/// use xsdb::{Database, Store};
+///
+/// let dir = std::env::temp_dir().join(format!("xsdb-store-doc-{}", std::process::id()));
+/// let mut db = Database::new();
+/// db.register_schema_text("s", r#"
+///   <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+///     <xs:element name="n" type="xs:string"/>
+///   </xs:schema>"#).unwrap();
+/// db.insert("d", "s", "<n>a</n>").unwrap();
+/// let mut store = Store::new(&dir);
+/// store.save(&db).unwrap(); // a full generation
+/// db.execute_update("d", r#"replace value of node /n with "b""#).unwrap();
+/// store.save(&db).unwrap(); // only the dirtied pages
+/// let (_, reopened, _) = Store::open(&dir, Default::default()).unwrap();
+/// assert_eq!(reopened.query("d", "/n").unwrap(), ["b"]);
+/// # std::fs::remove_dir_all(&dir).unwrap();
+/// ```
+#[derive(Debug)]
+pub struct Store {
+    dir: PathBuf,
     bound: Option<Binding>,
-    /// Set by every schema/document (de)registration; forces the next
-    /// save to stage a fresh generation.
-    pub(crate) registry_dirty: bool,
     docs: BTreeMap<String, DocPersist>,
-    /// The highest write-ahead-log sequence number applied to the
-    /// in-memory state (0 when the database is not WAL-attached). The
-    /// next save stamps it into every catalog it writes.
-    pub(crate) wal_epoch: u64,
+    /// The registry version of the state last saved or loaded: a state
+    /// with another one holds other names and saves a fresh generation.
+    registry_version: u64,
 }
 
 /// Encode an arbitrary name as a filesystem-safe file stem.
@@ -282,9 +301,6 @@ struct WalReplaySummary {
     /// Highest sequence number observed across catalogs and records —
     /// the epoch the recovered database is at.
     max_seq: u64,
-    /// Whether a replayed record changed the schema/document registry
-    /// (the next save must then stage a fresh generation).
-    registry_changed: bool,
     /// A lenient-mode message when replay stopped before the end.
     stopped: Option<String>,
 }
@@ -412,7 +428,6 @@ fn replay_wave(
             match verdict {
                 Ok(_) => {
                     changed = true;
-                    summary.registry_changed |= m.changes_registry();
                     ControlFlow::Continue(())
                 }
                 Err(e) if is_deterministic_rejection(&e) => {
@@ -497,20 +512,18 @@ fn decode_document(
 pub(crate) struct Recovery {
     db: Database,
     report: LoadReport,
-    /// The generation the checkpoint was loaded from.
-    binding: Option<Binding>,
-    docs: BTreeMap<String, DocPersist>,
+    /// Bound to the generation the checkpoint was loaded from.
+    store: Store,
     summary: WalReplaySummary,
 }
 
 impl Recovery {
-    /// Nothing checkpointed: the log alone is the state.
-    pub(crate) fn fresh() -> Recovery {
+    /// Nothing checkpointed in `dir`: the log alone is the state.
+    pub(crate) fn fresh(dir: &Path) -> Recovery {
         Recovery {
             db: Database::new(),
             report: LoadReport::default(),
-            binding: None,
-            docs: BTreeMap::new(),
+            store: Store::new(dir),
             summary: WalReplaySummary::default(),
         }
     }
@@ -644,8 +657,13 @@ impl Recovery {
             max_seq: docs.values().map(|d| d.saved_epoch).max().unwrap_or(0),
             ..WalReplaySummary::default()
         };
-        let binding = Some(Binding { dir: dir.to_path_buf(), gen, current_line: current_text });
-        Ok(Recovery { db, report, binding, docs, summary })
+        let store = Store {
+            dir: dir.to_path_buf(),
+            bound: Some(Binding { gen, current_line: current_text }),
+            docs,
+            registry_version: db.registry_version,
+        };
+        Ok(Recovery { db, report, store, summary })
     }
 
     /// Replay the write-ahead-log tail over the loaded state
@@ -656,29 +674,24 @@ impl Recovery {
         records: &[WalRecord],
         policy: LoadPolicy,
     ) -> Result<(), DbError> {
-        let docs = &self.docs;
+        let docs = &self.store.docs;
         let epoch = |doc: &str| docs.get(doc).map_or(0, |d| d.saved_epoch);
         replay_wal_records(&mut self.db, records, epoch, policy, &mut self.summary)?;
         self.report.warnings.extend(self.summary.stopped.take());
         Ok(())
     }
 
-    /// The recovered database and its report. A cleanly-loaded
-    /// checkpoint leaves the database bound to its generation, so the
-    /// very next save can be incremental (or free) — unless replayed
-    /// records changed the registry, in which case the next save must
-    /// stage a fresh generation.
-    pub(crate) fn finish(self) -> (Database, LoadReport) {
-        let Recovery { db, report, binding, docs, summary } = self;
-        if binding.is_some() && report.quarantined.is_empty() {
-            *db.persist.lock().unwrap_or_else(|p| p.into_inner()) = PersistState {
-                bound: binding,
-                registry_dirty: summary.registry_changed,
-                docs,
-                wal_epoch: 0,
-            };
+    /// The recovered database, the store mirroring its directory, and
+    /// the report. A cleanly-loaded checkpoint leaves the store bound to
+    /// its generation, so the very next save can be incremental (or
+    /// free) — unless replayed records changed the registry, in which
+    /// case the next save stages a fresh generation.
+    pub(crate) fn finish(self) -> (Store, Database, LoadReport) {
+        let Recovery { mut db, report, mut store, summary } = self;
+        if !report.quarantined.is_empty() {
+            store = Store::new(&store.dir);
         }
-        db.note_wal_epoch(summary.max_seq);
+        db.wal_epoch = summary.max_seq;
         if report.generation.is_some() {
             let obs = xsobs::global();
             obs.incr(xsobs::CounterId::PersistLoads);
@@ -686,65 +699,108 @@ impl Recovery {
             obs.add(xsobs::CounterId::PersistRecoveryWarnings, report.warnings.len() as u64);
             obs.add(xsobs::CounterId::PersistTempsSwept, report.cleaned_temps.len() as u64);
         }
-        (db, report)
+        (store, db, report)
     }
 }
 
-impl Database {
-    /// Save schemas and documents under `dir` (created if needed) with
-    /// the atomic-commit protocol described in the module docs. When the
-    /// database is already bound to `dir` and the registry is unchanged,
-    /// only dirtied pages are written — a save with nothing to write
-    /// performs zero write operations.
-    pub fn save_dir(&self, dir: impl AsRef<Path>) -> Result<(), DbError> {
-        self.save_dir_vfs(dir.as_ref(), &StdVfs)
+impl Store {
+    /// A store for `dir` that mirrors nothing yet: its first save stages
+    /// a full generation there.
+    pub fn new(dir: impl AsRef<Path>) -> Store {
+        Store {
+            dir: dir.as_ref().to_path_buf(),
+            bound: None,
+            docs: BTreeMap::new(),
+            registry_version: 0,
+        }
     }
 
-    /// [`Database::save_dir`] over an explicit [`Vfs`] (fault injection
-    /// and crash testing).
-    pub fn save_dir_vfs(&self, dir: &Path, vfs: &dyn Vfs) -> Result<(), DbError> {
-        let obs = self.metrics_registry();
+    /// The directory this store saves into.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Open the database saved in `dir`: load the checkpoint `CURRENT`
+    /// names, re-validating every document, then replay the
+    /// write-ahead-log tail over it. Returns the store bound to the
+    /// loaded generation, the database, and the load report. Under
+    /// [`LoadPolicy::Strict`] any corrupt, invalid or missing file
+    /// aborts the load.
+    pub fn open(
+        dir: impl AsRef<Path>,
+        policy: LoadPolicy,
+    ) -> Result<(Store, Database, LoadReport), DbError> {
+        Store::open_vfs(dir.as_ref(), policy, &StdVfs)
+    }
+
+    /// [`Store::open`] over an explicit [`Vfs`] (fault injection and
+    /// crash testing).
+    pub fn open_vfs(
+        dir: &Path,
+        policy: LoadPolicy,
+        vfs: &dyn Vfs,
+    ) -> Result<(Store, Database, LoadReport), DbError> {
+        let mut recovery = Recovery::checkpoint(dir, policy, vfs)?;
+        let wal_dir = dir.join(WAL_SUBDIR);
+        if vfs.exists(&wal_dir) {
+            match storage::wal::replay(vfs, &wal_dir) {
+                Ok(records) => recovery.replay(&records, policy)?,
+                Err(e) => match policy {
+                    LoadPolicy::Strict => return Err(e.into()),
+                    LoadPolicy::Lenient => {
+                        recovery.report.warnings.push(format!("write-ahead log not replayed: {e}"));
+                    }
+                },
+            }
+        }
+        Ok(recovery.finish())
+    }
+
+    /// Save `db` into the store's directory with the atomic-commit
+    /// protocol described in the module docs. When the store holds the
+    /// generation on disk and `db` holds the names it saved last, only
+    /// dirtied pages are written — a save with nothing to write performs
+    /// zero write operations. `db` must descend from the state saved (or
+    /// opened) last: a document edited on another line of states, such
+    /// as a clone edited apart, may look clean and be skipped.
+    pub fn save(&mut self, db: &Database) -> Result<(), DbError> {
+        self.save_vfs(db, &StdVfs)
+    }
+
+    /// [`Store::save`] over an explicit [`Vfs`] (fault injection and
+    /// crash testing).
+    pub fn save_vfs(&mut self, db: &Database, vfs: &dyn Vfs) -> Result<(), DbError> {
+        let obs = db.metrics_registry();
         let mut span = obs.span(xsobs::HistogramId::PersistSave);
-        span.set_detail(dir.display().to_string());
-        let mut state = self.persist.lock().unwrap_or_else(|p| p.into_inner());
-        if !self.try_incremental_save(&mut state, dir, vfs)? {
-            self.full_save(&mut state, dir, vfs)?;
+        span.set_detail(self.dir.display().to_string());
+        if !self.try_incremental_save(db, vfs)? {
+            self.full_save(db, vfs)?;
         }
         obs.incr(xsobs::CounterId::PersistSaves);
         Ok(())
     }
 
-    /// The cheap path: the database is bound to this directory, the
-    /// registry is unchanged, and `CURRENT` on disk is still the pointer
-    /// we wrote — commit only the documents whose storage ticked past
-    /// their watermark. Returns false when a full save is needed.
-    fn try_incremental_save(
-        &self,
-        state: &mut PersistState,
-        dir: &Path,
-        vfs: &dyn Vfs,
-    ) -> Result<bool, DbError> {
-        let Some(binding) = &state.bound else { return Ok(false) };
-        if binding.dir != dir || state.registry_dirty {
+    /// The cheap path: the store is bound, `db` holds the names it saved
+    /// last, and `CURRENT` on disk is still the pointer the store wrote —
+    /// commit only the documents whose storage ticked past their
+    /// watermark. Returns false when a full save is needed.
+    fn try_incremental_save(&mut self, db: &Database, vfs: &dyn Vfs) -> Result<bool, DbError> {
+        let Some(binding) = &self.bound else { return Ok(false) };
+        if self.registry_version != db.registry_version {
             return Ok(false);
         }
-        // Another process (or another handle) may have advanced the
+        // Another process (or another store) may have advanced the
         // directory; re-read the pointer before trusting the binding.
-        let current_path = dir.join("CURRENT");
-        let Ok(on_disk) = vfs.read(&current_path) else { return Ok(false) };
+        let Ok(on_disk) = vfs.read(&self.dir.join("CURRENT")) else { return Ok(false) };
         if on_disk != binding.current_line.as_bytes() {
             return Ok(false);
         }
-        let names = self.doc_registry();
-        if names.len() != state.docs.len() || names.keys().any(|n| !state.docs.contains_key(n)) {
-            return Ok(false);
-        }
-        let docs_dir = dir.join(format!("gen-{}", binding.gen)).join("documents");
-        let wal_epoch = state.wal_epoch;
-        for (name, stored) in names {
-            // The lookup was verified above; a miss means the state
-            // diverged mid-save, and the full path handles it safely.
-            let Some(doc) = state.docs.get_mut(name) else { return Ok(false) };
+        let docs_dir = self.dir.join(format!("gen-{}", binding.gen)).join("documents");
+        let wal_epoch = db.wal_epoch;
+        for (name, stored) in db.doc_registry() {
+            // Equal registry versions hold equal names, so every name
+            // has its page store; the full path would handle a miss.
+            let Some(doc) = self.docs.get_mut(name) else { return Ok(false) };
             let xs = &stored.storage;
             if xs.tick() > doc.watermark {
                 let data_path = docs_dir.join(&doc.file);
@@ -765,24 +821,19 @@ impl Database {
         Ok(true)
     }
 
-    /// Stage, publish, and commit a complete new generation, then bind
-    /// the database to it.
-    fn full_save(
-        &self,
-        state: &mut PersistState,
-        dir: &Path,
-        vfs: &dyn Vfs,
-    ) -> Result<(), DbError> {
-        let obs = self.metrics_registry();
+    /// Stage, publish, and commit a complete new generation of `db`, then
+    /// bind the store to it.
+    fn full_save(&mut self, db: &Database, vfs: &dyn Vfs) -> Result<(), DbError> {
+        let obs = db.metrics_registry();
         let io = |path: &Path| {
             let path = path.to_path_buf();
             move |e: std::io::Error| DbError::Io { path, source: e }
         };
+        let dir: &Path = &self.dir;
         // The binding is re-established only after a successful commit.
-        state.bound = None;
-        state.docs.clear();
+        self.bound = None;
+        self.docs.clear();
         vfs.create_dir_all(dir).map_err(io(dir))?;
-
         // Pick the next generation: one past everything visible, whether
         // committed (gen-*), in-flight (.tmp-*), or recorded in CURRENT.
         let mut gen = 0u64;
@@ -815,8 +866,8 @@ impl Database {
         let mut manifest = Element::new("xsdb")
             .with_attribute("version", LAYOUT_VERSION)
             .with_attribute("generation", gen.to_string());
-        for name in self.schema_names() {
-            let schema = self
+        for name in db.schema_names() {
+            let schema = db
                 .schema(name)
                 .ok_or_else(|| DbError::Corrupt(format!("schema {name:?} vanished mid-save")))?;
             let file = format!("{}.xsd", file_stem(name));
@@ -831,7 +882,7 @@ impl Database {
                     .with_attribute("sha256", sha256_hex(&bytes)),
             ));
         }
-        for (name, stored) in self.doc_registry() {
+        for (name, stored) in db.doc_registry() {
             let stem = file_stem(name);
             let file = format!("{stem}.xsp");
             let map = format!("{stem}.xspm");
@@ -839,7 +890,7 @@ impl Database {
             let map_path = docs_dir.join(&map);
             let xs = &stored.storage;
             let mut store = PageStore::new();
-            storage::paged::save_full_epoch(xs, vfs, &mut store, &data_path, state.wal_epoch)?;
+            storage::paged::save_full_epoch(xs, vfs, &mut store, &data_path, db.wal_epoch)?;
             store.commit(vfs, &map_path)?;
             obs.add(xsobs::CounterId::PersistBytesStaged, store.page_count() * PAGE_SIZE as u64);
             manifest.children.push(xmlparse::Node::Element(
@@ -849,10 +900,9 @@ impl Database {
                     .with_attribute("file", file.clone())
                     .with_attribute("map", map.clone()),
             ));
-            state.docs.insert(
-                name.clone(),
-                DocPersist { file, map, store, watermark: xs.tick(), saved_epoch: state.wal_epoch },
-            );
+            let saved_epoch = db.wal_epoch;
+            let persist = DocPersist { file, map, store, watermark: xs.tick(), saved_epoch };
+            self.docs.insert(name.clone(), persist);
         }
         let manifest_bytes = Document::from_root(manifest).to_xml_pretty().into_bytes();
         let manifest_digest = sha256_hex(&manifest_bytes);
@@ -895,16 +945,33 @@ impl Database {
                 }
             }
         }
-        state.bound = Some(Binding { dir: dir.to_path_buf(), gen, current_line: pointer });
-        state.registry_dirty = false;
+        self.bound = Some(Binding { gen, current_line: pointer });
+        self.registry_version = db.registry_version;
         Ok(())
     }
+}
 
-    /// Load a database previously written by [`Database::save_dir`],
-    /// strictly: any corrupt, invalid, or missing file aborts the load.
-    /// Every document is re-validated against its schema.
+/// One-shot forms of [`Store`], for callers that save or load once.
+impl Database {
+    /// Save under `dir` (created if needed) as a complete new generation
+    /// — the atomic-commit protocol of the module docs. Saving the
+    /// states of one database repeatedly is cheaper through a [`Store`],
+    /// which writes only what changed since its last save.
+    pub fn save_dir(&self, dir: impl AsRef<Path>) -> Result<(), DbError> {
+        Store::new(dir).save(self)
+    }
+
+    /// [`Database::save_dir`] over an explicit [`Vfs`] (fault injection
+    /// and crash testing).
+    pub fn save_dir_vfs(&self, dir: &Path, vfs: &dyn Vfs) -> Result<(), DbError> {
+        Store::new(dir).save_vfs(self, vfs)
+    }
+
+    /// Load a database previously saved under `dir`, strictly: any
+    /// corrupt, invalid, or missing file aborts the load. Every document
+    /// is re-validated against its schema ([`Store::open`]).
     pub fn load_dir(dir: impl AsRef<Path>) -> Result<Database, DbError> {
-        Database::load_dir_vfs(dir.as_ref(), LoadPolicy::Strict, &StdVfs).map(|(db, _)| db)
+        Database::load_dir_report(dir, LoadPolicy::Strict).map(|(db, _)| db)
     }
 
     /// Load with an explicit [`LoadPolicy`], returning the database and
@@ -913,30 +980,7 @@ impl Database {
         dir: impl AsRef<Path>,
         policy: LoadPolicy,
     ) -> Result<(Database, LoadReport), DbError> {
-        Database::load_dir_vfs(dir.as_ref(), policy, &StdVfs)
-    }
-
-    /// [`Database::load_dir_report`] over an explicit [`Vfs`]: load the
-    /// checkpoint, then replay the write-ahead-log tail over it.
-    pub fn load_dir_vfs(
-        dir: &Path,
-        policy: LoadPolicy,
-        vfs: &dyn Vfs,
-    ) -> Result<(Database, LoadReport), DbError> {
-        let mut recovery = Recovery::checkpoint(dir, policy, vfs)?;
-        let wal_dir = dir.join(WAL_SUBDIR);
-        if vfs.exists(&wal_dir) {
-            match storage::wal::replay(vfs, &wal_dir) {
-                Ok(records) => recovery.replay(&records, policy)?,
-                Err(e) => match policy {
-                    LoadPolicy::Strict => return Err(e.into()),
-                    LoadPolicy::Lenient => {
-                        recovery.report.warnings.push(format!("write-ahead log not replayed: {e}"));
-                    }
-                },
-            }
-        }
-        Ok(recovery.finish())
+        Store::open(dir, policy).map(|(_, db, report)| (db, report))
     }
 }
 
@@ -1033,10 +1077,11 @@ mod tests {
         let mut db = Database::new();
         db.register_schema_text("log", SCHEMA).unwrap();
         db.insert("j", "log", "<log><entry><year>2000</year><text>t</text></entry></log>").unwrap();
-        db.save_dir(&dir).unwrap();
+        let mut store = Store::new(&dir);
+        store.save(&db).unwrap();
         let before = fs::read_to_string(dir.join("CURRENT")).unwrap();
-        db.save_dir(&dir).unwrap();
-        db.save_dir(&dir).unwrap();
+        store.save(&db).unwrap();
+        store.save(&db).unwrap();
         assert_eq!(fs::read_to_string(dir.join("CURRENT")).unwrap(), before);
         assert!(dir.join("gen-1").exists());
         assert!(!dir.join("gen-2").exists(), "clean re-save must not restage");
@@ -1049,9 +1094,10 @@ mod tests {
         let mut db = Database::new();
         db.register_schema_text("log", SCHEMA).unwrap();
         db.insert("j", "log", "<log><entry><year>2000</year><text>t</text></entry></log>").unwrap();
-        db.save_dir(&dir).unwrap();
+        let mut store = Store::new(&dir);
+        store.save(&db).unwrap();
         db.execute_update("j", r#"replace value of node /log/entry/text with "patched""#).unwrap();
-        db.save_dir(&dir).unwrap();
+        store.save(&db).unwrap();
         // The update committed into the existing generation.
         assert!(dir.join("gen-1").exists());
         assert!(!dir.join("gen-2").exists());
@@ -1067,11 +1113,11 @@ mod tests {
         db.register_schema_text("log", SCHEMA).unwrap();
         db.insert("j", "log", "<log><entry><year>2000</year><text>t</text></entry></log>").unwrap();
         db.save_dir(&dir).unwrap();
-        // A fresh handle loaded from disk is bound to the generation it
-        // read, so its saves are incremental too.
-        let mut db2 = Database::load_dir(&dir).unwrap();
+        // A store opened from disk is bound to the generation it read,
+        // so its saves are incremental too.
+        let (mut store, mut db2, _) = Store::open(&dir, LoadPolicy::Strict).unwrap();
         db2.execute_update("j", r#"replace value of node /log/entry/text with "again""#).unwrap();
-        db2.save_dir(&dir).unwrap();
+        store.save(&db2).unwrap();
         assert!(dir.join("gen-1").exists());
         assert!(!dir.join("gen-2").exists());
         let restored = Database::load_dir(&dir).unwrap();

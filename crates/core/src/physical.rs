@@ -115,25 +115,92 @@ pub(crate) fn site_is_valid(
     cache: &ContentModelCache,
 ) -> bool {
     let mut core = PushValidator::new(schema, options, Some(cache), ());
-    let name = |p: DescPtr| QName::parse(xs.node_name(p).unwrap_or(""));
-    let mut ancestors = Vec::new();
-    let mut up = xs.parent(site);
-    while let Some(a) = up.filter(|&a| xs.kind(a) == NodeKind::Element) {
-        ancestors.push(a);
-        up = xs.parent(a);
-    }
-    for &a in ancestors.iter().rev() {
-        core.enter(&name(a));
-    }
+    enter_trusted(&mut core, xs, xs.parent(site));
     start_stored(&mut core, xs, site);
     for c in xs.children(site) {
         match xs.kind(c) {
-            NodeKind::Element => core.skip(&name(c)),
+            NodeKind::Element => core.skip(&element_name(xs, c)),
             _ => text_stored(&mut core, xs, c),
         }
     }
     core.end();
     core.finish().is_ok()
+}
+
+/// The text child `f` gives the leaf element `<name>text</name>` as a
+/// new child of the stored element `parent`: the core decides, so a
+/// simple-typed leaf without text gets the one empty text node §6.2
+/// item 5.1.1 gives it, and element-only content keeps no ignorable
+/// whitespace. Where the core refuses the leaf, `text` is kept as
+/// written, for the recheck to judge.
+pub(crate) fn leaf_text(
+    schema: &DocumentSchema,
+    xs: &XmlStorage,
+    parent: DescPtr,
+    name: &str,
+    text: Option<&str>,
+    options: &LoadOptions,
+    cache: &ContentModelCache,
+) -> Option<String> {
+    let mut core = PushValidator::new(schema, options, Some(cache), LeafSink::default());
+    enter_trusted(&mut core, xs, Some(parent));
+    core.start(&QName::parse(name), &[]);
+    if let Some(text) = text {
+        core.text(text);
+    }
+    core.end();
+    match core.finish() {
+        Ok(LeafSink { opened: true, text }) => text,
+        _ => text.map(str::to_string),
+    }
+}
+
+/// What the core hands on for one new leaf: whether it opened the
+/// element, and its text child.
+#[derive(Default)]
+struct LeafSink {
+    opened: bool,
+    text: Option<String>,
+}
+
+impl InstanceSink for LeafSink {
+    type Error = std::convert::Infallible;
+    fn start_element(&mut self, _: &str, _: &str, _: bool) -> Result<(), Self::Error> {
+        self.opened = true;
+        Ok(())
+    }
+    fn attribute(&mut self, _: &str, _: &str, _: &str) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    fn text(&mut self, value: &str) -> Result<(), Self::Error> {
+        self.text = Some(value.to_string());
+        Ok(())
+    }
+    fn end_element(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// Open a trusted frame ([`PushValidator::enter`]) for the stored
+/// element `p` and each element above it, outermost first.
+fn enter_trusted<S: InstanceSink>(
+    core: &mut PushValidator<'_, S>,
+    xs: &XmlStorage,
+    p: Option<DescPtr>,
+) {
+    let mut path = Vec::new();
+    let mut up = p;
+    while let Some(a) = up.filter(|&a| xs.kind(a) == NodeKind::Element) {
+        path.push(a);
+        up = xs.parent(a);
+    }
+    for &a in path.iter().rev() {
+        core.enter(&element_name(xs, a));
+    }
+}
+
+fn element_name(xs: &XmlStorage, p: DescPtr) -> QName {
+    QName::parse(xs.node_name(p).unwrap_or(""))
 }
 
 /// Feed stored element `p`'s start tag to `core`: its stored attributes,

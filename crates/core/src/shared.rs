@@ -1,70 +1,67 @@
 //! A thread-safe, shareable database handle — the concurrency layer a
 //! network front-end (or any embedder) serves traffic through.
 //!
-//! §6.1 of the paper models the database as one evolving algebra; a
-//! DBMS like Sedna (§9) exposes that single object to many concurrent
-//! clients. [`SharedDatabase`] is that bridge, built as a
-//! single-writer, snapshot-reader design:
+//! §6.1 of the paper models the database as one evolving algebra, and a
+//! mutation as a function from one state to the next; a DBMS like Sedna
+//! (§9) exposes that single object to many concurrent clients.
+//! [`SharedDatabase`] is that bridge. It holds exactly one state value,
+//! the last committed [`Database`] behind an `Arc`, and a commit builds
+//! the next value from it and publishes it:
 //!
 //! * **Readers never block and are never blocked.** [`SharedDatabase::read`]
-//!   clones an `Arc` of the last *committed epoch* — an immutable
-//!   snapshot of the whole database. Every `&self` accessor
+//!   clones the `Arc` of the current state. Every `&self` accessor
 //!   ([`Database::validate`], [`Database::query`],
 //!   [`Database::xquery`], [`Database::serialize`], the catalog
 //!   listings) runs against that frozen state for as long as the guard
-//!   lives, no matter how many writers commit meanwhile. Snapshots are
-//!   cheap: documents sit behind `Arc`s and writers copy-on-write.
+//!   lives, no matter how many writers commit meanwhile. A state is
+//!   cheap to copy: documents sit behind `Arc`s and writers
+//!   copy-on-write.
 //! * **Writers prepare in parallel and commit through one mutex.**
-//!   [`SharedDatabase::apply`] is the durable write path, in five steps:
-//!   1. **prepare** — [`Mutation::prepare`] against a read snapshot,
-//!      without the lock: every check, the parse, `f` and the storage
-//!      build of an insert, the apply-on-copy and recheck of an update.
-//!      A refusal returns here: nothing was locked, nothing logged.
-//!   2. **check** — under the writer mutex, the staleness check of
-//!      [`Database::commit`]: is everything the preparation read (the
-//!      `Arc`s of the document and schema it used, the absence of an
-//!      inserted name) still installed? If another writer replaced it,
-//!      the mutation is prepared once more, against the primary and
-//!      under the lock, where nothing can move
-//!      (`wal.commit_retries_total` counts these).
-//!   3. **log** — append the encoded record (fsynced under
-//!      [`Durability::Fsync`]).
-//!   4. **commit** — [`Database::commit`] installs the preparation with
-//!      one map insert or removal.
-//!   5. **publish** — swap in a fresh epoch snapshot for readers.
+//!   [`SharedDatabase::apply`] is the durable write path. It first
+//!   *prepares* the mutation ([`Mutation::prepare`]) against a read
+//!   snapshot, without the lock: every check, the parse, `f` and the
+//!   storage build of an insert, the apply-on-copy and recheck of an
+//!   update. A refusal returns here: nothing was locked, nothing logged.
+//!   Then, under the writer mutex, it
+//!   1. takes the current state;
+//!   2. checks that everything the preparation read (the `Arc`s of the
+//!      document and schema it used, the absence of an inserted name) is
+//!      still installed there ([`Database::commit`]'s staleness check),
+//!      or else prepares the mutation once more against it, where
+//!      nothing can move (`wal.commit_retries_total` counts these);
+//!   3. appends the encoded record to the log, and fsyncs it under
+//!      [`Durability::Fsync`];
+//!   4. clones the state and commits the preparation into the clone —
+//!      one map insert or removal — stamping it with the record's
+//!      sequence number;
+//!   5. swaps the clone in as the current state.
 //!
-//!   The mutex covers steps 2–5 only: the staleness check, the append
-//!   (+ fsync), the map insert and the epoch publish — plus, after a
-//!   conflict, the one re-preparation. A crash at any point recovers
-//!   the complete old or complete new state of every acknowledged
-//!   commit, and a mutation that fails never reaches the log. There is
-//!   no other write path: every change of state is a logged
-//!   [`Mutation`].
+//!   The state it replaced is dropped after both locks are released.
+//!   A crash at any point recovers the complete old or complete new
+//!   state of every acknowledged commit, and a mutation that fails
+//!   never reaches the log. There is no other write path: every change
+//!   of state is a logged [`Mutation`].
 //!
 //! # Durability modes
 //!
 //! A database opened with [`SharedDatabase::open_durable`] attaches a
-//! write-ahead log under `<dir>/wal` and offers three acknowledgment
-//! disciplines ([`Durability`]):
+//! write-ahead log under `<dir>/wal`. The writer owns the log and the
+//! on-disk mirror ([`Store`]); [`Durability`] picks one of two
+//! acknowledgment disciplines:
 //!
 //! * [`Durability::Fsync`] — every commit fsyncs its record *before*
-//!   the mutation is installed or acknowledged. A failed fsync means the
-//!   mutation is **not installed and not acknowledged** (and the log
-//!   refuses further appends until a checkpoint), so the client is
-//!   never told "done" about a write that might not survive.
-//! * [`Durability::Group`] — the mutation installs and publishes
-//!   immediately, but the acknowledgment waits for a group fsync that
-//!   covers every record appended so far: concurrent committers share
-//!   one fsync (the `wal.batch_records` histogram shows the batch
-//!   sizes).
+//!   the mutation is published or acknowledged: a reader never sees a
+//!   write a crash could erase. A failed fsync means the mutation is
+//!   **not published and not acknowledged** (and the log refuses
+//!   further appends until a checkpoint).
 //! * [`Durability::Async`] — no per-commit fsync at all; records reach
 //!   the device at segment rotation and checkpoints. Fastest, and the
 //!   only mode in which an acknowledged commit can be lost in a crash.
 //!
-//! [`SharedDatabase::checkpoint`] folds the log into the paged store
-//! ([`Database::save_dir`] under the writer lock — readers keep
-//! reading their snapshots) and then truncates the log, so recovery
-//! replays only the tail written since.
+//! [`SharedDatabase::checkpoint`] folds the current state into the paged
+//! store ([`Store::save`], under the writer lock — readers keep reading
+//! their snapshots) and then truncates the log, so recovery replays
+//! only the tail written since.
 //!
 //! Lock acquisition is instrumented: the time callers spend entering
 //! `read` and the writer lock of `apply` is recorded into the `server.read_lock_wait_ns` /
@@ -105,19 +102,17 @@ use storage::Wal;
 use crate::database::{Database, Prepared};
 use crate::error::{catch_panic, DbError};
 use crate::mutation::{ApplyOutcome, Mutation};
-use crate::persist::{LoadPolicy, LoadReport, Recovery, WAL_SUBDIR};
+use crate::persist::{LoadPolicy, LoadReport, Recovery, Store, WAL_SUBDIR};
 use crate::vfs::{StdVfs, Vfs};
 
 /// When a logged mutation is acknowledged relative to its record
 /// reaching the device. See the [module docs](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// Fsync the record before installing or acknowledging. A failed
-    /// fsync leaves the mutation uninstalled and unacknowledged.
+    /// Fsync the record before publishing or acknowledging. A failed
+    /// fsync leaves the mutation unpublished and unacknowledged.
     #[default]
     Fsync,
-    /// Install immediately; acknowledge after a shared group fsync.
-    Group,
     /// Never fsync per commit (rotation and checkpoints only).
     Async,
 }
@@ -128,33 +123,29 @@ impl std::str::FromStr for Durability {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "fsync" => Ok(Durability::Fsync),
-            "group" => Ok(Durability::Group),
             "async" => Ok(Durability::Async),
-            other => Err(format!("unknown durability mode {other:?} (fsync|group|async)")),
+            other => Err(format!("unknown durability mode {other:?} (fsync|async)")),
         }
     }
 }
 
-/// The write-ahead log and everything needed to drive it.
+/// What only the writer touches: the write-ahead log (`None` for a
+/// volatile handle) and the on-disk mirror checkpoints save through.
 #[derive(Debug)]
-struct WalHandle {
-    wal: Mutex<Wal>,
-    vfs: Arc<dyn Vfs>,
-    durability: Durability,
-    /// Highest sequence number known durable — the group-commit gate:
-    /// a committer whose sequence is already covered piggybacks on the
-    /// fsync another committer issued.
-    durable: Mutex<u64>,
+struct Writer {
+    wal: Option<Wal>,
+    store: Store,
 }
 
 #[derive(Debug)]
 struct Inner {
-    /// The evolving algebra — writers mutate it under this mutex.
-    primary: Mutex<Database>,
-    /// The last committed epoch: what readers snapshot.
-    epoch: Mutex<Arc<Database>>,
-    /// The durability layer; `None` for volatile handles.
-    wal: Option<WalHandle>,
+    /// The last committed state: what readers clone.
+    current: Mutex<Arc<Database>>,
+    /// Held by one commit or checkpoint at a time.
+    writer: Mutex<Writer>,
+    /// `None` for a volatile handle.
+    durability: Option<Durability>,
+    vfs: Arc<dyn Vfs>,
     obs: Arc<xsobs::Registry>,
 }
 
@@ -168,7 +159,7 @@ pub struct SharedDatabase {
     inner: Arc<Inner>,
 }
 
-/// An immutable snapshot of the last committed epoch, returned by
+/// An immutable snapshot of the last committed state, returned by
 /// [`SharedDatabase::read`]. Holding it never blocks writers; writers
 /// never change what it observes.
 #[derive(Debug)]
@@ -189,13 +180,24 @@ impl SharedDatabase {
     /// log). The handle records its lock-wait metrics into the
     /// database's own registry.
     pub fn new(db: Database) -> Self {
+        // The store names no directory until a checkpoint names one.
+        let writer = Writer { wal: None, store: Store::new("") };
+        SharedDatabase::with_writer(db, writer, None, Arc::new(StdVfs))
+    }
+
+    fn with_writer(
+        db: Database,
+        writer: Writer,
+        durability: Option<Durability>,
+        vfs: Arc<dyn Vfs>,
+    ) -> Self {
         let obs = db.metrics_registry_arc();
-        let epoch = Arc::new(db.snapshot());
         SharedDatabase {
             inner: Arc::new(Inner {
-                primary: Mutex::new(db),
-                epoch: Mutex::new(epoch),
-                wal: None,
+                current: Mutex::new(Arc::new(db)),
+                writer: Mutex::new(writer),
+                durability,
+                vfs,
                 obs,
             }),
         }
@@ -227,43 +229,26 @@ impl SharedDatabase {
         } else {
             // Never checkpointed: the log is the only state there is.
             vfs.create_dir_all(dir).map_err(|e| DbError::io(dir, e))?;
-            Recovery::fresh()
+            Recovery::fresh(dir)
         };
         let wal_dir = dir.join(WAL_SUBDIR);
         let (mut wal, records) = Wal::open(&*vfs, &wal_dir, storage::DEFAULT_ROTATE_BYTES)?;
         recovery.replay(&records, LoadPolicy::Strict)?;
-        let (db, report) = recovery.finish();
+        let (store, db, report) = recovery.finish();
         // Sequences stay monotonic across restarts even when a
         // checkpoint truncated the records they were seeded from.
-        let epoch_seq = db.persist.lock().unwrap_or_else(|p| p.into_inner()).wal_epoch;
-        wal.reserve_seq(epoch_seq.max(wal.last_seq()) + 1);
-        let obs = db.metrics_registry_arc();
-        let epoch = Arc::new(db.snapshot());
-        Ok((
-            SharedDatabase {
-                inner: Arc::new(Inner {
-                    primary: Mutex::new(db),
-                    epoch: Mutex::new(epoch),
-                    wal: Some(WalHandle {
-                        wal: Mutex::new(wal),
-                        vfs,
-                        durability,
-                        durable: Mutex::new(0),
-                    }),
-                    obs,
-                }),
-            },
-            report,
-        ))
+        wal.reserve_seq(db.wal_epoch.max(wal.last_seq()) + 1);
+        let writer = Writer { wal: Some(wal), store };
+        Ok((SharedDatabase::with_writer(db, writer, Some(durability), vfs), report))
     }
 
     /// Acquire a read snapshot: the complete database state as of the
-    /// last committed epoch. Never blocks on writers (beyond the
-    /// instant of cloning the epoch pointer) and never observes a
-    /// half-applied mutation.
+    /// last commit. Never blocks on writers (beyond the instant of
+    /// cloning the state pointer) and never observes a half-applied
+    /// mutation.
     pub fn read(&self) -> ReadSnapshot {
         let start = self.lock_clock();
-        let db = Arc::clone(&self.inner.epoch.lock().unwrap_or_else(|p| p.into_inner()));
+        let db = Arc::clone(&self.current());
         self.record_wait(xsobs::HistogramId::SrvReadLockWait, start);
         ReadSnapshot { db }
     }
@@ -272,16 +257,17 @@ impl SharedDatabase {
     /// for later writes and reads. A process setting, not state: it is
     /// not logged, and a reopened database starts without it.
     pub fn set_strict_analysis(&self, on: bool) {
-        let mut db = self.inner.primary.lock().unwrap_or_else(|p| p.into_inner());
-        db.set_strict_analysis(on);
-        self.publish(db);
+        let writer = self.writer();
+        let mut next = Database::clone(&self.current());
+        next.set_strict_analysis(on);
+        self.publish(next, writer);
     }
 
     /// Commit one mutation: prepare it against a read snapshot, check
     /// under the writer lock that what it read is still installed,
     /// append its record to the write-ahead log and make it as durable
-    /// as the [`Durability`] mode promises, install it in the primary,
-    /// and publish the new epoch to readers.
+    /// as the [`Durability`] mode promises, then commit it into a copy
+    /// of the current state and publish that copy to readers.
     ///
     /// On a volatile handle (no log) the append is skipped. A mutation
     /// the database rejects (duplicate name, invalid document, refused
@@ -305,80 +291,69 @@ impl SharedDatabase {
         // writer lock. A panic in it is refused like any rejection.
         let obs = &self.inner.obs;
         let mut prepared = catch_panic(obs, "preparation", || prepare(&self.read()))?;
-        let payload = self.inner.wal.as_ref().map(|_| m.encode());
+        let payload = self.inner.durability.map(|_| m.encode());
         let start = self.lock_clock();
-        let mut db = self.inner.primary.lock().unwrap_or_else(|p| p.into_inner());
+        let mut writer = self.writer();
         self.record_wait(xsobs::HistogramId::SrvWriteLockWait, start);
+        // Only writers replace the current state, so it holds still
+        // while the writer lock is held.
+        let db = Arc::clone(&self.current());
         if !db.is_current(&prepared) {
             // Another writer replaced what the snapshot showed. Prepare
-            // again, against the primary and under the lock: nothing can
-            // move under this one, so it commits or is refused.
-            self.inner.obs.incr(xsobs::CounterId::WalCommitRetries);
+            // again, against the current state and under the lock:
+            // nothing can move under this one, so it commits or is
+            // refused.
+            obs.incr(xsobs::CounterId::WalCommitRetries);
             // Caught here too, so a panic cannot poison the lock.
             prepared = catch_panic(obs, "preparation", || prepare(&db))?;
         }
-        let seq = match (&self.inner.wal, payload) {
-            (Some(w), Some(payload)) => {
-                let mut wal = w.wal.lock().unwrap_or_else(|p| p.into_inner());
+        let seq = match (&mut writer.wal, payload) {
+            (Some(wal), Some(payload)) => {
                 // (the storage layer counts the append into
                 // `wal.appends_total`)
-                let seq = wal.append(&*w.vfs, &payload)?;
-                if w.durability == Durability::Fsync {
+                let seq = wal.append(&*self.inner.vfs, &payload)?;
+                if self.inner.durability == Some(Durability::Fsync) {
                     // Record first, state second: a failed fsync means
-                    // the mutation is neither installed nor acknowledged.
-                    let high = wal.sync(&*w.vfs)?;
-                    let mut durable = w.durable.lock().unwrap_or_else(|p| p.into_inner());
-                    *durable = (*durable).max(high);
+                    // the mutation is neither published nor acknowledged.
+                    wal.sync(&*self.inner.vfs)?;
                 }
                 Some(seq)
             }
             _ => None,
         };
-        let outcome = db.commit_current(prepared)?;
+        let mut next = Database::clone(&db);
+        let outcome = next.commit_current(prepared)?;
         if let Some(seq) = seq {
-            db.note_wal_epoch(seq);
+            next.wal_epoch = seq;
         }
-        self.publish(db);
-        if let (Some(w), Some(seq)) = (&self.inner.wal, seq) {
-            if w.durability == Durability::Group {
-                // The group-commit gate: whoever arrives first fsyncs
-                // for everyone appended so far; the rest see their
-                // sequence already covered and return immediately.
-                let mut durable = w.durable.lock().unwrap_or_else(|p| p.into_inner());
-                if *durable < seq {
-                    let mut wal = w.wal.lock().unwrap_or_else(|p| p.into_inner());
-                    let high = wal.sync(&*w.vfs)?;
-                    *durable = (*durable).max(high);
-                }
-            }
-        }
-        if let Some(t) = commit_clock {
-            if self.inner.wal.is_some() {
-                self.inner.obs.observe(xsobs::HistogramId::WalCommit, t.elapsed());
-            }
+        self.publish(next, writer);
+        if let (Some(t), Some(_)) = (commit_clock, seq) {
+            obs.observe(xsobs::HistogramId::WalCommit, t.elapsed());
         }
         Ok(outcome)
     }
 
-    /// Checkpoint into `dir`: fold the in-memory state into the paged
-    /// store ([`Database::save_dir`], incremental when bound) and then
-    /// truncate the write-ahead log. Runs under the writer lock —
-    /// concurrent readers keep their snapshots; a crash between the
-    /// save and the truncate is harmless (the surviving records are
-    /// skipped via their epochs on replay).
+    /// Checkpoint into `dir`: save the current state into the paged store
+    /// ([`Store::save`], incremental when the writer's store already
+    /// mirrors `dir`) and then truncate the write-ahead log. Runs under
+    /// the writer lock — concurrent readers keep their snapshots; a
+    /// crash between the save and the truncate is harmless (the
+    /// surviving records are skipped via their epochs on replay).
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<(), DbError> {
-        let obs = &self.inner.obs;
+        let (dir, obs) = (dir.as_ref(), &self.inner.obs);
         let global = xsobs::global();
         let pages_before = global.snapshot().counter(xsobs::CounterId::StoragePageWrites);
-        let db = self.inner.primary.lock().unwrap_or_else(|p| p.into_inner());
-        match &self.inner.wal {
-            Some(w) => {
-                db.save_dir_vfs(dir.as_ref(), &*w.vfs)?;
-                let mut wal = w.wal.lock().unwrap_or_else(|p| p.into_inner());
-                wal.truncate(&*w.vfs)?;
-            }
-            None => db.save_dir(dir)?,
+        let mut writer = self.writer();
+        let db = Arc::clone(&self.current());
+        let Writer { wal, store } = &mut *writer;
+        if store.dir() != dir {
+            *store = Store::new(dir);
         }
+        store.save_vfs(&db, &*self.inner.vfs)?;
+        if let Some(wal) = wal {
+            wal.truncate(&*self.inner.vfs)?;
+        }
+        drop(writer);
         let pages_after = global.snapshot().counter(xsobs::CounterId::StoragePageWrites);
         obs.incr(xsobs::CounterId::WalCheckpoints);
         obs.add(xsobs::CounterId::WalCheckpointPages, pages_after.saturating_sub(pages_before));
@@ -387,7 +362,7 @@ impl SharedDatabase {
 
     /// Whether this handle carries a write-ahead log.
     pub fn is_durable(&self) -> bool {
-        self.inner.wal.is_some()
+        self.inner.durability.is_some()
     }
 
     /// The metrics registry shared with the wrapped database.
@@ -401,18 +376,21 @@ impl SharedDatabase {
         self.inner.obs.snapshot()
     }
 
-    /// Publish the primary `db` as the epoch readers snapshot, and
-    /// release the writer lock.
-    fn publish(&self, db: MutexGuard<'_, Database>) {
-        // Build the snapshot before taking the epoch lock, so readers
-        // wait only for a pointer swap.
-        let next = Arc::new(db.snapshot());
-        let mut epoch = self.inner.epoch.lock().unwrap_or_else(|p| p.into_inner());
-        let retired = std::mem::replace(&mut *epoch, next);
-        drop(epoch);
-        drop(db);
-        // Free the superseded epoch outside both locks: when no reader
-        // still holds it, this drop releases every block the new epoch
+    fn current(&self) -> MutexGuard<'_, Arc<Database>> {
+        self.inner.current.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn writer(&self) -> MutexGuard<'_, Writer> {
+        self.inner.writer.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Publish `next` as the current state, and release the writer lock.
+    fn publish(&self, next: Database, writer: MutexGuard<'_, Writer>) {
+        let next = Arc::new(next);
+        let retired = std::mem::replace(&mut *self.current(), next);
+        drop(writer);
+        // Free the superseded state outside both locks: when no reader
+        // still holds it, this drop releases every block the new state
         // copied, and neither readers nor the next writer wait for that.
         drop(retired);
     }
@@ -579,7 +557,7 @@ mod tests {
         std::thread::scope(|s| {
             // Taken inside the scope, so a failed assertion releases it
             // before the scope joins the blocked writer.
-            let guard = sh.inner.primary.lock().unwrap();
+            let guard = sh.inner.writer.lock().unwrap();
             let (sh, insert) = (&sh, &insert);
             let (tx, rx) = mpsc::channel();
             s.spawn(move || tx.send(sh.apply(&insert("bad", "<n><x/></n>"))).unwrap());
@@ -640,7 +618,7 @@ mod tests {
         }
         assert_eq!(caught(), before + 1);
         assert_eq!(dir_bytes(&dir), logged, "the log gained a record");
-        assert!(!sh.inner.primary.is_poisoned());
+        assert!(!sh.inner.writer.is_poisoned());
         // The next mutation commits, and the reopened log holds it.
         assert_eq!(sh.apply(&insert).unwrap(), ApplyOutcome::Inserted);
         drop(sh);
@@ -671,14 +649,14 @@ mod tests {
             }
         });
         assert!(matches!(outcome, Err(DbError::Panicked(_))), "{outcome:?}");
-        assert!(!sh.inner.primary.is_poisoned());
+        assert!(!sh.inner.writer.is_poisoned());
         assert_eq!(sh.apply(&insert).unwrap(), ApplyOutcome::Inserted);
     }
 
     #[test]
     fn durable_commits_survive_without_a_checkpoint() {
         let dir = temp_dir("durable");
-        for durability in [Durability::Fsync, Durability::Group] {
+        for durability in [Durability::Fsync, Durability::Async] {
             let _ = std::fs::remove_dir_all(&dir);
             let (sh, report) = SharedDatabase::open_durable(&dir, durability).unwrap();
             assert!(report.is_clean());
@@ -727,8 +705,10 @@ mod tests {
     #[test]
     fn durability_mode_parsing() {
         assert_eq!("fsync".parse::<Durability>().unwrap(), Durability::Fsync);
-        assert_eq!("group".parse::<Durability>().unwrap(), Durability::Group);
         assert_eq!("async".parse::<Durability>().unwrap(), Durability::Async);
         assert!("never".parse::<Durability>().is_err());
+        // `group` published a write before it was durable; it is gone.
+        let refused = "group".parse::<Durability>().unwrap_err();
+        assert!(refused.contains("fsync|async"), "{refused}");
     }
 }

@@ -40,7 +40,7 @@ use xsanalyze::UpdateVerdict;
 use xsmodel::DocumentSchema;
 
 use crate::error::DbError;
-use crate::physical::{site_is_valid, validate_storage};
+use crate::physical::{leaf_text, site_is_valid, validate_storage};
 
 /// The outcome of a statically checked update
 /// ([`crate::Database::execute_update`]).
@@ -85,7 +85,7 @@ pub(crate) fn apply(
 ) -> Result<(UpdateOutcome, XmlStorage), DbError> {
     let targets = resolve(pre, upd)?;
     let mut post = pre.clone();
-    let sites = edit(&mut post, upd, &targets)?;
+    let sites = edit(&mut post, upd, &targets, cx)?;
     let revalidated = match verdict {
         UpdateVerdict::Accept => 0,
         _ => recheck(&post, sites, cx)?,
@@ -181,6 +181,7 @@ fn edit(
     post: &mut XmlStorage,
     upd: &UpdateExpr,
     targets: &[DescPtr],
+    cx: &Recheck<'_>,
 ) -> Result<Vec<DescPtr>, DbError> {
     use UpdateExpr as U;
     let mut sites = Vec::new();
@@ -188,7 +189,7 @@ fn edit(
         match upd {
             U::InsertInto { name, text, .. } => {
                 let last = post.children(t).last().copied();
-                let new = insert_leaf(post, t, last, name, text.as_deref())?;
+                let new = insert_leaf(post, t, last, name, text.as_deref(), cx)?;
                 // Both the host's content model and the new element's own
                 // obligations (attributes, text, required children).
                 sites.extend([t, new]);
@@ -202,7 +203,7 @@ fn edit(
                     let at = siblings.iter().position(|&c| c == t).unwrap_or(0);
                     at.checked_sub(1).map(|i| siblings[i])
                 };
-                let new = insert_leaf(post, parent, anchor, name, text.as_deref())?;
+                let new = insert_leaf(post, parent, anchor, name, text.as_deref(), cx)?;
                 sites.extend([parent, new]);
             }
             U::InsertAttribute { attr, value, .. } => {
@@ -216,7 +217,7 @@ fn edit(
             }
             U::ReplaceNode { name, text, .. } => {
                 let parent = parent_of(post, t)?;
-                let new = insert_leaf(post, parent, Some(t), name, text.as_deref())?;
+                let new = insert_leaf(post, parent, Some(t), name, text.as_deref(), cx)?;
                 post.delete(t)?;
                 sites.extend([parent, new]);
             }
@@ -247,14 +248,18 @@ fn edit(
 }
 
 /// Insert the leaf element `<name>text?</name>` under `parent` after
-/// `after` (`None` = first child).
+/// `after` (`None` = first child), with the text child `f` would give
+/// it there ([`leaf_text`]), so the edited document stores what
+/// inserting its serialization would.
 fn insert_leaf(
     xs: &mut XmlStorage,
     parent: DescPtr,
     after: Option<DescPtr>,
     name: &str,
     text: Option<&str>,
+    cx: &Recheck<'_>,
 ) -> Result<DescPtr, DbError> {
+    let text = leaf_text(cx.schema, xs, parent, name, text, cx.options, cx.cm_cache);
     let new = xs.insert_element(parent, after, name)?;
     if let Some(t) = text {
         xs.insert_text(new, None, t)?;

@@ -31,7 +31,10 @@ use std::sync::{Mutex, MutexGuard};
 use xsdb::storage::paged::{save_full, PagedXml};
 use xsdb::storage::{PageStore, XmlStorage};
 use xsdb::xsobs::{global, CounterId};
-use xsdb::{algebra, Database, DbError, FaultyVfs, LoadPolicy, StdVfs, Vfs};
+use xsdb::{
+    algebra, Database, DbError, Durability, FaultyVfs, LoadPolicy, Mutation, SharedDatabase,
+    StdVfs, Store, Vfs,
+};
 
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -88,19 +91,20 @@ fn db_equiv(a: &Database, b: &Database) -> bool {
         })
 }
 
-/// Save `entries`-sized old state, reload (binding the directory),
-/// patch one entry, and return (dir, loaded-db, old-copy, new-copy).
-fn incremental_setup(tag: &str, entries: usize) -> (PathBuf, Database, Database, Database) {
+/// Save `entries`-sized old state, reopen it (binding a store to the
+/// directory), patch one entry, and return (dir, store, loaded-db,
+/// old-copy, new-copy).
+fn incremental_setup(tag: &str, entries: usize) -> (PathBuf, Store, Database, Database, Database) {
     let dir = temp_dir(tag);
     journal_db(entries).save_dir(&dir).unwrap();
     let old = Database::load_dir(&dir).unwrap();
-    let mut db = Database::load_dir(&dir).unwrap();
+    let (store, mut db, _) = Store::open(&dir, LoadPolicy::Strict).unwrap();
     let update = r#"replace value of node /log/entry[2] with "patched""#;
     assert_eq!(db.execute_update("journal", update).unwrap().nodes, 1);
     let mut new = Database::new();
     new.register_schema_text("log", SCHEMA).unwrap();
     new.insert("journal", "log", &db.serialize("journal").unwrap()).unwrap();
-    (dir, db, old, new)
+    (dir, store, db, old, new)
 }
 
 // ------------------------------------------------- satellite 1: no-op
@@ -113,18 +117,19 @@ fn clean_resave_performs_zero_vfs_writes() {
     let _g = lock();
     let dir = temp_dir("noop");
     let db = journal_db(12);
-    db.save_dir(&dir).unwrap();
+    let mut store = Store::new(&dir);
+    store.save(&db).unwrap();
     let current = fs::read_to_string(dir.join("CURRENT")).unwrap();
 
-    // Same instance, nothing changed since its own save.
+    // Same store and state, nothing changed since its own save.
     let counter = FaultyVfs::counting();
-    db.save_dir_vfs(&dir, &counter).unwrap();
+    store.save_vfs(&db, &counter).unwrap();
     assert_eq!(counter.write_ops(), 0, "clean re-save wrote to disk");
 
-    // A freshly loaded instance is just as clean.
-    let db2 = Database::load_dir(&dir).unwrap();
+    // A freshly opened store and state are just as clean.
+    let (mut store2, db2, _) = Store::open(&dir, LoadPolicy::Strict).unwrap();
     let counter = FaultyVfs::counting();
-    db2.save_dir_vfs(&dir, &counter).unwrap();
+    store2.save_vfs(&db2, &counter).unwrap();
     assert_eq!(counter.write_ops(), 0, "re-save after load wrote to disk");
 
     assert_eq!(fs::read_to_string(dir.join("CURRENT")).unwrap(), current);
@@ -135,9 +140,9 @@ fn clean_resave_performs_zero_vfs_writes() {
 // -------------------------------------- incremental-save crash matrix
 
 fn count_incremental_ops(tag: &str) -> u64 {
-    let (dir, db, _, _) = incremental_setup(tag, 40);
+    let (dir, mut store, db, _, _) = incremental_setup(tag, 40);
     let counter = FaultyVfs::counting();
-    db.save_dir_vfs(&dir, &counter).unwrap();
+    store.save_vfs(&db, &counter).unwrap();
     let ops = counter.ops();
     let _ = fs::remove_dir_all(&dir);
     ops
@@ -149,9 +154,9 @@ fn incremental_save_crashed_at_any_operation_reloads_old_or_new() {
     let total = count_incremental_ops("icount");
     assert!(total > 0, "incremental save with a dirty node must do work");
     for k in 0..total {
-        let (dir, db, old, new) = incremental_setup("imatrix", 40);
+        let (dir, mut store, db, old, new) = incremental_setup("imatrix", 40);
         let vfs = FaultyVfs::crash_at(k);
-        let save_result = db.save_dir_vfs(&dir, &vfs);
+        let save_result = store.save_vfs(&db, &vfs);
         let loaded = Database::load_dir(&dir).unwrap_or_else(|e| {
             panic!("crash at op {k}: load failed: {e} (save: {save_result:?})")
         });
@@ -174,8 +179,8 @@ fn incremental_save_error_at_any_operation_reloads_old_or_new() {
     let _g = lock();
     let total = count_incremental_ops("ecount");
     for k in 0..total {
-        let (dir, db, old, new) = incremental_setup("ematrix", 40);
-        let save_result = db.save_dir_vfs(&dir, &FaultyVfs::error_at(k));
+        let (dir, mut store, db, old, new) = incremental_setup("ematrix", 40);
+        let save_result = store.save_vfs(&db, &FaultyVfs::error_at(k));
         let loaded =
             Database::load_dir(&dir).unwrap_or_else(|e| panic!("error at op {k}: load: {e}"));
         match save_result {
@@ -188,12 +193,13 @@ fn incremental_save_error_at_any_operation_reloads_old_or_new() {
                 "error at op {k}: Ok save but the new state did not load"
             ),
         }
-        // Whatever happened, a retry on a fresh handle must converge.
-        let mut retry = Database::load_dir(&dir).unwrap();
+        // Whatever happened, a retry on a freshly opened store must
+        // converge.
+        let (mut store, mut retry, _) = Store::open(&dir, LoadPolicy::Strict).unwrap();
         retry
             .execute_update("journal", r#"replace value of node /log/entry[2] with "patched""#)
             .unwrap();
-        retry.save_dir(&dir).unwrap();
+        store.save(&retry).unwrap();
         assert!(db_equiv(&Database::load_dir(&dir).unwrap(), &new));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -225,7 +231,7 @@ fn a_read_fault_at_any_operation_of_a_parallel_load_is_contained() {
     let _g = lock();
     let (dir, saved) = journals_dir("read-faults");
     let counter = FaultyVfs::counting();
-    let (clean, report) = Database::load_dir_vfs(&dir, LoadPolicy::Strict, &counter).unwrap();
+    let (_, clean, report) = Store::open_vfs(&dir, LoadPolicy::Strict, &counter).unwrap();
     assert!(report.is_clean() && db_equiv(&clean, &saved));
     let total = counter.ops();
     let injected = |e: &DbError| match e {
@@ -236,15 +242,17 @@ fn a_read_fault_at_any_operation_of_a_parallel_load_is_contained() {
     };
     let (mut strict_errors, mut quarantined_docs) = (0, 0);
     for k in 0..total {
-        match Database::load_dir_vfs(&dir, LoadPolicy::Strict, &FaultyVfs::error_at(k)) {
+        match Store::open_vfs(&dir, LoadPolicy::Strict, &FaultyVfs::error_at(k)) {
             Err(e) => {
                 assert!(injected(&e).is_some(), "strict, fault at op {k}: {e}");
                 strict_errors += 1;
             }
-            Ok((db, _)) => assert!(db_equiv(&db, &saved), "strict, fault at op {k}: partial load"),
+            Ok((_, db, _)) => {
+                assert!(db_equiv(&db, &saved), "strict, fault at op {k}: partial load")
+            }
         }
-        let (db, report) =
-            match Database::load_dir_vfs(&dir, LoadPolicy::Lenient, &FaultyVfs::error_at(k)) {
+        let (_, db, report) =
+            match Store::open_vfs(&dir, LoadPolicy::Lenient, &FaultyVfs::error_at(k)) {
                 Ok(loaded) => loaded,
                 Err(e) => {
                     let path =
@@ -312,8 +320,8 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
 #[test]
 fn byte_flips_after_incremental_save_are_caught_or_harmless() {
     let _g = lock();
-    let (dir, db, _, new) = incremental_setup("flip", 40);
-    db.save_dir(&dir).unwrap();
+    let (dir, mut store, db, _, new) = incremental_setup("flip", 40);
+    store.save(&db).unwrap();
     for file in files_under(&dir) {
         let original = fs::read(&file).unwrap();
         assert!(!original.is_empty(), "{file:?} empty");
@@ -354,14 +362,14 @@ fn byte_flips_after_incremental_save_are_caught_or_harmless() {
 /// The page-write cost of an incremental save after patching a single
 /// node: measured via the global `storage.page_writes` counter.
 fn pages_for_single_update(entries: usize) -> u64 {
-    let (dir, mut db, _, _) = incremental_setup("o1", entries);
+    let (dir, mut store, mut db, _, _) = incremental_setup("o1", entries);
     // incremental_setup already patched entry[2]; patch again so the
     // measured save carries exactly one fresh dirty node.
-    db.save_dir(&dir).unwrap();
+    store.save(&db).unwrap();
     db.execute_update("journal", r#"replace value of node /log/entry[2] with "patched again""#)
         .unwrap();
     let before = global().snapshot().counter(CounterId::StoragePageWrites);
-    db.save_dir(&dir).unwrap();
+    store.save(&db).unwrap();
     let delta = global().snapshot().counter(CounterId::StoragePageWrites) - before;
     let _ = fs::remove_dir_all(&dir);
     delta
@@ -386,6 +394,43 @@ fn single_node_update_writes_constant_pages_as_the_document_grows() {
     let full = global().snapshot().counter(CounterId::StoragePageWrites) - before;
     assert!(full > 4 * large, "full save ({full} pages) should dwarf an update ({large})");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The pages `SharedDatabase::checkpoint` writes (its
+/// `wal.checkpoint_pages_total` delta) for a `journal` of `entries`
+/// entries: (the first checkpoint, a later one after a one-node update).
+fn shared_checkpoint_pages(entries: usize) -> (u64, u64) {
+    let dir = temp_dir("shared-o1");
+    let (sh, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
+    sh.apply(&Mutation::RegisterSchema { name: "log".into(), xsd: SCHEMA.into() }).unwrap();
+    let xml = log_xml(entries);
+    sh.apply(&Mutation::Insert { doc: "journal".into(), schema: "log".into(), xml }).unwrap();
+    let checkpoint = || {
+        let before = sh.metrics().counter(CounterId::WalCheckpointPages);
+        sh.checkpoint(&dir).unwrap();
+        sh.metrics().counter(CounterId::WalCheckpointPages) - before
+    };
+    let full = checkpoint();
+    let update = r#"replace value of node /log/entry[2] with "patched""#;
+    sh.apply(&Mutation::Update { doc: "journal".into(), update: update.into() }).unwrap();
+    let incremental = checkpoint();
+    drop(sh);
+    let _ = fs::remove_dir_all(&dir);
+    (full, incremental)
+}
+
+/// The writer of a `SharedDatabase` keeps the store its checkpoints
+/// save through, so a checkpoint after a one-node update is as cheap as
+/// a plain incremental save, whatever the document's size.
+#[test]
+fn shared_checkpoints_after_a_single_node_update_write_constant_pages() {
+    let _g = lock();
+    let (_, small) = shared_checkpoint_pages(256);
+    let (full, large) = shared_checkpoint_pages(2048);
+    assert!(small > 0, "a dirty node must write at least one page");
+    assert_eq!(small, large, "checkpoint cost grew from 256 to 2048 entries");
+    assert!(large <= 8, "a one-node update's checkpoint wrote {large} pages — not O(1)-ish");
+    assert!(full > 4 * large, "the first checkpoint ({full} pages) should dwarf an update's");
 }
 
 // -------------------------------------------------------- lazy opens

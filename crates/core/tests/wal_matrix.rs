@@ -313,13 +313,13 @@ fn byte_flips_in_the_log_are_typed_errors_or_clean_prefixes() {
 }
 
 #[test]
-fn group_and_async_modes_recover_prefixes_under_crashes_too() {
-    for durability in [Durability::Group, Durability::Async] {
+fn async_mode_recovers_prefixes_under_crashes_too() {
+    for durability in [Durability::Async] {
         let total = count_script_ops("gcount");
         let len = script().len();
-        // The full matrix runs under fsync; for the other modes probe a
-        // spread of crash points (their ack guarantees are weaker, but
-        // the never-torn property must hold identically).
+        // The full matrix runs under fsync; under async probe a spread
+        // of crash points (its ack guarantee is weaker, but the
+        // never-torn property must hold identically).
         for k in [0, total / 4, total / 2, 3 * total / 4, total - 1] {
             let dir = temp_dir("modes");
             run_script(&dir, Arc::new(FaultyVfs::crash_at(k)), durability, false);

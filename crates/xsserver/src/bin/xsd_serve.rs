@@ -13,10 +13,10 @@
 //!   the `SAVE` opcode and once more on shutdown. Every mutation is
 //!   appended to the write-ahead log before it is acknowledged.
 //! * `--durability` — when to acknowledge a logged mutation:
-//!   `fsync` (default; fsync per commit — a failed fsync is reported,
-//!   not acked), `group` (apply immediately, ack after a shared group
-//!   fsync), or `async` (no per-commit fsync; an acknowledged write
-//!   can be lost in a crash). Only meaningful with `--dir`.
+//!   `fsync` (default; fsync per commit before the write is visible
+//!   or acked — a failed fsync is reported, not acked), or `async` (no
+//!   per-commit fsync; an acknowledged write can be lost in a crash).
+//!   Only meaningful with `--dir`.
 //! * `--threads` — worker threads executing database work
 //!   (default 64). Connections are not bounded by this: the event
 //!   loop parks idle connections in the reactor, so they hold no
@@ -62,7 +62,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: xsd-serve [--addr HOST:PORT] [--dir DIR] \
-     [--durability fsync|group|async] [--threads N] [--max-conns N] \
+     [--durability fsync|async] [--threads N] [--max-conns N] \
      [--timeout-ms MS] [--strict-analysis] [--stats-json]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {

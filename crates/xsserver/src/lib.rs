@@ -32,7 +32,7 @@
 //! * `xsd-serve` — the daemon: bind an address, optionally open a
 //!   persistence directory (recovering the write-ahead-log tail),
 //!   serve under a chosen durability mode (`--durability
-//!   fsync|group|async`) until SIGTERM/SIGINT — delivered to the event
+//!   fsync|async`) until SIGTERM/SIGINT — delivered to the event
 //!   loop over the reactor's wakeup fd, so shutdown latency is one
 //!   `epoll_wait`, not a polling tick — then checkpoint.
 //! * `xsd-bench-client` — the load generator: N connections issuing a

@@ -7,7 +7,7 @@
 
 use std::fs;
 
-use xsdb::{Database, FaultyVfs, LoadPolicy};
+use xsdb::{Database, FaultyVfs, LoadPolicy, Store};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("xsdb-durability-{}", std::process::id()));
@@ -24,7 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.insert("todo", "notes", "<note>write the report</note>")?;
 
     // 1. An atomic save: generation directory + CURRENT commit pointer.
-    db.save_dir(&dir)?;
+    //    The store mirrors the directory, so later saves write only
+    //    what changed.
+    let mut store = Store::new(&dir);
+    store.save(&db)?;
     println!("saved to {}", dir.display());
     let current = fs::read_to_string(dir.join("CURRENT"))?;
     println!("CURRENT: {}", current.trim_end());
@@ -32,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Saving again with nothing changed is a no-op: zero write
     //    operations reach the disk and the generation stays put.
     let clean = FaultyVfs::counting();
-    db.save_dir_vfs(&dir, &clean)?;
+    store.save_vfs(&db, &clean)?;
     println!("\nclean re-save: {} write operations (incremental no-op)", clean.write_ops());
 
     // 3. Update one node, then crash the (incremental) save at every
@@ -41,14 +44,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.execute_update("memo", r#"replace value of node /note with "pick up oat milk""#)?;
     let total = {
         let counter = FaultyVfs::counting();
-        db.save_dir_vfs(&dir, &counter)?;
+        store.save_vfs(&db, &counter)?;
         counter.ops()
     };
     println!("\nthe one-node update cost {total} VFS operations; crashing a few:");
     for k in (0..total).step_by(2) {
         db.execute_update("memo", &format!(r#"replace value of node /note with "crash run {k}""#))?;
         let vfs = FaultyVfs::crash_at(k);
-        let result = db.save_dir_vfs(&dir, &vfs);
+        let result = store.save_vfs(&db, &vfs);
         let loaded = Database::load_dir(&dir)?;
         println!(
             "  crash at op {k:>2}: save {}, reload has {} documents, memo = {:?}",
@@ -56,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             loaded.len(),
             loaded.query("memo", "/note")?[0],
         );
-        // Rebind cleanly before the next round.
-        db = Database::load_dir(&dir)?;
+        // Reopen cleanly before the next round.
+        (store, db, _) = Store::open(&dir, LoadPolicy::Strict)?;
     }
 
     // 4. Flip one byte in a stored document's block map (the `.xsp`

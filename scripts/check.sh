@@ -152,6 +152,22 @@ if ! awk '
   exit 1
 fi
 
+# One state value: a shared database holds one `Arc<Database>` that a
+# commit replaces, so outside their tests the state names no lock and
+# the shared layer keeps no primary copy and takes no snapshot of one
+# (a snapshot of the metrics registry, `obs`/`global`, is not state).
+if ! awk '
+  FNR == 1 { intest = 0 }
+  /#\[cfg\(test\)\]/ { intest = 1 }
+  !intest && FILENAME ~ /database\.rs$/ && /Mutex/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+  !intest && FILENAME ~ /shared\.rs$/ && /primary|snapshot\(/ && !/(obs|global)\.snapshot\(\)/ {
+    print FILENAME ":" FNR ": " $0; bad = 1
+  }
+  END { exit bad }' crates/core/src/{database,shared}.rs >&2; then
+  echo "one-state gate: the database value holds a lock, or the shared layer a second state" >&2
+  exit 1
+fi
+
 # Metrics-export schema golden: the JSON field layout is semver-stable.
 # Regenerate with `cargo run -p xsobs --bin xsobs-schema` when changing
 # it deliberately.
@@ -197,7 +213,7 @@ cargo run --release -q -p bench --bin experiments -- e17 --guard
 # verify the final save committed.
 SMOKE_DIR=$(mktemp -d)
 target/release/xsd-serve --addr 127.0.0.1:0 --dir "$SMOKE_DIR/db" \
-  --durability group \
+  --durability fsync \
   >"$SMOKE_DIR/serve.out" 2>"$SMOKE_DIR/serve.err" &
 SERVE_PID=$!
 ADDR=""

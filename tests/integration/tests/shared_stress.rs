@@ -241,7 +241,7 @@ fn held_snapshots_stay_frozen_under_churn() {
 }
 
 /// The durable commit path under concurrency: four threads race
-/// `apply` on one group-commit log while a reader asserts every
+/// `apply` on one fsync-per-commit log while a reader asserts every
 /// observable document is whole; recovery then replays every
 /// acknowledged commit.
 #[test]
@@ -253,7 +253,7 @@ fn concurrent_durable_appliers_recover_completely() {
         std::thread::current().id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let (sh, _) = SharedDatabase::open_durable(&dir, Durability::Group).unwrap();
+    let (sh, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
     sh.apply(&Mutation::RegisterSchema { name: "s".into(), xsd: SCHEMA.into() }).unwrap();
     std::thread::scope(|scope| {
         for t in 0..4 {
@@ -287,7 +287,7 @@ fn concurrent_durable_appliers_recover_completely() {
     assert_eq!(wal_commits, 1 + 4 * 15, "every apply must hit the log exactly once");
     drop(sh);
     // Recovery replays the full acknowledged history.
-    let (again, _) = SharedDatabase::open_durable(&dir, Durability::Group).unwrap();
+    let (again, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
     let db = again.read();
     assert_eq!(db.document_names().count(), 4 * 15);
     for t in 0..4 {
