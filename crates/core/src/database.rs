@@ -879,6 +879,13 @@ impl Database {
 
     /// Evaluate a FLWOR query (see the `xquery` crate) over a stored
     /// document, returning the serialized result sequence.
+    ///
+    /// The `for` source — or a bare path — runs as a planned
+    /// [`xquery::QueryPlan`], exactly as `QUERY` runs it (DataGuide
+    /// pruning, `plan.*` metrics, the staleness check). The rest reads the
+    /// block storage through paths compiled on its DataGuide
+    /// ([`xquery::execute_flwor`]); the result equals the generic
+    /// evaluator's over the document's XDM tree, byte for byte.
     pub fn xquery(&self, doc_name: &str, query: &str) -> Result<String, DbError> {
         let doc = self
             .documents
@@ -897,8 +904,15 @@ impl Database {
         let mut span = self.obs.span(xsobs::HistogramId::DbXquery);
         span.set_detail(query);
         let storage = &doc.storage;
-        let nodes = xquery::evaluate(&storage, &q)?;
-        Ok(xquery::nodes_to_string(&nodes))
+        let source = match &q {
+            xquery::Query::Path(path) => path,
+            xquery::Query::Flwor(flwor) => &flwor.source,
+        };
+        let nodes = self.plan_for(storage, source, None).execute(storage).nodes;
+        Ok(match &q {
+            xquery::Query::Path(_) => xquery::serialize_nodes(storage, &nodes),
+            xquery::Query::Flwor(flwor) => xquery::execute_flwor(storage, flwor, &nodes)?,
+        })
     }
 
     /// Strict-mode pre-flight: refuse an XPath any step of which is

@@ -181,11 +181,12 @@ impl std::error::Error for DbError {}
 
 /// Run `f`, a step that must not take its caller down: a panic inside it
 /// becomes [`DbError::Panicked`] naming `step`, counted under
-/// `db.panics_caught_total` in `obs`. The steps guarded this way read
-/// shared state and build private values; the one lock they take, the
-/// content-model cache's, guards a map of complete entries and ignores
-/// poisoning, so a panic leaves nothing half-changed behind.
-pub(crate) fn catch_panic<T>(
+/// `db.panics_caught_total` in `obs`. Guard only a step that leaves
+/// nothing half-changed when it unwinds. The database guards steps that
+/// read shared state and build private values; the one lock they take,
+/// the content-model cache's, guards a map of complete entries and
+/// ignores poisoning. The server guards each request the same way.
+pub fn catch_panic<T>(
     obs: &xsobs::Registry,
     step: &str,
     f: impl FnOnce() -> Result<T, DbError>,

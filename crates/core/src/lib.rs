@@ -172,7 +172,7 @@ pub use storage::checksum;
 pub use storage::vfs;
 
 pub use database::{Database, Prepared, Stale, StoredDocument};
-pub use error::DbError;
+pub use error::{catch_panic, DbError};
 pub use mutation::{ApplyOutcome, Mutation};
 pub use persist::{LoadPolicy, LoadReport, Quarantine, QuarantineKind, Store};
 pub use physical::{storage_to_document, storage_to_tree};

@@ -66,6 +66,38 @@ fn explain_reports_estimates_and_actuals_per_step() {
     assert!(text.trim_end().ends_with("total: rows=8 work=40"), "{text}");
 }
 
+/// Each step line of an EXPLAIN names its step in XPath syntax, and
+/// that text parses back to the very step planned: a predicate's path
+/// prints relative (`book[title="…"]`, never `book[/title="…"]`).
+#[test]
+fn every_explain_step_text_parses_back_to_its_step() {
+    for query in [
+        r#"/library/book[title="Transaction Processing"]/author"#,
+        r#"/library/book[author="Codd"][isbn]/title"#,
+        "/library/book[isbn > '1000000000']/title/text()",
+        "//book[author/text() != 'Codd'][2]/isbn",
+        "/library/book[.//author='Gray']/@id",
+    ] {
+        let out =
+            lint(&["--doc", &fixture("plan_doc.xml"), "--explain", query, &fixture("clean.xsd")]);
+        assert_eq!(out.status.code(), Some(0), "{query}: {out:?}");
+        let text = stdout(&out);
+        let planned = xsdb::xpath::parse(query).expect("parses");
+        let printed: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("step "))
+            .map(|l| l.split_once(": ").expect("numbered").1)
+            .map(|l| l.split(" strategy=").next().expect("strategy column").trim_end())
+            .collect();
+        assert_eq!(printed.len(), planned.steps.len(), "{text}");
+        for (shown, step) in printed.iter().zip(&planned.steps) {
+            assert!(!shown.contains("[/"), "a predicate path printed absolute: {shown}");
+            let reparsed = xsdb::xpath::parse(&format!("/{shown}")).expect("step text parses");
+            assert_eq!(reparsed.steps, std::slice::from_ref(step), "{shown} in\n{text}");
+        }
+    }
+}
+
 #[test]
 fn statically_empty_query_prints_a_pruned_plan() {
     let out = lint(&[

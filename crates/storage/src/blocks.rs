@@ -458,8 +458,15 @@ impl BlockTable {
     }
 
     pub(crate) fn desc(&self, p: DescPtr) -> &NodeDescriptor {
+        self.entry(p).1
+    }
+
+    /// The block hosting `p` and its descriptor, from one location
+    /// lookup.
+    pub(crate) fn entry(&self, p: DescPtr) -> (&Block, &NodeDescriptor) {
         let (b, s) = self.location(p);
-        self.blocks[b as usize].slots[s as usize].as_ref().expect("live descriptor")
+        let block = &self.blocks[b as usize];
+        (block, block.slots[s as usize].as_ref().expect("live descriptor"))
     }
 
     /// Mutable descriptor access; marks the hosting block dirty.

@@ -66,5 +66,5 @@ pub use nid::{between_components, ComponentAllocator, Nid, OMEGA_MAX, OMEGA_MIN}
 pub use paged::PagedXml;
 pub use pages::{PageStore, PAGE_PAYLOAD, PAGE_SIZE};
 pub use stats::{CatalogStats, LeafHistogram, NodeStats, HIST_BUCKETS};
-pub use storage::{StorageBuilder, XmlStorage, DEFAULT_BLOCK_CAPACITY};
+pub use storage::{ChildrenIn, StorageBuilder, XmlStorage, DEFAULT_BLOCK_CAPACITY};
 pub use wal::{Wal, WalRecord, DEFAULT_ROTATE_BYTES};

@@ -124,8 +124,14 @@ impl Nid {
 
     /// The parent's label (`None` for a root label).
     pub fn parent(&self) -> Option<Nid> {
+        self.parent_bytes().map(|bytes| Nid { bytes: bytes.to_vec() })
+    }
+
+    /// The parent's flattened label: everything before the last
+    /// separator, borrowed.
+    fn parent_bytes(&self) -> Option<&[u8]> {
         let cut = self.bytes.iter().rposition(|&b| b == SEP)?;
-        Some(Nid { bytes: self.bytes[..cut].to_vec() })
+        Some(&self.bytes[..cut])
     }
 
     /// The last component.
@@ -140,7 +146,7 @@ impl Nid {
 
     /// §9.3 rule 3: is `self` the parent of `other`?
     pub fn is_parent_of(&self, other: &Nid) -> bool {
-        other.parent().as_ref() == Some(self)
+        other.parent_bytes() == Some(&self.bytes[..])
     }
 
     /// Ancestor check ("other relationships easily outcome from the
@@ -153,7 +159,7 @@ impl Nid {
 
     /// Sibling check: same parent label.
     pub fn is_sibling_of(&self, other: &Nid) -> bool {
-        self != other && self.parent() == other.parent()
+        self != other && self.parent_bytes() == other.parent_bytes()
     }
 }
 
@@ -378,6 +384,33 @@ mod tests {
         assert!(a.is_sibling_of(&b));
         assert!(!a.is_sibling_of(&a));
         assert!(!a.is_sibling_of(&p));
+    }
+
+    proptest::proptest! {
+        /// The slice comparisons agree with the allocating definitions
+        /// (§9.3 rule 3 read off `parent()`) on arbitrary labels.
+        #[test]
+        fn relationship_checks_match_the_parent_label(
+            a in proptest::collection::vec(proptest::collection::vec(1u8..=255, 1..3), 1..4),
+            b in proptest::collection::vec(proptest::collection::vec(1u8..=255, 1..3), 1..4),
+            shared in 0usize..4,
+        ) {
+            // Graft `b` under a prefix of `a`, so related pairs occur often.
+            let cut = shared.min(a.len());
+            let x = nid_of(&a);
+            let y = nid_of(&[&a[..cut], &b[..]].concat());
+            for (p, q) in [(&x, &y), (&y, &x), (&x, &x)] {
+                proptest::prop_assert_eq!(p.is_parent_of(q), q.parent().as_ref() == Some(p));
+                proptest::prop_assert_eq!(
+                    p.is_sibling_of(q),
+                    p != q && p.parent() == q.parent()
+                );
+            }
+        }
+    }
+
+    fn nid_of(parts: &[Vec<u8>]) -> Nid {
+        Nid::from_components(parts.iter().map(Vec::as_slice))
     }
 
     #[test]

@@ -318,9 +318,10 @@ impl XmlStorage {
         CatalogStats::from_nodes(nodes, self.tick())
     }
 
-    /// The raw stored value of a leaf descriptor (what the histograms
-    /// bucket): its `text` field, or `""` when absent.
-    fn leaf_value(&self, p: DescPtr) -> &str {
+    /// The stored value of a text or attribute node, borrowed — its
+    /// string value without a copy (and what the histograms bucket);
+    /// `""` for a node that stores no text, such as an element.
+    pub fn leaf_value(&self, p: DescPtr) -> &str {
         self.table.desc(p).text.as_deref().unwrap_or("")
     }
 
@@ -418,13 +419,25 @@ impl XmlStorage {
         out
     }
 
+    /// The children of `p` that belong to the `slot`-th child of its
+    /// schema node (`slot` indexes [`SchemaNode::children`]), in document
+    /// order, without allocating. The walk starts at the descriptor's
+    /// first-child-by-schema pointer (§9.2) and follows that schema
+    /// node's document-order chain — `next in block`, then the next
+    /// block — while the parent is `p`: a parent's children of one schema
+    /// node are contiguous in that chain, since nothing between two of
+    /// them in document order has their root path except a sibling.
+    pub fn children_in(&self, p: DescPtr, slot: usize) -> ChildrenIn<'_> {
+        let first = self.table.desc(p).first_child.get(slot).copied().flatten();
+        ChildrenIn { table: &self.table, parent: p, at: first.map(|c| self.table.location(c)) }
+    }
+
     /// The document-order first child (minimum label among the recorded
     /// first-children-by-schema).
     fn first_child_overall(&self, p: DescPtr) -> Option<DescPtr> {
-        let desc = self.table.desc(p);
-        let sn = self.schema_node_of(p);
+        let (block, desc) = self.table.entry(p);
         let mut first: Option<DescPtr> = None;
-        for (pos, &child_sn) in self.schema.node(sn).children.iter().enumerate() {
+        for (pos, &child_sn) in self.schema.node(block.schema_node).children.iter().enumerate() {
             if self.schema.node(child_sn).kind == NodeKind::Attribute {
                 continue;
             }
@@ -474,12 +487,15 @@ impl XmlStorage {
     }
 
     fn collect_text(&self, p: DescPtr, out: &mut String) {
-        for c in self.children(p) {
-            match self.kind(c) {
-                NodeKind::Text => out.push_str(self.table.desc(c).text.as_deref().unwrap_or("")),
+        let mut cur = self.first_child_overall(p);
+        while let Some(c) = cur {
+            let (block, desc) = self.table.entry(c);
+            match self.schema.node(block.schema_node).kind {
+                NodeKind::Text => out.push_str(desc.text.as_deref().unwrap_or("")),
                 NodeKind::Element => self.collect_text(c, out),
                 _ => {}
             }
+            cur = desc.right_sibling;
         }
     }
 
@@ -1138,6 +1154,43 @@ struct OpenNode {
     last_child: Option<DescPtr>,
 }
 
+/// The children of one parent in one child schema node, in document
+/// order: see [`XmlStorage::children_in`].
+pub struct ChildrenIn<'a> {
+    table: &'a BlockTable,
+    parent: DescPtr,
+    /// The (block, slot) of the next candidate.
+    at: Option<(u32, u16)>,
+}
+
+impl Iterator for ChildrenIn<'_> {
+    type Item = DescPtr;
+
+    fn next(&mut self) -> Option<DescPtr> {
+        let (b, s) = self.at.take()?;
+        let block = self.table.block(b);
+        let desc = block.slots.get(s as usize)?.as_ref()?;
+        if desc.parent != Some(self.parent) {
+            return None; // past the parent's run in the chain
+        }
+        self.at = match desc.next_in_block {
+            Some(next) => Some((b, next)),
+            None => {
+                let mut next_block = block.next_block;
+                loop {
+                    let Some(nb) = next_block else { break None };
+                    let nb_block = self.table.block(nb);
+                    match nb_block.first_slot {
+                        Some(first) => break Some((nb, first)),
+                        None => next_block = nb_block.next_block,
+                    }
+                }
+            }
+        };
+        Some(desc.id)
+    }
+}
+
 /// Builds an [`XmlStorage`] from a document's nodes in document order —
 /// an element, its attributes, its children, its end — with no tree in
 /// between: the streaming form of [`XmlStorage::from_tree`], and the same
@@ -1571,6 +1624,37 @@ mod tests {
         // Newest first: inserted at front each time.
         let first = xs.children(lib)[0];
         assert_eq!(xs.string_value(first), "new 19");
+    }
+
+    /// Every node's children, grouped by schema child, equal what the
+    /// first-child-by-schema walk returns — with tiny blocks, after
+    /// front inserts that split them and a delete that empties a run.
+    #[test]
+    fn children_in_walks_one_schema_child_in_document_order() {
+        let (store, doc) = library();
+        let mut xs = XmlStorage::from_tree_with_capacity(&store, doc, 2);
+        let lib = xs.children(xs.root())[0];
+        for i in 0..6 {
+            let nb = xs.insert_element(lib, None, "book").unwrap();
+            xs.insert_attribute(nb, "id", &format!("n{i}")).unwrap();
+            for _ in 0..i {
+                xs.insert_element(nb, None, "author").unwrap();
+            }
+        }
+        let paper = *xs.children(lib).last().unwrap();
+        xs.delete(xs.children(paper)[1]).unwrap();
+        for p in xs.subtree(xs.root()) {
+            let kids = &xs.schema().node(xs.schema_node_of(p)).children;
+            for (slot, &sn) in kids.iter().enumerate() {
+                let want: Vec<DescPtr> = if xs.schema().node(sn).kind == NodeKind::Attribute {
+                    xs.attributes(p).into_iter().filter(|&a| xs.schema_node_of(a) == sn).collect()
+                } else {
+                    xs.children(p).into_iter().filter(|&c| xs.schema_node_of(c) == sn).collect()
+                };
+                assert_eq!(xs.children_in(p, slot).collect::<Vec<_>>(), want, "{p} slot {slot}");
+            }
+        }
+        assert_eq!(xs.leaf_value(xs.attributes(xs.children(lib)[0])[0]), "n5");
     }
 
     #[test]

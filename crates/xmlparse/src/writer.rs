@@ -30,15 +30,76 @@ impl WriteOptions {
 }
 
 /// A buffer-backed XML writer.
+///
+/// Besides whole trees ([`Writer::write_element`]) it writes a stream of
+/// events — [`Writer::start`], [`Writer::attribute`], [`Writer::text`],
+/// [`Writer::end`] — into the same buffer, compactly and with the
+/// escaping `write_element` applies, so a caller that reads nodes from
+/// elsewhere serializes them without building an [`Element`] first.
 pub struct Writer {
     options: WriteOptions,
     out: String,
+    /// A streamed start tag is open: attributes may still follow.
+    open: bool,
 }
 
 impl Writer {
     /// Create a writer with the given options.
     pub fn new(options: WriteOptions) -> Self {
-        Writer { options, out: String::new() }
+        Writer { options, out: String::new(), open: false }
+    }
+
+    /// Stream: begin element `name`. Its attributes follow, then its
+    /// content, then [`Writer::end`].
+    pub fn start(&mut self, name: &str) {
+        self.close_start_tag();
+        self.out.push('<');
+        self.out.push_str(name);
+        self.open = true;
+    }
+
+    /// Stream: an attribute of the element just started.
+    pub fn attribute(&mut self, name: &str, value: &str) {
+        debug_assert!(self.open, "attribute outside a start tag");
+        self.out.push(' ');
+        self.out.push_str(name);
+        self.out.push_str("=\"");
+        self.out.push_str(&escape_attribute(value));
+        self.out.push('"');
+    }
+
+    /// Stream: a text node, escaped. Even an empty one is content, so
+    /// its element is written `<a></a>`, as `write_element` writes an
+    /// element holding an empty text child.
+    pub fn text(&mut self, text: &str) {
+        self.close_start_tag();
+        self.out.push_str(&escape_text(text));
+    }
+
+    /// Stream: end element `name` — `/>` when it got no content.
+    pub fn end(&mut self, name: &str) {
+        if self.open {
+            self.open = false;
+            self.out.push_str("/>");
+        } else {
+            self.out.push_str("</");
+            self.out.push_str(name);
+            self.out.push('>');
+        }
+    }
+
+    /// Stream: text written as is, unescaped (a fragment's top-level
+    /// text item).
+    pub fn raw(&mut self, text: &str) {
+        self.close_start_tag();
+        self.out.push_str(text);
+    }
+
+    fn close_start_tag(&mut self) {
+        if self.open {
+            self.open = false;
+            self.out.push('>');
+        }
     }
 
     /// Serialize a whole document.
@@ -52,6 +113,7 @@ impl Writer {
 
     /// Serialize a single element subtree at the given depth.
     pub fn write_element(&mut self, elem: &Element, depth: usize) {
+        self.close_start_tag();
         self.indent(depth);
         self.out.push('<');
         self.push_name(elem);
@@ -196,6 +258,35 @@ mod tests {
         // Texts inside <b> are preserved exactly; layout whitespace appears
         // only between element-only children.
         assert_eq!(again.root().child("b").unwrap().text_content(), "text");
+    }
+
+    #[test]
+    fn streamed_events_write_what_write_element_writes() {
+        use super::{WriteOptions, Writer};
+        let mut doc = Document::parse(r#"<a x="1&amp;&quot;"><b/><c/>t&lt;u<d>v</d></a>"#).unwrap();
+        // The parser drops empty text; an element holding one is `<b></b>`.
+        if let Some(crate::dom::Node::Element(b)) = doc.root_mut().children.first_mut() {
+            b.children.push(crate::dom::Node::Text(String::new()));
+        }
+        let mut w = Writer::new(WriteOptions::compact());
+        w.start("a");
+        w.attribute("x", "1&\"");
+        w.start("b");
+        w.text("");
+        w.end("b");
+        w.start("c");
+        w.end("c");
+        w.text("t<u");
+        w.start("d");
+        w.text("v");
+        w.end("d");
+        w.end("a");
+        w.raw("<top>");
+        w.write_element(doc.root(), 0);
+        let streamed = w.finish();
+        let whole = doc.to_xml();
+        assert_eq!(streamed, format!("{whole}<top>{whole}"));
+        assert_eq!(whole, r#"<a x="1&amp;&quot;"><b></b><c/>t&lt;u<d>v</d></a>"#);
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub enum Predicate {
     Exists(Path),
     /// `[path op "literal"]` — some node selected by the relative path
     /// has a string value comparing as stated (numeric comparison when
-    /// both sides parse as numbers).
+    /// both sides are numerals, see [`crate::compare_values`]).
     Compare {
         /// The relative path (child/attribute steps).
         path: Path,
@@ -136,30 +136,39 @@ pub enum Predicate {
     },
 }
 
+/// The absolute form (`/a/b`, `//b`).
 impl fmt::Display for Path {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut i = 0;
-        while i < self.steps.len() {
-            let step = &self.steps[i];
-            // Re-abbreviate the parser's `//` expansion
-            // (`descendant-or-self::node()` followed by another step).
-            if step.axis == Axis::DescendantOrSelf
-                && step.test == NodeTest::Node
-                && step.predicates.is_empty()
-                && i + 1 < self.steps.len()
-            {
-                write!(f, "//{}", self.steps[i + 1])?;
-                i += 2;
-                continue;
-            }
-            if i > 0 || step.axis != Axis::SelfAxis {
-                f.write_str("/")?;
-            }
-            write!(f, "{step}")?;
-            i += 1;
-        }
-        Ok(())
+        write_steps(f, &self.steps, true)
     }
+}
+
+/// Write `steps` as an absolute path, or as the relative path of a
+/// predicate (`a/b`, `.//b`): no leading `/`, and a leading `//`
+/// expansion spelled out, since a relative path cannot start with `//`.
+fn write_steps(f: &mut fmt::Formatter<'_>, steps: &[Step], absolute: bool) -> fmt::Result {
+    let mut i = 0;
+    while i < steps.len() {
+        let step = &steps[i];
+        // Re-abbreviate the parser's `//` expansion
+        // (`descendant-or-self::node()` followed by another step).
+        if step.axis == Axis::DescendantOrSelf
+            && step.test == NodeTest::Node
+            && step.predicates.is_empty()
+            && i + 1 < steps.len()
+            && (absolute || i > 0)
+        {
+            write!(f, "//{}", steps[i + 1])?;
+            i += 2;
+            continue;
+        }
+        if i > 0 || (absolute && step.axis != Axis::SelfAxis) {
+            f.write_str("/")?;
+        }
+        write!(f, "{step}")?;
+        i += 1;
+    }
+    Ok(())
 }
 
 impl fmt::Display for Step {
@@ -186,7 +195,11 @@ impl fmt::Display for Step {
             match p {
                 Predicate::Position(n) => write!(f, "[{n}]")?,
                 Predicate::Last => write!(f, "[last()]")?,
-                Predicate::Exists(path) => write!(f, "[{path}]")?,
+                Predicate::Exists(path) => {
+                    f.write_str("[")?;
+                    write_steps(f, &path.steps, false)?;
+                    f.write_str("]")?
+                }
                 Predicate::Compare { path, op, literal } => {
                     let op = match op {
                         CompareOp::Eq => "=",
@@ -196,7 +209,11 @@ impl fmt::Display for Step {
                         CompareOp::Gt => ">",
                         CompareOp::Ge => ">=",
                     };
-                    write!(f, "[{path}{op}\"{literal}\"]")?
+                    // A literal holding `"` is quoted with `'`.
+                    let quote = if literal.contains('"') { '\'' } else { '"' };
+                    f.write_str("[")?;
+                    write_steps(f, &path.steps, false)?;
+                    write!(f, "{op}{quote}{literal}{quote}]")?
                 }
             }
         }

@@ -25,6 +25,7 @@ use storage::{DescPtr, SchemaNodeId, XmlStorage};
 use xdm::{NodeId, NodeKind, NodeStore};
 
 use crate::ast::{Axis, NodeTest, Path, Predicate, Step};
+use crate::value::compare_values;
 
 /// The tree operations the naive evaluator needs — the paper's accessors.
 pub trait TreeAccess {
@@ -42,6 +43,11 @@ pub trait TreeAccess {
     fn kind(&self, n: Self::Node) -> NodeKind;
     /// `node-name` accessor.
     fn name(&self, n: Self::Node) -> Option<String>;
+    /// Is `n`'s `node-name` `want`? (A name test; backends that store
+    /// names override it to compare without a copy.)
+    fn has_name(&self, n: Self::Node, want: &str) -> bool {
+        self.name(n).as_deref() == Some(want)
+    }
     /// `string-value` accessor.
     fn string_value(&self, n: Self::Node) -> String;
     /// §7 document order between two nodes of the tree.
@@ -77,6 +83,9 @@ impl<'a> TreeAccess for XdmTree<'a> {
     fn name(&self, n: NodeId) -> Option<String> {
         self.store.node_name(n).map(str::to_string)
     }
+    fn has_name(&self, n: NodeId, want: &str) -> bool {
+        self.store.node_name(n) == Some(want)
+    }
     fn string_value(&self, n: NodeId) -> String {
         self.store.string_value(n)
     }
@@ -105,6 +114,9 @@ impl TreeAccess for &XmlStorage {
     fn name(&self, n: DescPtr) -> Option<String> {
         XmlStorage::node_name(self, n).map(str::to_string)
     }
+    fn has_name(&self, n: DescPtr, want: &str) -> bool {
+        XmlStorage::node_name(self, n) == Some(want)
+    }
     fn string_value(&self, n: DescPtr) -> String {
         XmlStorage::string_value(self, n)
     }
@@ -130,7 +142,7 @@ pub fn test_matches<T: TreeAccess>(tree: &T, n: T::Node, axis: Axis, test: &Node
                 Axis::Attribute => kind == NodeKind::Attribute,
                 _ => kind == NodeKind::Element,
             };
-            kind_ok && tree.name(n).as_deref() == Some(want)
+            kind_ok && tree.has_name(n, want)
         }
     }
 }
@@ -222,11 +234,7 @@ pub fn eval_step<T: TreeAccess>(tree: &T, n: T::Node, step: &Step) -> Vec<T::Nod
 
 /// Filter a per-context candidate list (already in document order)
 /// through one predicate — positional predicates index that order.
-pub fn apply_predicate<T: TreeAccess>(
-    tree: &T,
-    nodes: Vec<T::Node>,
-    pred: &Predicate,
-) -> Vec<T::Node> {
+fn apply_predicate<T: TreeAccess>(tree: &T, nodes: Vec<T::Node>, pred: &Predicate) -> Vec<T::Node> {
     match pred {
         Predicate::Position(k) => {
             let k = *k as usize;
@@ -243,20 +251,11 @@ pub fn apply_predicate<T: TreeAccess>(
         Predicate::Compare { path, op, literal } => nodes
             .into_iter()
             .filter(|&n| {
-                eval_relative(tree, n, path).into_iter().any(|m| {
-                    let value = tree.string_value(m);
-                    compare_values(&value, literal).is_some_and(|ord| op.holds(ord))
-                })
+                eval_relative(tree, n, path)
+                    .into_iter()
+                    .any(|m| op.holds(compare_values(&tree.string_value(m), literal)))
             })
             .collect(),
-    }
-}
-
-/// Numeric comparison when both sides are numbers, string otherwise.
-fn compare_values(a: &str, b: &str) -> Option<Ordering> {
-    match (a.trim().parse::<f64>(), b.trim().parse::<f64>()) {
-        (Ok(x), Ok(y)) => x.partial_cmp(&y),
-        _ => Some(a.cmp(b)),
     }
 }
 
@@ -289,7 +288,9 @@ pub fn doc_order_union<T: TreeAccess>(
     out
 }
 
-fn eval_relative<T: TreeAccess>(tree: &T, context: T::Node, path: &Path) -> Vec<T::Node> {
+/// Evaluate a relative path from one context node: each step from every
+/// node the previous one selected, unioned in document order.
+pub fn eval_relative<T: TreeAccess>(tree: &T, context: T::Node, path: &Path) -> Vec<T::Node> {
     let mut current = vec![context];
     for step in &path.steps {
         current = doc_order_union(tree, current.iter().map(|&n| eval_step(tree, n, step)));
@@ -530,6 +531,27 @@ mod tests {
         assert_eq!(r.len(), 2);
     }
 
+    /// Only digit-based numerals compare numerically: `NaN`, `inf` and
+    /// `Infinity` are text, so they neither match `INF` nor drop out of
+    /// a `!=`.
+    #[test]
+    fn only_numerals_compare_numerically() {
+        let mut s = NodeStore::new();
+        let doc = s.new_document(None);
+        let root = s.new_element(doc, "r");
+        for v in ["NaN", "inf", "Infinity", "abc", "10", "9"] {
+            let e = s.new_element(root, "e");
+            let t = s.new_element(e, "t");
+            s.new_text(t, v);
+        }
+        let tree = XdmTree { store: &s, doc };
+        let hits = |q: &str| names(&s, &eval_naive(&tree, &parse(q).unwrap()));
+        assert_eq!(hits(r#"/r/e[t = "NaN"]/t"#), ["NaN"]);
+        assert_eq!(hits(r#"/r/e[t = "INF"]/t"#), Vec::<String>::new());
+        assert_eq!(hits(r#"/r/e[t != "NaN"]/t"#), ["inf", "Infinity", "abc", "10", "9"]);
+        assert_eq!(hits(r#"/r/e[t < "10.0"]/t"#), ["9"]);
+    }
+
     #[test]
     fn guided_agrees_with_naive_on_storage() {
         let (s, doc) = library();
@@ -696,6 +718,24 @@ mod axis_tests {
                 eval_guided(&storage, &path).iter().map(|&p| storage.string_value(p)).collect();
             assert_eq!(a, b, "{q}");
             assert_eq!(b, g, "{q}");
+        }
+    }
+
+    /// A predicate's path prints relative, and the printed step parses
+    /// back to the same step.
+    #[test]
+    fn predicate_paths_print_relative() {
+        for (q, printed) in [
+            (r#"/library/book[title="t5"]/author"#, r#"/library/book[title="t5"]/author"#),
+            ("/a/b[c/@d]", "/a/b[c/@d]"),
+            ("/a/b[.//c]", "/a/b[.//c]"),
+            ("/a/b[//c]", "/a/b[descendant-or-self::node()/c]"),
+            ("/a/b[../c != '1']", r#"/a/b[../c!="1"]"#),
+            (r#"/a[@id='say "hi"']"#, r#"/a[@id='say "hi"']"#),
+        ] {
+            let p = parse(q).unwrap();
+            assert_eq!(p.to_string(), printed, "{q}");
+            assert_eq!(parse(printed).unwrap(), p, "{q}");
         }
     }
 

@@ -39,10 +39,12 @@
 mod ast;
 mod eval;
 mod parser;
+mod value;
 
 pub use ast::{Axis, CompareOp, NodeTest, Path, Predicate, Step};
 pub use eval::{
-    apply_predicate, axis_candidates, doc_order_union, eval_guided, eval_naive, eval_step,
+    axis_candidates, doc_order_union, eval_guided, eval_naive, eval_relative, eval_step,
     merge_scans, test_matches, TreeAccess, XdmTree,
 };
 pub use parser::{parse, XPathError};
+pub use value::{compare_values, Value};

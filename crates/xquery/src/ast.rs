@@ -84,8 +84,9 @@ pub enum Condition {
 /// `order by` clause.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderBy {
-    /// Sort key (string value of the first selected node; numeric when
-    /// both keys parse as numbers).
+    /// Sort key: the string value of the first selected node (`""` when
+    /// none). Keys sort by [`xpath::Value::sort_cmp`]: numerals by value
+    /// first, then every other key by code point.
     pub key: VarPath,
     /// Descending order.
     pub descending: bool,

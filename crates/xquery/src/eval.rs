@@ -1,15 +1,17 @@
-//! FLWOR evaluation over any [`TreeAccess`] backend.
+//! FLWOR evaluation over any [`TreeAccess`] backend — the oracle.
 //!
 //! Results are constructed XML fragments ([`xmlparse::Node`] values):
 //! copied nodes are materialized through the accessors, so evaluation
 //! works identically over the in-memory XDM tree and the §9 block
-//! storage.
+//! storage. Steps are `xpath`'s own ([`xpath::eval_relative`]), and
+//! comparisons are the shared ones ([`xpath::compare_values`],
+//! [`xpath::Value::sort_cmp`]). The database runs FLWOR over storage
+//! with [`crate::stored`] instead, which must produce the same bytes.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use xmlparse::{Attribute, Element, Node, QName};
-use xpath::{doc_order_union, eval_naive, Path, TreeAccess};
+use xmlparse::{Attribute, Element, Node, QName, WriteOptions, Writer};
+use xpath::{compare_values, doc_order_union, eval_naive, eval_relative, TreeAccess, Value};
 
 use crate::ast::{Condition, Constructor, Content, Item, Query, TemplatePart, VarPath};
 use crate::parser::XQueryError;
@@ -25,7 +27,7 @@ pub fn evaluate<T: TreeAccess>(tree: &T, query: &Query) -> Result<Vec<Node>, XQu
         }
         Query::Flwor(flwor) => {
             let bindings = eval_naive(tree, &flwor.source);
-            let mut rows: Vec<(Env<'_, T::Node>, Option<String>)> = Vec::new();
+            let mut rows: Vec<(Env<'_, T::Node>, Value)> = Vec::new();
             'binding: for b in bindings {
                 let mut env: Env<'_, T::Node> = HashMap::new();
                 env.insert(flwor.var.as_str(), vec![b]);
@@ -41,17 +43,18 @@ pub fn evaluate<T: TreeAccess>(tree: &T, query: &Query) -> Result<Vec<Node>, XQu
                 let key = match &flwor.order {
                     Some(order) => {
                         let nodes = resolve(tree, &env, &order.key)?;
-                        Some(nodes.first().map(|&n| tree.string_value(n)).unwrap_or_default())
+                        let first = nodes.first().map(|&n| tree.string_value(n));
+                        Value::new(first.unwrap_or_default())
                     }
-                    None => None,
+                    None => Value::new(""),
                 };
                 rows.push((env, key));
             }
             if let Some(order) = &flwor.order {
+                // Keys are classified once per row; the sort order is
+                // total (numerals first), so the sort is well defined.
                 rows.sort_by(|a, b| {
-                    let ka = a.1.as_deref().unwrap_or("");
-                    let kb = b.1.as_deref().unwrap_or("");
-                    let ord = compare_keys(ka, kb);
+                    let ord = a.1.sort_cmp(&b.1);
                     if order.descending {
                         ord.reverse()
                     } else {
@@ -68,14 +71,6 @@ pub fn evaluate<T: TreeAccess>(tree: &T, query: &Query) -> Result<Vec<Node>, XQu
     }
 }
 
-/// Numeric when both sides parse as numbers, else string comparison.
-fn compare_keys(a: &str, b: &str) -> Ordering {
-    match (a.trim().parse::<f64>(), b.trim().parse::<f64>()) {
-        (Ok(x), Ok(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
-        _ => a.cmp(b),
-    }
-}
-
 fn resolve<T: TreeAccess>(
     tree: &T,
     env: &Env<'_, T::Node>,
@@ -87,125 +82,12 @@ fn resolve<T: TreeAccess>(
     })?;
     match &vp.path {
         None => Ok(base.clone()),
+        // The path was parsed in absolute form; its steps apply from
+        // each bound node instead of the document node.
         Some(path) => {
-            Ok(doc_order_union(tree, base.iter().map(|&node| eval_relative_from(tree, node, path))))
+            Ok(doc_order_union(tree, base.iter().map(|&node| eval_relative(tree, node, path))))
         }
     }
-}
-
-/// Evaluate a (parsed-as-absolute) path *relative to* `node`: the xpath
-/// crate parses `/a/b` forms; here the leading steps apply from the
-/// context node instead of the document root.
-fn eval_relative_from<T: TreeAccess>(tree: &T, node: T::Node, path: &Path) -> Vec<T::Node> {
-    let mut current = vec![node];
-    for step in &path.steps {
-        current = doc_order_union(tree, current.iter().map(|&n| xpath_step(tree, n, step)));
-    }
-    current
-}
-
-/// One step via the xpath crate's public pieces (re-implemented thin
-/// wrapper: the step logic lives in `xpath::eval_naive`, which only
-/// exposes whole-path evaluation from the root; a single-step path
-/// evaluated from `n` is equivalent).
-fn xpath_step<T: TreeAccess>(tree: &T, n: T::Node, step: &xpath::Step) -> Vec<T::Node> {
-    let single = Path { steps: vec![step.clone()] };
-    // eval from n by wrapping: xpath::eval_naive starts at tree.root();
-    // we need a context-rooted evaluation, so emulate the axes here via
-    // the TreeAccess operations to avoid widening xpath's API.
-    let _ = single;
-    use xpath::{Axis, NodeTest, Predicate};
-    let kind_ok = |c: &T::Node, axis: Axis, test: &NodeTest| -> bool {
-        let kind = tree.kind(*c);
-        match test {
-            NodeTest::Node => true,
-            NodeTest::Text => kind == xdm::NodeKind::Text,
-            NodeTest::Any => match axis {
-                Axis::Attribute => kind == xdm::NodeKind::Attribute,
-                _ => kind == xdm::NodeKind::Element,
-            },
-            NodeTest::Name(want) => {
-                let k = match axis {
-                    Axis::Attribute => kind == xdm::NodeKind::Attribute,
-                    _ => kind == xdm::NodeKind::Element,
-                };
-                k && tree.name(*c).as_deref() == Some(want)
-            }
-        }
-    };
-    let candidates: Vec<T::Node> = match step.axis {
-        Axis::Child => tree.children(n),
-        Axis::Attribute => tree.attributes(n),
-        Axis::Parent => tree.parent(n).into_iter().collect(),
-        Axis::SelfAxis => vec![n],
-        Axis::DescendantOrSelf | Axis::Descendant => {
-            let mut out = Vec::new();
-            let mut stack = vec![n];
-            while let Some(x) = stack.pop() {
-                out.push(x);
-                let mut kids = tree.children(x);
-                kids.reverse();
-                stack.extend(kids);
-            }
-            if step.axis == Axis::Descendant {
-                out.remove(0);
-            }
-            out
-        }
-        Axis::Ancestor | Axis::AncestorOrSelf => {
-            let mut out = Vec::new();
-            if step.axis == Axis::AncestorOrSelf {
-                out.push(n);
-            }
-            let mut cur = tree.parent(n);
-            while let Some(p) = cur {
-                out.push(p);
-                cur = tree.parent(p);
-            }
-            out.reverse();
-            out
-        }
-        Axis::FollowingSibling | Axis::PrecedingSibling => match tree.parent(n) {
-            Some(p) => {
-                let siblings = tree.children(p);
-                match siblings.iter().position(|&s| s == n) {
-                    Some(i) if step.axis == Axis::FollowingSibling => siblings[i + 1..].to_vec(),
-                    Some(i) => siblings[..i].to_vec(),
-                    None => Vec::new(),
-                }
-            }
-            None => Vec::new(),
-        },
-    };
-    let mut out: Vec<T::Node> =
-        candidates.into_iter().filter(|c| kind_ok(c, step.axis, &step.test)).collect();
-    for pred in &step.predicates {
-        out = match pred {
-            Predicate::Position(k) => {
-                let k = *k as usize;
-                if k >= 1 && k <= out.len() {
-                    vec![out[k - 1]]
-                } else {
-                    vec![]
-                }
-            }
-            Predicate::Last => out.last().copied().into_iter().collect(),
-            Predicate::Exists(p) => {
-                out.into_iter().filter(|&m| !eval_relative_from(tree, m, p).is_empty()).collect()
-            }
-            Predicate::Compare { path, op, literal } => out
-                .into_iter()
-                .filter(|&m| {
-                    eval_relative_from(tree, m, path).into_iter().any(|h| {
-                        let v = tree.string_value(h);
-                        let ord = compare_keys(&v, literal);
-                        op.holds(ord)
-                    })
-                })
-                .collect(),
-        };
-    }
-    out
 }
 
 fn holds<T: TreeAccess>(
@@ -217,10 +99,7 @@ fn holds<T: TreeAccess>(
         Condition::Exists(vp) => Ok(!resolve(tree, env, vp)?.is_empty()),
         Condition::Compare { lhs, op, literal } => {
             let nodes = resolve(tree, env, lhs)?;
-            Ok(nodes.into_iter().any(|n| {
-                let v = tree.string_value(n);
-                op.holds(compare_keys(&v, literal))
-            }))
+            Ok(nodes.into_iter().any(|n| op.holds(compare_values(&tree.string_value(n), literal))))
         }
     }
 }
@@ -306,18 +185,16 @@ fn copy_element<T: TreeAccess>(tree: &T, n: T::Node) -> Element {
     elem
 }
 
-/// Serialize constructed nodes to a string (fragments concatenated).
+/// Serialize constructed nodes to a string (fragments concatenated:
+/// elements compactly, top-level text as is).
 pub fn nodes_to_string(nodes: &[Node]) -> String {
-    let mut out = String::new();
+    let mut w = Writer::new(WriteOptions::compact());
     for node in nodes {
         match node {
-            Node::Element(e) => {
-                let doc = xmlparse::Document::from_root(e.clone());
-                out.push_str(&doc.to_xml());
-            }
-            Node::Text(t) => out.push_str(t),
+            Node::Element(e) => w.write_element(e, 0),
+            Node::Text(t) => w.raw(t),
             _ => {}
         }
     }
-    out
+    w.finish()
 }

@@ -56,9 +56,11 @@ use std::fmt::Write as _;
 use storage::{CatalogStats, DescPtr, DescriptiveSchema, SchemaNodeId, XmlStorage};
 use xdm::NodeKind;
 use xpath::{
-    apply_predicate, axis_candidates, doc_order_union, merge_scans, test_matches, Axis, CompareOp,
-    NodeTest, Path, Predicate, Step,
+    axis_candidates, doc_order_union, merge_scans, test_matches, Axis, CompareOp, NodeTest, Path,
+    Predicate, Step,
 };
+
+use crate::relative::{Hop, Pred};
 
 /// Work units charged per node visited by pointer navigation (block
 /// hops through parent/child/sibling pointers).
@@ -177,6 +179,9 @@ pub struct StepPlan {
 pub struct QueryPlan {
     path: Path,
     steps: Vec<StepPlan>,
+    /// Per step: its hop on the DataGuide (child, attribute and `text()`
+    /// name steps) and its compiled predicates.
+    compiled: Vec<CompiledStep>,
     /// The schema-path scan answering the path's leading steps, if the
     /// plan uses one.
     scan: Option<SchemaScan>,
@@ -202,6 +207,17 @@ struct SchemaScan {
     /// predicate-free downward prefix (reported by `EXPLAIN`; nothing
     /// is materialised for them).
     prefix_rows: Vec<u64>,
+}
+
+/// One step resolved on the DataGuide at plan time.
+#[derive(Debug, Clone)]
+struct CompiledStep {
+    /// The first-child slot a guided name step walks, per context
+    /// schema node ([`crate::relative`]).
+    hop: Option<Hop>,
+    /// The step's predicates, relative paths compiled and literals
+    /// classified.
+    preds: Vec<Pred>,
 }
 
 /// What actually happened when a plan ran.
@@ -318,8 +334,10 @@ impl QueryPlan {
                 exec.step_rows[..last].copy_from_slice(&scan.prefix_rows);
                 let mut nodes = merge_scans(storage, &scan.targets);
                 state.work += W_SCAN * nodes.len() as u64;
-                for pred in &self.path.steps[last].predicates {
-                    nodes = apply_predicate(tree, nodes, pred);
+                // The run holds no positional predicate, so the merged
+                // list filters as one.
+                for pred in &self.compiled[last].preds {
+                    pred.filter_tail(storage, &mut nodes, 0);
                 }
                 state.work += W_OUT * nodes.len() as u64;
                 exec.step_rows[last] = nodes.len() as u64;
@@ -328,7 +346,8 @@ impl QueryPlan {
             }
             None => (0, vec![storage.root()]),
         };
-        for (i, (step, sp)) in self.path.steps.iter().zip(&self.steps).enumerate().skip(start) {
+        let steps = self.path.steps.iter().zip(&self.steps).zip(&self.compiled);
+        for (i, ((step, sp), compiled)) in steps.enumerate().skip(start) {
             let before = state.work;
             let next = doc_order_union(
                 tree,
@@ -336,12 +355,14 @@ impl QueryPlan {
                     let mut cands = match sp.strategy {
                         // A schema-path step outside the scan's run is
                         // never planned; guided is the universal fallback.
-                        Strategy::Guided | Strategy::SchemaPath => state.guided(ctx, step),
+                        Strategy::Guided | Strategy::SchemaPath => {
+                            state.guided(ctx, step, compiled.hop.as_ref())
+                        }
                         Strategy::Dewey => state.dewey(ctx, step),
                         Strategy::Postings => state.postings(ctx, step),
                     };
-                    for pred in &step.predicates {
-                        cands = apply_predicate(tree, cands, pred);
+                    for pred in &compiled.preds {
+                        pred.filter_tail(storage, &mut cands, 0);
                     }
                     // Output is charged after predicate filtering,
                     // matching the estimate's post-predicate `est_rows`.
@@ -374,8 +395,31 @@ struct ExecState<'a> {
 
 impl ExecState<'_> {
     /// Guided descent: the naive evaluator's candidates, charged per
-    /// navigated node.
-    fn guided(&mut self, ctx: DescPtr, step: &Step) -> Vec<DescPtr> {
+    /// navigated node. A name step with a hop walks its first-child slot
+    /// and counts the context's other nodes on the axis without
+    /// collecting them, so it is charged what the accessor walk is.
+    fn guided(&mut self, ctx: DescPtr, step: &Step, hop: Option<&Hop>) -> Vec<DescPtr> {
+        let st = self.storage;
+        let sn = st.schema_node_of(ctx);
+        if let Some(slot) = hop.and_then(|h| h.slot(sn)) {
+            let attrs = step.axis == Axis::Attribute;
+            let schema = st.schema();
+            let mut out = Vec::new();
+            let mut visited = 0;
+            for (i, &c) in schema.node(sn).children.iter().enumerate() {
+                if (schema.node(c).kind == NodeKind::Attribute) != attrs {
+                    continue;
+                }
+                if slot == Some(i) {
+                    out.extend(st.children_in(ctx, i));
+                    visited += out.len();
+                } else {
+                    visited += st.children_in(ctx, i).count();
+                }
+            }
+            self.work += W_NAV * visited as u64;
+            return out;
+        }
         let tree = &self.storage;
         let cands = axis_candidates(tree, ctx, step.axis);
         self.work += W_NAV * cands.len() as u64;
@@ -426,7 +470,7 @@ impl ExecState<'_> {
     /// context node by an O(label) parent/ancestor check.
     fn postings(&mut self, ctx: DescPtr, step: &Step) -> Vec<DescPtr> {
         let NodeTest::Name(name) = &step.test else {
-            return self.guided(ctx, step); // unreachable for applicable steps
+            return self.guided(ctx, step, None); // unreachable for applicable steps
         };
         let want_attr = step.axis == Axis::Attribute;
         let key = (name.clone(), want_attr);
@@ -643,9 +687,18 @@ pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan 
             est_cost: cost + 0.0,
         })
         .collect();
+    let compiled = path
+        .steps
+        .iter()
+        .map(|step| CompiledStep {
+            hop: Hop::compile(schema, step),
+            preds: step.predicates.iter().map(|p| Pred::compile(schema, p)).collect(),
+        })
+        .collect();
     QueryPlan {
         path: path.clone(),
         steps,
+        compiled,
         scan,
         pruned_from,
         generation: storage.tick(),

@@ -62,7 +62,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use xsdb::{ApplyOutcome, DbError, Mutation, SharedDatabase};
+use xsdb::{catch_panic, ApplyOutcome, DbError, Mutation, SharedDatabase};
 use xsobs::{CounterId, HistogramId, MaxId};
 
 use crate::protocol::{
@@ -967,7 +967,12 @@ fn execute(state: &ServerState, tag: u8, fields: &[String]) -> ([u8; HEADER_LEN]
         Some(op) => {
             let mut span = state.obs.span(HistogramId::SrvRequest);
             span.set_detail(op.name());
-            let result = dispatch(state, op, fields);
+            // A panic in one request becomes its `ERR_INTERNAL` reply and
+            // leaves the worker serving. Reads touch only the state they
+            // were handed, and the database's locks ignore poisoning, as
+            // the other workers' did when a panic ended this one.
+            let result = catch_panic(&state.obs, op.name(), || Ok(dispatch(state, op, fields)))
+                .unwrap_or_else(|e| (Status::of(&e), vec![e.to_string()]));
             drop(span);
             state.obs.incr(op_counter(op));
             result

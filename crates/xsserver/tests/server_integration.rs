@@ -215,6 +215,35 @@ fn statically_empty_query_has_its_own_status() {
     handle.shutdown().expect("shutdown");
 }
 
+/// `order by` over keys that mix numerals and other text (`10`, `10a`,
+/// `9`, `abc`, …) used to sort by a comparison that is not transitive,
+/// and the sort panicked inside a worker; with two workers, two such
+/// requests left none to answer a `PING`. Keys now sort by one total
+/// order — numerals by value, then text by code point — and a request
+/// that panics is answered `ERR_INTERNAL` by a worker that lives on.
+#[test]
+fn mixed_order_keys_sort_and_leave_every_worker_alive() {
+    let config = ServerConfig { threads: 2, ..ServerConfig::default() };
+    let (handle, addr) = start(config);
+    let mut c = Client::connect_timeout(&addr, Some(Duration::from_secs(3))).expect("connect");
+    c.put_schema("s", SCHEMA).expect("put_schema");
+    let keys = ["10", "10a", "9", "abc", "100", "9a", "1", "zz", "2", "20b"];
+    let items: String = (0..40).map(|i| format!("<item>{}</item>", keys[i % keys.len()])).collect();
+    c.put_doc("d", "s", &format!("<list>{items}</list>")).expect("put_doc");
+
+    let sorted = ["1", "2", "9", "10", "100", "10a", "20b", "9a", "abc", "zz"];
+    let want: String = sorted.iter().map(|k| format!("<item>{k}</item>").repeat(4)).collect();
+    let asc = c.xquery("d", "for $i in /list/item order by $i return $i").expect("ascending");
+    assert_eq!(asc, want);
+    let desc =
+        c.xquery("d", "for $i in /list/item order by $i descending return $i").expect("descending");
+    let want: String = sorted.iter().rev().map(|k| format!("<item>{k}</item>").repeat(4)).collect();
+    assert_eq!(desc, want);
+    c.ping().expect("a worker answers after both sorts");
+
+    handle.shutdown().expect("shutdown");
+}
+
 // ---- raw-socket helpers for the rejection matrix ----
 
 fn raw_frame(version: u8, tag: u8, payload: &[u8]) -> Vec<u8> {

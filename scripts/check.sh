@@ -168,6 +168,20 @@ if ! awk '
   exit 1
 fi
 
+# One FLWOR engine over storage: outside their tests, the database
+# layers never run the generic evaluator (`xquery::evaluate` is the
+# oracle over the XDM tree), and the xquery crate keeps no private copy
+# of the XPath step logic — its oracle steps with `xpath::eval_step`.
+if ! awk '
+  FNR == 1 { intest = 0 }
+  /#\[cfg\(test\)\]/ { intest = 1 }
+  !intest && FILENAME ~ /crates\/core\/src\// && /xquery::evaluate/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+  !intest && FILENAME ~ /xquery\/src\/eval\.rs$/ && /fn xpath_step/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+  END { exit bad }' crates/core/src/*.rs crates/xquery/src/eval.rs >&2; then
+  echo "one-flwor gate: crates/core evaluates XQUERY generically, or xquery copies the step logic" >&2
+  exit 1
+fi
+
 # Metrics-export schema golden: the JSON field layout is semver-stable.
 # Regenerate with `cargo run -p xsobs --bin xsobs-schema` when changing
 # it deliberately.

@@ -8,13 +8,17 @@
 //! duplicates (strictly increasing), for every strategy.
 //!
 //! 32 generated cases × 10 generated queries ≥ 256 differential
-//! checks per run, each exercising all five execution paths.
+//! checks per run, each exercising all five execution paths. Every
+//! other query walks the document's own DataGuide, so it usually
+//! selects something and its predicates — positional, existence and
+//! comparisons against the document's own values and edge literals —
+//! filter real nodes.
 
 use std::cmp::Ordering;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use xsdb::storage::{DescPtr, XmlStorage};
+use xsdb::storage::{DescPtr, SchemaNodeId, XmlStorage};
 use xsdb::xdm::{NodeKind, NodeStore};
 use xsdb::xpath::{eval_naive, parse, XdmTree};
 use xsdb::xquery::{plan_and_execute, PlanOptions, Strategy};
@@ -50,10 +54,164 @@ fn pick<'a>(rng: &mut TestRng, names: &'a [String]) -> &'a str {
     &names[rng.below(names.len() as u64) as usize]
 }
 
+/// Comparison literals: numerals (the generator's `xs:int` values run
+/// -1000..=1000), lexical values it emits (`s42`, `true`), and edges —
+/// spellings Rust would read as numbers but XPath must not, padding,
+/// exponents, the empty string.
+const LITERALS: [&str; 16] = [
+    "0", "-5", "500", "7.5", "1e2", " 10 ", "-0", "s5", "s50", "true", "false", "NaN", "inf",
+    "Infinity", "", "10a",
+];
+
+/// A `[path op "literal"]` predicate over the document's vocabulary.
+fn compare_predicate(rng: &mut TestRng, elems: &[String], attrs: &[String]) -> String {
+    let path = match rng.below(5) {
+        0 if !attrs.is_empty() => format!("@{}", pick(rng, attrs)),
+        1 => "text()".to_string(),
+        2 => ".".to_string(),
+        3 => format!("{}/text()", pick(rng, elems)),
+        _ => pick(rng, elems).to_string(),
+    };
+    let op = ["=", "!=", "<", "<=", ">", ">="][rng.below(6) as usize];
+    let literal = LITERALS[rng.below(LITERALS.len() as u64) as usize];
+    format!("[{path} {op} \"{literal}\"]")
+}
+
+/// A predicate over schema node `sn`'s own children, attributes and
+/// text: positional, existence, or a comparison against a value the
+/// document holds or an edge literal.
+fn guide_predicate(
+    rng: &mut TestRng,
+    storage: &XmlStorage,
+    sn: SchemaNodeId,
+    values: &[String],
+) -> String {
+    let schema = storage.schema();
+    let kids: Vec<&str> = schema
+        .node(sn)
+        .children
+        .iter()
+        .map(|&c| schema.node(c))
+        .filter(|n| n.kind != NodeKind::Text)
+        .map(|n| n.name.as_deref().unwrap_or_default())
+        .collect();
+    let literal = if values.is_empty() || rng.below(2) == 0 {
+        LITERALS[rng.below(LITERALS.len() as u64) as usize].to_string()
+    } else {
+        values[rng.below(values.len() as u64) as usize].clone()
+    };
+    let op = ["=", "!=", "<", "<=", ">", ">="][rng.below(6) as usize];
+    let lhs = match (rng.below(4), kids.is_empty()) {
+        (0, false) => {
+            let k = kids[rng.below(kids.len() as u64) as usize];
+            // Attribute children are stored as `@name` steps.
+            let is_attr = schema.node(sn).children.iter().any(|&c| {
+                schema.node(c).kind == NodeKind::Attribute
+                    && schema.node(c).name.as_deref() == Some(k)
+            });
+            if is_attr {
+                format!("@{k}")
+            } else {
+                k.to_string()
+            }
+        }
+        (1, _) => "text()".to_string(),
+        (2, _) => ".".to_string(),
+        _ => match kids.first() {
+            Some(k) if rng.below(2) == 0 => format!("{k}/text()"),
+            _ => ".".to_string(),
+        },
+    };
+    match rng.below(6) {
+        0 => format!("[{}]", 1 + rng.below(3)),
+        1 => "[last()]".to_string(),
+        2 if !lhs.contains('(') && lhs != "." => format!("[{lhs}]"),
+        _ => format!("[{lhs} {op} \"{literal}\"]"),
+    }
+}
+
+/// A query that follows the DataGuide's own edges from the document
+/// element (or from `//` any element): child, attribute, `text()` and
+/// parent steps, each child step with an occasional predicate.
+fn guide_query(rng: &mut TestRng, storage: &XmlStorage, values: &[String]) -> String {
+    let schema = storage.schema();
+    let elements_under = |sn: SchemaNodeId| -> Vec<SchemaNodeId> {
+        schema
+            .node(sn)
+            .children
+            .iter()
+            .copied()
+            .filter(|&c| schema.node(c).kind == NodeKind::Element)
+            .collect()
+    };
+    let name = |sn: SchemaNodeId| schema.node(sn).name.clone().unwrap_or_default();
+    let (mut q, mut sn) = if rng.below(3) == 0 {
+        let all: Vec<SchemaNodeId> =
+            schema.ids().filter(|&id| schema.node(id).kind == NodeKind::Element).collect();
+        let sn = all[rng.below(all.len() as u64) as usize];
+        (format!("//{}", name(sn)), sn)
+    } else {
+        let sn = elements_under(schema.root())[0];
+        (format!("/{}", name(sn)), sn)
+    };
+    if rng.below(2) == 0 {
+        q.push_str(&guide_predicate(rng, storage, sn, values));
+    }
+    for _ in 0..rng.below(4) {
+        let kids = elements_under(sn);
+        match rng.below(8) {
+            0 => {
+                let attrs: Vec<String> = schema
+                    .node(sn)
+                    .children
+                    .iter()
+                    .filter(|&&c| schema.node(c).kind == NodeKind::Attribute)
+                    .map(|&c| name(c))
+                    .collect();
+                if let Some(a) = attrs.first() {
+                    q.push_str(&format!("/@{a}"));
+                    return q;
+                }
+            }
+            1 => {
+                q.push_str("/text()");
+                return q;
+            }
+            2 => match schema.node(sn).parent {
+                Some(p) if p != schema.root() => {
+                    q.push_str("/..");
+                    sn = p;
+                }
+                _ => {}
+            },
+            _ if !kids.is_empty() => {
+                sn = kids[rng.below(kids.len() as u64) as usize];
+                q.push_str(&format!("/{}", name(sn)));
+                if rng.below(2) == 0 {
+                    q.push_str(&guide_predicate(rng, storage, sn, values));
+                }
+            }
+            _ => return q,
+        }
+    }
+    q
+}
+
+/// Every text and attribute value the document holds.
+fn leaf_values(storage: &XmlStorage) -> Vec<String> {
+    let schema = storage.schema();
+    schema
+        .ids()
+        .filter(|&sn| matches!(schema.node(sn).kind, NodeKind::Text | NodeKind::Attribute))
+        .flat_map(|sn| storage.scan(sn))
+        .map(|p| storage.leaf_value(p).to_string())
+        .collect()
+}
+
 /// A random query over the document's own vocabulary: absolute or
 /// `//`-rooted, one to four steps mixing child, descendant, wildcard,
 /// parent, attribute, and `text()` steps, with occasional positional,
-/// `last()`, or existence predicates.
+/// `last()`, existence or comparison predicates.
 fn random_query(rng: &mut TestRng, elems: &[String], attrs: &[String]) -> String {
     let mut q = String::new();
     if rng.below(3) == 0 {
@@ -62,6 +220,9 @@ fn random_query(rng: &mut TestRng, elems: &[String], attrs: &[String]) -> String
         q.push('/');
     }
     q.push_str(pick(rng, elems));
+    if rng.below(4) == 0 {
+        q.push_str(&compare_predicate(rng, elems, attrs));
+    }
     for _ in 0..rng.below(3) {
         match rng.below(9) {
             0 => q.push_str("/*"),
@@ -86,11 +247,12 @@ fn random_query(rng: &mut TestRng, elems: &[String], attrs: &[String]) -> String
             _ => {
                 q.push('/');
                 q.push_str(pick(rng, elems));
-                match rng.below(8) {
+                match rng.below(10) {
                     0 => q.push_str("[1]"),
                     1 => q.push_str("[2]"),
                     2 => q.push_str("[last()]"),
                     3 => q.push_str(&format!("[{}]", pick(rng, elems))),
+                    4 | 5 => q.push_str(&compare_predicate(rng, elems, attrs)),
                     _ => {}
                 }
             }
@@ -111,12 +273,34 @@ proptest! {
         let storage = XmlStorage::from_tree(&loaded.store, loaded.doc);
         let (elems, attrs) = guide_names(&storage);
         prop_assert!(!elems.is_empty());
+        let tree = XdmTree { store: &loaded.store, doc: loaded.doc };
+        let values = leaf_values(&storage);
 
         let mut rng = TestRng::for_case("plan_equivalence", seed);
-        for _ in 0..QUERIES_PER_CASE {
-            let q = random_query(&mut rng, &elems, &attrs);
+        for i in 0..QUERIES_PER_CASE {
+            let q = if i % 2 == 0 {
+                random_query(&mut rng, &elems, &attrs)
+            } else {
+                guide_query(&mut rng, &storage, &values)
+            };
             let path = parse(&q).unwrap();
             let naive = eval_naive(&&storage, &path);
+            // The storage oracle is the tree oracle: the same nodes, by
+            // kind, name and string value, in the same order.
+            let over_tree: Vec<_> = eval_naive(&tree, &path)
+                .into_iter()
+                .map(|n| {
+                    let st = &loaded.store;
+                    (st.kind(n), st.node_name(n).map(str::to_string), st.string_value(n))
+                })
+                .collect();
+            let over_storage: Vec<_> = naive
+                .iter()
+                .map(|&p| {
+                    (storage.kind(p), storage.node_name(p).map(str::to_string), storage.string_value(p))
+                })
+                .collect();
+            prop_assert_eq!(over_storage, over_tree, "storage and tree oracles differ on {}", q);
             for s in Strategy::ALL {
                 let opts = PlanOptions { force: Some(s), ..PlanOptions::default() };
                 let (_, exec) = plan_and_execute(&storage, &path, &opts);
