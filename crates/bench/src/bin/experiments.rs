@@ -948,7 +948,7 @@ fn e14_snapshot_reads(guard: bool) {
     // checkpoint. (The first checkpoint folds the churn backlog and is
     // excluded; each timed round mutates first so the document is
     // genuinely dirty.)
-    sh.checkpoint(&dir).unwrap();
+    sh.checkpoint().unwrap();
     const SAVES: usize = 20;
     let mut save_ns = Vec::with_capacity(SAVES);
     for i in 0..SAVES {
@@ -958,7 +958,7 @@ fn e14_snapshot_reads(guard: bool) {
         };
         let at = Instant::now();
         sh.apply(&m).unwrap();
-        sh.checkpoint(&dir).unwrap();
+        sh.checkpoint().unwrap();
         save_ns.push(u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
     let save_mean = save_ns.iter().sum::<u64>() as f64 / SAVES as f64;

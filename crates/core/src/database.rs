@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use algebra::{validate_text, ContentModelCache, LoadOptions, ValidationError};
@@ -151,19 +151,11 @@ pub struct Database {
     /// content-model cache traffic. Defaults to the process-global
     /// registry; see [`Database::with_metrics_registry`].
     obs: Arc<xsobs::Registry>,
-    /// Which schema and document names this state holds: every insert,
-    /// delete and schema change draws a fresh value from one process-wide
-    /// counter, so two states share it only when they hold the same names
-    /// (and a [`crate::Store`] may then save incrementally).
-    pub(crate) registry_version: u64,
     /// The last write-ahead-log sequence number folded into this state
     /// (0 when no log is attached). A save stamps it into every catalog
     /// it writes, so recovery skips the records already on disk.
     pub(crate) wal_epoch: u64,
 }
-
-/// Where [`Database::registry_version`] values are drawn from.
-static REGISTRY_VERSIONS: AtomicU64 = AtomicU64::new(1);
 
 impl Default for Database {
     fn default() -> Self {
@@ -192,7 +184,6 @@ impl Database {
             strict_analysis: false,
             cm_cache: Arc::new(ContentModelCache::with_registry(Arc::clone(&obs))),
             obs,
-            registry_version: 0,
             wal_epoch: 0,
         }
     }
@@ -308,6 +299,11 @@ impl Database {
     /// The stored documents, for the persistence layer.
     pub(crate) fn doc_registry(&self) -> &BTreeMap<String, Arc<StoredDocument>> {
         &self.documents
+    }
+
+    /// The registered schemas, for the persistence layer.
+    pub(crate) fn schema_registry(&self) -> &BTreeMap<String, Arc<DocumentSchema>> {
+        &self.schemas
     }
 
     /// Validate text against a registered schema without storing it.
@@ -779,10 +775,6 @@ impl Database {
 
     /// Make a current preparation's effect.
     fn install(&mut self, prepared: Prepared) -> ApplyOutcome {
-        // Every effect but an update changes the names the state holds.
-        if !matches!(prepared.effect, Effect::Put { pre: Some(_), .. }) {
-            self.registry_version = REGISTRY_VERSIONS.fetch_add(1, Ordering::Relaxed);
-        }
         match prepared.effect {
             Effect::RegisterSchema { name, schema } => drop(self.schemas.insert(name, schema)),
             Effect::RemoveSchema { name, .. } => drop(self.schemas.remove(&name)),

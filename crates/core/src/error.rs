@@ -71,6 +71,9 @@ pub enum DbError {
     },
     /// A persisted database directory is structurally broken.
     Corrupt(String),
+    /// A checkpoint was asked of a volatile [`crate::SharedDatabase`]:
+    /// it was opened on no directory, so there is nowhere to save.
+    Volatile,
     /// Preparing a mutation or validating a document panicked. The
     /// panic was caught before it could unwind the caller's thread or
     /// poison a lock, nothing was installed or logged, and it was counted
@@ -172,6 +175,9 @@ impl fmt::Display for DbError {
                 path.display()
             ),
             DbError::Corrupt(what) => write!(f, "corrupt database directory: {what}"),
+            DbError::Volatile => {
+                f.write_str("the database was opened without a directory to save into")
+            }
             DbError::Panicked(what) => write!(f, "internal error: {what}"),
         }
     }

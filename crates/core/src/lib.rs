@@ -93,11 +93,12 @@
 //!
 //! A [`Store`] mirrors its directory between saves. It belongs to
 //! whoever saves, not to the [`Database`] value, and when the state
-//! holds the names it saved (or opened) last, its next save is
-//! **incremental** instead: untouched documents are skipped — a clean
-//! re-save performs zero Vfs write operations and keeps `CURRENT` at
-//! the existing generation — and a dirtied document shadow-pages only
-//! its dirty blocks onto fresh pages, committing by rewriting its map
+//! holds the catalog it saved (or opened) last, its next save is
+//! **incremental** instead: a document whose `Arc` is the one saved is
+//! skipped — a clean re-save performs zero Vfs write operations and
+//! keeps `CURRENT` at the existing generation — and any other document
+//! shadow-pages only the blocks that are not the allocations saved
+//! (block identity, from any line of states) onto fresh pages, committing by rewriting its map
 //! file, so a single-node update writes O(1) pages regardless of
 //! document size. The commit unit of an incremental save is the
 //! document; cross-document atomicity is a full-save property.

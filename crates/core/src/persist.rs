@@ -25,12 +25,17 @@
 //! *any* intermediate step leaves `CURRENT` pointing at the old, complete
 //! generation; a torn write of any file is caught at load time.
 //!
-//! When the registry has *not* changed since the store was bound to a
-//! generation (by the save or load that produced it), [`Store::save`]
-//! skips the staging protocol entirely: documents
-//! whose block storage is untouched cost **zero** write operations, and
-//! a document with a one-node update re-writes only the pages of the
-//! dirtied block plus one map rename. Shadow paging makes the map rename
+//! When the state holds the catalog the bound generation's manifest
+//! records — the same schema names bound to the same schema values, the
+//! same document names under the same schema names — [`Store::save`]
+//! skips the staging protocol entirely. What it writes is the difference
+//! between two state values, by identity: a document whose `Arc` is the
+//! one the store saved (or loaded) last costs **zero** write operations,
+//! and a changed document re-writes its catalog page and the pages of
+//! every §9 block and location segment that is not the allocation saved
+//! last ([`storage::paged::SavedPages`]) — for a one-node update, one
+//! block — plus one map rename. This holds for any two states, not
+//! only for a state and its descendant. Shadow paging makes the map rename
 //! the per-document commit point, so a crash leaves that document
 //! loadable as its complete old or complete new state. The commit unit
 //! of an incremental save is the document; cross-document atomicity is
@@ -62,13 +67,16 @@
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Weak};
 
 use algebra::ValidationError;
+use storage::paged::SavedPages;
 use storage::{PageStore, WalRecord, XmlStorage, PAGE_SIZE};
 use xmlparse::{Document, Element};
+use xsmodel::DocumentSchema;
 
 use crate::checksum::sha256_hex;
-use crate::database::Database;
+use crate::database::{Database, StoredDocument};
 use crate::error::DbError;
 use crate::mutation::{is_deterministic_rejection, Mutation};
 use crate::vfs::{StdVfs, Vfs};
@@ -147,14 +155,19 @@ struct Binding {
 }
 
 /// Per-document persistence state: the file names inside the bound
-/// generation, the page store mirroring them, and the
-/// [`XmlStorage::tick`] watermark of the last committed save.
+/// generation, the page store mirroring them, and what those pages hold.
 #[derive(Debug)]
 struct DocPersist {
     file: String,
     map: String,
+    /// The schema name the manifest records for the document.
+    schema: String,
     store: PageStore,
-    watermark: u64,
+    /// The document the pages hold, by identity: while it is installed
+    /// a save skips the document.
+    doc: Weak<StoredDocument>,
+    /// Its blocks and location segments, by identity.
+    pages: SavedPages,
     /// The write-ahead-log epoch stamped into the document's on-disk
     /// catalog by its last committed save: every logged mutation with a
     /// sequence number at or below it is reflected in the pages, so
@@ -165,8 +178,9 @@ struct DocPersist {
 /// The on-disk mirror of a database directory: which generation it
 /// holds, and one page store per document. It belongs to whoever saves
 /// — a [`crate::SharedDatabase`]'s writer, or a caller holding a plain
-/// [`Database`] — not to the state it saves. It mirrors one line of
-/// states: save a state derived from the one saved (or opened) last.
+/// [`Database`] — not to the state it saves. It may be given any state:
+/// a save writes the difference between that state and the one saved (or
+/// opened) last, by identity.
 ///
 /// ```
 /// use xsdb::{Database, Store};
@@ -181,7 +195,7 @@ struct DocPersist {
 /// let mut store = Store::new(&dir);
 /// store.save(&db).unwrap(); // a full generation
 /// db.execute_update("d", r#"replace value of node /n with "b""#).unwrap();
-/// store.save(&db).unwrap(); // only the dirtied pages
+/// store.save(&db).unwrap(); // only the changed block's pages
 /// let (_, reopened, _) = Store::open(&dir, Default::default()).unwrap();
 /// assert_eq!(reopened.query("d", "/n").unwrap(), ["b"]);
 /// # std::fs::remove_dir_all(&dir).unwrap();
@@ -190,10 +204,9 @@ struct DocPersist {
 pub struct Store {
     dir: PathBuf,
     bound: Option<Binding>,
+    /// The schemas of the state last saved or loaded, by identity.
+    schemas: BTreeMap<String, Weak<DocumentSchema>>,
     docs: BTreeMap<String, DocPersist>,
-    /// The registry version of the state last saved or loaded: a state
-    /// with another one holds other names and saves a fresh generation.
-    registry_version: u64,
 }
 
 /// Encode an arbitrary name as a filesystem-safe file stem.
@@ -494,16 +507,13 @@ fn decode_document(
     let map = required_attr(entry, "map", "document")?;
     safe_file_name(&map)?;
     let store = PageStore::open(vfs, &docs_dir.join(&map))?;
-    let (storage, saved_epoch) =
+    let (storage, saved_epoch, pages) =
         storage::paged::load_with_epoch(&store, vfs, &docs_dir.join(&file))?;
     let checked = db.check_decoded(entry.attribute("name").unwrap_or_default(), &schema, &storage);
-    let watermark = storage.tick();
-    Ok(Decoded {
-        schema,
-        storage,
-        checked,
-        persist: DocPersist { file, map, store, watermark, saved_epoch },
-    })
+    // The document's `Arc` exists once it is admitted.
+    let doc = Weak::new();
+    let persist = DocPersist { file, map, schema: schema.clone(), store, doc, pages, saved_epoch };
+    Ok(Decoded { schema, storage, checked, persist })
 }
 
 /// A recovery in progress: the checkpointed state a directory's
@@ -632,7 +642,8 @@ impl Recovery {
                 let admitted = decoded.and_then(|d| {
                     let prepared = db.prepare_decoded(&name, &d.schema, d.storage, d.checked)?;
                     db.commit_current(prepared)?;
-                    docs.insert(name.clone(), d.persist);
+                    let doc = db.doc_registry().get(&name).map_or_else(Weak::new, Arc::downgrade);
+                    docs.insert(name.clone(), DocPersist { doc, ..d.persist });
                     Ok(())
                 });
                 match (admitted, policy) {
@@ -660,8 +671,8 @@ impl Recovery {
         let store = Store {
             dir: dir.to_path_buf(),
             bound: Some(Binding { gen, current_line: current_text }),
+            schemas: identities(db.schema_registry()),
             docs,
-            registry_version: db.registry_version,
         };
         Ok(Recovery { db, report, store, summary })
     }
@@ -684,7 +695,7 @@ impl Recovery {
     /// The recovered database, the store mirroring its directory, and
     /// the report. A cleanly-loaded checkpoint leaves the store bound to
     /// its generation, so the very next save can be incremental (or
-    /// free) — unless replayed records changed the registry, in which
+    /// free) — unless replayed records changed the catalog, in which
     /// case the next save stages a fresh generation.
     pub(crate) fn finish(self) -> (Store, Database, LoadReport) {
         let Recovery { mut db, report, mut store, summary } = self;
@@ -710,14 +721,9 @@ impl Store {
         Store {
             dir: dir.as_ref().to_path_buf(),
             bound: None,
+            schemas: BTreeMap::new(),
             docs: BTreeMap::new(),
-            registry_version: 0,
         }
-    }
-
-    /// The directory this store saves into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Open the database saved in `dir`: load the checkpoint `CURRENT`
@@ -758,11 +764,10 @@ impl Store {
 
     /// Save `db` into the store's directory with the atomic-commit
     /// protocol described in the module docs. When the store holds the
-    /// generation on disk and `db` holds the names it saved last, only
-    /// dirtied pages are written — a save with nothing to write performs
-    /// zero write operations. `db` must descend from the state saved (or
-    /// opened) last: a document edited on another line of states, such
-    /// as a clone edited apart, may look clean and be skipped.
+    /// generation on disk and `db` holds the catalog it saved last, only
+    /// the pages of changed blocks are written — a save with nothing to
+    /// write performs zero write operations. `db` may be any state: one
+    /// edited apart from the state saved last is saved as it is.
     pub fn save(&mut self, db: &Database) -> Result<(), DbError> {
         self.save_vfs(db, &StdVfs)
     }
@@ -780,13 +785,13 @@ impl Store {
         Ok(())
     }
 
-    /// The cheap path: the store is bound, `db` holds the names it saved
-    /// last, and `CURRENT` on disk is still the pointer the store wrote —
-    /// commit only the documents whose storage ticked past their
-    /// watermark. Returns false when a full save is needed.
+    /// The cheap path: the store is bound, `db` holds the catalog it
+    /// saved last, and `CURRENT` on disk is still the pointer the store
+    /// wrote — commit only the documents that are not the ones saved.
+    /// Returns false when a full save is needed.
     fn try_incremental_save(&mut self, db: &Database, vfs: &dyn Vfs) -> Result<bool, DbError> {
         let Some(binding) = &self.bound else { return Ok(false) };
-        if self.registry_version != db.registry_version {
+        if !self.holds_catalog_of(db) {
             return Ok(false);
         }
         // Another process (or another store) may have advanced the
@@ -798,27 +803,42 @@ impl Store {
         let docs_dir = self.dir.join(format!("gen-{}", binding.gen)).join("documents");
         let wal_epoch = db.wal_epoch;
         for (name, stored) in db.doc_registry() {
-            // Equal registry versions hold equal names, so every name
-            // has its page store; the full path would handle a miss.
+            // An equal catalog holds equal names, so every name has its
+            // page store; the full path would handle a miss.
             let Some(doc) = self.docs.get_mut(name) else { return Ok(false) };
-            let xs = &stored.storage;
-            if xs.tick() > doc.watermark {
-                let data_path = docs_dir.join(&doc.file);
-                storage::paged::save_dirty_epoch(
-                    xs,
-                    vfs,
-                    &mut doc.store,
-                    &data_path,
-                    doc.watermark,
-                    wal_epoch,
-                    doc.saved_epoch != wal_epoch,
-                )?;
-                doc.store.commit(vfs, &docs_dir.join(&doc.map))?;
-                doc.watermark = xs.tick();
-                doc.saved_epoch = wal_epoch;
+            if std::ptr::eq(doc.doc.as_ptr(), Arc::as_ptr(stored)) {
+                continue;
             }
+            let data_path = docs_dir.join(&doc.file);
+            let pages = storage::paged::save_changed(
+                &stored.storage,
+                &doc.pages,
+                vfs,
+                &mut doc.store,
+                &data_path,
+                wal_epoch,
+            )?;
+            doc.store.commit(vfs, &docs_dir.join(&doc.map))?;
+            doc.doc = Arc::downgrade(stored);
+            doc.pages = pages;
+            doc.saved_epoch = wal_epoch;
         }
         Ok(true)
+    }
+
+    /// Whether `db` holds the catalog the bound generation's manifest
+    /// records: the same schema names bound to the very schema values
+    /// saved, and the same document names under the same schema names.
+    fn holds_catalog_of(&self, db: &Database) -> bool {
+        let (schemas, docs) = (db.schema_registry(), db.doc_registry());
+        schemas.len() == self.schemas.len()
+            && docs.len() == self.docs.len()
+            && schemas.iter().zip(&self.schemas).all(|((name, schema), (saved_name, saved))| {
+                name == saved_name && std::ptr::eq(Arc::as_ptr(schema), saved.as_ptr())
+            })
+            && docs.iter().zip(&self.docs).all(|((name, stored), (saved_name, saved))| {
+                name == saved_name && stored.schema_name == saved.schema
+            })
     }
 
     /// Stage, publish, and commit a complete new generation of `db`, then
@@ -832,6 +852,7 @@ impl Store {
         let dir: &Path = &self.dir;
         // The binding is re-established only after a successful commit.
         self.bound = None;
+        self.schemas.clear();
         self.docs.clear();
         vfs.create_dir_all(dir).map_err(io(dir))?;
         // Pick the next generation: one past everything visible, whether
@@ -866,10 +887,7 @@ impl Store {
         let mut manifest = Element::new("xsdb")
             .with_attribute("version", LAYOUT_VERSION)
             .with_attribute("generation", gen.to_string());
-        for name in db.schema_names() {
-            let schema = db
-                .schema(name)
-                .ok_or_else(|| DbError::Corrupt(format!("schema {name:?} vanished mid-save")))?;
+        for (name, schema) in db.schema_registry() {
             let file = format!("{}.xsd", file_stem(name));
             let bytes = xsmodel::write_schema(schema).into_bytes();
             let path = schemas_dir.join(&file);
@@ -890,7 +908,8 @@ impl Store {
             let map_path = docs_dir.join(&map);
             let xs = &stored.storage;
             let mut store = PageStore::new();
-            storage::paged::save_full_epoch(xs, vfs, &mut store, &data_path, db.wal_epoch)?;
+            let pages =
+                storage::paged::save_full_epoch(xs, vfs, &mut store, &data_path, db.wal_epoch)?;
             store.commit(vfs, &map_path)?;
             obs.add(xsobs::CounterId::PersistBytesStaged, store.page_count() * PAGE_SIZE as u64);
             manifest.children.push(xmlparse::Node::Element(
@@ -900,8 +919,15 @@ impl Store {
                     .with_attribute("file", file.clone())
                     .with_attribute("map", map.clone()),
             ));
-            let saved_epoch = db.wal_epoch;
-            let persist = DocPersist { file, map, store, watermark: xs.tick(), saved_epoch };
+            let persist = DocPersist {
+                file,
+                map,
+                schema: stored.schema_name.clone(),
+                store,
+                doc: Arc::downgrade(stored),
+                pages,
+                saved_epoch: db.wal_epoch,
+            };
             self.docs.insert(name.clone(), persist);
         }
         let manifest_bytes = Document::from_root(manifest).to_xml_pretty().into_bytes();
@@ -946,9 +972,16 @@ impl Store {
             }
         }
         self.bound = Some(Binding { gen, current_line: pointer });
-        self.registry_version = db.registry_version;
+        self.schemas = identities(db.schema_registry());
         Ok(())
     }
+}
+
+/// The identities of a state's schemas.
+fn identities(
+    schemas: &BTreeMap<String, Arc<DocumentSchema>>,
+) -> BTreeMap<String, Weak<DocumentSchema>> {
+    schemas.iter().map(|(name, schema)| (name.clone(), Arc::downgrade(schema))).collect()
 }
 
 /// One-shot forms of [`Store`], for callers that save or load once.
@@ -1122,6 +1155,84 @@ mod tests {
         assert!(!dir.join("gen-2").exists());
         let restored = Database::load_dir(&dir).unwrap();
         assert_eq!(restored.query("j", "/log/entry/text").unwrap(), ["again"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A database with the `log` schema and one entry in `j`.
+    fn journal() -> Database {
+        let mut db = Database::new();
+        db.register_schema_text("log", SCHEMA).unwrap();
+        db.insert("j", "log", "<log><entry><year>2000</year><text>t</text></entry></log>").unwrap();
+        db
+    }
+
+    /// `db` with the entry's text replaced by `text`.
+    fn retitled(db: &Database, text: &str) -> Database {
+        let mut next = db.clone();
+        let update = format!(r#"replace value of node /log/entry/text with "{text}""#);
+        next.execute_update("j", &update).unwrap();
+        next
+    }
+
+    #[test]
+    fn a_store_saves_either_line_of_states_in_either_order() {
+        let base = journal();
+        // Two states edited apart from one saved state, by one update
+        // each: neither descends from the other.
+        let (a, b) = (retitled(&base, "line a"), retitled(&base, "line b"));
+        for (first, second, want) in [(&a, &b, "line b"), (&b, &a, "line a")] {
+            let dir = temp_dir("two-lines");
+            let mut store = Store::new(&dir);
+            store.save(&base).unwrap();
+            store.save(first).unwrap();
+            store.save(second).unwrap();
+            assert!(!dir.join("gen-2").exists(), "an update must save incrementally");
+            let restored = Database::load_dir(&dir).unwrap();
+            assert_eq!(restored.query("j", "/log/entry/text").unwrap(), [want]);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_name_deleted_and_inserted_again_between_saves_saves_the_new_document() {
+        for (schema, same) in [("log", true), ("log2", false)] {
+            let dir = temp_dir("reinsert");
+            let mut db = journal();
+            db.register_schema_text("log2", SCHEMA).unwrap();
+            let mut store = Store::new(&dir);
+            store.save(&db).unwrap();
+            assert!(db.delete("j"));
+            let xml = "<log><entry><year>2001</year><text>new</text></entry>\
+                       <entry><year>2002</year><text>newer</text></entry></log>";
+            db.insert("j", schema, xml).unwrap();
+            store.save(&db).unwrap();
+            // The same catalog saves in place; another schema name for
+            // the document is a new manifest.
+            assert_eq!(dir.join("gen-2").exists(), !same, "schema {schema}");
+            let restored = Database::load_dir(&dir).unwrap();
+            assert_eq!(restored.query("j", "/log/entry/text").unwrap(), ["new", "newer"]);
+            assert_eq!(restored.document("j").unwrap().schema_name, schema);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_schema_replaced_under_its_name_stages_a_new_generation() {
+        let dir = temp_dir("schema-replace");
+        let mut db = journal();
+        db.register_schema_text("s", SCHEMA).unwrap();
+        let mut store = Store::new(&dir);
+        store.save(&db).unwrap();
+        db.remove_schema("s").unwrap();
+        let strings = r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="n" type="xs:string"/>
+</xs:schema>"#;
+        db.register_schema_text("s", strings).unwrap();
+        store.save(&db).unwrap();
+        assert!(dir.join("gen-2").exists());
+        let restored = Database::load_dir(&dir).unwrap();
+        assert!(restored.validate("s", "<n>x</n>").unwrap().is_empty());
+        assert_eq!(restored.query("j", "/log/entry/text").unwrap(), ["t"]);
         let _ = fs::remove_dir_all(&dir);
     }
 

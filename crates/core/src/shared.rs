@@ -46,7 +46,8 @@
 //!
 //! A database opened with [`SharedDatabase::open_durable`] attaches a
 //! write-ahead log under `<dir>/wal`. The writer owns the log and the
-//! on-disk mirror ([`Store`]); [`Durability`] picks one of two
+//! on-disk mirror of `<dir>` ([`Store`]) together; a volatile handle
+//! ([`SharedDatabase::new`]) has neither. [`Durability`] picks one of two
 //! acknowledgment disciplines:
 //!
 //! * [`Durability::Fsync`] — every commit fsyncs its record *before*
@@ -59,9 +60,12 @@
 //!   only mode in which an acknowledged commit can be lost in a crash.
 //!
 //! [`SharedDatabase::checkpoint`] folds the current state into the paged
-//! store ([`Store::save`], under the writer lock — readers keep reading
-//! their snapshots) and then truncates the log, so recovery replays
-//! only the tail written since.
+//! store of the directory the handle was opened on ([`Store::save`],
+//! under the writer lock — readers keep reading their snapshots) and
+//! then truncates that directory's log, so recovery replays only the
+//! tail written since. It takes no path: the log it truncates and the
+//! store it saves are one directory's by construction. A volatile handle
+//! refuses it with [`DbError::Volatile`].
 //!
 //! Lock acquisition is instrumented: the time callers spend entering
 //! `read` and the writer lock of `apply` is recorded into the `server.read_lock_wait_ns` /
@@ -129,11 +133,12 @@ impl std::str::FromStr for Durability {
     }
 }
 
-/// What only the writer touches: the write-ahead log (`None` for a
-/// volatile handle) and the on-disk mirror checkpoints save through.
+/// What only the writer of a durable handle touches: the write-ahead log
+/// of the directory the handle was opened on, and the on-disk mirror of
+/// that same directory, which checkpoints save through.
 #[derive(Debug)]
-struct Writer {
-    wal: Option<Wal>,
+struct Durable {
+    wal: Wal,
     store: Store,
 }
 
@@ -141,8 +146,9 @@ struct Writer {
 struct Inner {
     /// The last committed state: what readers clone.
     current: Mutex<Arc<Database>>,
-    /// Held by one commit or checkpoint at a time.
-    writer: Mutex<Writer>,
+    /// Held by one commit or checkpoint at a time; `None` for a volatile
+    /// handle.
+    writer: Mutex<Option<Durable>>,
     /// `None` for a volatile handle.
     durability: Option<Durability>,
     vfs: Arc<dyn Vfs>,
@@ -180,14 +186,12 @@ impl SharedDatabase {
     /// log). The handle records its lock-wait metrics into the
     /// database's own registry.
     pub fn new(db: Database) -> Self {
-        // The store names no directory until a checkpoint names one.
-        let writer = Writer { wal: None, store: Store::new("") };
-        SharedDatabase::with_writer(db, writer, None, Arc::new(StdVfs))
+        SharedDatabase::with_writer(db, None, None, Arc::new(StdVfs))
     }
 
     fn with_writer(
         db: Database,
-        writer: Writer,
+        writer: Option<Durable>,
         durability: Option<Durability>,
         vfs: Arc<dyn Vfs>,
     ) -> Self {
@@ -238,8 +242,8 @@ impl SharedDatabase {
         // Sequences stay monotonic across restarts even when a
         // checkpoint truncated the records they were seeded from.
         wal.reserve_seq(db.wal_epoch.max(wal.last_seq()) + 1);
-        let writer = Writer { wal: Some(wal), store };
-        Ok((SharedDatabase::with_writer(db, writer, Some(durability), vfs), report))
+        let writer = Durable { wal, store };
+        Ok((SharedDatabase::with_writer(db, Some(writer), Some(durability), vfs), report))
     }
 
     /// Acquire a read snapshot: the complete database state as of the
@@ -307,8 +311,8 @@ impl SharedDatabase {
             // Caught here too, so a panic cannot poison the lock.
             prepared = catch_panic(obs, "preparation", || prepare(&db))?;
         }
-        let seq = match (&mut writer.wal, payload) {
-            (Some(wal), Some(payload)) => {
+        let seq = match (&mut *writer, payload) {
+            (Some(Durable { wal, .. }), Some(payload)) => {
                 // (the storage layer counts the append into
                 // `wal.appends_total`)
                 let seq = wal.append(&*self.inner.vfs, &payload)?;
@@ -333,26 +337,26 @@ impl SharedDatabase {
         Ok(outcome)
     }
 
-    /// Checkpoint into `dir`: save the current state into the paged store
-    /// ([`Store::save`], incremental when the writer's store already
-    /// mirrors `dir`) and then truncate the write-ahead log. Runs under
-    /// the writer lock — concurrent readers keep their snapshots; a
-    /// crash between the save and the truncate is harmless (the
-    /// surviving records are skipped via their epochs on replay).
-    pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<(), DbError> {
-        let (dir, obs) = (dir.as_ref(), &self.inner.obs);
+    /// Checkpoint: save the current state into the directory the handle
+    /// was opened on ([`Store::save`], incremental against the state
+    /// saved or recovered last) and then truncate its write-ahead log.
+    /// Runs under the writer lock — concurrent readers keep their
+    /// snapshots; a crash between the save and the truncate is harmless
+    /// (the surviving records are skipped via their epochs on replay).
+    ///
+    /// # Errors
+    /// [`DbError::Volatile`] on a handle made by [`SharedDatabase::new`],
+    /// which has no directory; otherwise the save's or the truncation's
+    /// failure.
+    pub fn checkpoint(&self) -> Result<(), DbError> {
+        let obs = &self.inner.obs;
         let global = xsobs::global();
         let pages_before = global.snapshot().counter(xsobs::CounterId::StoragePageWrites);
         let mut writer = self.writer();
+        let Some(Durable { wal, store }) = &mut *writer else { return Err(DbError::Volatile) };
         let db = Arc::clone(&self.current());
-        let Writer { wal, store } = &mut *writer;
-        if store.dir() != dir {
-            *store = Store::new(dir);
-        }
         store.save_vfs(&db, &*self.inner.vfs)?;
-        if let Some(wal) = wal {
-            wal.truncate(&*self.inner.vfs)?;
-        }
+        wal.truncate(&*self.inner.vfs)?;
         drop(writer);
         let pages_after = global.snapshot().counter(xsobs::CounterId::StoragePageWrites);
         obs.incr(xsobs::CounterId::WalCheckpoints);
@@ -380,12 +384,12 @@ impl SharedDatabase {
         self.inner.current.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn writer(&self) -> MutexGuard<'_, Writer> {
+    fn writer(&self) -> MutexGuard<'_, Option<Durable>> {
         self.inner.writer.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Publish `next` as the current state, and release the writer lock.
-    fn publish(&self, next: Database, writer: MutexGuard<'_, Writer>) {
+    fn publish(&self, next: Database, writer: MutexGuard<'_, Option<Durable>>) {
         let next = Arc::new(next);
         let retired = std::mem::replace(&mut *self.current(), next);
         drop(writer);
@@ -681,7 +685,7 @@ mod tests {
         sh.apply(&Mutation::RegisterSchema { name: "s".into(), xsd: SCHEMA.into() }).unwrap();
         sh.apply(&Mutation::Insert { doc: "d".into(), schema: "s".into(), xml: "<n>a</n>".into() })
             .unwrap();
-        sh.checkpoint(&dir).unwrap();
+        sh.checkpoint().unwrap();
         // The log is empty after a checkpoint…
         let wal_dir = dir.join(WAL_SUBDIR);
         let leftover = storage::wal::replay(&StdVfs, &wal_dir).unwrap();
@@ -700,6 +704,35 @@ mod tests {
         let (thrice, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
         assert_eq!(thrice.read().query("d", "/n").unwrap(), ["b"]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_saves_into_the_directory_the_handle_opened() {
+        let dir = temp_dir("owned-dir");
+        let (sh, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
+        sh.apply(&Mutation::RegisterSchema { name: "s".into(), xsd: SCHEMA.into() }).unwrap();
+        for (doc, text) in [("a", "one"), ("b", "two"), ("c", "three")] {
+            sh.apply(&put(doc, &format!("<n>{text}</n>"))).unwrap();
+        }
+        sh.checkpoint().unwrap();
+        drop(sh);
+        // Every document comes back from the checkpoint alone: the log
+        // tail is empty.
+        assert!(storage::wal::replay(&StdVfs, &dir.join(WAL_SUBDIR)).unwrap().is_empty());
+        let (again, report) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        let db = again.read();
+        assert_eq!(db.document_names().collect::<Vec<_>>(), ["a", "b", "c"]);
+        assert_eq!(db.query("c", "/n").unwrap(), ["three"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_volatile_handle_refuses_to_checkpoint() {
+        let sh = shared();
+        sh.apply(&put("d", "<n>x</n>")).unwrap();
+        assert!(matches!(sh.checkpoint(), Err(DbError::Volatile)));
+        assert_eq!(sh.read().query("d", "/n").unwrap(), ["x"]);
     }
 
     #[test]

@@ -136,3 +136,23 @@ fn explain_against_an_invalid_document_fails_with_the_violation() {
     assert_ne!(out.status.code(), Some(0), "{out:?}");
     assert!(stdout(&out).is_empty() || !stdout(&out).contains("plan /"), "{out:?}");
 }
+
+/// A predicate path from the root is refused with the typed XPath error,
+/// by `xsdb query` and by `--explain`, instead of being read as relative
+/// and silently selecting nothing.
+#[test]
+fn a_predicate_path_from_the_root_is_refused() {
+    let query = "/library/book[/library]/title";
+    let xsdb = Command::new(env!("CARGO_BIN_EXE_xsdb"))
+        .args(["query", &fixture("clean.xsd"), &fixture("plan_doc.xml"), query])
+        .output()
+        .expect("spawn xsdb");
+    let explain =
+        lint(&["--doc", &fixture("plan_doc.xml"), "--explain", query, &fixture("clean.xsd")]);
+    for out in [xsdb, explain] {
+        assert_ne!(out.status.code(), Some(0), "{out:?}");
+        assert_eq!(stdout(&out).matches("title").count(), 0, "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("predicate paths are relative"), "{stderr}");
+    }
+}

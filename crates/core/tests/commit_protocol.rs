@@ -76,7 +76,7 @@ fn rejections_never_reach_the_log() {
     sh.apply(&Mutation::RegisterSchema { name: "lib".into(), xsd: LIB.into() }).unwrap();
     sh.apply(&insert("d", "lib", DOC)).unwrap();
     // Fold the setup into the paged store, so the log starts empty.
-    sh.checkpoint(&dir).unwrap();
+    sh.checkpoint().unwrap();
     let bytes = wal_bytes(&dir);
     let before = appends();
 

@@ -407,7 +407,7 @@ fn shared_checkpoint_pages(entries: usize) -> (u64, u64) {
     sh.apply(&Mutation::Insert { doc: "journal".into(), schema: "log".into(), xml }).unwrap();
     let checkpoint = || {
         let before = sh.metrics().counter(CounterId::WalCheckpointPages);
-        sh.checkpoint(&dir).unwrap();
+        sh.checkpoint().unwrap();
         sh.metrics().counter(CounterId::WalCheckpointPages) - before
     };
     let full = checkpoint();

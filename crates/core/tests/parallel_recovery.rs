@@ -262,7 +262,7 @@ fn a_log_over_an_untruncated_checkpoint_recovers_to_the_sequential_fold() {
             })
             .collect();
         let epoch = wal::replay(&StdVfs, &wal_dir).unwrap().last().map_or(0, |r| r.seq);
-        sh.checkpoint(&dir).unwrap();
+        sh.checkpoint().unwrap();
         drop(sh);
         let mut expected = Database::load_dir(&dir).unwrap();
         for (path, bytes) in &segments {
@@ -327,7 +327,7 @@ fn each_replayed_record_is_counted_once() {
     let dir = temp_dir("count-once");
     let (sh, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
     sh.apply(&register("log", LOG)).unwrap();
-    sh.checkpoint(&dir).unwrap();
+    sh.checkpoint().unwrap();
     for i in 0..5 {
         sh.apply(&insert(&format!("d{i}"), "log", "<log/>")).unwrap();
     }

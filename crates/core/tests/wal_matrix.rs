@@ -130,7 +130,7 @@ fn run_script(dir: &Path, vfs: Arc<dyn Vfs>, durability: Durability, stop_on_err
             Err(_) => {}
         }
         if i + 1 == CHECKPOINT_AFTER {
-            let _ = shared.checkpoint(dir);
+            let _ = shared.checkpoint();
         }
     }
     acked
@@ -234,7 +234,7 @@ fn fsync_failure_reports_not_durable_instead_of_acking() {
                 }
             }
             if i + 1 == CHECKPOINT_AFTER {
-                let _ = shared.checkpoint(&dir);
+                let _ = shared.checkpoint();
             }
         }
         drop(shared);
@@ -346,7 +346,7 @@ fn a_retired_update_record_stops_recovery() {
             shared.apply(m).unwrap();
         }
         if checkpointed {
-            shared.checkpoint(&dir).unwrap();
+            shared.checkpoint().unwrap();
         }
         drop(shared);
         // The old `UpdateSetText` record: tag 8, then doc, xpath, value.

@@ -24,20 +24,22 @@
 //!
 //! Since blocks can now arrive from disk pages ([`crate::pages`]), the
 //! chain-maintenance paths return a typed [`StorageError`] instead of
-//! panicking when a slot link is dangling, and every mutation stamps a
-//! monotonic *tick* onto the touched block so an incremental save can
-//! write exactly the blocks dirtied since a watermark.
+//! panicking when a slot link is dangling. Every mutation advances a
+//! monotonic *tick*, which the planner's statistics are stamped with.
 //!
 //! The block is also the unit of *sharing*. The table holds every block
 //! behind an [`Arc`] and the location table as `Arc`'d segments of
 //! [`LOC_SEG`] entries — the same segments the page layer maps onto
 //! pages. Cloning a table copies one pointer per block and per segment,
 //! and every mutable path goes through [`Arc::make_mut`], so a mutation
-//! of a clone copies exactly the blocks and segments it marks dirty and
+//! of a clone copies exactly the blocks and segments it writes and
 //! shares the rest with the original. This is how an update and the
 //! epoch snapshots readers hold share one document (RustDB's `BlockStg`:
 //! numbered blocks behind a logical → physical map, where the tree does
-//! not care where the bytes live).
+//! not care where the bytes live), and how a save tells what changed
+//! since the storage it wrote last ([`crate::paged::SavedPages`]).
+//! Nothing here calls `Arc::get_mut`: a save's identity test relies on
+//! every write going through `make_mut`.
 //!
 //! Descriptor ids are recycled. A delete *retires* the ids it frees; a
 //! clone — the successor version a copy-on-write update mutates — hands
@@ -264,14 +266,15 @@ impl<'a> Iterator for BlockOrderIter<'a> {
 /// `None` once the id is dead.
 pub(crate) type Location = Option<(u32, u16)>;
 
-const SEG_LEN: usize = LOC_SEG as usize;
+/// One location-table segment: the unit a page holds.
+pub(crate) type Segment = [Location; LOC_SEG as usize];
 
 /// The location table — stable id → (block, slot) — held as `Arc`'d
 /// segments of [`LOC_SEG`] entries, so a clone shares every segment and
 /// a write copies only the segment it lands in.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Locations {
-    segs: Vec<Arc<[Location; SEG_LEN]>>,
+    pub(crate) segs: Vec<Arc<Segment>>,
     /// Ids minted so far; entries past it are `None`.
     len: u32,
 }
@@ -297,15 +300,10 @@ impl Locations {
         let id = self.len;
         self.len = id.checked_add(1).expect("descriptor id overflow");
         if id.is_multiple_of(LOC_SEG) {
-            self.segs.push(Arc::new([None; SEG_LEN]));
+            self.segs.push(Arc::new([None; LOC_SEG as usize]));
         }
         self.set(id, loc);
         id
-    }
-
-    /// Number of segments (the last one may be partly minted).
-    pub(crate) fn segment_count(&self) -> u32 {
-        self.segs.len() as u32
     }
 
     /// The minted entries of segment `j`.
@@ -320,19 +318,8 @@ impl Locations {
     }
 }
 
-/// Record `tick` as the latest mutation of item `i` in a dirty-tick
-/// vector (absent items read as 0: never dirtied).
-fn stamp(ticks: &mut Vec<u64>, i: u32, tick: u64) {
-    let i = i as usize;
-    if ticks.len() <= i {
-        ticks.resize(i + 1, 0);
-    }
-    ticks[i] = tick;
-}
-
 /// All blocks, the per-schema-node block lists, and the indirection
-/// table from stable descriptor ids to (block, slot) locations — plus
-/// the dirty-tracking ticks the paged layer saves incrementally from.
+/// table from stable descriptor ids to (block, slot) locations.
 #[derive(Debug, Default)]
 pub struct BlockTable {
     /// Every block, shared with clones until a mutation copies it.
@@ -346,16 +333,9 @@ pub struct BlockTable {
     free_ids: Vec<u32>,
     /// Ids freed in this version; they join `free_ids` in its clones.
     retired_ids: Vec<u32>,
-    /// Monotonic mutation counter; bumped on every touch below.
+    /// Monotonic mutation counter, bumped on every touch below: the
+    /// generation the planner's statistics are stamped with.
     pub(crate) tick: u64,
-    /// Block index → tick of its latest mutation.
-    pub(crate) dirty_blocks: Vec<u64>,
-    /// Location-table segment → tick of its latest mutation (segments
-    /// of [`LOC_SEG`] entries map onto pages).
-    pub(crate) dirty_loc_segs: Vec<u64>,
-    /// Tick of the latest catalog-level change (schema growth, list
-    /// heads, location-table length).
-    pub(crate) meta_tick: u64,
 }
 
 impl Clone for BlockTable {
@@ -369,9 +349,6 @@ impl Clone for BlockTable {
             free_ids: [&self.free_ids[..], &self.retired_ids[..]].concat(),
             retired_ids: Vec::new(),
             tick: self.tick,
-            dirty_blocks: self.dirty_blocks.clone(),
-            dirty_loc_segs: self.dirty_loc_segs.clone(),
-            meta_tick: self.meta_tick,
         }
     }
 }
@@ -394,25 +371,16 @@ impl BlockTable {
         }
     }
 
-    pub(crate) fn touch_block(&mut self, b: u32) {
+    /// Advance the tick: one per block, location or catalog-level
+    /// write.
+    fn touch(&mut self) {
         self.tick += 1;
-        stamp(&mut self.dirty_blocks, b, self.tick);
-    }
-
-    pub(crate) fn touch_location(&mut self, id: u32) {
-        self.tick += 1;
-        stamp(&mut self.dirty_loc_segs, id / LOC_SEG, self.tick);
-    }
-
-    pub(crate) fn touch_meta(&mut self) {
-        self.tick += 1;
-        self.meta_tick = self.tick;
     }
 
     pub(crate) fn ensure_schema_capacity(&mut self, schema: &DescriptiveSchema) {
         if self.lists.len() < schema.len() {
             self.lists.resize(schema.len(), None);
-            self.touch_meta();
+            self.touch();
         }
     }
 
@@ -422,11 +390,11 @@ impl BlockTable {
         let id = match self.free_ids.pop() {
             Some(id) => id,
             None => {
-                self.touch_meta(); // the location-table length is catalog state
+                self.touch(); // the location-table length is catalog state
                 self.locations.push(None)
             }
         };
-        self.touch_location(id);
+        self.touch();
         DescPtr(id)
     }
 
@@ -443,17 +411,17 @@ impl BlockTable {
 
     pub(crate) fn set_location(&mut self, p: DescPtr, loc: Location) {
         self.locations.set(p.0, loc);
-        self.touch_location(p.0);
+        self.touch();
     }
 
     pub(crate) fn block(&self, i: u32) -> &Block {
         &self.blocks[i as usize]
     }
 
-    /// Mutable block access; marks the block dirty and copies it first
-    /// when a clone shares it.
+    /// Mutable block access; copies the block first when a clone (or a
+    /// save's identity) shares it.
     pub(crate) fn block_mut(&mut self, i: u32) -> &mut Block {
-        self.touch_block(i);
+        self.touch();
         Arc::make_mut(&mut self.blocks[i as usize])
     }
 
@@ -469,7 +437,7 @@ impl BlockTable {
         (block, block.slots[s as usize].as_ref().expect("live descriptor"))
     }
 
-    /// Mutable descriptor access; marks the hosting block dirty.
+    /// Mutable descriptor access, through [`BlockTable::block_mut`].
     pub(crate) fn desc_mut(&mut self, p: DescPtr) -> &mut NodeDescriptor {
         let (b, s) = self.location(p);
         self.block_mut(b).slots[s as usize].as_mut().expect("live descriptor")
@@ -500,8 +468,7 @@ impl BlockTable {
             None => self.lists[schema_node.index()] = Some((idx, idx)),
         }
         self.blocks.push(Arc::new(b));
-        self.touch_block(idx);
-        self.touch_meta(); // list heads live in the catalog
+        self.tick += 2; // the new block, and the list heads in the catalog
         idx
     }
 
@@ -519,8 +486,7 @@ impl BlockTable {
         }
         self.blocks.push(Arc::new(b));
         self.block_mut(after).next_block = Some(idx);
-        self.touch_block(idx);
-        self.touch_meta();
+        self.tick += 2; // the new block, and the list heads in the catalog
         idx
     }
 

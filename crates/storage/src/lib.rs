@@ -19,7 +19,7 @@
 //!   checksums, a free list, and a logical→physical map, all behind the
 //!   [`vfs::Vfs`] trait so fault injection covers every byte written;
 //! * [`paged`] — the §9 structures serialized onto pages, block by
-//!   block, so one-node updates dirty one block's pages and documents
+//!   block, so one-node updates rewrite one block's pages and documents
 //!   can be opened lazily ([`PagedXml`]);
 //! * [`wal`] — an append-only, SHA-256-framed write-ahead log behind
 //!   the same [`vfs::Vfs`] trait, so mutations are durable the moment

@@ -11,11 +11,13 @@
 //! * logical **2 + 2·j** is segment *j* of the location table, covering
 //!   stable descriptor ids `[j·LOC_SEG, (j+1)·LOC_SEG)`.
 //!
-//! Blocks are the unit of dirtiness: a single-node update rewrites the
+//! Blocks are the unit of change: a single-node update rewrites the
 //! pages of one block (plus, at most, one location segment and the
-//! catalog), not the whole document — the [`BlockTable`] ticks record
-//! exactly what changed since a save watermark, and [`save_dirty`]
-//! writes only that. The catalog alone suffices to answer schema-level
+//! catalog), not the whole document. A save keeps the identity of every
+//! block and segment it wrote ([`SavedPages`]), and [`save_changed`]
+//! writes only those whose `Arc` is another allocation now — the diff of
+//! two storage values, whatever line of states they come from. The
+//! catalog alone suffices to answer schema-level
 //! questions, so [`PagedXml`] opens a document by reading just the map
 //! and the catalog pages and pulls data blocks on demand.
 //!
@@ -26,10 +28,11 @@
 //! a typed [`StorageError`], never a panic.
 
 use std::path::Path;
+use std::sync::{Arc, Weak};
 
 use xdm::NodeKind;
 
-use crate::blocks::{Block, BlockTable, DescPtr, Location, Locations, NodeDescriptor};
+use crate::blocks::{Block, BlockTable, DescPtr, Location, Locations, NodeDescriptor, Segment};
 use crate::codec::{Reader, Writer};
 use crate::descriptive::{DescriptiveSchema, SchemaNode, SchemaNodeId};
 use crate::error::StorageError;
@@ -177,6 +180,42 @@ fn encode_loc_seg(segment: &[Location]) -> Vec<u8> {
 
 // --------------------------------------------------------------- saving
 
+/// What a page store holds, by identity: a `Weak` per data block and per
+/// location segment of the storage it last wrote or loaded.
+///
+/// [`save_changed`] skips a block or segment whose `Arc` is the very
+/// allocation recorded here. That test is sound: a held `Weak` keeps its
+/// allocation alive, so the address cannot be reused by another value,
+/// and [`Arc::make_mut`] — the only way a block or segment is written —
+/// moves the value to a new allocation whenever any other `Arc` or
+/// `Weak` to it exists. An equal address is therefore the exact value
+/// that was written. Holding `Weak`s rather than the storage pins less:
+/// a replaced block frees its slots, and only each `Arc`'s own
+/// allocation — a block's header, a segment's array — stays until the
+/// next save.
+#[derive(Debug, Default)]
+pub struct SavedPages {
+    blocks: Vec<Weak<Block>>,
+    segments: Vec<Weak<Segment>>,
+}
+
+impl SavedPages {
+    /// The identities of everything `xs` holds.
+    fn of(xs: &XmlStorage) -> SavedPages {
+        let table = xs.table();
+        SavedPages {
+            blocks: table.blocks.iter().map(Arc::downgrade).collect(),
+            segments: table.locations.segs.iter().map(Arc::downgrade).collect(),
+        }
+    }
+}
+
+/// Whether `now` is another allocation than the one `saved` recorded at
+/// the same index (or there was none).
+fn changed<T>(saved: &[Weak<T>], i: usize, now: &Arc<T>) -> bool {
+    saved.get(i).is_none_or(|w| !std::ptr::eq(w.as_ptr(), Arc::as_ptr(now)))
+}
+
 /// Write the entire storage into `store` (fresh stores, migrations),
 /// at commit epoch 0. The caller commits the store afterwards.
 ///
@@ -187,7 +226,7 @@ pub fn save_full(
     vfs: &dyn Vfs,
     store: &mut PageStore,
     data_path: &Path,
-) -> Result<(), StorageError> {
+) -> Result<SavedPages, StorageError> {
     save_full_epoch(xs, vfs, store, data_path, 0)
 }
 
@@ -202,89 +241,41 @@ pub fn save_full_epoch(
     store: &mut PageStore,
     data_path: &Path,
     epoch: u64,
-) -> Result<(), StorageError> {
+) -> Result<SavedPages, StorageError> {
+    save_changed(xs, &SavedPages::default(), vfs, store, data_path, epoch)
+}
+
+/// Write what `xs` holds and `saved` — the store's last save or load —
+/// does not: the catalog, stamped with `epoch` (its statistics reflect
+/// every mutation), then every data block and location segment that is
+/// not the allocation `saved` recorded. Returns the identities to pass
+/// to the next save once the caller has committed the store.
+///
+/// # Errors
+/// I/O failures from the underlying [`Vfs`].
+pub fn save_changed(
+    xs: &XmlStorage,
+    saved: &SavedPages,
+    vfs: &dyn Vfs,
+    store: &mut PageStore,
+    data_path: &Path,
+    epoch: u64,
+) -> Result<SavedPages, StorageError> {
     store.write_block(vfs, data_path, CATALOG_LOGICAL, &encode_catalog(xs, epoch))?;
     let table = xs.table();
     for (i, b) in table.blocks.iter().enumerate() {
-        store.write_block(vfs, data_path, block_logical(i as u32), &encode_block(b))?;
-    }
-    for j in 0..table.locations.segment_count() {
-        store.write_block(
-            vfs,
-            data_path,
-            loc_seg_logical(j),
-            &encode_loc_seg(table.locations.segment(j)),
-        )?;
-    }
-    Ok(())
-}
-
-/// Write only what changed after `watermark` (a [`XmlStorage::tick`]
-/// value from the last save): dirtied data blocks, dirtied location
-/// segments, and — whenever anything moved at all — the catalog, whose
-/// statistics section reflects every mutation. The caller commits the
-/// store afterwards.
-///
-/// # Errors
-/// I/O failures from the underlying [`Vfs`].
-pub fn save_dirty(
-    xs: &XmlStorage,
-    vfs: &dyn Vfs,
-    store: &mut PageStore,
-    data_path: &Path,
-    watermark: u64,
-) -> Result<(), StorageError> {
-    save_dirty_epoch(xs, vfs, store, data_path, watermark, 0, false)
-}
-
-/// [`save_dirty`], stamping `epoch` into the catalog whenever it is
-/// rewritten. `force_catalog` rewrites the catalog even when no
-/// schema/list/size state moved — needed when only the epoch advanced
-/// (content mutations dirty blocks without touching the meta tick),
-/// since a stale on-disk epoch would make recovery re-apply records
-/// whose effects are already in the pages.
-///
-/// # Errors
-/// I/O failures from the underlying [`Vfs`].
-#[allow(clippy::too_many_arguments)]
-pub fn save_dirty_epoch(
-    xs: &XmlStorage,
-    vfs: &dyn Vfs,
-    store: &mut PageStore,
-    data_path: &Path,
-    watermark: u64,
-    epoch: u64,
-    force_catalog: bool,
-) -> Result<(), StorageError> {
-    let table = xs.table();
-    // Any mutation (not just schema/list/size movement) rewrites the
-    // catalog: the v3 statistics live there, and a reload would reject
-    // pages whose statistics disagree with the blocks.
-    if table.tick > watermark || force_catalog {
-        store.write_block(vfs, data_path, CATALOG_LOGICAL, &encode_catalog(xs, epoch))?;
-    }
-    for (b, &t) in table.dirty_blocks.iter().enumerate() {
-        if t > watermark {
-            store.write_block(
-                vfs,
-                data_path,
-                block_logical(b as u32),
-                &encode_block(&table.blocks[b]),
-            )?;
+        if changed(&saved.blocks, i, b) {
+            store.write_block(vfs, data_path, block_logical(i as u32), &encode_block(b))?;
         }
     }
-    for (j, &t) in table.dirty_loc_segs.iter().enumerate() {
-        if t > watermark {
+    for (j, seg) in table.locations.segs.iter().enumerate() {
+        if changed(&saved.segments, j, seg) {
             let j = j as u32;
-            store.write_block(
-                vfs,
-                data_path,
-                loc_seg_logical(j),
-                &encode_loc_seg(table.locations.segment(j)),
-            )?;
+            let bytes = encode_loc_seg(table.locations.segment(j));
+            store.write_block(vfs, data_path, loc_seg_logical(j), &bytes)?;
         }
     }
-    Ok(())
+    Ok(SavedPages::of(xs))
 }
 
 // ------------------------------------------------------------- decoding
@@ -616,11 +607,13 @@ pub fn load(
     vfs: &dyn Vfs,
     data_path: &Path,
 ) -> Result<XmlStorage, StorageError> {
-    load_with_epoch(store, vfs, data_path).map(|(xs, _)| xs)
+    load_with_epoch(store, vfs, data_path).map(|(xs, ..)| xs)
 }
 
 /// [`load`], also returning the commit epoch stamped in the catalog —
-/// the highest WAL sequence whose effects the pages contain.
+/// the highest WAL sequence whose effects the pages contain — and the
+/// identities of the loaded blocks and segments, which the pages hold,
+/// so the next [`save_changed`] writes only what changes after the load.
 ///
 /// # Errors
 /// As for [`load`].
@@ -628,7 +621,7 @@ pub fn load_with_epoch(
     store: &PageStore,
     vfs: &dyn Vfs,
     data_path: &Path,
-) -> Result<(XmlStorage, u64), StorageError> {
+) -> Result<(XmlStorage, u64, SavedPages), StorageError> {
     let cat = read_catalog(store, vfs, data_path)?;
     let mut blocks = Vec::new();
     for i in 0..cat.block_count {
@@ -643,7 +636,8 @@ pub fn load_with_epoch(
     if let Some(violation) = xs.check_invariants() {
         return Err(StorageError::Corrupt(violation));
     }
-    Ok((xs, epoch))
+    let saved = SavedPages::of(&xs);
+    Ok((xs, epoch, saved))
 }
 
 // ------------------------------------------------------------ lazy open
@@ -789,11 +783,11 @@ mod tests {
         }
     }
 
-    fn save_and_commit(xs: &XmlStorage, vfs: &dyn Vfs, dir: &Path) -> PageStore {
+    fn save_and_commit(xs: &XmlStorage, vfs: &dyn Vfs, dir: &Path) -> (PageStore, SavedPages) {
         let mut store = PageStore::new();
-        save_full(xs, vfs, &mut store, &dir.join("doc.xsp")).unwrap();
+        let saved = save_full(xs, vfs, &mut store, &dir.join("doc.xsp")).unwrap();
         store.commit(vfs, &dir.join("doc.xspm")).unwrap();
-        store
+        (store, saved)
     }
 
     #[test]
@@ -818,15 +812,14 @@ mod tests {
             let sub = dir.join(tag);
             std::fs::create_dir_all(&sub).unwrap();
             let mut xs = library(n);
-            let mut store = save_and_commit(&xs, &vfs, &sub);
-            let watermark = xs.tick();
+            let (mut store, saved) = save_and_commit(&xs, &vfs, &sub);
             // Update one text node.
             let title_sn = xs.schema().resolve_path(&["library", "book", "title"]).unwrap();
             let t = xs.scan(title_sn)[0];
             let text = xs.children(t)[0];
             xs.set_text(text, "updated").unwrap();
             let before = vfs.write_ops();
-            save_dirty(&xs, &vfs, &mut store, &sub.join("doc.xsp"), watermark).unwrap();
+            save_changed(&xs, &saved, &vfs, &mut store, &sub.join("doc.xsp"), 0).unwrap();
             store.commit(&vfs, &sub.join("doc.xspm")).unwrap();
             pages_written.push(vfs.write_ops() - before);
             // And the update round-trips.
@@ -851,13 +844,12 @@ mod tests {
         drop((xs, store));
         // Reload, mutate, save only the dirt, reload again.
         let mut store = PageStore::open(&vfs, &dir.join("doc.xspm")).unwrap();
-        let mut xs = load(&store, &vfs, &dir.join("doc.xsp")).unwrap();
-        let watermark = xs.tick();
+        let (mut xs, _, saved) = load_with_epoch(&store, &vfs, &dir.join("doc.xsp")).unwrap();
         let lib = xs.children(xs.root())[0];
         let nb = xs.insert_element(lib, None, "book").unwrap();
         let t = xs.insert_element(nb, None, "title").unwrap();
         xs.insert_text(t, None, "fresh").unwrap();
-        save_dirty(&xs, &vfs, &mut store, &dir.join("doc.xsp"), watermark).unwrap();
+        save_changed(&xs, &saved, &vfs, &mut store, &dir.join("doc.xsp"), 0).unwrap();
         store.commit(&vfs, &dir.join("doc.xspm")).unwrap();
         let reopened = PageStore::open(&vfs, &dir.join("doc.xspm")).unwrap();
         let loaded = load(&reopened, &vfs, &dir.join("doc.xsp")).unwrap();
@@ -870,8 +862,7 @@ mod tests {
         let dir = tmpdir("delete-grow");
         let vfs = StdVfs;
         let mut xs = library(20);
-        let mut store = save_and_commit(&xs, &vfs, &dir);
-        let watermark = xs.tick();
+        let (mut store, saved) = save_and_commit(&xs, &vfs, &dir);
         let lib = xs.children(xs.root())[0];
         let first = xs.children(lib)[0];
         xs.delete(first).unwrap();
@@ -879,12 +870,62 @@ mod tests {
         let isbn = xs.insert_element(xs.children(lib)[0], None, "isbn").unwrap();
         xs.insert_text(isbn, None, "0-201").unwrap();
         xs.insert_attribute(lib, "kind", "public").unwrap();
-        save_dirty(&xs, &vfs, &mut store, &dir.join("doc.xsp"), watermark).unwrap();
+        save_changed(&xs, &saved, &vfs, &mut store, &dir.join("doc.xsp"), 0).unwrap();
         store.commit(&vfs, &dir.join("doc.xspm")).unwrap();
         let reopened = PageStore::open(&vfs, &dir.join("doc.xspm")).unwrap();
         let loaded = load(&reopened, &vfs, &dir.join("doc.xsp")).unwrap();
         assert_same(&xs, &loaded);
         assert!(loaded.schema().resolve_path(&["library", "book", "isbn"]).is_some());
+    }
+
+    /// The blocks and segments of `xs` that `saved` does not hold.
+    fn unsaved(xs: &XmlStorage, saved: &SavedPages) -> (usize, usize) {
+        let t = xs.table();
+        let blocks = t.blocks.iter().enumerate().filter(|(i, b)| changed(&saved.blocks, *i, b));
+        let segs = t.locations.segs.iter().enumerate();
+        let segs = segs.filter(|(j, seg)| changed(&saved.segments, *j, seg));
+        (blocks.count(), segs.count())
+    }
+
+    #[test]
+    fn a_block_mutated_in_place_still_reads_as_changed() {
+        // Taken from a uniquely owned table: no clone shares a block, so
+        // only the identities themselves make the write move the block.
+        let mut xs = library(200);
+        let saved = SavedPages::of(&xs);
+        assert_eq!(unsaved(&xs, &saved), (0, 0));
+        let title_sn = xs.schema().resolve_path(&["library", "book", "title"]).unwrap();
+        let text = xs.children(xs.scan(title_sn)[0])[0];
+        xs.set_text(text, "updated").unwrap();
+        assert_eq!(unsaved(&xs, &saved), (1, 0), "the touched block is the one change");
+        // A second write to the moved block keeps it changed.
+        xs.set_text(text, "again").unwrap();
+        assert_eq!(unsaved(&xs, &saved), (1, 0));
+        assert_eq!(unsaved(&xs, &SavedPages::of(&xs)), (0, 0));
+    }
+
+    #[test]
+    fn a_store_saves_whichever_line_of_states_it_is_given() {
+        let dir = tmpdir("two-lines");
+        let vfs = StdVfs;
+        let base = library(20);
+        let (mut store, saved) = save_and_commit(&base, &vfs, &dir);
+        let title_sn = base.schema().resolve_path(&["library", "book", "title"]).unwrap();
+        let text = base.children(base.scan(title_sn)[0])[0];
+        // Two clones of one state, edited apart the same number of times.
+        let (mut a, mut b) = (base.clone(), base.clone());
+        a.set_text(text, "line a").unwrap();
+        b.set_text(text, "line b").unwrap();
+        assert_eq!(a.tick(), b.tick());
+        let data = dir.join("doc.xsp");
+        let saved = save_changed(&a, &saved, &vfs, &mut store, &data, 0).unwrap();
+        store.commit(&vfs, &dir.join("doc.xspm")).unwrap();
+        save_changed(&b, &saved, &vfs, &mut store, &data, 0).unwrap();
+        store.commit(&vfs, &dir.join("doc.xspm")).unwrap();
+        let reopened = PageStore::open(&vfs, &dir.join("doc.xspm")).unwrap();
+        let loaded = load(&reopened, &vfs, &data).unwrap();
+        assert_same(&b, &loaded);
+        assert_eq!(loaded.string_value(loaded.scan(title_sn)[0]), "line b");
     }
 
     #[test]
@@ -912,7 +953,7 @@ mod tests {
         let dir = tmpdir("lazy");
         let vfs = FaultyVfs::counting();
         let xs = library(2000);
-        let store = save_and_commit(&xs, &vfs, &dir);
+        let (store, _) = save_and_commit(&xs, &vfs, &dir);
         let total_pages = store.page_count();
         assert!(total_pages > 100, "want a big document, got {total_pages} pages");
         drop(store);
@@ -937,19 +978,19 @@ mod tests {
         let data = dir.join("doc.xsp");
         let map = dir.join("doc.xspm");
         let mut store = PageStore::new();
-        save_full_epoch(&xs, &vfs, &mut store, &data, 42).unwrap();
+        let saved = save_full_epoch(&xs, &vfs, &mut store, &data, 42).unwrap();
         store.commit(&vfs, &map).unwrap();
         let reopened = PageStore::open(&vfs, &map).unwrap();
-        let (loaded, epoch) = load_with_epoch(&reopened, &vfs, &data).unwrap();
+        let (loaded, epoch, _) = load_with_epoch(&reopened, &vfs, &data).unwrap();
         assert_same(&xs, &loaded);
         assert_eq!(epoch, 42);
         let lazy = PagedXml::open(&vfs, &data, &map).unwrap();
         assert_eq!(lazy.epoch(), 42);
 
-        // An epoch-only advance with no schema movement: the catalog is
-        // rewritten only when forced.
+        // An epoch-only advance: nothing changed, and the catalog is
+        // rewritten with the new epoch.
         let mut store = lazy.into_store();
-        save_dirty_epoch(&xs, &vfs, &mut store, &data, u64::MAX, 43, true).unwrap();
+        save_changed(&xs, &saved, &vfs, &mut store, &data, 43).unwrap();
         store.commit(&vfs, &map).unwrap();
         let reopened = PageStore::open(&vfs, &map).unwrap();
         assert_eq!(load_with_epoch(&reopened, &vfs, &data).unwrap().1, 43);
@@ -973,7 +1014,7 @@ mod tests {
         store.write_block(&vfs, &data, CATALOG_LOGICAL, &v2).unwrap();
         store.commit(&vfs, &map).unwrap();
         let reopened = PageStore::open(&vfs, &map).unwrap();
-        let (migrated, epoch) = load_with_epoch(&reopened, &vfs, &data).unwrap();
+        let (migrated, epoch, _) = load_with_epoch(&reopened, &vfs, &data).unwrap();
         assert_same(&xs, &migrated);
         assert_eq!(epoch, 43, "version-2 catalogs keep their epoch");
         assert_eq!(*migrated.stats(), migrated.rebuild_stats());
@@ -988,7 +1029,7 @@ mod tests {
         store.write_block(&vfs, &data, CATALOG_LOGICAL, &v1).unwrap();
         store.commit(&vfs, &map).unwrap();
         let reopened = PageStore::open(&vfs, &map).unwrap();
-        let (migrated, epoch) = load_with_epoch(&reopened, &vfs, &data).unwrap();
+        let (migrated, epoch, _) = load_with_epoch(&reopened, &vfs, &data).unwrap();
         assert_same(&xs, &migrated);
         assert_eq!(epoch, 0, "version-1 catalogs predate the log");
     }
@@ -1003,7 +1044,7 @@ mod tests {
 
         // A catalog whose root points at a dead id.
         {
-            let mut store = save_and_commit(&xs, &vfs, &dir);
+            let (mut store, _) = save_and_commit(&xs, &vfs, &dir);
             let mut w = Writer::new();
             w.u8(CATALOG_VERSION);
             w.u16(4);
@@ -1023,7 +1064,7 @@ mod tests {
 
         // Truncated/garbage block bytes.
         {
-            let mut store = save_and_commit(&xs, &vfs, &dir);
+            let (mut store, _) = save_and_commit(&xs, &vfs, &dir);
             store.write_block(&vfs, &data, block_logical(0), &[1, 2, 3]).unwrap();
             store.commit(&vfs, &map).unwrap();
             let reopened = PageStore::open(&vfs, &map).unwrap();
@@ -1033,7 +1074,7 @@ mod tests {
 
         // A location segment pointing at an out-of-range block.
         {
-            let mut store = save_and_commit(&xs, &vfs, &dir);
+            let (mut store, _) = save_and_commit(&xs, &vfs, &dir);
             let mut w = Writer::new();
             for _ in 0..xs.table().locations.len() {
                 w.u8(1);

@@ -285,8 +285,9 @@ impl XmlStorage {
     }
 
     /// Monotonic mutation tick: advances on every structural or content
-    /// change. An incremental save ([`crate::paged`]) remembers the tick
-    /// it persisted at and later writes only the state dirtied past it.
+    /// change. The statistics are stamped with it, so the planner can
+    /// tell a stale plan; saves do not read it ([`crate::paged`] diffs
+    /// block identities instead).
     pub fn tick(&self) -> u64 {
         self.table.tick
     }

@@ -729,13 +729,17 @@ mod axis_tests {
             (r#"/library/book[title="t5"]/author"#, r#"/library/book[title="t5"]/author"#),
             ("/a/b[c/@d]", "/a/b[c/@d]"),
             ("/a/b[.//c]", "/a/b[.//c]"),
-            ("/a/b[//c]", "/a/b[descendant-or-self::node()/c]"),
             ("/a/b[../c != '1']", r#"/a/b[../c!="1"]"#),
             (r#"/a[@id='say "hi"']"#, r#"/a[@id='say "hi"']"#),
         ] {
             let p = parse(q).unwrap();
             assert_eq!(p.to_string(), printed, "{q}");
             assert_eq!(parse(printed).unwrap(), p, "{q}");
+        }
+        // A predicate path from the root is refused, not read as relative.
+        for q in ["/a/b[//c]", "/a/b[/a]"] {
+            let err = parse(q).unwrap_err();
+            assert!(err.reason.contains("relative"), "{q}: {err}");
         }
     }
 

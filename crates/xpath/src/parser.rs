@@ -236,7 +236,11 @@ impl<'a> Parser<'a> {
             }
             return Ok(Predicate::Last);
         }
-        // Relative path, optionally compared to a literal.
+        // Relative path, optionally compared to a literal. An absolute
+        // one would select from the root, which no predicate evaluates.
+        if self.chars.peek() == Some(&'/') {
+            return Err(self.err("predicate paths are relative: remove the leading '/'"));
+        }
         let path = self.parse_path(false)?;
         self.skip_ws();
         let op = match self.chars.peek() {

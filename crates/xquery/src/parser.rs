@@ -206,28 +206,17 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_condition_text(&self, text: &str) -> Result<Condition, XQueryError> {
-        // Find a comparison operator outside quotes.
-        let ops: &[(&str, CompareOp)] = &[
-            ("!=", CompareOp::Ne),
-            ("<=", CompareOp::Le),
-            (">=", CompareOp::Ge),
-            ("=", CompareOp::Eq),
-            ("<", CompareOp::Lt),
-            (">", CompareOp::Gt),
-        ];
-        for (sym, op) in ops {
-            if let Some(at) = text.find(sym) {
-                let lhs = self.parse_varpath_text(&text[..at])?;
-                let rhs = text[at + sym.len()..].trim();
-                let literal = rhs
-                    .strip_prefix('"')
-                    .and_then(|r| r.strip_suffix('"'))
-                    .or_else(|| rhs.strip_prefix('\'').and_then(|r| r.strip_suffix('\'')))
-                    .ok_or_else(|| self.err(format!("expected quoted literal in {text:?}")))?;
-                return Ok(Condition::Compare { lhs, op: *op, literal: literal.to_string() });
-            }
-        }
-        Ok(Condition::Exists(self.parse_varpath_text(text)?))
+        let Some((at, sym, op)) = find_comparison(text) else {
+            return Ok(Condition::Exists(self.parse_varpath_text(text)?));
+        };
+        let lhs = self.parse_varpath_text(&text[..at])?;
+        let rhs = text[at + sym.len()..].trim();
+        let literal = rhs
+            .strip_prefix('"')
+            .and_then(|r| r.strip_suffix('"'))
+            .or_else(|| rhs.strip_prefix('\'').and_then(|r| r.strip_suffix('\'')))
+            .ok_or_else(|| self.err(format!("expected quoted literal in {text:?}")))?;
+        Ok(Condition::Compare { lhs, op, literal: literal.to_string() })
     }
 
     fn parse_item(&mut self) -> Result<Item, XQueryError> {
@@ -348,6 +337,47 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The first comparison operator of a `where` condition that lies
+/// outside quotes and outside every bracket and parenthesis — one inside
+/// a predicate or a literal belongs to it — with its byte offset. `!=`,
+/// `<=` and `>=` win over the one-character operator they start with.
+fn find_comparison(text: &str) -> Option<(usize, &'static str, CompareOp)> {
+    let bytes = text.as_bytes();
+    let (mut depth, mut quote) = (0usize, None);
+    for (at, &b) in bytes.iter().enumerate() {
+        if let Some(q) = quote {
+            if b == q {
+                quote = None;
+            }
+            continue;
+        }
+        let op = match (b, bytes.get(at + 1) == Some(&b'=')) {
+            (b'"' | b'\'', _) => {
+                quote = Some(b);
+                continue;
+            }
+            (b'[' | b'(', _) => {
+                depth += 1;
+                continue;
+            }
+            (b']' | b')', _) => {
+                depth = depth.saturating_sub(1);
+                continue;
+            }
+            _ if depth > 0 => continue,
+            (b'!', true) => ("!=", CompareOp::Ne),
+            (b'<', true) => ("<=", CompareOp::Le),
+            (b'>', true) => (">=", CompareOp::Ge),
+            (b'=', _) => ("=", CompareOp::Eq),
+            (b'<', false) => ("<", CompareOp::Lt),
+            (b'>', false) => (">", CompareOp::Gt),
+            _ => continue,
+        };
+        return Some((at, op.0, op.1));
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,6 +427,48 @@ mod tests {
         assert_eq!(c.name, "hit");
         assert_eq!(c.attributes.len(), 1);
         assert_eq!(c.content.len(), 2); // {$t} and " ok"
+    }
+
+    /// The condition of `for $b in /library/book where {cond} return $b`.
+    fn condition(cond: &str) -> Condition {
+        let q = format!("for $b in /library/book where {cond} return $b");
+        let Query::Flwor(mut f) = parse_query(&q).unwrap() else { panic!() };
+        assert_eq!(f.conditions.len(), 1, "{q}");
+        f.conditions.remove(0)
+    }
+
+    #[test]
+    fn where_operators_inside_brackets_and_quotes_belong_to_them() {
+        // A predicate's comparison is part of the path: the condition
+        // is an existence test.
+        for cond in [r#"$b/author[.="Gray"]"#, "$b/../year[.>'1990']", "$b/x[a!='b'][c='d']"] {
+            assert!(matches!(condition(cond), Condition::Exists(_)), "{cond}");
+        }
+        // An operator inside the literal is part of the literal.
+        let Condition::Compare { op, literal, .. } = condition(r#"$b/title = "x!=y""#) else {
+            panic!()
+        };
+        assert_eq!((op, literal.as_str()), (CompareOp::Eq, "x!=y"));
+        // Both at once: the comparison is the one at depth 0.
+        let Condition::Compare { lhs, op, literal } =
+            condition(r#"$b/author[. != "a]b"] >= 'c=d'"#)
+        else {
+            panic!()
+        };
+        assert_eq!((op, literal.as_str()), (CompareOp::Ge, "c=d"));
+        assert_eq!(lhs.var, "b");
+        // Two-character operators win over their first character.
+        for (cond, want) in [
+            ("$b/y != '1'", CompareOp::Ne),
+            ("$b/y <= '1'", CompareOp::Le),
+            ("$b/y >= '1'", CompareOp::Ge),
+            ("$b/y < '1'", CompareOp::Lt),
+            ("$b/y > '1'", CompareOp::Gt),
+            ("$b/y = '1'", CompareOp::Eq),
+        ] {
+            let Condition::Compare { op, .. } = condition(cond) else { panic!("{cond}") };
+            assert_eq!(op, want, "{cond}");
+        }
     }
 
     #[test]

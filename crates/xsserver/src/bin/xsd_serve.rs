@@ -8,10 +8,12 @@
 //!
 //! * `--addr` — listen address (default `127.0.0.1:7070`; port 0 picks
 //!   an ephemeral port, reported on the startup line).
-//! * `--dir` — persistence directory: loaded on startup (replaying the
-//!   write-ahead-log tail) when it holds a database, checkpointed by
-//!   the `SAVE` opcode and once more on shutdown. Every mutation is
-//!   appended to the write-ahead log before it is acknowledged.
+//! * `--dir` — persistence directory: the database is opened durable on
+//!   it (loaded, replaying the write-ahead-log tail, when it holds a
+//!   database), and the `SAVE` opcode and the shutdown write their
+//!   checkpoints into it. Every mutation is appended to the write-ahead
+//!   log before it is acknowledged. Without it the database is volatile
+//!   and `SAVE` answers `ERR_UNSUPPORTED`.
 //! * `--durability` — when to acknowledge a logged mutation:
 //!   `fsync` (default; fsync per commit before the write is visible
 //!   or acked — a failed fsync is reported, not acked), or `async` (no
@@ -169,7 +171,6 @@ fn run(args: &Args) -> Result<(), String> {
         threads: args.threads,
         max_conns: args.max_conns,
         io_timeout: Duration::from_millis(args.timeout_ms.max(1)),
-        dir: args.dir.as_ref().map(Into::into),
         ..ServerConfig::default()
     };
     install_signal_handlers();

@@ -60,4 +60,4 @@ pub mod server;
 
 pub use client::{Client, ClientError, RetryPolicy};
 pub use protocol::{Opcode, Status, WIRE_VERSION};
-pub use server::{checkpoint, Server, ServerConfig, ServerHandle, ShutdownRequester};
+pub use server::{Server, ServerConfig, ServerHandle, ShutdownRequester};

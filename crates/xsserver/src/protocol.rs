@@ -314,6 +314,7 @@ impl Status {
             DbError::Io { .. } => Status::Io,
             DbError::Checksum { .. } => Status::Checksum,
             DbError::Corrupt(_) => Status::Corrupt,
+            DbError::Volatile => Status::Unsupported,
             _ => Status::Internal,
         }
     }

@@ -39,24 +39,25 @@
 //! [`SharedDatabase::apply`](xsdb::SharedDatabase::apply) — on a
 //! durable database each is appended to the write-ahead log before it
 //! is acknowledged, under the server's [`Durability`](xsdb::Durability)
-//! mode. `SAVE` is a checkpoint: it folds the log into the paged store
-//! and truncates it, through the same [`checkpoint`] helper the
-//! graceful shutdown uses.
+//! mode. `SAVE` is a checkpoint
+//! ([`SharedDatabase::checkpoint`](xsdb::SharedDatabase::checkpoint)):
+//! it folds the log into the paged store of the directory the database
+//! was opened on and truncates it. A volatile database has no directory,
+//! and answers `SAVE` with [`Status::Unsupported`].
 //!
 //! Shutdown ([`ServerHandle::shutdown`], or a signal handler calling
 //! [`ShutdownRequester::request`]) is graceful and wakeup-fd driven:
 //! the flag flips, one byte lands on the wakeup fd, and the loop —
 //! blocked in `epoll_wait`, not a sleep — stops accepting, lets
 //! in-flight requests finish, sends every connection a
-//! [`Status::ShuttingDown`] frame, and exits. When a persistence
-//! directory is configured a final [`checkpoint`] commits the state
-//! before [`ServerHandle::shutdown`] returns.
+//! [`Status::ShuttingDown`] frame, and exits. When the database is
+//! durable a final checkpoint commits the state before
+//! [`ServerHandle::shutdown`] returns.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -84,8 +85,6 @@ pub struct ServerConfig {
     /// to arrive in full (slowloris/half-open protection). Connections
     /// idle *between* frames are parked free and never time out.
     pub io_timeout: Duration,
-    /// Persistence directory for `SAVE` and the final shutdown save.
-    pub dir: Option<PathBuf>,
     /// Backpressure budget: decoded requests a connection may have
     /// unanswered before the loop stops reading from it.
     pub max_inflight: usize,
@@ -100,7 +99,6 @@ impl Default for ServerConfig {
             threads: 64,
             max_conns: 256,
             io_timeout: Duration::from_secs(30),
-            dir: None,
             max_inflight: 32,
             max_pending_write_bytes: 1 << 20,
         }
@@ -160,7 +158,6 @@ struct ServerState {
     max_payload: usize,
     max_inflight: u64,
     max_pending_write_bytes: usize,
-    dir: Option<PathBuf>,
 }
 
 impl ServerState {
@@ -210,7 +207,6 @@ impl Server {
             max_payload,
             max_inflight: config.max_inflight.max(1) as u64,
             max_pending_write_bytes: config.max_pending_write_bytes.max(HEADER_LEN + 1),
-            dir: config.dir.clone(),
         });
         let mut workers = Vec::with_capacity(config.threads.max(1));
         for i in 0..config.threads.max(1) {
@@ -233,14 +229,7 @@ impl Server {
                 .name("xsserver-loop".to_string())
                 .spawn(move || event_loop(state, reactor, listener))?
         };
-        Ok(ServerHandle {
-            local_addr,
-            state,
-            event_loop: Some(event_loop),
-            workers,
-            shared,
-            dir: config.dir,
-        })
+        Ok(ServerHandle { local_addr, state, event_loop: Some(event_loop), workers, shared })
     }
 }
 
@@ -272,7 +261,6 @@ pub struct ServerHandle {
     event_loop: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     shared: SharedDatabase,
-    dir: Option<PathBuf>,
 }
 
 impl ServerHandle {
@@ -306,13 +294,14 @@ impl ServerHandle {
 
     /// Graceful shutdown: stop accepting, let in-flight requests
     /// finish, notify every connection, join every thread, then —
-    /// when a persistence directory is configured — commit a final
-    /// save and report its outcome.
+    /// when the database is durable — commit a final checkpoint and
+    /// report its outcome.
     pub fn shutdown(mut self) -> Result<(), DbError> {
         self.stop_threads();
-        match &self.dir {
-            Some(dir) => checkpoint(&self.shared, dir),
-            None => Ok(()),
+        if self.shared.is_durable() {
+            self.shared.checkpoint()
+        } else {
+            Ok(())
         }
     }
 
@@ -1034,16 +1023,6 @@ fn err_response(e: &DbError) -> (Status, Vec<String>) {
     (Status::of(e), vec![e.to_string()])
 }
 
-/// The one checkpoint path: the `SAVE` opcode and graceful shutdown
-/// both commit through here, so there is exactly one place where the
-/// in-memory state is folded into the paged store and the write-ahead
-/// log truncated — and both callers report the same typed [`DbError`]
-/// when it fails (to the client as a status frame, to the operator as
-/// the shutdown result).
-pub fn checkpoint(shared: &SharedDatabase, dir: &Path) -> Result<(), DbError> {
-    shared.checkpoint(dir)
-}
-
 /// Commit one mutation through the durable write path and render the
 /// outcome as a response.
 fn apply_mutation(state: &ServerState, m: &Mutation) -> (Status, Vec<String>) {
@@ -1165,15 +1144,9 @@ fn dispatch(state: &ServerState, op: Opcode, fields: &[String]) -> (Status, Vec<
             if let Err(e) = check(0) {
                 return e;
             }
-            match &state.dir {
-                None => (
-                    Status::Unsupported,
-                    vec!["the server was started without a persistence directory".to_string()],
-                ),
-                Some(dir) => match checkpoint(&state.shared, dir) {
-                    Ok(()) => (Status::Ok, Vec::new()),
-                    Err(e) => err_response(&e),
-                },
+            match state.shared.checkpoint() {
+                Ok(()) => (Status::Ok, Vec::new()),
+                Err(e) => err_response(&e),
             }
         }
     }

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use xsdb::{Database, SharedDatabase};
+use xsdb::{Database, Durability, SharedDatabase};
 use xsserver::client::{Client, ClientError};
 use xsserver::protocol::{Opcode, Status, WIRE_VERSION};
 use xsserver::server::{Server, ServerConfig, ServerHandle};
@@ -511,8 +511,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn save_opcode_and_shutdown_flush_persist_state() {
     let dir = temp_dir("persist");
-    let config = ServerConfig { dir: Some(dir.clone()), ..Default::default() };
-    let (handle, addr) = start(config);
+    let (shared, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).expect("open");
+    let handle = Server::start("127.0.0.1:0", ServerConfig::default(), shared).expect("bind");
+    let addr = handle.local_addr().to_string();
     let mut c = Client::connect(&addr).expect("connect");
     c.put_schema("s", SCHEMA).unwrap();
     c.put_doc("d", "s", DOC).unwrap();

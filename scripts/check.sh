@@ -18,6 +18,10 @@ cargo test -q -p xsdb --test parallel_recovery
 cargo test -q -p xsdb --test commit_protocol
 cargo test -q -p xsdb --lib shared::tests::preparation_runs_outside_the_writer_lock
 cargo test -q -p xsdb --test page_matrix
+# A save writes the difference between two states by block identity:
+# any line of states, in either order, and a re-inserted name.
+cargo test -q -p xs-storage --lib paged::tests
+cargo test -q -p xsdb --lib persist::tests
 # Block-granular copy-on-write: a mutated clone copies a constant number
 # of blocks and location segments, the original is untouched, and freed
 # descriptor ids recycle only in later versions.
@@ -179,6 +183,25 @@ if ! awk '
   !intest && FILENAME ~ /xquery\/src\/eval\.rs$/ && /fn xpath_step/ { print FILENAME ":" FNR ": " $0; bad = 1 }
   END { exit bad }' crates/core/src/*.rs crates/xquery/src/eval.rs >&2; then
   echo "one-flwor gate: crates/core evaluates XQUERY generically, or xquery copies the step logic" >&2
+  exit 1
+fi
+
+# One dirty test: a save writes every block and location segment that
+# is not the allocation it saved last, so outside their tests storage
+# and core keep no dirty ticks, watermarks or registry versions; and the
+# durable handle owns its directory, so the server keeps no copy of it.
+if ! awk '
+  FNR == 1 { intest = 0; inconfig = 0 }
+  /#\[cfg\(test\)\]/ { intest = 1 }
+  !intest && FILENAME ~ /crates\/(storage|core)\// && /watermark|dirty_blocks|dirty_loc_segs|meta_tick|registry_version/ {
+    print FILENAME ":" FNR ": " $0; bad = 1
+  }
+  FILENAME ~ /crates\/xsserver\// && /struct ServerConfig/ { inconfig = 1 }
+  inconfig && /^}/ { inconfig = 0 }
+  inconfig && /^[[:space:]]*(pub )?dir:/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+  END { exit bad }' crates/storage/src/*.rs crates/core/src/*.rs crates/core/src/bin/*.rs \
+    crates/xsserver/src/*.rs crates/xsserver/src/bin/*.rs >&2; then
+  echo "one-dirty-test gate: a save keeps tick bookkeeping, or the server a directory" >&2
   exit 1
 fi
 

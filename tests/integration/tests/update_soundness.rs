@@ -520,7 +520,7 @@ fn a_store_reopens_after_a_refused_whitespace_update() {
     let update = "replace value of node //box with \"\u{A0}\"".to_string();
     let err = sh.apply(&Mutation::Update { doc: "d".into(), update }).expect_err("refused");
     assert!(matches!(err, DbError::Invalid(_)), "{err}");
-    sh.checkpoint(&dir).expect("checkpoint");
+    sh.checkpoint().expect("checkpoint");
     drop(sh);
     let (again, report) = SharedDatabase::open_durable(&dir, Durability::Fsync).expect("reopen");
     assert!(report.is_clean(), "{report:?}");

@@ -96,7 +96,38 @@ const QUERIES: &[&str] = &[
     r#"for $b in /library/book let $t := $b/title where $b/issue return <r id="{$b/@id}">{$t}</r>"#,
     "for $a in /library/book/author return <a>{$a/text()}</a>",
     "for $p in /library/paper where $p/title return $p",
+    // Comparisons inside a predicate or a literal belong to it.
+    r#"for $b in /library/book where $b/author[. = "codd"] return $b/@id"#,
+    "for $b in /library/book where $b/issue[year >= '2000'] return $b/issue/year",
+    r#"for $b in /library/book where $b/title != "x!=y" return $b/title"#,
 ];
+
+/// `where` conditions whose brackets or literals hold comparison
+/// operators, over the pinned plan document: `Database::xquery` writes
+/// the oracle's bytes, and selects what the condition names.
+#[test]
+fn where_operators_inside_brackets_and_quotes_match_the_oracle() {
+    let xsd = include_str!("../../../fixtures/lint/clean.xsd");
+    let xml = include_str!("../../../fixtures/lint/plan_doc.xml");
+    let mut db = Database::new();
+    db.register_schema_text("lib", xsd).unwrap();
+    db.insert("d", "lib", xml).unwrap();
+    let schema = xsdb::xsmodel::parse_schema_text(xsd).unwrap();
+    let loaded = load_document(&schema, &Document::parse(xml).unwrap()).unwrap();
+    let tree = XdmTree { store: &loaded.store, doc: loaded.doc };
+    for (q, want) in [
+        (r#"for $b in /library/book where $b/author[.="Gray"] return $b/title"#, 1),
+        (r#"for $b in /library/book where $b/author[. != "Codd"] return $b/title"#, 6),
+        (r#"for $b in /library/book where $b/title = "x!=y" return $b/title"#, 0),
+        (r#"for $b in /library/book where $b/title != "x!=y" return $b/title"#, 8),
+        ("for $b in /library/book where $b/isbn[. > '1'] return $b/isbn", 4),
+    ] {
+        let oracle = nodes_to_string(&evaluate(&tree, &parse_query(q).unwrap()).unwrap());
+        let got = db.xquery("d", q).unwrap();
+        assert_eq!(got, oracle, "{q}");
+        assert_eq!(got.matches("<title>").count() + got.matches("<isbn>").count(), want, "{q}");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
