@@ -1244,7 +1244,14 @@ fn e16_query_planner(guard: bool) {
         (
             "uniform",
             uniform(BOOKS),
-            &["/library/book/title", "//year", "//book/@id", "/library/book[year>\"2010\"]/title"],
+            &[
+                "/library/book/title",
+                "//year",
+                "//book/@id",
+                "/library/book[year>\"2010\"]/title",
+                "/library/book[1]/title",
+                "/library/book[1024]/title",
+            ],
         ),
         ("skewed", skewed(BOOKS), &["//errata", "/library/book/errata", "//title", "//chapter"]),
     ];

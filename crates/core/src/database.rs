@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use algebra::{validate_text, ContentModelCache, LoadOptions, ValidationError};
-use storage::XmlStorage;
+use storage::{DescPtr, XmlStorage};
 use xmlparse::ParseLimits;
 use xsmodel::DocumentSchema;
 
@@ -512,6 +512,28 @@ impl Database {
         Ok(outcome)
     }
 
+    /// The nodes the target path of `upd` selects in the stored document
+    /// `doc_name`, in document order: what [`Database::execute_update`]
+    /// resolves on the pre-state before its target-kind checks. The path
+    /// runs as a planned [`xquery::QueryPlan`], exactly as `QUERY` runs
+    /// it.
+    ///
+    /// # Errors
+    /// [`DbError::UnknownDocument`] when no document is stored as
+    /// `doc_name`.
+    pub fn update_targets(
+        &self,
+        doc_name: &str,
+        upd: &xquery::UpdateExpr,
+    ) -> Result<Vec<DescPtr>, DbError> {
+        let doc = self
+            .documents
+            .get(doc_name)
+            .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
+        let storage = &doc.storage;
+        Ok(self.plan_for(storage, upd.target(), None).execute(storage).nodes)
+    }
+
     // ------------------------------------------------ prepare and commit
 
     /// Prepare registering `schema` under `name`: the duplicate-name,
@@ -641,15 +663,15 @@ impl Database {
             .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
         Ok(Prepared {
             effect: Effect::Delete { name: doc_name.to_string(), pre: Arc::clone(pre) },
-            outcome: ApplyOutcome::Deleted(true),
+            outcome: ApplyOutcome::Deleted,
         })
     }
 
     /// Prepare the update `upd` of `doc_name`: the static verdict, then
-    /// resolve → copy → edit → recheck on the pre-state (see the
-    /// `update` module). A refusal is counted here, where it is final;
-    /// a success is counted when it commits, since a stale preparation
-    /// is prepared again.
+    /// resolve ([`Database::update_targets`]) → check → copy → edit →
+    /// recheck on the pre-state (see the `update` module). A refusal is
+    /// counted here, where it is final; a success is counted when it
+    /// commits, since a stale preparation is prepared again.
     pub(crate) fn prepare_update(
         &self,
         doc_name: &str,
@@ -674,7 +696,8 @@ impl Database {
             cm_cache: &self.cm_cache,
             obs: &self.obs,
         };
-        let (outcome, storage) = update::apply(&pre.storage, upd, analysis.verdict, &cx)
+        let found = self.update_targets(doc_name, upd)?;
+        let (outcome, storage) = update::apply(&pre.storage, upd, found, analysis.verdict, &cx)
             .inspect_err(|_| self.count_update(Some(analysis.verdict)))?;
         let post = StoredDocument { schema_name: pre.schema_name.clone(), storage };
         let prepared = Prepared {

@@ -77,9 +77,9 @@ pub enum ApplyOutcome {
     Removed,
     /// A document was inserted.
     Inserted,
-    /// A document was deleted. Always `true`: deleting a document that
-    /// is not stored is refused with [`DbError::UnknownDocument`].
-    Deleted(bool),
+    /// A document was deleted. Deleting a document that is not stored
+    /// is refused with [`DbError::UnknownDocument`] instead.
+    Deleted,
     /// A statically type-checked update ran; the outcome carries the
     /// verdict it ran under and how much revalidation it cost.
     UpdatedChecked(crate::update::UpdateOutcome),

@@ -451,7 +451,7 @@ mod tests {
         a.apply(&put("d", "<n>x</n>")).unwrap();
         assert_eq!(b.read().query("d", "/n").unwrap(), ["x"]);
         let deleted = b.apply(&Mutation::Delete { doc: "d".into() }).unwrap();
-        assert_eq!(deleted, ApplyOutcome::Deleted(true));
+        assert_eq!(deleted, ApplyOutcome::Deleted);
         assert!(a.read().is_empty());
     }
 

@@ -4,7 +4,10 @@
 //! document, following the XQuery Update Facility 1.0 (§3.2): every
 //! target is resolved on the pre-state before anything changes.
 //!
-//! 1. **Resolve** the target path once, on the pre-state.
+//! 1. **Resolve** the target path once, on the pre-state. The caller
+//!    does it ([`crate::Database::update_targets`]) with the planned
+//!    execution `QUERY` and `XQUERY` run, so this module evaluates no
+//!    path.
 //! 2. **Check** each target's kind against the operation — a violation
 //!    refuses the whole update (XUTY0005, XUTY0006, XUTY0008) — and keep
 //!    only the outermost targets of the subtree-replacing operations.
@@ -34,7 +37,6 @@
 use algebra::{ContentModelCache, LoadOptions};
 use storage::{DescPtr, XmlStorage};
 use xdm::NodeKind;
-use xpath::eval_guided;
 use xquery::UpdateExpr;
 use xsanalyze::UpdateVerdict;
 use xsmodel::DocumentSchema;
@@ -69,9 +71,10 @@ pub(crate) struct Recheck<'a> {
 }
 
 /// Run `upd` against the pre-state `pre` under the static `verdict`
-/// (never `Reject`): resolve, check, apply on a clone, recheck. Returns
-/// the outcome and the post-state for the caller to commit; `pre` is
-/// never touched.
+/// (never `Reject`), given the nodes its target path selects in `pre`
+/// (`found`, in document order): check, apply on a clone, recheck.
+/// Returns the outcome and the post-state for the caller to commit;
+/// `pre` is never touched.
 ///
 /// # Errors
 /// [`DbError::XQuery`] naming the XUTY code when a target has the wrong
@@ -80,10 +83,11 @@ pub(crate) struct Recheck<'a> {
 pub(crate) fn apply(
     pre: &XmlStorage,
     upd: &UpdateExpr,
+    found: Vec<DescPtr>,
     verdict: UpdateVerdict,
     cx: &Recheck<'_>,
 ) -> Result<(UpdateOutcome, XmlStorage), DbError> {
-    let targets = resolve(pre, upd)?;
+    let targets = check_targets(pre, upd, found)?;
     let mut post = pre.clone();
     let sites = edit(&mut post, upd, &targets, cx)?;
     let revalidated = match verdict {
@@ -93,10 +97,14 @@ pub(crate) fn apply(
     Ok((UpdateOutcome { verdict, nodes: targets.len(), revalidated }, post))
 }
 
-/// Steps 1 and 2: the targets `upd` applies to, resolved on `pre`.
-fn resolve(pre: &XmlStorage, upd: &UpdateExpr) -> Result<Vec<DescPtr>, DbError> {
+/// Step 2: the targets `upd` applies to, of the nodes `found` its
+/// target path selects in `pre`.
+fn check_targets(
+    pre: &XmlStorage,
+    upd: &UpdateExpr,
+    found: Vec<DescPtr>,
+) -> Result<Vec<DescPtr>, DbError> {
     use UpdateExpr as U;
-    let found = eval_guided(pre, upd.target());
     let mut refusal = None;
     let mut bad: Vec<String> = Vec::new();
     for &t in &found {
@@ -419,13 +427,14 @@ mod tests {
         let upd = xquery::parse_update(update).unwrap();
         let (cache, obs) = (ContentModelCache::new(), xsobs::Registry::new());
         let cx = Recheck { schema, options, cm_cache: &cache, obs: &obs };
-        let post = match apply(&doc.storage, &upd, UpdateVerdict::Accept, &cx) {
+        let found = || db.update_targets("d", &upd).unwrap();
+        let post = match apply(&doc.storage, &upd, found(), UpdateVerdict::Accept, &cx) {
             Ok((_, post)) => post,
             Err(DbError::XQuery(_)) => return None,
             Err(e) => panic!("{update}: {e}"),
         };
         let whole = validate_storage(schema, &post, options, &cache).unwrap();
-        match apply(&doc.storage, &upd, UpdateVerdict::Recheck, &cx) {
+        match apply(&doc.storage, &upd, found(), UpdateVerdict::Recheck, &cx) {
             Ok((outcome, rechecked)) => {
                 assert_eq!(whole, [], "{update}: committed an invalid state");
                 assert!(outcome.revalidated > 0, "{update}");

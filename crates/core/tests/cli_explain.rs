@@ -156,3 +156,31 @@ fn a_predicate_path_from_the_root_is_refused() {
         assert!(stderr.contains("predicate paths are relative"), "{stderr}");
     }
 }
+
+/// A positional step runs guided and stops at its k-th match: on a
+/// 16 384-book library, `book[1]` walks one book (one `W_NAV` hop plus
+/// one output unit), where a postings probe would check every book.
+#[test]
+fn a_positional_step_walks_only_to_its_match() {
+    let path =
+        std::env::temp_dir().join(format!("xsdb-explain-positional-{}.xml", std::process::id()));
+    let mut xml = String::from("<library>");
+    for i in 0..16_384 {
+        xml.push_str(&format!("<book><title>t{i}</title><author>a{i}</author></book>"));
+    }
+    xml.push_str("</library>");
+    std::fs::write(&path, xml).expect("write library");
+    let out = lint(&[
+        "--doc",
+        &path.display().to_string(),
+        "--explain",
+        "/library/book[1]/title",
+        &fixture("clean.xsd"),
+    ]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = stdout(&out);
+    let step = text.lines().find(|l| l.contains("step 2: book[1]")).expect("book[1] step");
+    assert!(step.contains("strategy=guided"), "{text}");
+    assert!(step.ends_with("actual_rows=1        actual_work=11"), "{text}");
+}

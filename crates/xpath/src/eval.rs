@@ -308,6 +308,11 @@ pub fn eval_naive<T: TreeAccess>(tree: &T, path: &Path) -> Vec<T::Node> {
 /// Evaluate an absolute path over block storage, using the descriptive
 /// schema to avoid traversal wherever the path shape allows.
 ///
+/// This is the subject of experiment E5 (the §9.2 claim that schema
+/// guidance beats a naive walk) and the UPDATE step of the benchmark's
+/// traced replay. No database path runs it: `QUERY`, `XQUERY` and
+/// update targets all execute an `xquery::QueryPlan`.
+///
 /// Strategy: resolve the longest predicate-free prefix of child/attribute
 /// name-steps (and leading `//` steps) against the *schema* tree; scan
 /// the descriptor lists of the resolved schema nodes directly; run the

@@ -106,27 +106,44 @@ impl<'a> Parser<'a> {
         Ok(name)
     }
 
-    /// A region up to (not including) any of the given stop *keywords*
-    /// (word-boundary aware); used for embedded paths.
+    /// A region up to (not including) the first of the given stop
+    /// *keywords* that stands as a whole word at bracket/paren depth 0
+    /// and outside quotes, as [`find_comparison`] scans; used for
+    /// embedded paths. A keyword inside a predicate or a literal belongs
+    /// to it.
     fn take_until_keyword(&mut self, stops: &[&str]) -> &'a str {
         self.skip_ws();
-        let mut best = self.rest.len();
-        for stop in stops {
-            let mut offset = 0;
-            while let Some(found) = self.rest[offset..].find(stop) {
-                let at = offset + found;
-                let before_ok =
-                    at == 0 || self.rest[..at].chars().last().is_some_and(|c| c.is_whitespace());
-                let after = self.rest[at + stop.len()..].chars().next();
-                let after_ok = after.is_none_or(|c| c.is_whitespace());
-                if before_ok && after_ok {
-                    best = best.min(at);
-                    break;
+        let text = self.rest;
+        let (mut depth, mut quote) = (0usize, None);
+        let mut word_start = true;
+        let mut best = text.len();
+        for (at, c) in text.char_indices() {
+            let starts = std::mem::replace(&mut word_start, c.is_whitespace());
+            if let Some(q) = quote {
+                if c == q {
+                    quote = None;
                 }
-                offset = at + stop.len();
+                continue;
+            }
+            match c {
+                '"' | '\'' => quote = Some(c),
+                '[' | '(' => depth += 1,
+                ']' | ')' => depth = depth.saturating_sub(1),
+                _ if depth == 0 && starts => {
+                    let keyword = stops.iter().any(|stop| {
+                        text[at..].strip_prefix(stop).is_some_and(|after| {
+                            after.chars().next().is_none_or(char::is_whitespace)
+                        })
+                    });
+                    if keyword {
+                        best = at;
+                        break;
+                    }
+                }
+                _ => {}
             }
         }
-        let (head, tail) = self.rest.split_at(best);
+        let (head, tail) = text.split_at(best);
         self.rest = tail;
         head.trim_end()
     }
@@ -523,6 +540,30 @@ mod tests {
             "banana",
         ] {
             assert!(parse_query(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn clause_keywords_inside_literals_and_predicates_belong_to_them() {
+        for kw in ["and", "let", "where", "order", "return", "ascending", "descending"] {
+            // In a `where` literal.
+            let literal = format!("Access {kw} Path");
+            let q = format!(r#"for $b in /library/book where $b/title = "{literal}" return $b"#);
+            let Query::Flwor(f) = parse_query(&q).unwrap() else { panic!("{q}") };
+            let [Condition::Compare { literal: got, .. }] = &f.conditions[..] else {
+                panic!("{q}")
+            };
+            assert_eq!(got, &literal, "{q}");
+            // In a predicate of the `for` source, of a `let` path and of
+            // an `order by` key.
+            let q = format!(
+                "for $b in /library/book[title = 'x {kw} y'] let $t := $b/title[. != \"{kw}\"] \
+                 order by $b/author[. = '{kw} '] descending return $t"
+            );
+            let Query::Flwor(f) = parse_query(&q).unwrap() else { panic!("{q}") };
+            assert_eq!(f.source.to_string(), format!(r#"/library/book[title="x {kw} y"]"#));
+            assert_eq!((f.lets.len(), f.order.map(|o| o.descending)), (1, Some(true)), "{q}");
+            assert!(matches!(f.ret, Item::VarPath(ref vp) if vp.var == "t"), "{q}");
         }
     }
 

@@ -7,8 +7,10 @@
 //! it on this implementation):
 //!
 //! * **guided descent** ([`Strategy::Guided`]) — navigate from each
-//!   context node through the §5 accessors (today's evaluator path);
-//!   always applicable;
+//!   context node: a child, attribute or `text()` name step walks only
+//!   its §9.2 first-child-by-schema slot, any other step the §5
+//!   accessors; a child or attribute step whose first predicate is
+//!   `[k]` stops after k matches per context; always applicable;
 //! * **Dewey-range scan** ([`Strategy::Dewey`]) — for `descendant` /
 //!   `descendant-or-self`: binary-search the document-order index for
 //!   the context node, then scan forward while the §9.3 label says
@@ -215,6 +217,9 @@ struct CompiledStep {
     /// The first-child slot a guided name step walks, per context
     /// schema node ([`crate::relative`]).
     hop: Option<Hop>,
+    /// How many matches per context a guided walk needs
+    /// ([`first_k`]); `None`: all of them.
+    stop: Option<usize>,
     /// The step's predicates, relative paths compiled and literals
     /// classified.
     preds: Vec<Pred>,
@@ -356,10 +361,10 @@ impl QueryPlan {
                         // A schema-path step outside the scan's run is
                         // never planned; guided is the universal fallback.
                         Strategy::Guided | Strategy::SchemaPath => {
-                            state.guided(ctx, step, compiled.hop.as_ref())
+                            state.guided(ctx, step, compiled)
                         }
                         Strategy::Dewey => state.dewey(ctx, step),
-                        Strategy::Postings => state.postings(ctx, step),
+                        Strategy::Postings => state.postings(ctx, step, compiled),
                     };
                     for pred in &compiled.preds {
                         pred.filter_tail(storage, &mut cands, 0);
@@ -394,36 +399,30 @@ struct ExecState<'a> {
 }
 
 impl ExecState<'_> {
-    /// Guided descent: the naive evaluator's candidates, charged per
-    /// navigated node. A name step with a hop walks its first-child slot
-    /// and counts the context's other nodes on the axis without
-    /// collecting them, so it is charged what the accessor walk is.
-    fn guided(&mut self, ctx: DescPtr, step: &Step, hop: Option<&Hop>) -> Vec<DescPtr> {
+    /// Guided descent: the naive evaluator's candidates, charged
+    /// [`W_NAV`] per node walked. A name step with a hop walks only its
+    /// first-child slot, any other step the accessor candidates; either
+    /// walk ends at the step's `stop`-th match.
+    fn guided(&mut self, ctx: DescPtr, step: &Step, compiled: &CompiledStep) -> Vec<DescPtr> {
         let st = self.storage;
-        let sn = st.schema_node_of(ctx);
-        if let Some(slot) = hop.and_then(|h| h.slot(sn)) {
-            let attrs = step.axis == Axis::Attribute;
-            let schema = st.schema();
-            let mut out = Vec::new();
-            let mut visited = 0;
-            for (i, &c) in schema.node(sn).children.iter().enumerate() {
-                if (schema.node(c).kind == NodeKind::Attribute) != attrs {
-                    continue;
-                }
-                if slot == Some(i) {
-                    out.extend(st.children_in(ctx, i));
-                    visited += out.len();
-                } else {
-                    visited += st.children_in(ctx, i).count();
-                }
-            }
-            self.work += W_NAV * visited as u64;
+        let stop = compiled.stop.unwrap_or(usize::MAX);
+        if let Some(slot) = compiled.hop.as_ref().and_then(|h| h.slot(st.schema_node_of(ctx))) {
+            let out: Vec<DescPtr> =
+                slot.into_iter().flat_map(|slot| st.children_in(ctx, slot)).take(stop).collect();
+            self.work += W_NAV * out.len() as u64;
             return out;
         }
-        let tree = &self.storage;
-        let cands = axis_candidates(tree, ctx, step.axis);
-        self.work += W_NAV * cands.len() as u64;
-        cands.into_iter().filter(|&c| test_matches(tree, c, step.axis, &step.test)).collect()
+        let mut out = Vec::new();
+        for c in axis_candidates(&st, ctx, step.axis) {
+            if out.len() == stop {
+                break;
+            }
+            self.work += W_NAV;
+            if test_matches(&st, c, step.axis, &step.test) {
+                out.push(c);
+            }
+        }
+        out
     }
 
     fn ensure_doc_order(&mut self) {
@@ -468,9 +467,9 @@ impl ExecState<'_> {
 
     /// Postings probe: the name's merged descriptor list filtered per
     /// context node by an O(label) parent/ancestor check.
-    fn postings(&mut self, ctx: DescPtr, step: &Step) -> Vec<DescPtr> {
+    fn postings(&mut self, ctx: DescPtr, step: &Step, compiled: &CompiledStep) -> Vec<DescPtr> {
         let NodeTest::Name(name) = &step.test else {
-            return self.guided(ctx, step, None); // unreachable for applicable steps
+            return self.guided(ctx, step, compiled); // unreachable for applicable steps
         };
         let want_attr = step.axis == Axis::Attribute;
         let key = (name.clone(), want_attr);
@@ -517,6 +516,9 @@ impl ExecState<'_> {
 struct StepEst {
     /// Schema nodes the step can land on.
     targets: Vec<SchemaNodeId>,
+    /// Whether a guided walk of the step hops through one first-child
+    /// slot (else it walks every node on the axis).
+    hop: bool,
     /// Estimated context rows coming in.
     est_in: f64,
     /// Fraction of the frontier's instances that are actual contexts.
@@ -527,10 +529,15 @@ struct StepEst {
 
 /// Walk the path over the DataGuide, estimating each step's targets and
 /// cardinalities from the catalog.
-fn estimate_steps(schema: &DescriptiveSchema, stats: &CatalogStats, path: &Path) -> Vec<StepEst> {
+fn estimate_steps(
+    schema: &DescriptiveSchema,
+    stats: &CatalogStats,
+    path: &Path,
+    compiled: &[CompiledStep],
+) -> Vec<StepEst> {
     let root = [schema.root()];
     let mut ests: Vec<StepEst> = Vec::with_capacity(path.steps.len());
-    for step in &path.steps {
+    for (step, compiled) in path.steps.iter().zip(compiled) {
         let (frontier, est_in) = match ests.last() {
             Some(e) => (&e.targets[..], e.est_rows),
             None => (&root[..], 1.0),
@@ -545,7 +552,7 @@ fn estimate_steps(schema: &DescriptiveSchema, stats: &CatalogStats, path: &Path)
                 PredSel::OnePerContext => est_rows.min(est_in),
             };
         }
-        ests.push(StepEst { targets, est_in, sel_in, est_rows });
+        ests.push(StepEst { targets, hop: compiled.hop.is_some(), est_in, sel_in, est_rows });
     }
     ests
 }
@@ -588,6 +595,8 @@ fn choose_per_step(
             schema,
             stats,
             frontier: if i == 0 { &root[..] } else { &ests[i - 1].targets[..] },
+            targets: &e.targets,
+            hop: e.hop,
             est_in: e.est_in,
             sel_in: e.sel_in,
             est_rows: e.est_rows,
@@ -636,7 +645,16 @@ pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan 
     let schema = storage.schema();
     let stats = storage.stats();
     stats.assert_current(storage.tick());
-    let ests = estimate_steps(schema, stats, path);
+    let compiled: Vec<CompiledStep> = path
+        .steps
+        .iter()
+        .map(|step| CompiledStep {
+            hop: Hop::compile(schema, step),
+            stop: first_k(step),
+            preds: step.predicates.iter().map(|p| Pred::compile(schema, p)).collect(),
+        })
+        .collect();
+    let ests = estimate_steps(schema, stats, path, &compiled);
     let pruned_from = if opts.statically_empty {
         Some(0)
     } else {
@@ -687,14 +705,6 @@ pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan 
             est_cost: cost + 0.0,
         })
         .collect();
-    let compiled = path
-        .steps
-        .iter()
-        .map(|step| CompiledStep {
-            hop: Hop::compile(schema, step),
-            preds: step.predicates.iter().map(|p| Pred::compile(schema, p)).collect(),
-        })
-        .collect();
     QueryPlan {
         path: path.clone(),
         steps,
@@ -721,6 +731,11 @@ struct CostCtx<'a> {
     schema: &'a DescriptiveSchema,
     stats: &'a CatalogStats,
     frontier: &'a [SchemaNodeId],
+    /// The schema nodes the step lands on.
+    targets: &'a [SchemaNodeId],
+    /// Whether a guided walk of the step hops through one first-child
+    /// slot (else it walks every node on the axis).
+    hop: bool,
     est_in: f64,
     sel_in: f64,
     est_rows: f64,
@@ -732,6 +747,16 @@ fn card_sum(stats: &CatalogStats, sns: &[SchemaNodeId]) -> f64 {
     sns.iter().map(|&sn| stats.cardinality(sn) as f64).sum()
 }
 
+/// A child or attribute step whose first predicate is `[k]` keeps only
+/// the k-th match per context, so a guided walk stops at it. Both axes
+/// run forward, so their k-th match is the k-th in document order.
+fn first_k(step: &Step) -> Option<usize> {
+    match (step.axis, step.predicates.first()) {
+        (Axis::Child | Axis::Attribute, Some(&Predicate::Position(k))) => Some(k as usize),
+        _ => None,
+    }
+}
+
 /// Estimated cost of running `step` with `strategy`, in the same work
 /// units the executor counts.
 fn est_cost(strategy: Strategy, step: &Step, ctx: &CostCtx<'_>) -> f64 {
@@ -741,8 +766,22 @@ fn est_cost(strategy: Strategy, step: &Step, ctx: &CostCtx<'_>) -> f64 {
         Strategy::Guided => {
             let visited = match step.axis {
                 Axis::Child | Axis::Attribute => {
-                    let kids = children_of(ctx.schema, ctx.frontier, step.axis == Axis::Attribute);
-                    ctx.sel_in * card_sum(ctx.stats, &kids)
+                    // A hop walks the step's own slot; any other test
+                    // every node on the axis.
+                    let matches = card_sum(ctx.stats, ctx.targets);
+                    let attrs = step.axis == Axis::Attribute;
+                    let walked = if ctx.hop {
+                        matches
+                    } else {
+                        card_sum(ctx.stats, &children_of(ctx.schema, ctx.frontier, attrs))
+                    };
+                    match first_k(step) {
+                        // Each context stops at its k-th match.
+                        Some(k) if matches > 0.0 => {
+                            (ctx.sel_in * walked).min(k as f64 * n_ctx * walked / matches)
+                        }
+                        _ => ctx.sel_in * walked,
+                    }
                 }
                 Axis::SelfAxis | Axis::Parent => n_ctx,
                 Axis::Descendant | Axis::DescendantOrSelf => {
@@ -1228,6 +1267,22 @@ mod tests {
                 chosen as f64 <= best as f64 * 1.1,
                 "{q}: chosen {chosen} > 1.1 × best forced {best}"
             );
+        }
+    }
+
+    #[test]
+    fn positional_guided_step_stops_at_k_and_is_priced_so() {
+        let xs = library();
+        let walk = |k: u64| (k * W_NAV + W_OUT) as f64;
+        // `book[2]` hops the `book` slot and stops at the second book;
+        // `*[7]` walks the accessor candidates to the first paper.
+        for (q, k) in [("/library/book[2]/title", 2), ("/library/*[7]", 7)] {
+            let path = parse(q).expect("parses");
+            let (p, exec) = plan_and_execute(&xs, &path, &PlanOptions::default());
+            assert_eq!(p.steps()[1].strategy, Strategy::Guided, "{q}");
+            assert_eq!(exec.step_work[1] as f64, walk(k), "{q}: actual");
+            assert_eq!(p.steps()[1].est_cost, walk(k), "{q}: estimate");
+            assert_eq!(exec.nodes, eval_naive(&&xs, &path), "{q}");
         }
     }
 

@@ -186,6 +186,19 @@ if ! awk '
   exit 1
 fi
 
+# One resolver: outside their tests, the database layers never evaluate
+# a path themselves. QUERY, XQUERY's source and update targets all run a
+# planned `xquery::QueryPlan` through `Database::plan_for`; `eval_naive`
+# is the oracle and `eval_guided` experiment E5's subject.
+if ! awk '
+  FNR == 1 { intest = 0 }
+  /#\[cfg\(test\)\]/ { intest = 1 }
+  !intest && /eval_guided|eval_naive/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+  END { exit bad }' crates/core/src/*.rs >&2; then
+  echo "one-resolver gate: non-test code in crates/core evaluates a path outside the planner" >&2
+  exit 1
+fi
+
 # One dirty test: a save writes every block and location segment that
 # is not the allocation it saved last, so outside their tests storage
 # and core keep no dirty ticks, watermarks or registry versions; and the

@@ -8,7 +8,10 @@
 //! duplicates (strictly increasing), for every strategy.
 //!
 //! 32 generated cases × 10 generated queries ≥ 256 differential
-//! checks per run, each exercising all five execution paths. Every
+//! checks per run, each exercising all five execution paths. The same
+//! generated paths, as update targets, resolve through
+//! `Database::update_targets` — the planned execution an update runs —
+//! to the naive evaluator's sequence on the pre-state. Every
 //! other query walks the document's own DataGuide, so it usually
 //! selects something and its predicates — positional, existence and
 //! comparisons against the document's own values and edge literals —
@@ -22,7 +25,8 @@ use xsdb::storage::{DescPtr, SchemaNodeId, XmlStorage};
 use xsdb::xdm::{NodeKind, NodeStore};
 use xsdb::xpath::{eval_naive, parse, XdmTree};
 use xsdb::xquery::{plan_and_execute, PlanOptions, Strategy};
-use xsdb::{load_document, Document};
+use xsdb::xsobs::{CounterId, Registry};
+use xsdb::{load_document, Database, Document};
 
 mod common;
 use common::CaseGen;
@@ -368,6 +372,69 @@ proptest! {
             );
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// An update resolves its target path with the plan `QUERY` runs:
+    /// for every generated path, the targets equal the naive
+    /// evaluator's on the pre-state, node for node and in order.
+    #[test]
+    fn update_targets_are_the_naive_sequence(case in CaseGen, seed in 0u64..1_000_000) {
+        let mut db = Database::new();
+        db.register_schema("s", case.schema.clone()).unwrap();
+        db.insert("d", "s", &case.xml).unwrap();
+        let storage = &db.document("d").unwrap().storage;
+        let (elems, attrs) = guide_names(storage);
+        let values = leaf_values(storage);
+
+        let mut rng = TestRng::for_case("plan_equivalence_update", seed);
+        for i in 0..QUERIES_PER_CASE {
+            let q = if i % 2 == 0 {
+                random_query(&mut rng, &elems, &attrs)
+            } else {
+                guide_query(&mut rng, storage, &values)
+            };
+            let naive = eval_naive(&storage, &parse(&q).unwrap());
+            for update in [format!("delete node {q}"), format!("replace value of node {q} with \"v\"")] {
+                let upd = xsdb::xquery::parse_update(&update).unwrap();
+                let targets = db.update_targets("d", &upd).unwrap();
+                prop_assert_eq!(&targets, &naive, "{}\nxml: {}", update, case.xml);
+            }
+        }
+    }
+}
+
+/// A target the document's DataGuide cannot reach prunes its plan: the
+/// update executes zero operators, counts one pruned plan and no
+/// planned step, and applies to nothing. A target no valid document
+/// reaches (`/library/dvd`) is refused by the static check before any
+/// plan is built.
+#[test]
+fn statically_empty_update_target_runs_zero_operators() {
+    let obs = std::sync::Arc::new(Registry::new());
+    let mut db = Database::with_metrics_registry(std::sync::Arc::clone(&obs));
+    db.register_schema_text("lib", include_str!("../../../fixtures/lint/clean.xsd")).unwrap();
+    let xml = "<library><book><title>t</title><author>a</author></book></library>";
+    db.insert("d", "lib", xml).unwrap();
+    let plans = || {
+        let m = obs.snapshot();
+        let steps = [
+            CounterId::PlanStepsGuided,
+            CounterId::PlanStepsDewey,
+            CounterId::PlanStepsPostings,
+            CounterId::PlanStepsSchemaPath,
+        ];
+        let steps: u64 = steps.into_iter().map(|c| m.counter(c)).sum();
+        (m.counter(CounterId::PlanQueries), m.counter(CounterId::PlanPruned), steps)
+    };
+    let outcome = db.execute_update("d", "delete node /library/book/isbn").unwrap();
+    assert_eq!((outcome.nodes, outcome.revalidated), (0, 0));
+    assert_eq!(plans(), (1, 1, 0), "(plans, pruned, planned steps)");
+    assert!(db.execute_update("d", "delete node /library/dvd").is_err());
+    assert_eq!(plans(), (1, 1, 0), "a refused update plans nothing");
+    assert_eq!(db.serialize("d").unwrap(), xml);
 }
 
 /// A recursive DataGuide: `section`s nest, so `//section/heading` lands

@@ -62,7 +62,7 @@ fn put(sh: &SharedDatabase, name: &str, xml: String) {
 /// Delete the stored document `name` through the logged path.
 fn delete(sh: &SharedDatabase, name: &str) {
     let m = Mutation::Delete { doc: name.into() };
-    assert_eq!(sh.apply(&m).unwrap(), ApplyOutcome::Deleted(true));
+    assert_eq!(sh.apply(&m).unwrap(), ApplyOutcome::Deleted);
 }
 
 fn doc(items: usize, tag: &str) -> String {

@@ -100,11 +100,17 @@ const QUERIES: &[&str] = &[
     r#"for $b in /library/book where $b/author[. = "codd"] return $b/@id"#,
     "for $b in /library/book where $b/issue[year >= '2000'] return $b/issue/year",
     r#"for $b in /library/book where $b/title != "x!=y" return $b/title"#,
+    // Clause keywords inside a literal or a predicate belong to it.
+    r#"for $b in /library/book where $b/title = "Access and Path" return $b/title"#,
+    r#"for $b in /library/book[title = "x return y"] return $b/title"#,
+    r#"for $b in /library/book let $t := $b/title[. != 'let where'] order by $b/@id descending return $t"#,
 ];
 
 /// `where` conditions whose brackets or literals hold comparison
-/// operators, over the pinned plan document: `Database::xquery` writes
-/// the oracle's bytes, and selects what the condition names.
+/// operators, and FLWOR clause keywords (`and`, `let`, `where`,
+/// `order`, `return`) inside a literal or a predicate, over the pinned
+/// plan document: `Database::xquery` writes the oracle's bytes, and
+/// selects what the condition names.
 #[test]
 fn where_operators_inside_brackets_and_quotes_match_the_oracle() {
     let xsd = include_str!("../../../fixtures/lint/clean.xsd");
@@ -121,6 +127,16 @@ fn where_operators_inside_brackets_and_quotes_match_the_oracle() {
         (r#"for $b in /library/book where $b/title = "x!=y" return $b/title"#, 0),
         (r#"for $b in /library/book where $b/title != "x!=y" return $b/title"#, 8),
         ("for $b in /library/book where $b/isbn[. > '1'] return $b/isbn", 4),
+        (r#"for $b in /library/book where $b/title = "Access and Path" return $b/title"#, 0),
+        (r#"for $b in /library/book where $b/title != "Access and Path" return $b/title"#, 8),
+        (r#"for $b in /library/book[title = "x return y"] return $b/title"#, 0),
+        (r#"for $b in /library/book[title != "x return y"] return $b/title"#, 8),
+        (
+            "for $b in /library/book let $t := $b/title[. != 'let where'] \
+             where $b/author = 'Codd' and $b/title != 'order and return' return $t",
+            2,
+        ),
+        (r#"for $b in /library/book order by $b/author[. != "x descending"] return $b/isbn"#, 4),
     ] {
         let oracle = nodes_to_string(&evaluate(&tree, &parse_query(q).unwrap()).unwrap());
         let got = db.xquery("d", q).unwrap();
