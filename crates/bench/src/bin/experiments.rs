@@ -1177,20 +1177,20 @@ fn e15_static_updates(guard: bool) {
 }
 
 /// E16: cost-based query planning. Each XPath runs once per forced
-/// physical strategy (guided descent, Dewey-range scan, postings
-/// probe) and once with the planner free to choose per step; the table
-/// reports work units — the deterministic operator-cost currency shared
-/// by the cost model and the executor — so the rows are exactly
-/// reproducible. With `guard` set, the run fails (exit 1) when the
-/// chosen plan spends more than 1.1× the best forced strategy, when
-/// any strategy disagrees on the result node-set, or when a
-/// statically-empty path executes any operator at all.
+/// physical strategy (guided descent, schema-path scan) and once with
+/// the planner free to choose; the table reports work units — the
+/// deterministic operator-cost currency shared by the cost model and the
+/// executor — so those columns are exactly reproducible, and beside each
+/// the median µs of 5 timed executions of the same plan (not gated).
+/// With `guard` set, the run fails (exit 1) when the chosen plan spends
+/// more than 1.1× the best forced strategy, when any strategy disagrees
+/// on the result node-set, or when a statically-empty path executes any
+/// operator at all.
 fn e16_query_planner(guard: bool) {
     use xsdb::xdm::NodeStore;
-    use xsdb::xquery::{plan_and_execute, PlanOptions, Strategy};
+    use xsdb::xquery::{plan_and_execute, PlanOptions, QueryPlan, Strategy};
 
-    // Uniform corpus: every book looks alike, so no element name is
-    // selective — guided descent should win most steps.
+    // Uniform corpus: every book looks alike.
     fn uniform(books: usize) -> XmlStorage {
         let mut s = NodeStore::new();
         let doc = s.new_document(None);
@@ -1207,8 +1207,7 @@ fn e16_query_planner(guard: bool) {
     }
 
     // Skewed corpus: one element name (`errata`) appears on 1 book in
-    // 64, so `//errata` is highly selective — the postings index should
-    // beat walking the whole tree.
+    // 64, so `//errata` is highly selective.
     fn skewed(books: usize) -> XmlStorage {
         let mut s = NodeStore::new();
         let doc = s.new_document(None);
@@ -1229,10 +1228,20 @@ fn e16_query_planner(guard: bool) {
         XmlStorage::from_tree(&s, doc)
     }
 
-    println!("\n== E16: query planner — chosen plan vs. each forced strategy (work units) ==");
+    // Median µs of 5 executions of one plan.
+    fn median_us(plan: &QueryPlan, storage: &XmlStorage) -> f64 {
+        let mut us: Vec<f64> = (0..5).map(|_| timed(|| plan.execute(storage)).1 * 1e6).collect();
+        us.sort_by(f64::total_cmp);
+        us[2]
+    }
+
     println!(
-        "{:<8} {:<28} {:>9} {:>9} {:>9} {:>11} {:>9} {:>7}",
-        "corpus", "query", "guided", "dewey", "postings", "schema-path", "chosen", "ratio"
+        "\n== E16: query planner — chosen plan vs. each forced strategy \
+         (work units, median µs of 5 executions) =="
+    );
+    println!(
+        "{:<8} {:<28} {:>9} {:>8} {:>11} {:>8} {:>9} {:>8} {:>7}",
+        "corpus", "query", "guided", "µs", "schema-path", "µs", "chosen", "µs", "ratio"
     );
     let mut ok = true;
     let mut fail = |msg: String| {
@@ -1279,17 +1288,17 @@ fn e16_query_planner(guard: bool) {
                 ));
             }
             println!(
-                "{:<8} {:<28} {:>9} {:>9} {:>9} {:>11} {:>9} {:>7.3}",
+                "{:<8} {:<28} {:>9} {:>8.1} {:>11} {:>8.1} {:>9} {:>8.1} {:>7.3}",
                 name,
                 q,
                 forced[0].1.work,
+                median_us(&forced[0].0, storage),
                 forced[1].1.work,
-                forced[2].1.work,
-                forced[3].1.work,
+                median_us(&forced[1].0, storage),
                 chosen.work,
+                median_us(&plan, storage),
                 ratio
             );
-            let _ = plan; // per-step strategies appear in EXPLAIN output
         }
     }
     // Statically-empty paths must not run any operator: the analyzer's
@@ -1307,15 +1316,15 @@ fn e16_query_planner(guard: bool) {
         ));
     }
     println!(
-        "{:<8} {:<28} {:>9} {:>9} {:>9} {:>11} {:>9} {:>7}",
-        name, "/library/dvd/title (pruned)", "-", "-", "-", "-", 0, "-"
+        "{:<8} {:<28} {:>9} {:>8} {:>11} {:>8} {:>9} {:>8} {:>7}",
+        name, "/library/dvd/title (pruned)", "-", "-", "-", "-", 0, "-", "-"
     );
     if guard && !ok {
         std::process::exit(1);
     }
     println!(
         "(gates: all strategies agree on every node-set; chosen ≤ 1.1× best forced; \
-         statically-empty paths do zero work; guard {})",
+         statically-empty paths do zero work; µs not gated; guard {})",
         if guard { "on" } else { "off" }
     );
 }

@@ -531,7 +531,7 @@ impl Database {
             .get(doc_name)
             .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
         let storage = &doc.storage;
-        Ok(self.plan_for(storage, upd.target(), None).execute(storage).nodes)
+        Ok(self.plan_for(storage, upd.target()).execute(storage).nodes)
     }
 
     // ------------------------------------------------ prepare and commit
@@ -828,7 +828,7 @@ impl Database {
         let mut span = self.obs.span(xsobs::HistogramId::DbQuery);
         span.set_detail(xpath);
         let storage = &doc.storage;
-        let plan = self.plan_for(storage, &path, None);
+        let plan = self.plan_for(storage, &path);
         Ok(plan.execute(storage).nodes.into_iter().map(|p| storage.string_value(p)).collect())
     }
 
@@ -837,17 +837,12 @@ impl Database {
     /// ([`xsanalyze::analyze_xpath_in_guide`]), then cost-based operator
     /// choice from the catalog statistics. Records the `plan.*` metrics
     /// family.
-    fn plan_for(
-        &self,
-        storage: &XmlStorage,
-        path: &xpath::Path,
-        force: Option<xquery::Strategy>,
-    ) -> xquery::QueryPlan {
+    fn plan_for(&self, storage: &XmlStorage, path: &xpath::Path) -> xquery::QueryPlan {
         let plan = {
             let _span = self.obs.span(xsobs::HistogramId::PlanBuild);
             let statically_empty =
                 !xsanalyze::analyze_xpath_in_guide(storage.schema(), path).is_empty();
-            xquery::plan(storage, path, &xquery::PlanOptions { force, statically_empty })
+            xquery::plan(storage, path, &xquery::PlanOptions { force: None, statically_empty })
         };
         self.obs.incr(xsobs::CounterId::PlanQueries);
         if plan.pruned_from().is_some() {
@@ -856,8 +851,6 @@ impl Database {
             for sp in plan.steps() {
                 self.obs.incr(match sp.strategy {
                     xquery::Strategy::Guided => xsobs::CounterId::PlanStepsGuided,
-                    xquery::Strategy::Dewey => xsobs::CounterId::PlanStepsDewey,
-                    xquery::Strategy::Postings => xsobs::CounterId::PlanStepsPostings,
                     xquery::Strategy::SchemaPath => xsobs::CounterId::PlanStepsSchemaPath,
                 });
             }
@@ -869,25 +862,13 @@ impl Database {
     /// plan, and render the chosen strategy per step with estimated vs.
     /// actual cardinalities and work.
     pub fn explain_query(&self, doc_name: &str, xpath: &str) -> Result<String, DbError> {
-        self.explain_query_forced(doc_name, xpath, None)
-    }
-
-    /// [`Database::explain_query`] with every step pinned to one
-    /// strategy (how the benchmarks compare the planner's choice
-    /// against each forced alternative).
-    pub fn explain_query_forced(
-        &self,
-        doc_name: &str,
-        xpath: &str,
-        force: Option<xquery::Strategy>,
-    ) -> Result<String, DbError> {
         let doc = self
             .documents
             .get(doc_name)
             .ok_or_else(|| DbError::UnknownDocument(doc_name.to_string()))?;
         let path = xpath::parse(xpath)?;
         self.preflight_xpath(doc, &path)?;
-        let plan = self.plan_for(&doc.storage, &path, force);
+        let plan = self.plan_for(&doc.storage, &path);
         let exec = plan.execute(&doc.storage);
         Ok(plan.explain(Some(&exec)))
     }
@@ -923,7 +904,7 @@ impl Database {
             xquery::Query::Path(path) => path,
             xquery::Query::Flwor(flwor) => &flwor.source,
         };
-        let nodes = self.plan_for(storage, source, None).execute(storage).nodes;
+        let nodes = self.plan_for(storage, source).execute(storage).nodes;
         Ok(match &q {
             xquery::Query::Path(_) => xquery::serialize_nodes(storage, &nodes),
             xquery::Query::Flwor(flwor) => xquery::execute_flwor(storage, flwor, &nodes)?,
@@ -1693,6 +1674,11 @@ pub(crate) mod guarded_update_tests {
             db.execute_update("d", "replace node /log/entry[1] with <entry>zero</entry>").unwrap();
         assert_eq!(out.verdict, UpdateVerdict::Accept);
         assert_eq!(db.query("d", "/log/entry").unwrap(), ["zero", "mid", "second", "last"]);
+        // Before the first child: the target has no left sibling.
+        let out =
+            db.execute_update("d", "insert node <entry>head</entry> before /log/entry[1]").unwrap();
+        assert_eq!(out.verdict, UpdateVerdict::Accept);
+        assert_eq!(db.query("d", "/log/entry").unwrap(), ["head", "zero", "mid", "second", "last"]);
         let storage = &db.document("d").unwrap().storage;
         assert_eq!(storage.check_invariants(), None);
         assert_eq!(storage.relabel_count(), 0);

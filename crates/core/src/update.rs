@@ -207,9 +207,7 @@ fn edit(
                 let anchor = if matches!(upd, U::InsertAfter { .. }) {
                     Some(t)
                 } else {
-                    let siblings = post.children(parent);
-                    let at = siblings.iter().position(|&c| c == t).unwrap_or(0);
-                    at.checked_sub(1).map(|i| siblings[i])
+                    post.left_sibling(t)
                 };
                 let new = insert_leaf(post, parent, anchor, name, text.as_deref(), cx)?;
                 sites.extend([parent, new]);

@@ -159,7 +159,7 @@ fn a_predicate_path_from_the_root_is_refused() {
 
 /// A positional step runs guided and stops at its k-th match: on a
 /// 16 384-book library, `book[1]` walks one book (one `W_NAV` hop plus
-/// one output unit), where a postings probe would check every book.
+/// one output unit), not all 16 384.
 #[test]
 fn a_positional_step_walks_only_to_its_match() {
     let path =

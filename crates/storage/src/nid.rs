@@ -156,11 +156,6 @@ impl Nid {
             && other.bytes[self.bytes.len()] == SEP
             && other.bytes.starts_with(&self.bytes)
     }
-
-    /// Sibling check: same parent label.
-    pub fn is_sibling_of(&self, other: &Nid) -> bool {
-        self != other && self.parent_bytes() == other.parent_bytes()
-    }
 }
 
 /// Generate a component strictly between `a` and `b` (`a < c < b` in
@@ -376,18 +371,8 @@ mod tests {
         assert!(!a.is_ancestor_of(&sib));
     }
 
-    #[test]
-    fn siblings() {
-        let p = Nid::root();
-        let a = p.child(&[2]);
-        let b = p.child(&[6]);
-        assert!(a.is_sibling_of(&b));
-        assert!(!a.is_sibling_of(&a));
-        assert!(!a.is_sibling_of(&p));
-    }
-
     proptest::proptest! {
-        /// The slice comparisons agree with the allocating definitions
+        /// The slice comparison agrees with the allocating definition
         /// (§9.3 rule 3 read off `parent()`) on arbitrary labels.
         #[test]
         fn relationship_checks_match_the_parent_label(
@@ -401,10 +386,6 @@ mod tests {
             let y = nid_of(&[&a[..cut], &b[..]].concat());
             for (p, q) in [(&x, &y), (&y, &x), (&x, &x)] {
                 proptest::prop_assert_eq!(p.is_parent_of(q), q.parent().as_ref() == Some(p));
-                proptest::prop_assert_eq!(
-                    p.is_sibling_of(q),
-                    p != q && p.parent() == q.parent()
-                );
             }
         }
     }

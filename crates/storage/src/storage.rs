@@ -407,6 +407,13 @@ impl XmlStorage {
         self.table.desc(p).parent
     }
 
+    /// The child of `p`'s parent just before `p` in document order: the
+    /// descriptor's left-sibling pointer, O(1). `None` for a first child
+    /// and for an attribute.
+    pub fn left_sibling(&self, p: DescPtr) -> Option<DescPtr> {
+        self.table.desc(p).left_sibling
+    }
+
     /// `children` in document order: seed with the minimum-label first
     /// child (the descriptor stores only *first children by schema*,
     /// §9.2), then follow the right-sibling chain.

@@ -1,25 +1,17 @@
 //! Cost-based query planning over the DataGuide + catalog statistics.
 //!
-//! XPath steps are executed by four physical operators, and they are
-//! *language-equivalent* — a step returns the same node set whichever
-//! operator runs (Fletcher et al.'s expressiveness results ground why
-//! this must hold, and the differential plan-equivalence harness proves
-//! it on this implementation):
+//! XPath steps are executed by two physical operators, one per access
+//! path §9 gives the storage, and they are *language-equivalent* — a
+//! step returns the same node set whichever operator runs (Fletcher et
+//! al.'s expressiveness results ground why this must hold, and the
+//! differential plan-equivalence harness proves it on this
+//! implementation):
 //!
 //! * **guided descent** ([`Strategy::Guided`]) — navigate from each
 //!   context node: a child, attribute or `text()` name step walks only
 //!   its §9.2 first-child-by-schema slot, any other step the §5
 //!   accessors; a child or attribute step whose first predicate is
 //!   `[k]` stops after k matches per context; always applicable;
-//! * **Dewey-range scan** ([`Strategy::Dewey`]) — for `descendant` /
-//!   `descendant-or-self`: binary-search the document-order index for
-//!   the context node, then scan forward while the §9.3 label says
-//!   "still inside the subtree" (subtrees are contiguous in document
-//!   order);
-//! * **postings probe** ([`Strategy::Postings`]) — for selective name
-//!   tests: the element-name → descriptor-block postings index (merged
-//!   descriptor scans of the name's schema nodes) filtered per context
-//!   by an O(label) parent/ancestor check;
 //! * **schema-path scan** ([`Strategy::SchemaPath`]) — for the leading
 //!   run of `child` / `descendant` / `descendant-or-self` steps. The
 //!   DataGuide is exact on downward paths (§9.1: a node lives in the
@@ -35,23 +27,18 @@
 //! results ([`xpath::doc_order_union`]): concatenated, and sorted only
 //! when two contexts' results interleave — so a plan returns the XPath
 //! 2.0 path-expression order (§7 order, no duplicates), exactly as the
-//! naive evaluator does. The per-execution structures of the Dewey and
-//! postings operators (the document-order array, a name's postings
-//! list) are built by the same merge ([`xpath::merge_scans`]), not by
-//! sorting.
+//! naive evaluator does.
 //!
-//! The planner picks per step using estimates from the storage's
-//! [`CatalogStats`] — cardinalities and leaf-value histograms — and
-//! the same work-unit constants the executor counts with, so an
-//! estimated cost and an actual cost are in one currency and `EXPLAIN`
-//! can print them side by side. The schema-path scan is costed per run
-//! and wins when it beats the per-step choices it replaces. A plan
+//! The planner prices each step as guided descent using estimates from
+//! the storage's [`CatalogStats`] — cardinalities and leaf-value
+//! histograms — and the same work-unit constants the executor counts
+//! with, so an estimated cost and an actual cost are in one currency and
+//! `EXPLAIN` can print them side by side. The schema-path scan is costed
+//! per run and wins when it beats the guided steps it replaces. A plan
 //! carries the statistics generation it was costed against and refuses
 //! (loudly) to execute against a mutated store — the same staleness
 //! discipline as `xdm::DocumentOrderIndex`.
 
-use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -67,30 +54,16 @@ use crate::relative::{Hop, Pred};
 /// Work units charged per node visited by pointer navigation (block
 /// hops through parent/child/sibling pointers).
 pub const W_NAV: u64 = 10;
-/// Work units charged per node touched by a sequential document-order
-/// scan (the Dewey-range run, the schema-path merge).
+/// Work units charged per node touched by the schema-path merge.
 pub const W_SCAN: u64 = 4;
-/// Work units charged per postings entry checked with an O(label)
-/// parent/ancestor test.
-pub const W_CHECK: u64 = 6;
-/// Work units charged per binary-search probe step.
-pub const W_PROBE: u64 = 2;
 /// Work units charged per node emitted into a step's result.
 pub const W_OUT: u64 = 1;
-/// Work units charged per node when building a shared structure (the
-/// document-order array, a name's postings list); charged once per
-/// execution per structure.
-pub const W_BUILD: u64 = 1;
 
 /// A physical operator for one XPath step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Navigate from each context node through the accessors.
     Guided,
-    /// Binary-search + range-scan the document-order index.
-    Dewey,
-    /// Probe the element-name postings index.
-    Postings,
     /// Merge the descriptor lists of the schema nodes a leading
     /// downward run of steps resolves to on the DataGuide.
     SchemaPath,
@@ -98,48 +71,13 @@ pub enum Strategy {
 
 impl Strategy {
     /// All strategies, in display order.
-    pub const ALL: [Strategy; 4] =
-        [Strategy::Guided, Strategy::Dewey, Strategy::Postings, Strategy::SchemaPath];
+    pub const ALL: [Strategy; 2] = [Strategy::Guided, Strategy::SchemaPath];
 
     /// Stable lower-case name (used by `EXPLAIN` and the CLI).
     pub fn name(self) -> &'static str {
         match self {
             Strategy::Guided => "guided",
-            Strategy::Dewey => "dewey-range",
-            Strategy::Postings => "postings",
             Strategy::SchemaPath => "schema-path",
-        }
-    }
-
-    /// Parse a [`Strategy::name`] back (CLI / server surface).
-    pub fn from_name(s: &str) -> Option<Strategy> {
-        Strategy::ALL.into_iter().find(|st| st.name() == s)
-    }
-
-    /// Can this operator execute `step` at all? Inapplicable forced
-    /// strategies fall back to [`Strategy::Guided`], the universal one.
-    /// The schema-path scan further runs only over the path's leading
-    /// run of such steps, so a forced scan falls back to guided after it.
-    pub fn applicable(self, step: &Step) -> bool {
-        match self {
-            Strategy::Guided => true,
-            Strategy::Dewey => {
-                matches!(step.axis, Axis::Descendant | Axis::DescendantOrSelf)
-            }
-            Strategy::Postings => {
-                matches!(step.test, NodeTest::Name(_))
-                    && matches!(
-                        step.axis,
-                        Axis::Child | Axis::Attribute | Axis::Descendant | Axis::DescendantOrSelf
-                    )
-            }
-            Strategy::SchemaPath => {
-                matches!(step.axis, Axis::Child | Axis::Descendant | Axis::DescendantOrSelf)
-                    && !step
-                        .predicates
-                        .iter()
-                        .any(|p| matches!(p, Predicate::Position(_) | Predicate::Last))
-            }
         }
     }
 }
@@ -153,8 +91,9 @@ impl fmt::Display for Strategy {
 /// Knobs for [`plan`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlanOptions {
-    /// Force every step onto one strategy (benchmarks, the differential
-    /// harness); steps the strategy cannot execute fall back to guided.
+    /// Force one strategy (benchmarks, the differential harness):
+    /// `Guided` descends every step; `SchemaPath` scans the leading run
+    /// and descends guided after it.
     pub force: Option<Strategy>,
     /// The caller's static analysis (xsanalyze's `PathBackend`) proved
     /// the whole path selects nothing — the plan prunes every step and
@@ -331,55 +270,48 @@ impl QueryPlan {
         if self.pruned_from.is_some() {
             return exec; // provably empty: zero operators execute
         }
-        let mut state = ExecState { storage, doc_order: None, postings: HashMap::new(), work: 0 };
+        let mut work = 0;
         let tree = &storage;
         let (start, mut current) = match &self.scan {
             Some(scan) => {
                 let last = scan.steps - 1;
                 exec.step_rows[..last].copy_from_slice(&scan.prefix_rows);
                 let mut nodes = merge_scans(storage, &scan.targets);
-                state.work += W_SCAN * nodes.len() as u64;
+                work += W_SCAN * nodes.len() as u64;
                 // The run holds no positional predicate, so the merged
                 // list filters as one.
                 for pred in &self.compiled[last].preds {
                     pred.filter_tail(storage, &mut nodes, 0);
                 }
-                state.work += W_OUT * nodes.len() as u64;
+                work += W_OUT * nodes.len() as u64;
                 exec.step_rows[last] = nodes.len() as u64;
-                exec.step_work[last] = state.work;
+                exec.step_work[last] = work;
                 (scan.steps, nodes)
             }
             None => (0, vec![storage.root()]),
         };
-        let steps = self.path.steps.iter().zip(&self.steps).zip(&self.compiled);
-        for (i, ((step, sp), compiled)) in steps.enumerate().skip(start) {
-            let before = state.work;
+        // Every step after the scan's run descends guided.
+        let steps = self.path.steps.iter().zip(&self.compiled);
+        for (i, (step, compiled)) in steps.enumerate().skip(start) {
+            let before = work;
             let next = doc_order_union(
                 tree,
                 current.iter().map(|&ctx| {
-                    let mut cands = match sp.strategy {
-                        // A schema-path step outside the scan's run is
-                        // never planned; guided is the universal fallback.
-                        Strategy::Guided | Strategy::SchemaPath => {
-                            state.guided(ctx, step, compiled)
-                        }
-                        Strategy::Dewey => state.dewey(ctx, step),
-                        Strategy::Postings => state.postings(ctx, step, compiled),
-                    };
+                    let mut cands = guided(storage, ctx, step, compiled, &mut work);
                     for pred in &compiled.preds {
                         pred.filter_tail(storage, &mut cands, 0);
                     }
                     // Output is charged after predicate filtering,
                     // matching the estimate's post-predicate `est_rows`.
-                    state.work += W_OUT * cands.len() as u64;
+                    work += W_OUT * cands.len() as u64;
                     cands
                 }),
             );
             exec.step_rows[i] = next.len() as u64;
-            exec.step_work[i] = state.work - before;
+            exec.step_work[i] = work - before;
             current = next;
         }
-        exec.work = state.work;
+        exec.work = work;
         exec.nodes = current;
         exec
     }
@@ -387,132 +319,40 @@ impl QueryPlan {
 
 // ------------------------------------------------------------- executor
 
-struct ExecState<'a> {
-    storage: &'a XmlStorage,
-    /// Every descriptor in global document order (built lazily on the
-    /// first Dewey-range step; charged [`W_BUILD`] per node once).
-    doc_order: Option<Vec<DescPtr>>,
-    /// name → merged doc-ordered descriptor list (lazily per name; the
-    /// key's flag distinguishes attribute from element postings).
-    postings: HashMap<(String, bool), Vec<DescPtr>>,
-    work: u64,
-}
-
-impl ExecState<'_> {
-    /// Guided descent: the naive evaluator's candidates, charged
-    /// [`W_NAV`] per node walked. A name step with a hop walks only its
-    /// first-child slot, any other step the accessor candidates; either
-    /// walk ends at the step's `stop`-th match.
-    fn guided(&mut self, ctx: DescPtr, step: &Step, compiled: &CompiledStep) -> Vec<DescPtr> {
-        let st = self.storage;
-        let stop = compiled.stop.unwrap_or(usize::MAX);
-        if let Some(slot) = compiled.hop.as_ref().and_then(|h| h.slot(st.schema_node_of(ctx))) {
-            let out: Vec<DescPtr> =
-                slot.into_iter().flat_map(|slot| st.children_in(ctx, slot)).take(stop).collect();
-            self.work += W_NAV * out.len() as u64;
-            return out;
-        }
-        let mut out = Vec::new();
-        for c in axis_candidates(&st, ctx, step.axis) {
-            if out.len() == stop {
-                break;
-            }
-            self.work += W_NAV;
-            if test_matches(&st, c, step.axis, &step.test) {
-                out.push(c);
-            }
-        }
-        out
+/// Guided descent: the naive evaluator's candidates, charged [`W_NAV`]
+/// per node walked. A name step with a hop walks only its first-child
+/// slot, any other step the accessor candidates; either walk ends at the
+/// step's `stop`-th match.
+fn guided(
+    st: &XmlStorage,
+    ctx: DescPtr,
+    step: &Step,
+    compiled: &CompiledStep,
+    work: &mut u64,
+) -> Vec<DescPtr> {
+    let stop = compiled.stop.unwrap_or(usize::MAX);
+    if let Some(slot) = compiled.hop.as_ref().and_then(|h| h.slot(st.schema_node_of(ctx))) {
+        let out: Vec<DescPtr> =
+            slot.into_iter().flat_map(|slot| st.children_in(ctx, slot)).take(stop).collect();
+        *work += W_NAV * out.len() as u64;
+        return out;
     }
-
-    fn ensure_doc_order(&mut self) {
-        if self.doc_order.is_none() {
-            let st = self.storage;
-            let all_sns: Vec<SchemaNodeId> = st.schema().ids().collect();
-            let all = merge_scans(st, &all_sns);
-            self.work += W_BUILD * all.len() as u64;
-            self.doc_order = Some(all);
+    let mut out = Vec::new();
+    for c in axis_candidates(&st, ctx, step.axis) {
+        if out.len() == stop {
+            break;
+        }
+        *work += W_NAV;
+        if test_matches(&st, c, step.axis, &step.test) {
+            out.push(c);
         }
     }
-
-    /// Dewey-range scan: binary-search the document-order array for the
-    /// context node, then scan forward while the label says "inside the
-    /// subtree" (§9.3: subtrees are contiguous in document order).
-    fn dewey(&mut self, ctx: DescPtr, step: &Step) -> Vec<DescPtr> {
-        self.ensure_doc_order();
-        let st = self.storage;
-        let Some(arr) = &self.doc_order else { return Vec::new() };
-        let idx = arr.partition_point(|&x| st.cmp_doc_order(x, ctx) == Ordering::Less);
-        self.work += W_PROBE * u64::from(usize::BITS - arr.len().leading_zeros());
-        let mut out = Vec::new();
-        let mut scanned = 0u64;
-        for &x in &arr[idx..] {
-            if x != ctx && !st.is_ancestor(ctx, x) {
-                break;
-            }
-            scanned += 1;
-            if x == ctx && step.axis == Axis::Descendant {
-                continue; // descendant excludes self
-            }
-            if st.kind(x) == NodeKind::Attribute {
-                continue; // attributes are not on the descendant axes
-            }
-            if test_matches(&st, x, step.axis, &step.test) {
-                out.push(x);
-            }
-        }
-        self.work += W_SCAN * scanned;
-        out
-    }
-
-    /// Postings probe: the name's merged descriptor list filtered per
-    /// context node by an O(label) parent/ancestor check.
-    fn postings(&mut self, ctx: DescPtr, step: &Step, compiled: &CompiledStep) -> Vec<DescPtr> {
-        let NodeTest::Name(name) = &step.test else {
-            return self.guided(ctx, step, compiled); // unreachable for applicable steps
-        };
-        let want_attr = step.axis == Axis::Attribute;
-        let key = (name.clone(), want_attr);
-        if !self.postings.contains_key(&key) {
-            let st = self.storage;
-            let want_kind = if want_attr { NodeKind::Attribute } else { NodeKind::Element };
-            let sns: Vec<SchemaNodeId> = st
-                .schema()
-                .ids()
-                .filter(|&sn| {
-                    let n = st.schema().node(sn);
-                    n.kind == want_kind && n.name.as_deref() == Some(name.as_str())
-                })
-                .collect();
-            let list = merge_scans(st, &sns);
-            self.work += W_BUILD * list.len() as u64;
-            self.postings.insert(key.clone(), list);
-        }
-        let st = self.storage;
-        let (out, checked) = match self.postings.get(&key) {
-            None => (Vec::new(), 0),
-            Some(list) => {
-                let out: Vec<DescPtr> = list
-                    .iter()
-                    .copied()
-                    .filter(|&x| match step.axis {
-                        Axis::Child | Axis::Attribute => st.is_parent(ctx, x),
-                        Axis::Descendant => st.is_ancestor(ctx, x),
-                        Axis::DescendantOrSelf => x == ctx || st.is_ancestor(ctx, x),
-                        _ => false,
-                    })
-                    .collect();
-                (out, list.len() as u64)
-            }
-        };
-        self.work += W_CHECK * checked;
-        out
-    }
+    out
 }
 
 // -------------------------------------------------------------- planner
 
-/// Strategy-independent estimates for one step.
+/// Estimates for one step.
 struct StepEst {
     /// Schema nodes the step can land on.
     targets: Vec<SchemaNodeId>,
@@ -557,12 +397,16 @@ fn estimate_steps(
     ests
 }
 
-/// How many leading steps a schema-path scan can answer: steps it can
-/// execute, up to and including the first one carrying a predicate.
+/// How many leading steps a schema-path scan can answer: downward steps
+/// without a positional predicate, up to and including the first one
+/// carrying any predicate.
 fn schema_path_run(path: &Path) -> usize {
     let mut run = 0;
     for step in &path.steps {
-        if !Strategy::SchemaPath.applicable(step) {
+        let downward = matches!(step.axis, Axis::Child | Axis::Descendant | Axis::DescendantOrSelf);
+        if !downward
+            || step.predicates.iter().any(|p| matches!(p, Predicate::Position(_) | Predicate::Last))
+        {
             break;
         }
         run += 1;
@@ -573,71 +417,9 @@ fn schema_path_run(path: &Path) -> usize {
     run
 }
 
-/// Choose an operator per step for steps `from..`, greedily by
-/// estimated cost (or `force` where applicable), with no shared
-/// structure built before `from`. Steps from `live_until` on are pruned:
-/// they build nothing.
-fn choose_per_step(
-    schema: &DescriptiveSchema,
-    stats: &CatalogStats,
-    path: &Path,
-    ests: &[StepEst],
-    from: usize,
-    live_until: usize,
-    force: Option<Strategy>,
-) -> Vec<(Strategy, f64)> {
-    let root = [schema.root()];
-    let mut dewey_built = false;
-    let mut postings_built: HashSet<(String, bool)> = HashSet::new();
-    let mut out = Vec::new();
-    for (i, (step, e)) in path.steps.iter().zip(ests).enumerate().skip(from) {
-        let ctx = CostCtx {
-            schema,
-            stats,
-            frontier: if i == 0 { &root[..] } else { &ests[i - 1].targets[..] },
-            targets: &e.targets,
-            hop: e.hop,
-            est_in: e.est_in,
-            sel_in: e.sel_in,
-            est_rows: e.est_rows,
-            dewey_built,
-            postings_built: &postings_built,
-        };
-        let mut best: Option<(Strategy, f64)> = None;
-        for s in Strategy::ALL {
-            if s == Strategy::SchemaPath || !s.applicable(step) {
-                continue; // the schema-path scan is costed per run
-            }
-            let c = est_cost(s, step, &ctx);
-            if best.is_none_or(|(_, bc)| c < bc) {
-                best = Some((s, c));
-            }
-        }
-        let chosen = match force {
-            Some(f) if f != Strategy::SchemaPath && f.applicable(step) => f,
-            Some(_) => Strategy::Guided,
-            None => best.map_or(Strategy::Guided, |(s, _)| s),
-        };
-        let cost = est_cost(chosen, step, &ctx);
-        if i < live_until {
-            // Shared structures are only built by steps that run.
-            if chosen == Strategy::Dewey {
-                dewey_built = true;
-            }
-            if chosen == Strategy::Postings {
-                if let NodeTest::Name(n) = &step.test {
-                    postings_built.insert((n.clone(), step.axis == Axis::Attribute));
-                }
-            }
-        }
-        out.push((chosen, cost));
-    }
-    out
-}
-
-/// Cost a path over a storage: choose a physical operator per step from
-/// the catalog statistics, or a schema-path scan for the leading run
-/// when it is cheaper than the per-step choices it replaces.
+/// Cost a path over a storage: every step priced as guided descent from
+/// the catalog statistics, or a schema-path scan for the leading run when
+/// it is cheaper than the guided steps it replaces.
 /// `opts.statically_empty` (from xsanalyze's `PathBackend`) prunes the
 /// whole plan before costing; steps whose schema frontier comes up
 /// empty are pruned by the DataGuide itself.
@@ -666,14 +448,23 @@ pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan 
         choice.iter().take(live_until).map(|&(_, c)| c).sum::<f64>() + 0.0
     };
 
-    let per_step = choose_per_step(schema, stats, path, &ests, 0, live_until, opts.force);
+    let root = [schema.root()];
+    let guided: Vec<(Strategy, f64)> = path
+        .steps
+        .iter()
+        .enumerate()
+        .map(|(i, step)| {
+            let frontier = if i == 0 { &root[..] } else { &ests[i - 1].targets[..] };
+            (Strategy::Guided, est_cost(schema, stats, frontier, step, &ests[i]))
+        })
+        .collect();
     let run = schema_path_run(path);
     let scanned = (run > 0).then(|| {
         let last = &ests[run - 1];
         let cost = card_sum(stats, &last.targets) * W_SCAN as f64 + last.est_rows * W_OUT as f64;
         let mut choice = vec![(Strategy::SchemaPath, 0.0); run - 1];
         choice.push((Strategy::SchemaPath, cost));
-        choice.extend(choose_per_step(schema, stats, path, &ests, run, live_until, opts.force));
+        choice.extend_from_slice(&guided[run..]);
         choice
     });
     let (choice, scan) = match scanned {
@@ -681,7 +472,7 @@ pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan 
             if opts.force == Some(Strategy::SchemaPath)
                 || (opts.force.is_none()
                     && pruned_from.is_none()
-                    && total(&choice) <= total(&per_step)) =>
+                    && total(&choice) <= total(&guided)) =>
         {
             let prefix_rows = ests[..run - 1]
                 .iter()
@@ -690,7 +481,7 @@ pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan 
             let targets = ests[run - 1].targets.clone();
             (choice, Some(SchemaScan { steps: run, targets, prefix_rows }))
         }
-        _ => (per_step, None),
+        _ => (guided, None),
     };
     let steps = path
         .steps
@@ -727,22 +518,6 @@ pub fn plan_and_execute(
     (p, e)
 }
 
-struct CostCtx<'a> {
-    schema: &'a DescriptiveSchema,
-    stats: &'a CatalogStats,
-    frontier: &'a [SchemaNodeId],
-    /// The schema nodes the step lands on.
-    targets: &'a [SchemaNodeId],
-    /// Whether a guided walk of the step hops through one first-child
-    /// slot (else it walks every node on the axis).
-    hop: bool,
-    est_in: f64,
-    sel_in: f64,
-    est_rows: f64,
-    dewey_built: bool,
-    postings_built: &'a HashSet<(String, bool)>,
-}
-
 fn card_sum(stats: &CatalogStats, sns: &[SchemaNodeId]) -> f64 {
     sns.iter().map(|&sn| stats.cardinality(sn) as f64).sum()
 }
@@ -757,81 +532,46 @@ fn first_k(step: &Step) -> Option<usize> {
     }
 }
 
-/// Estimated cost of running `step` with `strategy`, in the same work
-/// units the executor counts.
-fn est_cost(strategy: Strategy, step: &Step, ctx: &CostCtx<'_>) -> f64 {
-    let n_ctx = ctx.est_in;
-    let out_cost = ctx.est_rows * W_OUT as f64;
-    match strategy {
-        Strategy::Guided => {
-            let visited = match step.axis {
-                Axis::Child | Axis::Attribute => {
-                    // A hop walks the step's own slot; any other test
-                    // every node on the axis.
-                    let matches = card_sum(ctx.stats, ctx.targets);
-                    let attrs = step.axis == Axis::Attribute;
-                    let walked = if ctx.hop {
-                        matches
-                    } else {
-                        card_sum(ctx.stats, &children_of(ctx.schema, ctx.frontier, attrs))
-                    };
-                    match first_k(step) {
-                        // Each context stops at its k-th match.
-                        Some(k) if matches > 0.0 => {
-                            (ctx.sel_in * walked).min(k as f64 * n_ctx * walked / matches)
-                        }
-                        _ => ctx.sel_in * walked,
-                    }
-                }
-                Axis::SelfAxis | Axis::Parent => n_ctx,
-                Axis::Descendant | Axis::DescendantOrSelf => {
-                    let with_self = step.axis == Axis::DescendantOrSelf;
-                    let desc = schema_descendants(ctx.schema, ctx.frontier, with_self, false);
-                    ctx.sel_in * card_sum(ctx.stats, &desc)
-                }
-                Axis::Ancestor | Axis::AncestorOrSelf => {
-                    n_ctx * avg_depth(ctx.schema, ctx.frontier)
-                }
-                Axis::FollowingSibling | Axis::PrecedingSibling => {
-                    let parents = parent_set(ctx.schema, ctx.frontier);
-                    ctx.sel_in * card_sum(ctx.stats, &children_of(ctx.schema, &parents, false))
-                }
-            };
-            visited * W_NAV as f64 + out_cost
-        }
-        Strategy::Dewey => {
-            let n_total = ctx.stats.total_nodes() as f64;
-            let build = if ctx.dewey_built { 0.0 } else { n_total * W_BUILD as f64 };
-            let lg = n_total.max(2.0).log2().ceil();
-            let run = schema_descendants(ctx.schema, ctx.frontier, true, true);
-            let run_card = ctx.sel_in * card_sum(ctx.stats, &run);
-            build + n_ctx * lg * W_PROBE as f64 + run_card * W_SCAN as f64 + out_cost
-        }
-        // Costed per run in `plan`, never per step.
-        Strategy::SchemaPath => f64::INFINITY,
-        Strategy::Postings => {
-            let NodeTest::Name(name) = &step.test else {
-                return f64::INFINITY; // inapplicable
-            };
-            let want_attr = step.axis == Axis::Attribute;
-            let want_kind = if want_attr { NodeKind::Attribute } else { NodeKind::Element };
-            let matching: Vec<SchemaNodeId> = ctx
-                .schema
-                .ids()
-                .filter(|&sn| {
-                    let n = ctx.schema.node(sn);
-                    n.kind == want_kind && n.name.as_deref() == Some(name.as_str())
-                })
-                .collect();
-            let plen = card_sum(ctx.stats, &matching);
-            let build = if ctx.postings_built.contains(&(name.clone(), want_attr)) {
-                0.0
+/// Estimated cost of running `step` by guided descent from `frontier`,
+/// in the same work units the executor counts.
+fn est_cost(
+    schema: &DescriptiveSchema,
+    stats: &CatalogStats,
+    frontier: &[SchemaNodeId],
+    step: &Step,
+    e: &StepEst,
+) -> f64 {
+    let visited = match step.axis {
+        Axis::Child | Axis::Attribute => {
+            // A hop walks the step's own slot; any other test every node
+            // on the axis.
+            let matches = card_sum(stats, &e.targets);
+            let attrs = step.axis == Axis::Attribute;
+            let walked = if e.hop {
+                matches
             } else {
-                plen * W_BUILD as f64
+                card_sum(stats, &children_of(schema, frontier, attrs))
             };
-            build + n_ctx * plen * W_CHECK as f64 + out_cost
+            match first_k(step) {
+                // Each context stops at its k-th match.
+                Some(k) if matches > 0.0 => {
+                    (e.sel_in * walked).min(k as f64 * e.est_in * walked / matches)
+                }
+                _ => e.sel_in * walked,
+            }
         }
-    }
+        Axis::SelfAxis | Axis::Parent => e.est_in,
+        Axis::Descendant | Axis::DescendantOrSelf => {
+            let with_self = step.axis == Axis::DescendantOrSelf;
+            e.sel_in * card_sum(stats, &schema_descendants(schema, frontier, with_self))
+        }
+        Axis::Ancestor | Axis::AncestorOrSelf => e.est_in * avg_depth(schema, frontier),
+        Axis::FollowingSibling | Axis::PrecedingSibling => {
+            let parents = parent_set(schema, frontier);
+            e.sel_in * card_sum(stats, &children_of(schema, &parents, false))
+        }
+    };
+    visited * W_NAV as f64 + e.est_rows * W_OUT as f64
 }
 
 // ------------------------------------------------- schema-level targets
@@ -872,8 +612,8 @@ fn step_targets(
         Axis::Attribute => filtered(children_of(schema, frontier, true)),
         Axis::SelfAxis => filtered(frontier.to_vec()),
         Axis::Parent => filtered(parent_set(schema, frontier)),
-        Axis::Descendant => filtered(schema_descendants(schema, frontier, false, false)),
-        Axis::DescendantOrSelf => filtered(schema_descendants(schema, frontier, true, false)),
+        Axis::Descendant => filtered(schema_descendants(schema, frontier, false)),
+        Axis::DescendantOrSelf => filtered(schema_descendants(schema, frontier, true)),
         Axis::Ancestor | Axis::AncestorOrSelf => {
             let mut seen = vec![false; schema.len()];
             let mut out = Vec::new();
@@ -934,14 +674,13 @@ fn parent_set(schema: &DescriptiveSchema, frontier: &[SchemaNodeId]) -> Vec<Sche
     out
 }
 
-/// Distinct schema descendants of the frontier (`include_self` adds the
-/// frontier itself; `include_attrs` keeps attribute schema nodes, which
-/// the descendant axes exclude but a document-order run touches).
+/// Distinct schema descendants of the frontier, attributes excluded as
+/// the descendant axes exclude them (`include_self` adds the frontier
+/// itself).
 fn schema_descendants(
     schema: &DescriptiveSchema,
     frontier: &[SchemaNodeId],
     include_self: bool,
-    include_attrs: bool,
 ) -> Vec<SchemaNodeId> {
     // Without `self` the walk starts at the frontier's children, so a
     // frontier node that is also a schema descendant of another one (a
@@ -958,7 +697,7 @@ fn schema_descendants(
             continue;
         }
         seen[sn.index()] = true;
-        if include_attrs || schema.node(sn).kind != NodeKind::Attribute {
+        if schema.node(sn).kind != NodeKind::Attribute {
             out.push(sn);
         }
         stack.extend(schema.node(sn).children.iter().filter(|c| !seen[c.index()]));
@@ -1086,6 +825,7 @@ fn resolve_value_leaves(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
     use xdm::NodeStore;
     use xpath::{eval_naive, parse};
 

@@ -211,8 +211,12 @@ pub enum CounterId {
     /// forced strategy).
     PlanStepsGuided,
     /// Steps executed by a Dewey-range scan of the document-order index.
+    /// Retired: the planner has no such operator, so this always reads
+    /// 0; it stays in the semver-stable export.
     PlanStepsDewey,
-    /// Steps executed by an element-name postings probe.
+    /// Steps executed by an element-name postings probe. Retired: the
+    /// planner has no such operator, so this always reads 0; it stays in
+    /// the semver-stable export.
     PlanStepsPostings,
     /// Steps answered by a schema-path scan (a merge of the DataGuide
     /// descriptor lists a leading downward run resolves to).

@@ -1,14 +1,13 @@
 //! The differential plan-equivalence harness: over random schemas,
 //! random valid documents, and random XPath queries, every physical
-//! strategy the planner can pick (guided descent, Dewey-range scan,
-//! postings probe, schema-path scan) — and the cost-based choice itself
-//! — must return a node-set equal to the naive evaluator's, node for
-//! node: the same descriptors in the same order, hence equal under `=_c`
-//! and document order both. That order is §7 document order without
+//! strategy the planner can pick (guided descent, schema-path scan) —
+//! and the cost-based choice itself — must return a node-set equal to
+//! the naive evaluator's, node for node: the same descriptors in the
+//! same order, hence equal under `=_c` and document order both. That order is §7 document order without
 //! duplicates (strictly increasing), for every strategy.
 //!
 //! 32 generated cases × 10 generated queries ≥ 256 differential
-//! checks per run, each exercising all five execution paths. The same
+//! checks per run, each exercising all three execution paths. The same
 //! generated paths, as update targets, resolve through
 //! `Database::update_targets` — the planned execution an update runs —
 //! to the naive evaluator's sequence on the pre-state. Every
@@ -410,7 +409,8 @@ proptest! {
 /// update executes zero operators, counts one pruned plan and no
 /// planned step, and applies to nothing. A target no valid document
 /// reaches (`/library/dvd`) is refused by the static check before any
-/// plan is built.
+/// plan is built. Planned steps count on the two live step counters;
+/// the retired Dewey and postings counters read 0 throughout.
 #[test]
 fn statically_empty_update_target_runs_zero_operators() {
     let obs = std::sync::Arc::new(Registry::new());
@@ -420,12 +420,11 @@ fn statically_empty_update_target_runs_zero_operators() {
     db.insert("d", "lib", xml).unwrap();
     let plans = || {
         let m = obs.snapshot();
-        let steps = [
-            CounterId::PlanStepsGuided,
-            CounterId::PlanStepsDewey,
-            CounterId::PlanStepsPostings,
-            CounterId::PlanStepsSchemaPath,
-        ];
+        // The two retired step counters stay in the export and read 0.
+        for retired in [CounterId::PlanStepsDewey, CounterId::PlanStepsPostings] {
+            assert_eq!(m.counter(retired), 0, "{retired:?}");
+        }
+        let steps = [CounterId::PlanStepsGuided, CounterId::PlanStepsSchemaPath];
         let steps: u64 = steps.into_iter().map(|c| m.counter(c)).sum();
         (m.counter(CounterId::PlanQueries), m.counter(CounterId::PlanPruned), steps)
     };
@@ -435,6 +434,12 @@ fn statically_empty_update_target_runs_zero_operators() {
     assert!(db.execute_update("d", "delete node /library/dvd").is_err());
     assert_eq!(plans(), (1, 1, 0), "a refused update plans nothing");
     assert_eq!(db.serialize("d").unwrap(), xml);
+    // A planned query (two schema-path steps) and a planned update
+    // target (one schema-path step, two guided) count on the live
+    // counters only.
+    assert_eq!(db.query("d", "//title").unwrap(), ["t"]);
+    db.execute_update("d", r#"replace value of node /library/book[1]/title with "u""#).unwrap();
+    assert_eq!(plans(), (3, 1, 5), "(plans, pruned, planned steps)");
 }
 
 /// A recursive DataGuide: `section`s nest, so `//section/heading` lands
