@@ -1363,6 +1363,13 @@ fn e17_event_loop(guard: bool) {
     use xsserver::{Server, ServerConfig};
 
     println!("\n== E17: event-driven server — idle cost, offered load, pipelining ==");
+    // Each phase reads its guards from a registry of its own: the
+    // process-global one would carry one phase's connection high water
+    // and pipelining depth into the next phase's checks.
+    let phase_database = || {
+        let obs = std::sync::Arc::new(xsdb::xsobs::Registry::new());
+        xsdb::SharedDatabase::new(xsdb::Database::with_metrics_registry(obs))
+    };
     let mut ok = true;
     let mut fail = |what: String| {
         println!("E17 GUARD FAIL: {what}");
@@ -1374,7 +1381,7 @@ fn e17_event_loop(guard: bool) {
     const IDLE_WINDOW_MS: u64 = 1_500;
     const IDLE_TICK_BUDGET: u64 = 15; // 150 ms of CPU over the window, with slack
     {
-        let shared = xsdb::SharedDatabase::new(xsdb::Database::new());
+        let shared = phase_database();
         let config = ServerConfig { max_conns: 4_096, threads: 8, ..Default::default() };
         let handle = Server::start("127.0.0.1:0", config, shared).expect("bind");
         let addr = handle.local_addr().to_string();
@@ -1421,7 +1428,7 @@ fn e17_event_loop(guard: bool) {
     const MID_RPS: u64 = 1_000;
     const MID_P99_BUDGET_MS: f64 = 250.0;
     {
-        let shared = xsdb::SharedDatabase::new(xsdb::Database::new());
+        let shared = phase_database();
         let config = ServerConfig { max_conns: 2_048, ..Default::default() };
         let handle = Server::start("127.0.0.1:0", config, shared).expect("bind");
         let addr = handle.local_addr().to_string();
@@ -1468,7 +1475,7 @@ fn e17_event_loop(guard: bool) {
 
     // ---- Phase C: pipelined bursts, depth observed server-side ----
     {
-        let shared = xsdb::SharedDatabase::new(xsdb::Database::new());
+        let shared = phase_database();
         let handle = Server::start("127.0.0.1:0", ServerConfig::default(), shared).expect("bind");
         let addr = handle.local_addr().to_string();
         let config = LoadConfig {
@@ -1506,7 +1513,7 @@ fn e17_event_loop(guard: bool) {
 
     // ---- Phase D: ≥1k active connections at a fixed offered rate ----
     {
-        let shared = xsdb::SharedDatabase::new(xsdb::Database::new());
+        let shared = phase_database();
         let config = ServerConfig { max_conns: 2_048, ..Default::default() };
         let handle = Server::start("127.0.0.1:0", config, shared).expect("bind");
         let addr = handle.local_addr().to_string();

@@ -231,8 +231,9 @@ pub enum CounterId {
     /// Readiness events the reactor dispatched to connection state
     /// machines (listener and wakeup-fd events included).
     NetEventsDispatched,
-    /// Cross-thread wakeups delivered over the reactor's wakeup fd
-    /// (worker completions, shutdown requests, signals).
+    /// Cross-thread wakeups delivered over an event loop's wakeup fd:
+    /// connection hand-offs from the accepting loop, and shutdown
+    /// requests (signals included).
     NetWakeups,
     /// Times a connection exceeded a backpressure budget (in-flight
     /// requests or pending-write bytes) and had its read interest
@@ -477,7 +478,8 @@ pub enum HistogramId {
     AnalyzeReachability,
     /// xsanalyze: static path typing of one query.
     AnalyzePathTyping,
-    /// One served request, header read to response flushed.
+    /// One served request's execution (dispatch against the database),
+    /// over all opcodes; the per-opcode `SrvOp*` histograms split it.
     SrvRequest,
     /// Waiting to acquire the shared database's read lock.
     SrvReadLockWait,
@@ -501,11 +503,41 @@ pub enum HistogramId {
     /// *count*, not nanoseconds — recorded via
     /// [`Registry::observe_value`]); values above 1 are pipelining.
     NetPipelineDepth,
+    /// One request's wait between its frame being decoded and its
+    /// execution starting: the turns of earlier requests on its own
+    /// connection and of the other connections sharing its event loop.
+    SrvQueueWait,
+    /// One `PING` request's execution.
+    SrvOpPing,
+    /// One `PUT_SCHEMA` request's execution.
+    SrvOpPutSchema,
+    /// One `DEL_SCHEMA` request's execution.
+    SrvOpDelSchema,
+    /// One `PUT_DOC` request's execution.
+    SrvOpPutDoc,
+    /// One `DEL_DOC` request's execution.
+    SrvOpDelDoc,
+    /// One `VALIDATE` request's execution.
+    SrvOpValidate,
+    /// One `QUERY` request's execution.
+    SrvOpQuery,
+    /// One `XQUERY` request's execution.
+    SrvOpXquery,
+    /// One `LIST` request's execution.
+    SrvOpList,
+    /// One `STATS` request's execution.
+    SrvOpStats,
+    /// One `SAVE` request's execution.
+    SrvOpSave,
+    /// One `UPDATE` request's execution.
+    SrvOpUpdate,
+    /// One `EXPLAIN` request's execution.
+    SrvOpExplain,
 }
 
 impl HistogramId {
     /// Every histogram, in stable export order.
-    pub const ALL: [HistogramId; 20] = [
+    pub const ALL: [HistogramId; 34] = [
         HistogramId::DbInsert,
         HistogramId::DbValidate,
         HistogramId::DbQuery,
@@ -526,6 +558,20 @@ impl HistogramId {
         HistogramId::WalReplay,
         HistogramId::PlanBuild,
         HistogramId::NetPipelineDepth,
+        HistogramId::SrvQueueWait,
+        HistogramId::SrvOpPing,
+        HistogramId::SrvOpPutSchema,
+        HistogramId::SrvOpDelSchema,
+        HistogramId::SrvOpPutDoc,
+        HistogramId::SrvOpDelDoc,
+        HistogramId::SrvOpValidate,
+        HistogramId::SrvOpQuery,
+        HistogramId::SrvOpXquery,
+        HistogramId::SrvOpList,
+        HistogramId::SrvOpStats,
+        HistogramId::SrvOpSave,
+        HistogramId::SrvOpUpdate,
+        HistogramId::SrvOpExplain,
     ];
 
     /// Number of histograms.
@@ -554,6 +600,20 @@ impl HistogramId {
             HistogramId::WalReplay => "wal.replay_ns",
             HistogramId::PlanBuild => "plan.build_ns",
             HistogramId::NetPipelineDepth => "net.pipeline_depth",
+            HistogramId::SrvQueueWait => "server.queue_wait_ns",
+            HistogramId::SrvOpPing => "server.op.ping_ns",
+            HistogramId::SrvOpPutSchema => "server.op.put_schema_ns",
+            HistogramId::SrvOpDelSchema => "server.op.del_schema_ns",
+            HistogramId::SrvOpPutDoc => "server.op.put_doc_ns",
+            HistogramId::SrvOpDelDoc => "server.op.del_doc_ns",
+            HistogramId::SrvOpValidate => "server.op.validate_ns",
+            HistogramId::SrvOpQuery => "server.op.query_ns",
+            HistogramId::SrvOpXquery => "server.op.xquery_ns",
+            HistogramId::SrvOpList => "server.op.list_ns",
+            HistogramId::SrvOpStats => "server.op.stats_ns",
+            HistogramId::SrvOpSave => "server.op.save_ns",
+            HistogramId::SrvOpUpdate => "server.op.update_ns",
+            HistogramId::SrvOpExplain => "server.op.explain_ns",
         }
     }
 }

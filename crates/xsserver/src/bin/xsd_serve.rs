@@ -19,10 +19,11 @@
 //!   or acked — a failed fsync is reported, not acked), or `async` (no
 //!   per-commit fsync; an acknowledged write can be lost in a crash).
 //!   Only meaningful with `--dir`.
-//! * `--threads` — worker threads executing database work
-//!   (default 64). Connections are not bounded by this: the event
-//!   loop parks idle connections in the reactor, so they hold no
-//!   thread.
+//! * `--threads` — threads executing database work (default 64): one
+//!   event loop each, running the requests of the connections it owns.
+//!   Connections are not bounded by this: a loop parks idle
+//!   connections in its reactor, so they hold no thread, and
+//!   connections beyond this count share loops.
 //! * `--max-conns` — connections served concurrently before new ones
 //!   are refused with `BUSY` (default 256).
 //! * `--timeout-ms` — mid-frame arrival budget per connection
@@ -37,7 +38,7 @@
 //! `xsd-serve listening on <addr>` — scripts (and `check.sh`) parse it
 //! to learn the ephemeral port. It exits 0 after a graceful shutdown
 //! (SIGTERM or SIGINT), having flushed a final save when `--dir` is
-//! set. Signals are routed through the server's reactor wakeup fd:
+//! set. Signals are routed through the first event loop's wakeup fd:
 //! the handler performs one atomic store and one `write(2)` on the
 //! wakeup pipe, so shutdown latency is bounded by a single
 //! `epoll_wait` return — there is no polling tick anywhere on the

@@ -10,20 +10,21 @@
 //! §9 of the paper grounds the formal model in Sedna, a client/server
 //! XML DBMS; this crate supplies the client/server part. The server
 //! ([`server::Server`]) puts a [`SharedDatabase`](xsdb::SharedDatabase)
-//! behind TCP with one event-loop thread and a bounded worker pool:
-//! the loop owns every socket (nonblocking, parked in the reactor when
-//! idle — an idle connection costs a file descriptor, not a thread),
-//! parses pipelined request frames as bytes arrive, and hands complete
-//! requests to workers; read operations (validate, query, XQuery,
-//! catalog, stats) run concurrently against immutable epoch snapshots
-//! and never block on writers, while state transitions (inserts,
-//! updates, deletes, schema registration and removal) commit one at a
-//! time through [`SharedDatabase::apply`](xsdb::SharedDatabase::apply)
-//! — appended to a write-ahead log before they are acknowledged when
-//! the daemon runs with a persistence directory. Responses return to
-//! the loop over a wakeup fd and are written back in request order,
-//! however many are in flight per connection. The observable behavior
-//! of every opcode is *identical* to calling the corresponding
+//! behind TCP with a fixed number of event-loop threads, each owning a
+//! disjoint set of connections (nonblocking, parked in the loop's
+//! reactor when idle — an idle connection costs a file descriptor, not
+//! a thread). A loop parses pipelined request frames as bytes arrive and
+//! executes them itself, with no queue or thread hand-off between a
+//! request's bytes and its response; read operations (validate, query,
+//! XQuery, catalog, stats) run concurrently across loops against
+//! immutable epoch snapshots and never block on writers, while state
+//! transitions (inserts, updates, deletes, schema registration and
+//! removal) commit one at a time through
+//! [`SharedDatabase::apply`](xsdb::SharedDatabase::apply) — appended to
+//! a write-ahead log before they are acknowledged when the daemon runs
+//! with a persistence directory. Responses are written back in request
+//! order, however many are in flight per connection. The observable
+//! behavior of every opcode is *identical* to calling the corresponding
 //! [`Database`](xsdb::Database) method in process, which the
 //! integration suite asserts byte-for-byte.
 //!
@@ -32,8 +33,8 @@
 //! * `xsd-serve` — the daemon: bind an address, optionally open a
 //!   persistence directory (recovering the write-ahead-log tail),
 //!   serve under a chosen durability mode (`--durability
-//!   fsync|async`) until SIGTERM/SIGINT — delivered to the event
-//!   loop over the reactor's wakeup fd, so shutdown latency is one
+//!   fsync|async`) until SIGTERM/SIGINT — delivered to the first
+//!   event loop over its wakeup fd, so shutdown latency is one
 //!   `epoll_wait`, not a polling tick — then checkpoint.
 //! * `xsd-bench-client` — the load generator: N connections issuing a
 //!   configurable read/write mix, closed-loop by default or open-loop
@@ -45,8 +46,9 @@
 //!
 //! Traffic is observable through the pinned `server.*` and `net.*`
 //! metric families (connection counts, per-opcode request counters,
-//! byte counters, request-latency histograms, epoll waits, dispatched
-//! events, wakeups, pipeline-depth histogram, backpressure stalls) in
+//! byte counters, request-latency histograms in total and per opcode,
+//! queue wait, epoll waits, dispatched events, wakeups, pipeline-depth
+//! histogram, backpressure stalls) in
 //! the same [`xsobs`] registry the database itself records into,
 //! exported via the `STATS` opcode or `xsd-serve --stats-json`.
 

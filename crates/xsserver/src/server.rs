@@ -1,22 +1,29 @@
-//! The event-driven TCP server: one reactor-owned event loop plus a
-//! bounded worker pool serving the wire protocol over one
-//! [`SharedDatabase`].
+//! The event-driven TCP server: [`ServerConfig::threads`] event loops
+//! serving the wire protocol over one [`SharedDatabase`].
 //!
-//! Concurrency model: a single event-loop thread owns every socket.
-//! Sockets are nonblocking and parked in the [`reactor`](crate::reactor)
-//! when idle — an idle connection costs a file descriptor and a small
-//! buffer, never a thread and never a polling tick. The loop
-//! accumulates inbound bytes per connection, decodes complete frames
-//! incrementally ([`try_decode_frame`]), and hands each request to the
-//! worker pool; workers execute against the database and push the
-//! encoded response to a completion queue, waking the loop over its
-//! wakeup fd. Responses are written back **in request order** no
-//! matter how many requests a connection has in flight — clients may
-//! pipeline freely. Jobs from one connection also *execute* strictly
-//! in arrival order (at most one in flight per connection; the loop
-//! parks the rest on the connection), so a pipelined
-//! `PUT_SCHEMA; PUT_DOC` burst observes its own earlier writes; only
-//! different connections run concurrently.
+//! Concurrency model: each event loop is one thread that owns a
+//! disjoint set of connections and runs their requests itself (the
+//! threading model of memcached). Sockets are nonblocking and parked in
+//! the loop's [`reactor`](crate::reactor) when idle — an idle
+//! connection costs a file descriptor and a small buffer, never a
+//! thread and never a polling tick. The first loop also owns the
+//! listener: it admits each connection against
+//! [`ServerConfig::max_conns`] (one count shared by every loop) and
+//! hands it to the loop with the fewest live connections, through that
+//! loop's incoming list and wakeup fd. A loop accumulates inbound bytes
+//! per connection, decodes complete frames incrementally
+//! ([`try_decode_frame`]), parks them on the connection, and executes
+//! them against the database on its own thread: a request crosses no
+//! queue and no other thread between its bytes and its response.
+//! Jobs from one connection execute strictly in arrival order and their
+//! responses are written back **in request order**, so clients may
+//! pipeline freely and a pipelined `PUT_SCHEMA; PUT_DOC` burst observes
+//! its own earlier writes. Connections that share a loop take turns:
+//! each pass runs one parked request per connection, and the loop does
+//! not block in `epoll_wait` while a connection still has a runnable
+//! request. A slow request therefore delays only the connections on its
+//! own loop (`server.queue_wait_ns` shows by how much); connections on
+//! other loops run concurrently.
 //!
 //! Backpressure is budgeted per connection: at most
 //! [`ServerConfig::max_inflight`] requests may be decoded-but-
@@ -26,10 +33,10 @@
 //! `net.backpressure_stalls_total`), so a client that pipelines
 //! without reading is throttled by TCP itself and server memory stays
 //! bounded. Requests already decoded obey the write budget too: the
-//! loop hands a connection's next parked job to the pool only once the
-//! previous response is queued and the connection's unwritten bytes are
-//! under budget — so a stalled reader holds at most one response past
-//! its budget, however deep it pipelined.
+//! loop runs a connection's next parked job only once the previous
+//! response is queued and the connection's unwritten bytes are under
+//! budget — so a stalled reader holds at most one response past its
+//! budget, however deep it pipelined.
 //!
 //! Read operations (`VALIDATE`, `QUERY`, `XQUERY`, `LIST`, `STATS`)
 //! run against an immutable epoch snapshot
@@ -47,19 +54,19 @@
 //!
 //! Shutdown ([`ServerHandle::shutdown`], or a signal handler calling
 //! [`ShutdownRequester::request`]) is graceful and wakeup-fd driven:
-//! the flag flips, one byte lands on the wakeup fd, and the loop —
-//! blocked in `epoll_wait`, not a sleep — stops accepting, lets
-//! in-flight requests finish, sends every connection a
-//! [`Status::ShuttingDown`] frame, and exits. When the database is
-//! durable a final checkpoint commits the state before
-//! [`ServerHandle::shutdown`] returns.
+//! the flag flips, one byte lands on the first loop's wakeup fd, and
+//! that loop — blocked in `epoll_wait`, not a sleep — stops accepting
+//! and wakes the others. Every loop finishes the requests it has
+//! decoded, sends each of its connections a [`Status::ShuttingDown`]
+//! frame, and exits. When the database is durable a final checkpoint
+//! commits the state before [`ServerHandle::shutdown`] returns.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -75,8 +82,10 @@ use crate::reactor::{Event, Interest, Reactor, Waker};
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing database work. Connections are **not**
-    /// bounded by this: idle connections hold no thread at all.
+    /// Threads executing database work: one event loop each, running
+    /// the requests of the connections it owns. Connections are **not**
+    /// bounded by this: idle connections hold no thread at all, and
+    /// connections beyond this count share loops.
     pub threads: usize,
     /// Cap on concurrently served connections; beyond it new
     /// connections are refused with [`Status::Busy`].
@@ -105,13 +114,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// Reactor token of the listening socket.
+/// Reactor token of the listening socket (first loop only).
 const TOKEN_LISTENER: u64 = 0;
-/// Reactor token of the wakeup fd.
+/// Reactor token of a loop's wakeup fd.
 const TOKEN_WAKER: u64 = 1;
-/// First token handed to an accepted connection. Tokens are never
-/// reused, so a late completion for a closed connection cannot be
-/// misdelivered.
+/// First token handed to a connection. Tokens are never reused within
+/// a loop, so a stale runnable entry cannot reach a newer connection.
 const TOKEN_FIRST_CONN: u64 = 2;
 
 /// Write budget for courtesy frames ([`Status::Busy`],
@@ -123,41 +131,46 @@ const REJECT_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 /// flushes before force-closing what remains.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
-/// One decoded request on its way to the worker pool.
-struct Job {
-    token: u64,
-    seq: u64,
-    tag: u8,
-    fields: Vec<String>,
+/// One parked unit of a connection's work, answered in arrival order.
+enum Job {
+    /// A decoded request and when it was decoded (the start of its
+    /// queue wait).
+    Request { tag: u8, fields: Vec<String>, decoded: Instant },
+    /// The in-band answer to a framing error; it takes its turn like a
+    /// request so responses stay in request order.
+    Reply([u8; HEADER_LEN], Vec<u8>),
 }
 
-/// One encoded response on its way back to the event loop.
-struct Completion {
-    token: u64,
-    seq: u64,
-    header: [u8; HEADER_LEN],
-    payload: Vec<u8>,
+/// What one event loop shares with the acceptor and the handle.
+struct LoopShared {
+    waker: Waker,
+    /// Admitted streams handed to this loop; `None` once it exited.
+    incoming: Mutex<Option<Vec<TcpStream>>>,
+    /// Admitted connections this loop owns or has been handed.
+    live: AtomicUsize,
 }
 
-/// Everything the event loop, the workers, and the handle share.
+/// Everything the event loops and the handle share.
 struct ServerState {
     shared: SharedDatabase,
     obs: Arc<xsobs::Registry>,
     shutdown: AtomicBool,
-    stopped: Mutex<bool>,
+    /// Event loops that have not exited yet.
+    running: Mutex<usize>,
     stopped_cv: Condvar,
-    /// Jobs any worker may take next: at most one per connection (the
-    /// loop dispatches a connection's next job only after the previous
-    /// one completed).
-    jobs: Mutex<VecDeque<Job>>,
-    job_ready: Condvar,
-    completions: Mutex<Vec<Completion>>,
-    waker: Waker,
+    loops: Vec<LoopShared>,
+    /// Admitted connections over all loops, against `max_conns`. Only
+    /// the acceptor adds, so its check-then-add cannot overshoot.
+    serving: AtomicUsize,
     max_conns: usize,
     io_timeout: Duration,
     max_payload: usize,
-    max_inflight: u64,
+    max_inflight: usize,
     max_pending_write_bytes: usize,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 impl ServerState {
@@ -165,10 +178,10 @@ impl ServerState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    fn push_job(&self, job: Job) {
-        let mut jobs = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
-        jobs.push_back(job);
-        self.job_ready.notify_one();
+    /// An admitted connection of loop `index` is gone.
+    fn release(&self, index: usize) {
+        self.serving.fetch_sub(1, Ordering::SeqCst);
+        self.loops[index].live.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -187,55 +200,60 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let reactor = Reactor::new()?;
-        reactor.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        let waker = Waker::new(&reactor, TOKEN_WAKER)?;
-        let obs = Arc::clone(shared.metrics_registry());
-        let max_payload = max_payload_for(shared.read().limits());
+        let threads = config.threads.max(1);
+        let mut reactors = Vec::with_capacity(threads);
+        let mut loops = Vec::with_capacity(threads);
+        for _ in 0..threads {
+            let reactor = Reactor::new()?;
+            let waker = Waker::new(&reactor, TOKEN_WAKER)?;
+            loops.push(LoopShared {
+                waker,
+                incoming: Mutex::new(Some(Vec::new())),
+                live: AtomicUsize::new(0),
+            });
+            reactors.push(reactor);
+        }
+        reactors[0].register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         let state = Arc::new(ServerState {
+            obs: Arc::clone(shared.metrics_registry()),
+            max_payload: max_payload_for(shared.read().limits()),
             shared: shared.clone(),
-            obs,
             shutdown: AtomicBool::new(false),
-            stopped: Mutex::new(false),
+            running: Mutex::new(threads),
             stopped_cv: Condvar::new(),
-            jobs: Mutex::new(VecDeque::new()),
-            job_ready: Condvar::new(),
-            completions: Mutex::new(Vec::new()),
-            waker,
+            loops,
+            serving: AtomicUsize::new(0),
             max_conns: config.max_conns.max(1),
             io_timeout: config.io_timeout.max(Duration::from_millis(1)),
-            max_payload,
-            max_inflight: config.max_inflight.max(1) as u64,
+            max_inflight: config.max_inflight.max(1),
             max_pending_write_bytes: config.max_pending_write_bytes.max(HEADER_LEN + 1),
         });
-        let mut workers = Vec::with_capacity(config.threads.max(1));
-        for i in 0..config.threads.max(1) {
+        let mut handle =
+            ServerHandle { local_addr, state: Arc::clone(&state), loops: Vec::new(), shared };
+        let mut listener = Some(listener);
+        for (index, reactor) in reactors.into_iter().enumerate() {
             let state = Arc::clone(&state);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("xsserver-worker-{i}"))
-                    // Parsing and validation keep explicit stacks, but
-                    // query evaluation still recurses with document
-                    // depth; give workers the same headroom a main
-                    // thread gets instead of the 2 MiB spawn default.
-                    // Virtual until touched.
-                    .stack_size(16 << 20)
-                    .spawn(move || worker_loop(&state))?,
-            );
+            let listener = listener.take();
+            // Loops run the database work, so they get the headroom a
+            // main thread gets instead of the 2 MiB spawn default:
+            // parsing and validation keep explicit stacks, but query
+            // evaluation still recurses with document depth. Virtual
+            // until touched.
+            let spawned = std::thread::Builder::new()
+                .name(format!("xsserver-loop-{index}"))
+                .stack_size(16 << 20)
+                .spawn(move || EventLoop::new(state, index, reactor, listener).run());
+            // On failure, dropping the handle stops the loops already
+            // running.
+            handle.loops.push(spawned?);
         }
-        let event_loop = {
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("xsserver-loop".to_string())
-                .spawn(move || event_loop(state, reactor, listener))?
-        };
-        Ok(ServerHandle { local_addr, state, event_loop: Some(event_loop), workers, shared })
+        Ok(handle)
     }
 }
 
 /// A handle a signal handler can use to request shutdown without
 /// locks, allocation, or blocking: one atomic store and one raw
-/// `write(2)` on the reactor's wakeup fd — both async-signal-safe.
+/// `write(2)` on the first loop's wakeup fd — both async-signal-safe.
 /// The held [`Arc`] keeps the wakeup fd alive for the process
 /// lifetime of the handler.
 pub struct ShutdownRequester {
@@ -258,8 +276,7 @@ impl ShutdownRequester {
 pub struct ServerHandle {
     local_addr: SocketAddr,
     state: Arc<ServerState>,
-    event_loop: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    loops: Vec<JoinHandle<()>>,
     shared: SharedDatabase,
 }
 
@@ -278,17 +295,18 @@ impl ServerHandle {
     /// and other threads that need to trigger the graceful path
     /// without owning the handle.
     pub fn shutdown_requester(&self) -> ShutdownRequester {
-        ShutdownRequester { state: Arc::clone(&self.state), wake_fd: self.state.waker.signal_fd() }
+        let wake_fd = self.state.loops[0].waker.signal_fd();
+        ShutdownRequester { state: Arc::clone(&self.state), wake_fd }
     }
 
-    /// Block until the event loop has exited — either because
+    /// Block until every event loop has exited — either because
     /// [`ShutdownRequester::request`] ran (e.g. from a signal handler)
-    /// or the loop failed fatally. After this returns,
+    /// or a loop failed fatally. After this returns,
     /// [`ServerHandle::shutdown`] completes without waiting.
     pub fn wait(&self) {
-        let mut stopped = self.state.stopped.lock().unwrap_or_else(|p| p.into_inner());
-        while !*stopped {
-            stopped = self.state.stopped_cv.wait(stopped).unwrap_or_else(|p| p.into_inner());
+        let mut running = lock(&self.state.running);
+        while *running > 0 {
+            running = self.state.stopped_cv.wait(running).unwrap_or_else(|p| p.into_inner());
         }
     }
 
@@ -305,30 +323,19 @@ impl ServerHandle {
         }
     }
 
-    /// Signal shutdown over the wakeup fd and join everything.
+    /// Signal shutdown the way a signal handler does and join every
+    /// loop.
     fn stop_threads(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.state.waker.wake();
-        if let Some(t) = self.event_loop.take() {
+        self.shutdown_requester().request();
+        for t in self.loops.drain(..) {
             let _ = t.join();
-        }
-        // Workers exit once the loop is gone (it dispatches parked jobs
-        // until then) and the job queue is empty. Mark it gone — also
-        // when it panicked — and wake any parked on the condvar.
-        *self.state.stopped.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        {
-            let _guard = self.state.jobs.lock().unwrap_or_else(|p| p.into_inner());
-            self.state.job_ready.notify_all();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.event_loop.is_some() || !self.workers.is_empty() {
+        if !self.loops.is_empty() {
             self.stop_threads();
         }
     }
@@ -353,24 +360,15 @@ impl PendingWrite {
 }
 
 /// A connection's loop-owned state. The lifecycle is a small machine:
-/// reading frames → executing (jobs in flight) → writing responses,
+/// reading frames → executing (jobs parked) → writing responses,
 /// with all three phases overlapping under pipelining, plus two
 /// terminal modes — `close_after_drain` (a framing error was answered;
-/// finish in-flight responses, then close) and `closing` (flush what
-/// is queued, then close).
+/// finish the parked jobs, then close) and `closing` (flush what is
+/// queued, then close).
 struct Conn {
     stream: TcpStream,
     /// Inbound bytes not yet decoded into frames.
     buf: Vec<u8>,
-    /// Sequence number the next decoded request will get.
-    next_seq: u64,
-    /// Sequence number the next response moved to the write queue must
-    /// have — the reorder point that keeps pipelined responses in
-    /// request order.
-    next_write_seq: u64,
-    /// Completed responses waiting for their turn (out-of-order
-    /// worker completions).
-    done: BTreeMap<u64, ([u8; HEADER_LEN], Vec<u8>)>,
     writes: VecDeque<PendingWrite>,
     pending_write_bytes: usize,
     /// Interest currently registered with the reactor.
@@ -383,14 +381,14 @@ struct Conn {
     /// Flush the write queue, then close (courtesy/goodbye/fatal).
     closing: bool,
     /// A framing error was answered: no more reads; close once every
-    /// in-flight response has been queued and flushed.
+    /// parked job has been answered and flushed.
     close_after_drain: bool,
     /// Counted against `max_conns` (false for Busy rejects).
     admitted: bool,
-    /// Decoded requests waiting for their turn to execute.
+    /// Decoded requests not yet answered, in arrival order.
     parked: VecDeque<Job>,
-    /// One of this connection's jobs is with the worker pool.
-    running: bool,
+    /// The connection is on its loop's runnable queue.
+    runnable: bool,
     /// When set, the connection is force-closed at this instant —
     /// mid-frame arrival budget or courtesy-write budget.
     deadline: Option<Instant>,
@@ -401,9 +399,6 @@ impl Conn {
         Conn {
             stream,
             buf: Vec::new(),
-            next_seq: 0,
-            next_write_seq: 0,
-            done: BTreeMap::new(),
             writes: VecDeque::new(),
             pending_write_bytes: 0,
             interest: Interest::NONE,
@@ -413,18 +408,13 @@ impl Conn {
             close_after_drain: false,
             admitted,
             parked: VecDeque::new(),
-            running: false,
+            runnable: false,
             deadline: None,
         }
     }
 
-    /// Requests decoded but not yet promoted to the write queue.
-    fn inflight(&self) -> u64 {
-        self.next_seq - self.next_write_seq
-    }
-
     fn over_budget(&self, state: &ServerState) -> bool {
-        self.inflight() >= state.max_inflight
+        self.parked.len() >= state.max_inflight
             || self.pending_write_bytes >= state.max_pending_write_bytes
     }
 }
@@ -452,22 +442,6 @@ fn enqueue_write(
     conn.pending_write_bytes += HEADER_LEN + payload.len();
     obs.record_max(MaxId::NetPendingWriteBytesHighWater, conn.pending_write_bytes as u64);
     conn.writes.push_back(PendingWrite { header, payload, written: 0 });
-}
-
-/// Deliver a completed response: park it in the reorder buffer and
-/// promote everything now in order.
-fn deliver(
-    conn: &mut Conn,
-    obs: &xsobs::Registry,
-    seq: u64,
-    header: [u8; HEADER_LEN],
-    payload: Vec<u8>,
-) {
-    conn.done.insert(seq, (header, payload));
-    while let Some((header, payload)) = conn.done.remove(&conn.next_write_seq) {
-        conn.next_write_seq += 1;
-        enqueue_write(conn, obs, header, payload);
-    }
 }
 
 /// Vectored flush of the write queue until empty or `WouldBlock`.
@@ -512,23 +486,18 @@ fn flush_writes(conn: &mut Conn, obs: &xsobs::Registry) -> io::Result<()> {
     }
 }
 
-/// Decode as many complete frames as the budgets allow, dispatching
-/// each to the worker pool. Framing errors are answered in-band (in
-/// sequence) and flip the connection to `close_after_drain`. Returns
-/// how many frames were decoded.
-fn parse_frames(conn: &mut Conn, state: &ServerState, token: u64, refuse_new: bool) -> u64 {
+/// Decode as many complete frames as the budgets allow, parking each
+/// on the connection. A framing error is parked as its in-band answer
+/// and flips the connection to `close_after_drain`. Returns how many
+/// frames were decoded.
+fn parse_frames(conn: &mut Conn, state: &ServerState, refuse_new: bool) -> u64 {
     let mut parsed = 0u64;
     // Whether parsing stopped at an *incomplete* frame (as opposed to
     // a budget pause with complete frames still buffered, or an empty
     // buffer): only that case is slowloris territory.
     let mut stalled_mid_frame = false;
     loop {
-        if refuse_new
-            || conn.closing
-            || conn.close_after_drain
-            || conn.inflight() >= state.max_inflight
-            || conn.pending_write_bytes >= state.max_pending_write_bytes
-        {
+        if refuse_new || conn.closing || conn.close_after_drain || conn.over_budget(state) {
             break;
         }
         match try_decode_frame(&conn.buf, state.max_payload, MAX_REQUEST_FIELDS) {
@@ -539,24 +508,25 @@ fn parse_frames(conn: &mut Conn, state: &ServerState, token: u64, refuse_new: bo
             Ok(Some(frame)) => {
                 conn.buf.drain(..frame.consumed);
                 state.obs.add(CounterId::SrvBytesIn, frame.payload_len as u64);
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
                 parsed += 1;
-                conn.parked.push_back(Job { token, seq, tag: frame.tag, fields: frame.fields });
+                let decoded = Instant::now();
+                conn.parked.push_back(Job::Request {
+                    tag: frame.tag,
+                    fields: frame.fields,
+                    decoded,
+                });
             }
             Err(e) => {
                 // Framing is lost (or the declaration is hostile):
                 // answer in sequence, refuse further reads, and close
-                // once earlier in-flight responses have drained.
+                // once the earlier parked requests are answered.
                 state.obs.incr(CounterId::SrvFrameRejections);
                 let status = match &e {
                     FrameError::TooLarge { .. } => Status::FrameTooLarge,
                     _ => Status::BadFrame,
                 };
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
                 let (header, payload) = encode_tiny(status as u8, &e.to_string());
-                deliver(conn, &state.obs, seq, header, payload);
+                conn.parked.push_back(Job::Reply(header, payload));
                 conn.close_after_drain = true;
                 conn.buf.clear();
                 break;
@@ -588,48 +558,57 @@ fn parse_frames(conn: &mut Conn, state: &ServerState, token: u64, refuse_new: bo
 
 struct EventLoop {
     state: Arc<ServerState>,
+    /// This loop's position in `state.loops`.
+    index: usize,
     reactor: Reactor,
-    listener: TcpListener,
+    /// The listening socket, owned by the first loop only.
+    listener: Option<TcpListener>,
     conns: HashMap<u64, Conn>,
     /// Mirror of every `Conn::deadline` that is set, so the wait
     /// timeout is computed over deadlined connections only — parked
     /// idle connections cost nothing per tick.
     deadlines: HashMap<u64, Instant>,
+    /// Connections whose next parked job may run, in turn order; each
+    /// at most once (`Conn::runnable`).
+    runnable: VecDeque<u64>,
     next_token: u64,
-    /// Connections counted against `max_conns`.
-    serving: usize,
     draining: bool,
     drain_deadline: Option<Instant>,
 }
 
-fn event_loop(state: Arc<ServerState>, reactor: Reactor, listener: TcpListener) {
-    let mut lp = EventLoop {
-        state: Arc::clone(&state),
-        reactor,
-        listener,
-        conns: HashMap::new(),
-        deadlines: HashMap::new(),
-        next_token: TOKEN_FIRST_CONN,
-        serving: 0,
-        draining: false,
-        drain_deadline: None,
-    };
-    lp.run();
-    let mut stopped = state.stopped.lock().unwrap_or_else(|p| p.into_inner());
-    *stopped = true;
-    state.stopped_cv.notify_all();
-}
-
 impl EventLoop {
-    fn run(&mut self) {
+    fn new(
+        state: Arc<ServerState>,
+        index: usize,
+        reactor: Reactor,
+        listener: Option<TcpListener>,
+    ) -> EventLoop {
+        EventLoop {
+            state,
+            index,
+            reactor,
+            listener,
+            conns: HashMap::new(),
+            deadlines: HashMap::new(),
+            runnable: VecDeque::new(),
+            next_token: TOKEN_FIRST_CONN,
+            draining: false,
+            drain_deadline: None,
+        }
+    }
+
+    fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
             if self.draining && self.conns.is_empty() {
                 return;
             }
             events.clear();
+            // Runnable jobs are pending: poll, do not block.
+            let timeout =
+                if self.runnable.is_empty() { self.next_timeout() } else { Some(Duration::ZERO) };
             self.state.obs.incr(CounterId::NetEpollWaits);
-            if self.reactor.wait(&mut events, self.next_timeout()).is_err() {
+            if self.reactor.wait(&mut events, timeout).is_err() {
                 // A broken selector is unrecoverable; drop everything.
                 return;
             }
@@ -641,6 +620,7 @@ impl EventLoop {
                     token => self.conn_ready(token, ev),
                 }
             }
+            self.run_pass();
             self.expire_deadlines();
         }
     }
@@ -654,81 +634,116 @@ impl EventLoop {
         Some(nearest.saturating_duration_since(Instant::now()))
     }
 
+    /// Run one parked job of every runnable connection, in turn order:
+    /// connections sharing this loop get one request each per pass.
+    fn run_pass(&mut self) {
+        for _ in 0..self.runnable.len() {
+            let Some(token) = self.runnable.pop_front() else { break };
+            // A connection closed since it was queued has no entry.
+            let Some(conn) = self.conns.get_mut(&token) else { continue };
+            conn.runnable = false;
+            let (header, payload) = match conn.parked.pop_front() {
+                Some(Job::Request { tag, fields, decoded }) => {
+                    self.state.obs.observe(HistogramId::SrvQueueWait, decoded.elapsed());
+                    execute(&self.state, tag, fields)
+                }
+                Some(Job::Reply(header, payload)) => (header, payload),
+                None => continue,
+            };
+            enqueue_write(conn, &self.state.obs, header, payload);
+            self.settle(token);
+        }
+    }
+
     fn accept_ready(&mut self) {
         loop {
-            let stream = match self.listener.accept() {
+            let Some(listener) = &self.listener else { return };
+            let stream = match listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            if self.draining {
-                drop(stream);
-                continue;
-            }
-            if stream.set_nonblocking(true).is_err() {
+            if self.draining || stream.set_nonblocking(true).is_err() {
                 continue;
             }
             let _ = stream.set_nodelay(true);
-            let token = self.next_token;
-            self.next_token += 1;
-            let admitted = self.serving < self.state.max_conns;
-            let mut conn = Conn::new(stream, admitted);
-            if admitted {
-                self.state.obs.incr(CounterId::SrvConnAccepted);
-                self.serving += 1;
-                self.state.obs.record_max(MaxId::SrvConnHighWater, self.serving as u64);
-            } else {
+            let state = Arc::clone(&self.state);
+            if state.serving.load(Ordering::SeqCst) >= state.max_conns {
                 // Connection admission: over the cap the peer gets a
                 // courtesy Busy frame under a short write budget — the
                 // loop never blocks on a peer that won't read it.
-                self.state.obs.incr(CounterId::SrvConnRejected);
+                state.obs.incr(CounterId::SrvConnRejected);
+                let mut conn = Conn::new(stream, false);
                 let (header, payload) =
                     encode_tiny(Status::Busy as u8, "connection limit reached, retry later");
-                enqueue_write(&mut conn, &self.state.obs, header, payload);
+                enqueue_write(&mut conn, &state.obs, header, payload);
                 conn.closing = true;
                 conn.read_eof = true;
                 conn.deadline = Some(Instant::now() + REJECT_WRITE_TIMEOUT);
-            }
-            let interest = if admitted { Interest::READ } else { Interest::WRITE };
-            if self.reactor.register(conn.stream.as_raw_fd(), token, interest).is_err() {
-                if admitted {
-                    self.serving -= 1;
-                }
+                self.serve(conn, Interest::WRITE);
                 continue;
             }
-            conn.interest = interest;
-            self.conns.insert(token, conn);
-            self.settle(token);
+            let serving = state.serving.fetch_add(1, Ordering::SeqCst) + 1;
+            state.obs.incr(CounterId::SrvConnAccepted);
+            state.obs.record_max(MaxId::SrvConnHighWater, serving as u64);
+            // The loop with the fewest live connections takes it; ties
+            // go to the lowest index, so this loop first.
+            let target = (0..state.loops.len())
+                .min_by_key(|&i| state.loops[i].live.load(Ordering::SeqCst))
+                .unwrap_or(self.index);
+            let to = &state.loops[target];
+            to.live.fetch_add(1, Ordering::SeqCst);
+            if target == self.index {
+                self.serve(Conn::new(stream, true), Interest::READ);
+                continue;
+            }
+            let handed = match lock(&to.incoming).as_mut() {
+                Some(incoming) => {
+                    incoming.push(stream);
+                    true
+                }
+                None => false, // that loop has exited: drop the stream
+            };
+            if handed {
+                to.waker.wake();
+            } else {
+                state.release(target);
+            }
         }
     }
 
     fn waker_ready(&mut self) {
-        self.state.waker.drain();
-        self.state.obs.incr(CounterId::NetWakeups);
-        if self.state.shutting_down() && !self.draining {
-            self.begin_drain();
-        }
-        let completions: Vec<Completion> = {
-            let mut c = self.state.completions.lock().unwrap_or_else(|p| p.into_inner());
-            std::mem::take(&mut c)
-        };
-        for completion in completions {
-            // A completion for a closed connection (mid-pipeline
-            // disconnect) has nowhere to go; tokens are never reused,
-            // so dropping it is always right.
-            if let Some(conn) = self.conns.get_mut(&completion.token) {
-                conn.running = false;
-                deliver(
-                    conn,
-                    &self.state.obs,
-                    completion.seq,
-                    completion.header,
-                    completion.payload,
-                );
-                self.settle(completion.token);
+        let state = Arc::clone(&self.state);
+        let shared = &state.loops[self.index];
+        shared.waker.drain();
+        state.obs.incr(CounterId::NetWakeups);
+        let handed = lock(&shared.incoming).as_mut().map(std::mem::take).unwrap_or_default();
+        for stream in handed {
+            if self.draining {
+                state.release(self.index);
+            } else {
+                self.serve(Conn::new(stream, true), Interest::READ);
             }
         }
+        if state.shutting_down() && !self.draining {
+            self.begin_drain();
+        }
+    }
+
+    /// Register a new connection with this loop and settle it.
+    fn serve(&mut self, mut conn: Conn, interest: Interest) {
+        let token = self.next_token;
+        self.next_token += 1;
+        if self.reactor.register(conn.stream.as_raw_fd(), token, interest).is_err() {
+            if conn.admitted {
+                self.state.release(self.index);
+            }
+            return;
+        }
+        conn.interest = interest;
+        self.conns.insert(token, conn);
+        self.settle(token);
     }
 
     fn conn_ready(&mut self, token: u64, ev: &Event) {
@@ -775,7 +790,7 @@ impl EventLoop {
                 }
                 Ok(n) => {
                     conn.buf.extend_from_slice(&chunk[..n]);
-                    parse_frames(conn, &state, token, refuse_new);
+                    parse_frames(conn, &state, refuse_new);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -790,8 +805,8 @@ impl EventLoop {
 
     /// Re-evaluate a connection after any progress: flush, apply the
     /// drain/goodbye transitions, close if terminal, recompute
-    /// backpressure and reactor interest, and sync the deadline
-    /// mirror.
+    /// backpressure and reactor interest, queue its next job, and sync
+    /// the deadline mirror.
     fn settle(&mut self, token: u64) {
         let state = Arc::clone(&self.state);
         let draining = self.draining;
@@ -800,14 +815,10 @@ impl EventLoop {
             self.close(token);
             return;
         }
-        // Goodbye: once a connection has nothing in flight during
+        // Goodbye: once a connection has nothing parked during
         // shutdown (or after answering a framing error), queue the
         // farewell and flip to closing.
-        if !conn.closing
-            && (draining || conn.close_after_drain)
-            && conn.inflight() == 0
-            && conn.done.is_empty()
-        {
+        if !conn.closing && (draining || conn.close_after_drain) && conn.parked.is_empty() {
             if draining && conn.admitted && !conn.close_after_drain {
                 let (header, payload) =
                     encode_tiny(Status::ShuttingDown as u8, "server is shutting down");
@@ -824,12 +835,7 @@ impl EventLoop {
             self.close(token);
             return;
         }
-        if conn.read_eof
-            && !conn.closing
-            && conn.inflight() == 0
-            && conn.done.is_empty()
-            && conn.writes.is_empty()
-        {
+        if conn.read_eof && !conn.closing && conn.parked.is_empty() && conn.writes.is_empty() {
             self.close(token);
             return;
         }
@@ -841,18 +847,20 @@ impl EventLoop {
             state.obs.incr(CounterId::NetBackpressureStalls);
         } else if !over && conn.paused {
             conn.paused = false;
-            if parse_frames(conn, &state, token, draining) > 0 && conn.over_budget(&state) {
+            if parse_frames(conn, &state, draining) > 0 && conn.over_budget(&state) {
                 conn.paused = true;
             }
         }
-        // Execution: the next parked job starts once the previous one
-        // completed and the unwritten responses fit the write budget —
-        // during shutdown unconditionally, so decoded requests finish.
-        if !conn.running && (draining || conn.pending_write_bytes < state.max_pending_write_bytes) {
-            if let Some(job) = conn.parked.pop_front() {
-                conn.running = true;
-                state.push_job(job);
-            }
+        // Execution: the next parked job may run once the previous
+        // response is queued and the unwritten responses fit the write
+        // budget — during shutdown unconditionally, so decoded
+        // requests finish.
+        if !conn.runnable
+            && !conn.parked.is_empty()
+            && (draining || conn.pending_write_bytes < state.max_pending_write_bytes)
+        {
+            conn.runnable = true;
+            self.runnable.push_back(token);
         }
         let want = Interest {
             readable: !conn.paused && !conn.read_eof && !conn.closing && !conn.close_after_drain,
@@ -879,7 +887,7 @@ impl EventLoop {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.reactor.deregister(conn.stream.as_raw_fd());
             if conn.admitted {
-                self.serving -= 1;
+                self.state.release(self.index);
             }
         }
         self.deadlines.remove(&token);
@@ -888,12 +896,21 @@ impl EventLoop {
     fn begin_drain(&mut self) {
         self.draining = true;
         self.drain_deadline = Some(Instant::now() + SHUTDOWN_GRACE);
-        let _ = self.reactor.deregister(self.listener.as_raw_fd());
+        if let Some(listener) = &self.listener {
+            // The acceptor heard the request: stop accepting and pass
+            // it on to every other loop.
+            let _ = self.reactor.deregister(listener.as_raw_fd());
+            for (i, other) in self.state.loops.iter().enumerate() {
+                if i != self.index {
+                    other.waker.wake();
+                }
+            }
+        }
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             if let Some(conn) = self.conns.get_mut(&token) {
                 // No new requests: buffered partial frames are
-                // abandoned; decoded in-flight requests still finish.
+                // abandoned; decoded parked requests still finish.
                 conn.read_eof = true;
                 conn.buf.clear();
             }
@@ -923,48 +940,52 @@ impl EventLoop {
     }
 }
 
-// ---------------------------------------------------------------------
-// Worker pool: database execution
-// ---------------------------------------------------------------------
-
-fn worker_loop(state: &ServerState) {
-    loop {
-        let job = {
-            let mut jobs = state.jobs.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    break job;
-                }
-                if *state.stopped.lock().unwrap_or_else(|p| p.into_inner()) {
-                    return;
-                }
-                jobs = state.job_ready.wait(jobs).unwrap_or_else(|p| p.into_inner());
+impl Drop for EventLoop {
+    /// Runs when the loop exits, also by panic: refuse later hand-offs,
+    /// bring the other loops down if this was not a graceful drain, and
+    /// count the loop out for [`ServerHandle::wait`].
+    fn drop(&mut self) {
+        drop(lock(&self.state.loops[self.index].incoming).take());
+        if !self.draining {
+            self.state.shutdown.store(true, Ordering::SeqCst);
+            for other in &self.state.loops {
+                other.waker.wake();
             }
-        };
-        let (header, payload) = execute(state, job.tag, &job.fields);
-        {
-            let mut completions = state.completions.lock().unwrap_or_else(|p| p.into_inner());
-            completions.push(Completion { token: job.token, seq: job.seq, header, payload });
         }
-        state.waker.wake();
+        *lock(&self.state.running) -= 1;
+        self.state.stopped_cv.notify_all();
     }
 }
 
+// ---------------------------------------------------------------------
+// Request execution
+// ---------------------------------------------------------------------
+
+/// A response before framing: its status and its fields.
+type Response = (Status, Vec<String>);
+
 /// Execute one well-framed request and encode the response frame.
-fn execute(state: &ServerState, tag: u8, fields: &[String]) -> ([u8; HEADER_LEN], Vec<u8>) {
+fn execute(state: &ServerState, tag: u8, fields: Vec<String>) -> ([u8; HEADER_LEN], Vec<u8>) {
     let (status, out_fields) = match Opcode::from_u8(tag) {
         Some(op) => {
-            let mut span = state.obs.span(HistogramId::SrvRequest);
-            span.set_detail(op.name());
+            let (counter, histogram) = op_metrics(op);
+            let start = state.obs.is_enabled().then(Instant::now);
             // A panic in one request becomes its `ERR_INTERNAL` reply and
-            // leaves the worker serving. Reads touch only the state they
-            // were handed, and the database's locks ignore poisoning, as
-            // the other workers' did when a panic ended this one.
-            let result = catch_panic(&state.obs, op.name(), || Ok(dispatch(state, op, fields)))
-                .unwrap_or_else(|e| (Status::of(&e), vec![e.to_string()]));
-            drop(span);
-            state.obs.incr(op_counter(op));
-            result
+            // leaves the loop serving. Reads touch only the state they
+            // were handed, and the database's locks ignore poisoning.
+            let (Ok(response) | Err(response)) =
+                catch_panic(&state.obs, op.name(), || Ok(dispatch(state, op, fields)))
+                    .unwrap_or_else(|e| Err(err_response(e)));
+            if let Some(start) = start {
+                let elapsed = start.elapsed();
+                state.obs.observe(histogram, elapsed);
+                // The total over all opcodes; the per-opcode histogram
+                // already fed the slow-op ring.
+                let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+                state.obs.observe_value(HistogramId::SrvRequest, ns);
+            }
+            state.obs.incr(counter);
+            response
         }
         None => {
             state.obs.incr(CounterId::SrvFrameRejections);
@@ -989,165 +1010,110 @@ fn execute(state: &ServerState, tag: u8, fields: &[String]) -> ([u8; HEADER_LEN]
     }
 }
 
-fn op_counter(op: Opcode) -> CounterId {
+/// An opcode's request counter and latency histogram.
+fn op_metrics(op: Opcode) -> (CounterId, HistogramId) {
     match op {
-        Opcode::Ping => CounterId::SrvOpPing,
-        Opcode::PutSchema => CounterId::SrvOpPutSchema,
-        Opcode::DelSchema => CounterId::SrvOpDelSchema,
-        Opcode::PutDoc => CounterId::SrvOpPutDoc,
-        Opcode::DelDoc => CounterId::SrvOpDelDoc,
-        Opcode::Validate => CounterId::SrvOpValidate,
-        Opcode::Query => CounterId::SrvOpQuery,
-        Opcode::Xquery => CounterId::SrvOpXquery,
-        Opcode::List => CounterId::SrvOpList,
-        Opcode::Stats => CounterId::SrvOpStats,
-        Opcode::Save => CounterId::SrvOpSave,
-        Opcode::Update => CounterId::SrvOpUpdate,
-        Opcode::Explain => CounterId::SrvOpExplain,
+        Opcode::Ping => (CounterId::SrvOpPing, HistogramId::SrvOpPing),
+        Opcode::PutSchema => (CounterId::SrvOpPutSchema, HistogramId::SrvOpPutSchema),
+        Opcode::DelSchema => (CounterId::SrvOpDelSchema, HistogramId::SrvOpDelSchema),
+        Opcode::PutDoc => (CounterId::SrvOpPutDoc, HistogramId::SrvOpPutDoc),
+        Opcode::DelDoc => (CounterId::SrvOpDelDoc, HistogramId::SrvOpDelDoc),
+        Opcode::Validate => (CounterId::SrvOpValidate, HistogramId::SrvOpValidate),
+        Opcode::Query => (CounterId::SrvOpQuery, HistogramId::SrvOpQuery),
+        Opcode::Xquery => (CounterId::SrvOpXquery, HistogramId::SrvOpXquery),
+        Opcode::List => (CounterId::SrvOpList, HistogramId::SrvOpList),
+        Opcode::Stats => (CounterId::SrvOpStats, HistogramId::SrvOpStats),
+        Opcode::Save => (CounterId::SrvOpSave, HistogramId::SrvOpSave),
+        Opcode::Update => (CounterId::SrvOpUpdate, HistogramId::SrvOpUpdate),
+        Opcode::Explain => (CounterId::SrvOpExplain, HistogramId::SrvOpExplain),
     }
 }
 
-/// Check a request's field count.
-fn arity(op: Opcode, fields: &[String], want: usize) -> Result<(), (Status, Vec<String>)> {
-    if fields.len() == want {
-        Ok(())
-    } else {
-        Err((
-            Status::BadFrame,
-            vec![format!("{} expects {want} field(s), got {}", op.name(), fields.len())],
-        ))
-    }
+/// A request's fields, checked against the opcode's arity.
+fn args<const N: usize>(op: Opcode, fields: Vec<String>) -> Result<[String; N], Response> {
+    let got = fields.len();
+    <[String; N]>::try_from(fields).map_err(|_| {
+        (Status::BadFrame, vec![format!("{} expects {N} field(s), got {got}", op.name())])
+    })
 }
 
-fn err_response(e: &DbError) -> (Status, Vec<String>) {
-    (Status::of(e), vec![e.to_string()])
+fn err_response(e: DbError) -> Response {
+    (Status::of(&e), vec![e.to_string()])
 }
 
 /// Commit one mutation through the durable write path and render the
 /// outcome as a response.
-fn apply_mutation(state: &ServerState, m: &Mutation) -> (Status, Vec<String>) {
-    match state.shared.apply(m) {
-        Ok(ApplyOutcome::UpdatedChecked(o)) => (
+fn apply_mutation(state: &ServerState, m: Mutation) -> Result<Response, Response> {
+    Ok(match state.shared.apply(&m).map_err(err_response)? {
+        ApplyOutcome::UpdatedChecked(o) => (
             Status::Ok,
             vec![o.verdict.to_string(), o.nodes.to_string(), o.revalidated.to_string()],
         ),
-        Ok(_) => (Status::Ok, Vec::new()),
-        Err(e) => err_response(&e),
-    }
+        _ => (Status::Ok, Vec::new()),
+    })
 }
 
-/// Execute one opcode against the shared database.
-fn dispatch(state: &ServerState, op: Opcode, fields: &[String]) -> (Status, Vec<String>) {
-    let check = |want: usize| arity(op, fields, want);
-    match op {
+/// Execute one opcode against the shared database. The request's
+/// fields move into the mutation they describe.
+fn dispatch(state: &ServerState, op: Opcode, fields: Vec<String>) -> Result<Response, Response> {
+    let db = &state.shared;
+    Ok(match op {
         Opcode::Ping => {
-            if let Err(e) = check(0) {
-                return e;
-            }
+            let [] = args(op, fields)?;
             (Status::Ok, vec!["pong".to_string()])
         }
         Opcode::PutSchema => {
-            if let Err(e) = check(2) {
-                return e;
-            }
-            apply_mutation(
-                state,
-                &Mutation::RegisterSchema { name: fields[0].clone(), xsd: fields[1].clone() },
-            )
+            let [name, xsd] = args(op, fields)?;
+            apply_mutation(state, Mutation::RegisterSchema { name, xsd })?
         }
         Opcode::DelSchema => {
-            if let Err(e) = check(1) {
-                return e;
-            }
-            apply_mutation(state, &Mutation::RemoveSchema { name: fields[0].clone() })
+            let [name] = args(op, fields)?;
+            apply_mutation(state, Mutation::RemoveSchema { name })?
         }
         Opcode::PutDoc => {
-            if let Err(e) = check(3) {
-                return e;
-            }
-            apply_mutation(
-                state,
-                &Mutation::Insert {
-                    doc: fields[0].clone(),
-                    schema: fields[1].clone(),
-                    xml: fields[2].clone(),
-                },
-            )
+            let [doc, schema, xml] = args(op, fields)?;
+            apply_mutation(state, Mutation::Insert { doc, schema, xml })?
         }
         Opcode::DelDoc => {
-            if let Err(e) = check(1) {
-                return e;
-            }
-            apply_mutation(state, &Mutation::Delete { doc: fields[0].clone() })
-        }
-        Opcode::Validate => {
-            if let Err(e) = check(2) {
-                return e;
-            }
-            match state.shared.read().validate(&fields[0], &fields[1]) {
-                Ok(violations) => (Status::Ok, violations.iter().map(|v| v.to_string()).collect()),
-                Err(e) => err_response(&e),
-            }
-        }
-        Opcode::Query => {
-            if let Err(e) = check(2) {
-                return e;
-            }
-            match state.shared.read().query(&fields[0], &fields[1]) {
-                Ok(values) => (Status::Ok, values),
-                Err(e) => err_response(&e),
-            }
-        }
-        Opcode::Xquery => {
-            if let Err(e) = check(2) {
-                return e;
-            }
-            match state.shared.read().xquery(&fields[0], &fields[1]) {
-                Ok(result) => (Status::Ok, vec![result]),
-                Err(e) => err_response(&e),
-            }
-        }
-        Opcode::Explain => {
-            if let Err(e) = check(2) {
-                return e;
-            }
-            match state.shared.read().explain_query(&fields[0], &fields[1]) {
-                Ok(plan) => (Status::Ok, vec![plan]),
-                Err(e) => err_response(&e),
-            }
+            let [doc] = args(op, fields)?;
+            apply_mutation(state, Mutation::Delete { doc })?
         }
         Opcode::Update => {
-            if let Err(e) = check(2) {
-                return e;
-            }
-            apply_mutation(
-                state,
-                &Mutation::Update { doc: fields[0].clone(), update: fields[1].clone() },
-            )
+            let [doc, update] = args(op, fields)?;
+            apply_mutation(state, Mutation::Update { doc, update })?
+        }
+        Opcode::Validate => {
+            let [schema, xml] = args(op, fields)?;
+            let violations = db.read().validate(&schema, &xml).map_err(err_response)?;
+            (Status::Ok, violations.iter().map(|v| v.to_string()).collect())
+        }
+        Opcode::Query => {
+            let [doc, path] = args(op, fields)?;
+            (Status::Ok, db.read().query(&doc, &path).map_err(err_response)?)
+        }
+        Opcode::Xquery => {
+            let [doc, query] = args(op, fields)?;
+            (Status::Ok, vec![db.read().xquery(&doc, &query).map_err(err_response)?])
+        }
+        Opcode::Explain => {
+            let [doc, path] = args(op, fields)?;
+            (Status::Ok, vec![db.read().explain_query(&doc, &path).map_err(err_response)?])
         }
         Opcode::List => {
-            if let Err(e) = check(0) {
-                return e;
-            }
-            let db = state.shared.read();
+            let [] = args(op, fields)?;
+            let db = db.read();
             let mut out: Vec<String> = db.schema_names().map(|n| format!("schema:{n}")).collect();
             out.extend(db.document_names().map(|n| format!("doc:{n}")));
             (Status::Ok, out)
         }
         Opcode::Stats => {
-            if let Err(e) = check(0) {
-                return e;
-            }
-            (Status::Ok, vec![state.shared.metrics().to_json()])
+            let [] = args(op, fields)?;
+            (Status::Ok, vec![db.metrics().to_json()])
         }
         Opcode::Save => {
-            if let Err(e) = check(0) {
-                return e;
-            }
-            match state.shared.checkpoint() {
-                Ok(()) => (Status::Ok, Vec::new()),
-                Err(e) => err_response(&e),
-            }
+            let [] = args(op, fields)?;
+            db.checkpoint().map_err(err_response)?;
+            (Status::Ok, Vec::new())
         }
-    }
+    })
 }

@@ -217,10 +217,11 @@ fn statically_empty_query_has_its_own_status() {
 
 /// `order by` over keys that mix numerals and other text (`10`, `10a`,
 /// `9`, `abc`, …) used to sort by a comparison that is not transitive,
-/// and the sort panicked inside a worker; with two workers, two such
-/// requests left none to answer a `PING`. Keys now sort by one total
-/// order — numerals by value, then text by code point — and a request
-/// that panics is answered `ERR_INTERNAL` by a worker that lives on.
+/// and the sort panicked inside the thread running it; with two
+/// threads, two such requests left none to answer a `PING`. Keys now
+/// sort by one total order — numerals by value, then text by code
+/// point — and a request that panics is answered `ERR_INTERNAL` by a
+/// loop that lives on.
 #[test]
 fn mixed_order_keys_sort_and_leave_every_worker_alive() {
     let config = ServerConfig { threads: 2, ..ServerConfig::default() };
@@ -239,9 +240,45 @@ fn mixed_order_keys_sort_and_leave_every_worker_alive() {
         c.xquery("d", "for $i in /list/item order by $i descending return $i").expect("descending");
     let want: String = sorted.iter().rev().map(|k| format!("<item>{k}</item>").repeat(4)).collect();
     assert_eq!(desc, want);
-    c.ping().expect("a worker answers after both sorts");
+    c.ping().expect("the loop answers after both sorts");
 
     handle.shutdown().expect("shutdown");
+}
+
+/// Every executed request lands in its opcode's histogram and in the
+/// `server.request_ns` total, and every one of them waited in its
+/// connection's queue first (`server.queue_wait_ns`).
+#[test]
+fn per_opcode_histograms_split_the_request_total() {
+    use xsdb::xsobs::{HistogramId, Registry};
+    let obs = std::sync::Arc::new(Registry::new());
+    let shared = SharedDatabase::new(Database::with_metrics_registry(obs.clone()));
+    let handle = Server::start("127.0.0.1:0", ServerConfig::default(), shared).expect("bind");
+    let mut c = Client::connect(handle.local_addr()).expect("connect");
+    c.ping().expect("ping");
+    c.put_schema("s", SCHEMA).expect("put_schema");
+    c.put_doc("d", "s", DOC).expect("put_doc");
+    for _ in 0..3 {
+        c.query("d", "/list/item").expect("query");
+    }
+    expect_status(c.query("nope", "/list/item"), Status::UnknownDocument);
+    handle.shutdown().expect("shutdown");
+
+    let snap = obs.snapshot();
+    let count = |id: HistogramId| snap.histogram(id).count;
+    assert_eq!(count(HistogramId::SrvOpPing), 1);
+    assert_eq!(count(HistogramId::SrvOpPutSchema), 1);
+    assert_eq!(count(HistogramId::SrvOpPutDoc), 1);
+    assert_eq!(count(HistogramId::SrvOpQuery), 4, "a refused request is timed too");
+    assert_eq!(count(HistogramId::SrvOpUpdate), 0);
+    let per_op: u64 = HistogramId::ALL
+        .iter()
+        .filter(|id| id.name().starts_with("server.op."))
+        .map(|&id| count(id))
+        .sum();
+    assert_eq!(count(HistogramId::SrvRequest), 7);
+    assert_eq!(per_op, 7, "the per-opcode histograms must sum to server.request_ns");
+    assert_eq!(count(HistogramId::SrvQueueWait), 7);
 }
 
 // ---- raw-socket helpers for the rejection matrix ----
@@ -398,7 +435,7 @@ fn responses_with_more_fields_than_the_request_cap_decode() {
 fn shutdown_notifies_idle_connections() {
     let (handle, addr) = start_default();
 
-    // A served, then idle, raw connection (ping proves a worker owns it).
+    // A served, then idle, raw connection (ping proves a loop owns it).
     let mut s = TcpStream::connect(&addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     s.write_all(&raw_frame(WIRE_VERSION, Opcode::Ping as u8, &fields_payload(&[]))).unwrap();

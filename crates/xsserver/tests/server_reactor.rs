@@ -1,14 +1,18 @@
 //! Hostile-client torture tests for the event-driven server: slowloris
 //! trickles, half-open sockets, deep pipelines from clients that stop
 //! reading, mid-pipeline disconnects, pipelined-vs-lockstep parity for
-//! every opcode, and prompt wakeup-fd shutdown — in-process and via a
-//! real SIGTERM to the `xsd-serve` binary.
+//! every opcode, prompt wakeup-fd shutdown — in-process and via a
+//! real SIGTERM to the `xsd-serve` binary — and isolation between event
+//! loops while one request is held in its WAL fsync.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use xsdb::{Database, SharedDatabase};
+use xsdb::vfs::{StdVfs, Vfs};
+use xsdb::{Database, Durability, SharedDatabase};
 use xsserver::client::Client;
 use xsserver::protocol::{encode_frame, write_frame, Opcode, Status, HEADER_LEN, WIRE_VERSION};
 use xsserver::server::{Server, ServerConfig, ServerHandle};
@@ -438,5 +442,211 @@ fn pipelined_requests_have_sequential_semantics() {
     }
     let values = results[3].as_ref().expect("query result");
     assert_eq!(values, &["alpha", "beta", "gamma"]);
+    handle.shutdown().expect("shutdown");
+}
+
+/// The real filesystem, except that a file sync blocks while the latch
+/// is armed: a durable commit can be held inside its WAL fsync.
+#[derive(Debug, Default)]
+struct LatchVfs {
+    inner: StdVfs,
+    /// (armed, a sync is blocked on the latch)
+    latch: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl LatchVfs {
+    fn arm(&self) {
+        self.latch.lock().unwrap().0 = true;
+    }
+
+    /// Wait until a sync is blocked on the armed latch.
+    fn wait_held(&self) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut latch = self.latch.lock().unwrap();
+        while !latch.1 {
+            assert!(Instant::now() < deadline, "no commit reached the fsync latch");
+            latch = self.changed.wait_timeout(latch, Duration::from_millis(50)).unwrap().0;
+        }
+    }
+
+    fn release(&self) {
+        self.latch.lock().unwrap().0 = false;
+        self.changed.notify_all();
+    }
+}
+
+impl Vfs for LatchVfs {
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.create_dir_all(path)
+    }
+    fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+        self.inner.write(path, data)
+    }
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.remove_dir_all(path)
+    }
+    fn read_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {
+        self.inner.read_dir(path)
+    }
+    fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.sync_dir(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+    fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> std::io::Result<()> {
+        self.inner.write_at(path, offset, data)
+    }
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+        self.inner.read_at(path, offset, len)
+    }
+    fn file_len(&self, path: &Path) -> std::io::Result<u64> {
+        self.inner.file_len(path)
+    }
+    fn append(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+        self.inner.append(path, data)
+    }
+    fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+        let mut latch = self.latch.lock().unwrap();
+        if latch.0 {
+            latch.1 = true;
+            self.changed.notify_all();
+            while latch.0 {
+                latch = self.changed.wait(latch).unwrap();
+            }
+            latch.1 = false;
+        }
+        drop(latch);
+        self.inner.sync_file(path)
+    }
+}
+
+/// Hold a `PUT_DOC` in its WAL fsync on one connection and send a
+/// `QUERY` on a second. Returns whether the query was answered while
+/// the write was still held. Afterwards both are answered, in order,
+/// and the write survives a reopen.
+fn query_answered_during_held_fsync(threads: usize) -> bool {
+    let dir =
+        std::env::temp_dir().join(format!("xsserver-held-fsync-{}-{threads}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let vfs = Arc::new(LatchVfs::default());
+    let (shared, _) =
+        SharedDatabase::open_durable_vfs(&dir, Durability::Fsync, vfs.clone()).expect("open");
+    let handle =
+        Server::start("127.0.0.1:0", ServerConfig { threads, ..Default::default() }, shared)
+            .expect("bind");
+    let addr = handle.local_addr().to_string();
+    // Stays open, so with two loops the writer lands on the second loop
+    // and the reader on the first.
+    let mut setup = Client::connect(&addr).expect("connect");
+    setup.put_schema("s", SCHEMA).expect("put_schema");
+    setup.put_doc("d", "s", DOC).expect("put_doc");
+
+    vfs.arm();
+    let writer = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr).expect("connect");
+            c.put_doc("held", "s", DOC)
+        })
+    };
+    vfs.wait_held();
+
+    let mut reader = TcpStream::connect(&addr).expect("connect");
+    write_frame(&mut reader, Opcode::Query as u8, &["d", "/list/item"]).expect("query");
+    let wait = if threads > 1 { Duration::from_secs(5) } else { Duration::from_millis(300) };
+    reader.set_read_timeout(Some(wait)).unwrap();
+    let early = read_raw_frame(&mut reader).ok();
+    let answered = early.is_some();
+
+    vfs.release();
+    writer.join().expect("writer thread").expect("held put_doc is acknowledged");
+    let frame = match early {
+        Some(frame) => frame,
+        None => {
+            reader.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            read_raw_frame(&mut reader).expect("query answered after the release")
+        }
+    };
+    assert_eq!(frame[1], Status::Ok as u8);
+    assert_eq!(setup.query("held", "/list/item").expect("query"), ["alpha", "beta"]);
+    handle.shutdown().expect("shutdown");
+
+    let (reopened, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).expect("reopen");
+    assert_eq!(reopened.read().query("held", "/list/item").expect("query"), ["alpha", "beta"]);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+    answered
+}
+
+/// Each event loop runs its own connections' requests: a write held in
+/// its fsync on one loop does not delay a read on another.
+#[test]
+fn a_write_held_in_fsync_does_not_delay_another_loop() {
+    assert!(
+        query_answered_during_held_fsync(2),
+        "a QUERY on a second loop waited for a PUT_DOC held in its fsync"
+    );
+}
+
+/// The other side of the trade: connections that share a loop wait for
+/// each other, so with one loop the read waits for the held write.
+#[test]
+fn connections_sharing_a_loop_wait_for_each_other() {
+    assert!(
+        !query_answered_during_held_fsync(1),
+        "a QUERY on the only loop was answered while a PUT_DOC on it was held in its fsync"
+    );
+}
+
+/// Connections that share a loop take turns: a `PING` sent while another
+/// connection on the same loop has a deep pipeline of slow queries parked
+/// waits for about one of them, not for all of them.
+#[test]
+fn connections_sharing_a_loop_take_turns() {
+    let (handle, addr) = start(ServerConfig { threads: 1, ..Default::default() });
+    let mut setup = Client::connect(&addr).expect("connect");
+    setup.put_schema("s", SCHEMA).expect("put_schema");
+    setup.put_doc("big", "s", &items_doc(20_000)).expect("put_doc");
+    // A value predicate over every item: slow to run, one short answer.
+    let slow = ["big", "/list/item[. = \"payload-19999\"]"];
+    let depth = 32;
+    let mut burst = Vec::new();
+    for _ in 0..depth {
+        let (header, payload) = encode_frame(Opcode::Query as u8, &slow).unwrap();
+        burst.extend_from_slice(&header);
+        burst.extend_from_slice(&payload);
+    }
+    let mut a = TcpStream::connect(&addr).expect("connect");
+    a.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let started = Instant::now();
+    a.write_all(&burst).expect("burst");
+    // The first answer proves the burst is parked and running.
+    assert_eq!(read_raw_frame(&mut a).expect("first answer")[1], Status::Ok as u8);
+
+    let mut b = Client::connect(&addr).expect("connect");
+    let asked = Instant::now();
+    b.ping().expect("ping");
+    let ping = asked.elapsed();
+    for i in 1..depth {
+        let frame = read_raw_frame(&mut a).unwrap_or_else(|e| panic!("answer {i}: {e}"));
+        assert_eq!(frame[1], Status::Ok as u8, "answer {i}");
+    }
+    let whole = started.elapsed();
+    assert!(
+        ping * 4 < whole,
+        "the PING took {ping:?}, the 32-query burst it shared the loop with {whole:?}: \
+         it waited for the burst instead of taking its turn"
+    );
     handle.shutdown().expect("shutdown");
 }
