@@ -835,7 +835,7 @@ impl Database {
     /// Plan an XPath over a document's block storage:
     /// static pruning against the DataGuide
     /// ([`xsanalyze::analyze_xpath_in_guide`]), then cost-based operator
-    /// choice from the catalog statistics. Records the `plan.*` metrics
+    /// choice from the DataGuide's cardinalities. Records the `plan.*` metrics
     /// family.
     fn plan_for(&self, storage: &XmlStorage, path: &xpath::Path) -> xquery::QueryPlan {
         let plan = {

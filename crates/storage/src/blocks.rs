@@ -25,7 +25,7 @@
 //! Since blocks can now arrive from disk pages ([`crate::pages`]), the
 //! chain-maintenance paths return a typed [`StorageError`] instead of
 //! panicking when a slot link is dangling. Every mutation advances a
-//! monotonic *tick*, which the planner's statistics are stamped with.
+//! monotonic *tick*, which a query plan is stamped with.
 //!
 //! The block is also the unit of *sharing*. The table holds every block
 //! behind an [`Arc`] and the location table as `Arc`'d segments of
@@ -318,14 +318,25 @@ impl Locations {
     }
 }
 
+/// One schema node's entry in the [`BlockTable`]: the ends of its block
+/// list and the number of live descriptors the list holds — the schema
+/// node's cardinality, the one statistic the query planner reads.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct List {
+    /// (first, last) block of the list.
+    pub(crate) ends: Option<(u32, u32)>,
+    /// Live descriptors across the list's blocks.
+    pub(crate) live: usize,
+}
+
 /// All blocks, the per-schema-node block lists, and the indirection
 /// table from stable descriptor ids to (block, slot) locations.
 #[derive(Debug, Default)]
 pub struct BlockTable {
     /// Every block, shared with clones until a mutation copies it.
     pub(crate) blocks: Vec<Arc<Block>>,
-    /// Per schema node: (first, last) block of its list.
-    pub(crate) lists: Vec<Option<(u32, u32)>>,
+    /// Per schema node: its block list and cardinality.
+    pub(crate) lists: Vec<List>,
     /// Stable id → current (block, slot); `None` after deletion.
     pub(crate) locations: Locations,
     /// Dead ids [`BlockTable::mint_ptr`] hands out before growing the
@@ -334,7 +345,7 @@ pub struct BlockTable {
     /// Ids freed in this version; they join `free_ids` in its clones.
     retired_ids: Vec<u32>,
     /// Monotonic mutation counter, bumped on every touch below: the
-    /// generation the planner's statistics are stamped with.
+    /// generation a query plan is stamped with.
     pub(crate) tick: u64,
 }
 
@@ -355,12 +366,17 @@ impl Clone for BlockTable {
 
 impl BlockTable {
     /// Reassemble a table decoded from pages. Every dead id on disk is
-    /// free: the version that freed it is gone.
+    /// free: the version that freed it is gone. Each schema node's
+    /// cardinality is the sum of its blocks' validated live counts.
     pub(crate) fn from_decoded(
         blocks: Vec<Block>,
-        lists: Vec<Option<(u32, u32)>>,
+        ends: Vec<Option<(u32, u32)>>,
         locations: Locations,
     ) -> BlockTable {
+        let mut lists: Vec<List> = ends.into_iter().map(|ends| List { ends, live: 0 }).collect();
+        for b in &blocks {
+            lists[b.schema_node.index()].live += b.count;
+        }
         let free_ids = (0..locations.len()).filter(|&id| locations.get(id).is_none()).collect();
         BlockTable {
             blocks: blocks.into_iter().map(Arc::new).collect(),
@@ -379,7 +395,7 @@ impl BlockTable {
 
     pub(crate) fn ensure_schema_capacity(&mut self, schema: &DescriptiveSchema) {
         if self.lists.len() < schema.len() {
-            self.lists.resize(schema.len(), None);
+            self.lists.resize(schema.len(), List::default());
             self.touch();
         }
     }
@@ -459,13 +475,13 @@ impl BlockTable {
     pub(crate) fn append_block(&mut self, schema_node: SchemaNodeId, capacity: u16) -> u32 {
         let idx = self.blocks.len() as u32;
         let mut b = Block::new(schema_node, capacity);
-        match self.lists[schema_node.index()] {
+        match self.lists[schema_node.index()].ends {
             Some((first, last)) => {
                 b.prev_block = Some(last);
                 self.block_mut(last).next_block = Some(idx);
-                self.lists[schema_node.index()] = Some((first, idx));
+                self.lists[schema_node.index()].ends = Some((first, idx));
             }
-            None => self.lists[schema_node.index()] = Some((idx, idx)),
+            None => self.lists[schema_node.index()].ends = Some((idx, idx)),
         }
         self.blocks.push(Arc::new(b));
         self.tick += 2; // the new block, and the list heads in the catalog
@@ -481,7 +497,7 @@ impl BlockTable {
         b.next_block = self.blocks[after as usize].next_block;
         if let Some(next) = b.next_block {
             self.block_mut(next).prev_block = Some(idx);
-        } else if let Some((_, last)) = &mut self.lists[schema_node.index()] {
+        } else if let Some((_, last)) = &mut self.lists[schema_node.index()].ends {
             *last = idx;
         }
         self.blocks.push(Arc::new(b));
@@ -492,12 +508,12 @@ impl BlockTable {
 
     /// First block of a schema node's list.
     pub(crate) fn first_block(&self, sn: SchemaNodeId) -> Option<u32> {
-        self.lists[sn.index()].map(|(first, _)| first)
+        self.lists[sn.index()].ends.map(|(first, _)| first)
     }
 
     /// Last block of a schema node's list.
     pub(crate) fn last_block(&self, sn: SchemaNodeId) -> Option<u32> {
-        self.lists[sn.index()].map(|(_, last)| last)
+        self.lists[sn.index()].ends.map(|(_, last)| last)
     }
 }
 

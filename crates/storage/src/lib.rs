@@ -53,7 +53,6 @@ mod error;
 mod nid;
 pub mod paged;
 pub mod pages;
-pub mod stats;
 #[allow(clippy::module_inception)]
 mod storage;
 pub mod vfs;
@@ -65,6 +64,5 @@ pub use error::StorageError;
 pub use nid::{between_components, ComponentAllocator, Nid, OMEGA_MAX, OMEGA_MIN};
 pub use paged::PagedXml;
 pub use pages::{PageStore, PAGE_PAYLOAD, PAGE_SIZE};
-pub use stats::{CatalogStats, LeafHistogram, NodeStats, HIST_BUCKETS};
 pub use storage::{ChildrenIn, StorageBuilder, XmlStorage, DEFAULT_BLOCK_CAPACITY};
 pub use wal::{Wal, WalRecord, DEFAULT_ROTATE_BYTES};

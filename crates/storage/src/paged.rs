@@ -38,7 +38,6 @@ use crate::descriptive::{DescriptiveSchema, SchemaNode, SchemaNodeId};
 use crate::error::StorageError;
 use crate::nid::Nid;
 use crate::pages::PageStore;
-use crate::stats::CatalogStats;
 use crate::storage::XmlStorage;
 use crate::vfs::Vfs;
 
@@ -46,16 +45,20 @@ use crate::vfs::Vfs;
 /// so a segment always fits one page payload).
 pub(crate) const LOC_SEG: u32 = 512;
 
-/// On-page catalog format version. Version 2 appends the commit
+/// On-page catalog format version written. Version 2 appends the commit
 /// *epoch* — the highest write-ahead-log sequence whose effects are
 /// durable in these pages — so WAL replay can skip already-applied
-/// records. Version 3 appends the statistics catalog
-/// ([`crate::stats::CatalogStats`]: per-schema-node cardinalities,
-/// fanouts, and leaf-value histograms) so the query planner costs plans
-/// without a full scan on open. Version 1 catalogs (no epoch field)
-/// still load, at epoch 0; version 1 and 2 catalogs (no statistics)
-/// rebuild their statistics from the loaded blocks.
-const CATALOG_VERSION: u8 = 3;
+/// records. Version 1 catalogs (no epoch field) still load, at epoch 0.
+const CATALOG_VERSION: u8 = 2;
+
+/// The newest catalog version the loader reads. Version 3 is version 2
+/// plus a statistics section (per-schema-node cardinalities, child
+/// fanouts and leaf-value histograms) that no plan choice reads: the
+/// loader checks that it covers every schema node and drops it, as each
+/// block list's cardinality is the sum of its blocks' live counts.
+/// Stores this code writes stay version 2, so older builds, which read
+/// versions 1 to 3, open them too.
+const CATALOG_VERSION_READ: u8 = 3;
 
 /// Logical block number of the catalog.
 const CATALOG_LOGICAL: u64 = 0;
@@ -115,11 +118,11 @@ fn encode_catalog(xs: &XmlStorage, epoch: u64) -> Vec<u8> {
     }
     let table = xs.table();
     for l in &table.lists {
-        match l {
+        match l.ends {
             Some((first, last)) => {
                 w.u8(1);
-                w.u32(*first);
-                w.u32(*last);
+                w.u32(first);
+                w.u32(last);
             }
             None => w.u8(0),
         }
@@ -127,7 +130,6 @@ fn encode_catalog(xs: &XmlStorage, epoch: u64) -> Vec<u8> {
     w.u32(table.blocks.len() as u32);
     w.u32(table.locations.len());
     w.u64(epoch);
-    xs.stats().encode(&mut w);
     w.into_bytes()
 }
 
@@ -246,8 +248,7 @@ pub fn save_full_epoch(
 }
 
 /// Write what `xs` holds and `saved` — the store's last save or load —
-/// does not: the catalog, stamped with `epoch` (its statistics reflect
-/// every mutation), then every data block and location segment that is
+/// does not: the catalog, stamped with `epoch`, then every data block and location segment that is
 /// not the allocation `saved` recorded. Returns the identities to pass
 /// to the next save once the caller has committed the store.
 ///
@@ -295,9 +296,6 @@ struct Catalog {
     /// Highest WAL sequence applied to these pages (0 for version-1
     /// catalogs, which predate the log).
     epoch: u64,
-    /// The persisted statistics catalog (`None` for pre-v3 files, which
-    /// predate the planner — rebuilt from the blocks on load).
-    stats: Option<CatalogStats>,
 }
 
 fn read_catalog(
@@ -312,7 +310,7 @@ fn read_catalog(
 fn decode_catalog(bytes: &[u8]) -> Result<Catalog, StorageError> {
     let mut r = Reader::new(bytes, "catalog");
     let version = r.u8()?;
-    if !(1..=CATALOG_VERSION).contains(&version) {
+    if !(1..=CATALOG_VERSION_READ).contains(&version) {
         return Err(StorageError::corrupt(format!("catalog: unknown format version {version}")));
     }
     let capacity = r.u16()?;
@@ -362,16 +360,10 @@ fn decode_catalog(bytes: &[u8]) -> Result<Catalog, StorageError> {
     let block_count = r.u32()?;
     let loc_len = r.u32()?;
     let epoch = if version >= 2 { r.u64()? } else { 0 };
-    let stats = if version >= 3 { Some(CatalogStats::decode(&mut r)?) } else { None };
-    r.finish()?;
-    if let Some(s) = &stats {
-        if s.len() != nschema as usize {
-            return Err(StorageError::corrupt(format!(
-                "catalog: statistics cover {} schema nodes of {nschema}",
-                s.len()
-            )));
-        }
+    if version == 3 {
+        skip_statistics(&mut r, nschema)?;
     }
+    r.finish()?;
     for (sn, l) in lists.iter().enumerate() {
         if let Some((first, last)) = l {
             if *first >= block_count || *last >= block_count {
@@ -396,8 +388,27 @@ fn decode_catalog(bytes: &[u8]) -> Result<Catalog, StorageError> {
         block_count,
         loc_len,
         epoch,
-        stats,
     })
+}
+
+/// Read past a version-3 catalog's statistics section: a node count that
+/// must equal the schema's, then per node a cardinality and a fanout
+/// (`u64` each) and an optional histogram of twelve `u64`s (bounds, 8
+/// buckets, numeric and non-numeric counts).
+fn skip_statistics(r: &mut Reader<'_>, nschema: u32) -> Result<(), StorageError> {
+    let n = r.u32()?;
+    if n != nschema {
+        return Err(StorageError::corrupt(format!(
+            "catalog: statistics cover {n} schema nodes of {nschema}"
+        )));
+    }
+    for _ in 0..n {
+        r.take(16)?;
+        if r.flag()? {
+            r.take(12 * 8)?;
+        }
+    }
+    Ok(())
 }
 
 fn decode_block(bytes: &[u8], i: u32, cat: &Catalog) -> Result<Block, StorageError> {
@@ -630,9 +641,9 @@ pub fn load_with_epoch(
     }
     let locations = read_locations(store, vfs, data_path, &cat)?;
     validate(&cat, &blocks, &locations)?;
-    let Catalog { capacity, root, relabels, base_uri, schema, lists, epoch, stats, .. } = cat;
+    let Catalog { capacity, root, relabels, base_uri, schema, lists, epoch, .. } = cat;
     let table = BlockTable::from_decoded(blocks, lists, locations);
-    let xs = XmlStorage::from_parts(schema, table, root, capacity, base_uri, relabels, stats);
+    let xs = XmlStorage::from_parts(schema, table, root, capacity, base_uri, relabels);
     if let Some(violation) = xs.check_invariants() {
         return Err(StorageError::Corrupt(violation));
     }
@@ -995,29 +1006,14 @@ mod tests {
         let reopened = PageStore::open(&vfs, &map).unwrap();
         assert_eq!(load_with_epoch(&reopened, &vfs, &data).unwrap().1, 43);
 
-        // Hand-built version-1 and version-2 catalogs (no statistics,
-        // v1 also without the epoch) still load, rebuilding their
-        // statistics from the blocks.
-        let mut store = PageStore::open(&vfs, &map).unwrap();
-        let v3 = store.read_block(&vfs, &data, CATALOG_LOGICAL).unwrap();
-        let stats_len = {
-            let mut w = Writer::new();
-            xs.stats().encode(&mut w);
-            w.into_bytes().len()
-        };
-        let v2 = {
-            let mut bytes = v3.clone();
-            bytes[0] = 2;
-            bytes.truncate(bytes.len() - stats_len);
-            bytes
-        };
-        store.write_block(&vfs, &data, CATALOG_LOGICAL, &v2).unwrap();
-        store.commit(&vfs, &map).unwrap();
-        let reopened = PageStore::open(&vfs, &map).unwrap();
-        let (migrated, epoch, _) = load_with_epoch(&reopened, &vfs, &data).unwrap();
+        // The writer emits version-2 catalogs; a hand-built version-1
+        // catalog (no epoch) still loads.
+        let store = PageStore::open(&vfs, &map).unwrap();
+        let v2 = store.read_block(&vfs, &data, CATALOG_LOGICAL).unwrap();
+        assert_eq!(v2[0], 2, "the catalog is written as version 2");
+        let (migrated, epoch, _) = load_with_epoch(&store, &vfs, &data).unwrap();
         assert_same(&xs, &migrated);
         assert_eq!(epoch, 43, "version-2 catalogs keep their epoch");
-        assert_eq!(*migrated.stats(), migrated.rebuild_stats());
 
         let v1 = {
             let mut bytes = v2.clone();
@@ -1032,6 +1028,82 @@ mod tests {
         let (migrated, epoch, _) = load_with_epoch(&reopened, &vfs, &data).unwrap();
         assert_same(&xs, &migrated);
         assert_eq!(epoch, 0, "version-1 catalogs predate the log");
+    }
+
+    /// A version-3 catalog as older builds wrote it: the version-2 bytes
+    /// of `xs`'s committed catalog, then a statistics section of `nodes`
+    /// entries — each node's cardinality, a fanout, and for text and
+    /// attribute nodes an equi-width histogram over its values.
+    fn v3_catalog(xs: &XmlStorage, v2: &[u8], nodes: usize) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u32(nodes as u32);
+        for sn in xs.schema().ids().take(nodes) {
+            w.u64(xs.scan(sn).len() as u64);
+            w.u64(0);
+            let leaf = matches!(xs.schema().node(sn).kind, NodeKind::Text | NodeKind::Attribute);
+            w.u8(u8::from(leaf));
+            if leaf {
+                let n = xs.scan(sn).len() as u64;
+                w.u64(0); // lo
+                w.u64(99); // hi
+                for b in 0..8 {
+                    w.u64(if b == 0 { n } else { 0 });
+                }
+                w.u64(n); // numeric
+                w.u64(0); // non-numeric
+            }
+        }
+        let mut bytes = v2.to_vec();
+        bytes[0] = 3;
+        bytes.extend(w.into_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_version_3_catalog_loads_and_the_next_save_writes_version_2() {
+        let dir = tmpdir("v3");
+        let vfs = StdVfs;
+        let data = dir.join("doc.xsp");
+        let map = dir.join("doc.xspm");
+        let mut xs = library(20);
+        let lib = xs.children(xs.root())[0];
+        xs.insert_attribute(lib, "kind", "public").unwrap();
+        let (mut store, _) = save_and_commit(&xs, &vfs, &dir);
+        let v2 = store.read_block(&vfs, &data, CATALOG_LOGICAL).unwrap();
+        let leaves = xs.schema().ids().filter(|&sn| {
+            matches!(xs.schema().node(sn).kind, NodeKind::Text | NodeKind::Attribute)
+        });
+        assert!(leaves.count() >= 2, "histograms on the text and attribute nodes");
+
+        // Statistics that miss a schema node are damage.
+        store.write_block(&vfs, &data, CATALOG_LOGICAL, &v3_catalog(&xs, &v2, 3)).unwrap();
+        store.commit(&vfs, &map).unwrap();
+        let err = load(&PageStore::open(&vfs, &map).unwrap(), &vfs, &data).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+
+        // A whole section is read past; the cardinalities come from the
+        // blocks.
+        let v3 = v3_catalog(&xs, &v2, xs.schema().len());
+        store.write_block(&vfs, &data, CATALOG_LOGICAL, &v3).unwrap();
+        store.commit(&vfs, &map).unwrap();
+        let mut store = PageStore::open(&vfs, &map).unwrap();
+        let (mut loaded, _, saved) = load_with_epoch(&store, &vfs, &data).unwrap();
+        assert_same(&xs, &loaded);
+        for sn in loaded.schema().ids() {
+            assert_eq!(loaded.cardinality(sn), loaded.scan(sn).len(), "{sn}");
+        }
+        assert_eq!(PagedXml::open(&vfs, &data, &map).unwrap().schema().len(), xs.schema().len());
+
+        // The next incremental save rewrites the catalog as version 2.
+        let lib = loaded.children(loaded.root())[0];
+        loaded.insert_element(lib, None, "book").unwrap();
+        save_changed(&loaded, &saved, &vfs, &mut store, &data, 7).unwrap();
+        store.commit(&vfs, &map).unwrap();
+        let reopened = PageStore::open(&vfs, &map).unwrap();
+        assert_eq!(reopened.read_block(&vfs, &data, CATALOG_LOGICAL).unwrap()[0], 2);
+        let (again, epoch, _) = load_with_epoch(&reopened, &vfs, &data).unwrap();
+        assert_same(&loaded, &again);
+        assert_eq!(epoch, 7);
     }
 
     #[test]

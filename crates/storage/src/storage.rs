@@ -7,11 +7,10 @@ use std::sync::Arc;
 use xdm::{NodeId, NodeKind, NodeStore};
 use xstypes::{AtomicValue, TypeRegistry};
 
-use crate::blocks::{BlockTable, DescPtr, NodeDescriptor};
+use crate::blocks::{BlockTable, DescPtr, List, NodeDescriptor};
 use crate::descriptive::{DescriptiveSchema, SchemaNode, SchemaNodeId};
 use crate::error::StorageError;
 use crate::nid::{between_components, ComponentAllocator, Nid};
-use crate::stats::{CatalogStats, LeafHistogram, NodeStats};
 
 /// The physical representation of one XML document, per §9: descriptive
 /// schema as entry point, per-schema-node block lists of node
@@ -27,9 +26,6 @@ pub struct XmlStorage {
     /// update. Proposition 1 says this stays zero; the counter exists so
     /// tests and benches can assert it.
     relabels: u64,
-    /// The statistics catalog, maintained incrementally by every
-    /// mutator and stamped with the mutation tick (see [`crate::stats`]).
-    stats: CatalogStats,
 }
 
 /// Default block capacity (descriptors per block).
@@ -63,7 +59,6 @@ impl XmlStorage {
             capacity,
             base_uri: store.base_uri(doc).map(str::to_string),
             relabels: 0,
-            stats: CatalogStats::default(),
         };
         let doc_sn = mapping[doc.index()].expect("doc mapped");
         let root_id = storage.table.mint_ptr();
@@ -84,13 +79,10 @@ impl XmlStorage {
         )?;
         storage.root = root_ptr;
         storage.build_children(store, doc, root_ptr, &mapping)?;
-        storage.stats = storage.rebuild_stats();
         Ok(storage)
     }
 
     /// Reassemble a storage from decoded parts ([`crate::paged`] load).
-    /// A `None` statistics catalog (pre-v3 files) is rebuilt from
-    /// scratch; a decoded one is re-stamped to the fresh table's tick.
     pub(crate) fn from_parts(
         schema: DescriptiveSchema,
         table: BlockTable,
@@ -98,25 +90,8 @@ impl XmlStorage {
         capacity: u16,
         base_uri: Option<String>,
         relabels: u64,
-        stats: Option<CatalogStats>,
     ) -> XmlStorage {
-        let mut xs = XmlStorage {
-            schema,
-            table,
-            root,
-            capacity,
-            base_uri,
-            relabels,
-            stats: CatalogStats::default(),
-        };
-        xs.stats = match stats {
-            Some(mut s) => {
-                s.stamp(xs.table.tick);
-                s
-            }
-            None => xs.rebuild_stats(),
-        };
-        xs
+        XmlStorage { schema, table, root, capacity, base_uri, relabels }
     }
 
     fn fresh_child_array(&self, sn: SchemaNodeId) -> Box<[Option<DescPtr>]> {
@@ -239,6 +214,7 @@ impl XmlStorage {
         let ptr = desc.id;
         let slot = self.table.block_mut(block_idx).push_tail(desc)?;
         self.table.set_location(ptr, Some((block_idx, slot)));
+        self.table.lists[sn.index()].live += 1;
         Ok(ptr)
     }
 
@@ -285,92 +261,25 @@ impl XmlStorage {
     }
 
     /// Monotonic mutation tick: advances on every structural or content
-    /// change. The statistics are stamped with it, so the planner can
-    /// tell a stale plan; saves do not read it ([`crate::paged`] diffs
-    /// block identities instead).
+    /// change. A query plan is stamped with it, so the planner can tell
+    /// a stale plan; saves do not read it ([`crate::paged`] diffs block
+    /// identities instead).
     pub fn tick(&self) -> u64 {
         self.table.tick
     }
 
-    /// The statistics catalog (always current: every mutator maintains
-    /// it and stamps it with the post-mutation tick).
-    pub fn stats(&self) -> &CatalogStats {
-        &self.stats
-    }
-
-    /// Build the statistics catalog from scratch by scanning every
-    /// descriptor list — the ground truth the incrementally maintained
-    /// catalog must equal after any mutation sequence.
-    pub fn rebuild_stats(&self) -> CatalogStats {
-        let mut nodes = vec![NodeStats::default(); self.schema.len()];
-        for sn in self.schema.ids() {
-            let list = self.scan(sn);
-            nodes[sn.index()].card = list.len() as u64;
-            if matches!(self.schema.node(sn).kind, NodeKind::Text | NodeKind::Attribute) {
-                let values: Vec<&str> = list.iter().map(|&p| self.leaf_value(p)).collect();
-                nodes[sn.index()].hist = Some(LeafHistogram::build(values.iter().copied()));
-            }
-            for &p in &list {
-                if let Some(parent) = self.table.desc(p).parent {
-                    nodes[self.schema_node_of(parent).index()].fanout += 1;
-                }
-            }
-        }
-        CatalogStats::from_nodes(nodes, self.tick())
+    /// Number of live descriptors of one schema node — the length of
+    /// [`XmlStorage::scan`], kept beside the node's block-list head and
+    /// maintained by every mutator, so reading it costs O(1).
+    pub fn cardinality(&self, sn: SchemaNodeId) -> usize {
+        self.table.lists[sn.index()].live
     }
 
     /// The stored value of a text or attribute node, borrowed — its
-    /// string value without a copy (and what the histograms bucket);
-    /// `""` for a node that stores no text, such as an element.
+    /// string value without a copy; `""` for a node that stores no
+    /// text, such as an element.
     pub fn leaf_value(&self, p: DescPtr) -> &str {
         self.table.desc(p).text.as_deref().unwrap_or("")
-    }
-
-    /// Record a freshly placed descriptor in the statistics catalog,
-    /// falling back to a one-node histogram rescan when the insert
-    /// moved the value bounds.
-    fn stats_on_add(&mut self, p: DescPtr) {
-        self.stats.ensure_len(self.schema.len());
-        let sn = self.schema_node_of(p);
-        let parent_sn = self.table.desc(p).parent.map(|q| self.schema_node_of(q));
-        let value = match self.kind(p) {
-            NodeKind::Text | NodeKind::Attribute => Some(self.leaf_value(p).to_string()),
-            _ => None,
-        };
-        if !self.stats.on_add(sn, parent_sn, value.as_deref()) {
-            self.stats_rescan_hist(sn);
-        }
-    }
-
-    /// Record an about-to-be-freed descriptor. Returns the schema node
-    /// whose histogram must be rescanned *after* the slot is freed (a
-    /// rescan before would still see the doomed value).
-    #[must_use]
-    fn stats_on_remove(&mut self, p: DescPtr) -> Option<SchemaNodeId> {
-        let sn = self.schema_node_of(p);
-        let parent_sn = self.table.desc(p).parent.map(|q| self.schema_node_of(q));
-        let value = match self.kind(p) {
-            NodeKind::Text | NodeKind::Attribute => Some(self.leaf_value(p).to_string()),
-            _ => None,
-        };
-        if self.stats.on_remove(sn, parent_sn, value.as_deref()) {
-            None
-        } else {
-            Some(sn)
-        }
-    }
-
-    /// Rebuild one schema node's histogram over its current values.
-    fn stats_rescan_hist(&mut self, sn: SchemaNodeId) {
-        let values: Vec<String> =
-            self.scan(sn).iter().map(|&q| self.leaf_value(q).to_string()).collect();
-        self.stats.rescan_hist(sn, values.iter().map(String::as_str));
-    }
-
-    /// Stamp the catalog with the current mutation tick — the last line
-    /// of every public mutator.
-    fn stats_stamp(&mut self) {
-        self.stats.stamp(self.table.tick);
     }
 
     pub(crate) fn table(&self) -> &BlockTable {
@@ -690,8 +599,6 @@ impl XmlStorage {
         }
         // Maintain the parent's first-child pointer for this schema child.
         self.refresh_first_child(parent, sn, ptr)?;
-        self.stats_on_add(ptr);
-        self.stats_stamp();
         Ok(ptr)
     }
 
@@ -716,18 +623,13 @@ impl XmlStorage {
         let parent_sn = self.schema_node_of(parent);
         let sn = self.ensure_schema_child(parent_sn, Some(name.to_string()), NodeKind::Attribute);
         if let Some(existing) = self.attribute_named(parent, name) {
-            let old = self.leaf_value(existing).to_string();
             self.table.desc_mut(existing).text = Some(value.to_string());
-            if !self.stats.on_set_value(sn, &old, value) {
-                self.stats_rescan_hist(sn);
-            }
-            self.stats_stamp();
             return Ok(existing);
         }
         // Attributes precede children: label below the first child, after
         // the last existing attribute.
         let last_attr = self.attributes(parent).into_iter().last();
-        let first_child = self.children(parent).first().copied();
+        let first_child = self.first_child_overall(parent);
         let parent_nid = self.table.desc(parent).nid.clone();
         let lo = last_attr.map(|a| self.nid(a).last_component().to_vec());
         let hi = first_child.map(|c| self.nid(c).last_component().to_vec());
@@ -747,8 +649,6 @@ impl XmlStorage {
         };
         let ptr = self.place_ordered(sn, desc)?;
         self.refresh_first_child(parent, sn, ptr)?;
-        self.stats_on_add(ptr);
-        self.stats_stamp();
         Ok(ptr)
     }
 
@@ -766,14 +666,7 @@ impl XmlStorage {
         if !matches!(self.kind(p), NodeKind::Text | NodeKind::Attribute) {
             return Err(StorageError::corrupt(format!("{p}: set_text on a non-text node")));
         }
-        let sn = self.schema_node_of(p);
-        let old = self.leaf_value(p).to_string();
-        let new = value.into();
-        self.table.desc_mut(p).text = Some(new.clone());
-        if !self.stats.on_set_value(sn, &old, &new) {
-            self.stats_rescan_hist(sn);
-        }
-        self.stats_stamp();
+        self.table.desc_mut(p).text = Some(value.into());
         Ok(())
     }
 
@@ -807,13 +700,7 @@ impl XmlStorage {
             let replacement = desc.right_sibling.filter(|&r| self.schema_node_of(r) == sn);
             self.set_first_child_entry(parent, sn, p, replacement);
         }
-        let rescan = self.stats_on_remove(p);
-        self.free_slot(p)?;
-        if let Some(sn) = rescan {
-            self.stats_rescan_hist(sn);
-        }
-        self.stats_stamp();
-        Ok(())
+        self.free_slot(p)
     }
 
     /// Delete a leaf (attribute or already-childless node).
@@ -823,13 +710,7 @@ impl XmlStorage {
             let sn = self.schema_node_of(p);
             self.set_first_child_entry(parent, sn, p, None);
         }
-        let rescan = self.stats_on_remove(p);
-        self.free_slot(p)?;
-        if let Some(sn) = rescan {
-            self.stats_rescan_hist(sn);
-        }
-        self.stats_stamp();
-        Ok(())
+        self.free_slot(p)
     }
 
     fn set_first_child_entry(
@@ -878,8 +759,11 @@ impl XmlStorage {
     /// Free a slot and unlink it from its block chain.
     fn free_slot(&mut self, p: DescPtr) -> Result<(), StorageError> {
         let (block_idx, slot) = self.table.location(p);
-        self.table.block_mut(block_idx).unlink(slot)?;
+        let block = self.table.block_mut(block_idx);
+        block.unlink(slot)?;
+        let sn = block.schema_node;
         self.table.release_ptr(p);
+        self.table.lists[sn.index()].live -= 1;
         Ok(())
     }
 
@@ -983,8 +867,11 @@ impl XmlStorage {
             after = Some(slot);
             cursor = d.next_in_block;
         }
-        let slot = self.table.block_mut(block_idx).insert_chained(desc, after, before)?;
+        let block = self.table.block_mut(block_idx);
+        let slot = block.insert_chained(desc, after, before)?;
+        let sn = block.schema_node;
         self.table.set_location(ptr, Some((block_idx, slot)));
+        self.table.lists[sn.index()].live += 1;
         Ok(ptr)
     }
 
@@ -1061,6 +948,7 @@ impl XmlStorage {
     pub fn check_invariants(&self) -> Option<String> {
         for sn in self.schema.ids() {
             let mut prev_max: Option<Nid> = None;
+            let mut chained_total = 0;
             let mut cur = self.table.first_block(sn);
             while let Some(b) = cur {
                 let block = self.table.block(b);
@@ -1110,7 +998,16 @@ impl XmlStorage {
                 if let Some(mx) = block.max_nid() {
                     prev_max = Some(mx.clone());
                 }
+                chained_total += chained.len();
                 cur = block.next_block;
+            }
+            // The kept cardinality is the chain's length (the planner
+            // costs with it).
+            if self.cardinality(sn) != chained_total {
+                return Some(format!(
+                    "{sn}: cardinality {} but its block list chains {chained_total}",
+                    self.cardinality(sn)
+                ));
             }
         }
         // Structural pointers agree with labels.
@@ -1132,19 +1029,6 @@ impl XmlStorage {
                     return Some(format!("sibling chain broken at {}", w[0]));
                 }
             }
-        }
-        // The incrementally maintained statistics equal a from-scratch
-        // rebuild (the planner's cost model depends on this).
-        let rebuilt = self.rebuild_stats();
-        if self.stats != rebuilt {
-            return Some("catalog statistics diverge from a from-scratch rebuild".to_string());
-        }
-        if !self.stats.is_current(self.table.tick) {
-            return Some(format!(
-                "catalog statistics stamped at tick {} but the store is at tick {}",
-                self.stats.generation(),
-                self.table.tick
-            ));
         }
         None
     }
@@ -1261,7 +1145,6 @@ impl StorageBuilder {
             capacity: capacity.max(2),
             base_uri: None,
             relabels: 0,
-            stats: CatalogStats::default(),
         };
         xs.table.ensure_schema_capacity(&xs.schema);
         let (sn, id) = (xs.schema.root(), xs.table.mint_ptr());
@@ -1364,7 +1247,7 @@ impl StorageBuilder {
         let sn = found.unwrap_or_else(|| {
             let sn = schema.add_child(parent.sn, name.map(str::to_string), kind);
             schema.set_type_name(sn, ty);
-            xs.table.lists.resize(schema.len(), None);
+            xs.table.lists.resize(schema.len(), List::default());
             sn
         });
         let nid = parent.nid.child(&parent.alloc.next());
@@ -1393,7 +1276,7 @@ impl StorageBuilder {
     }
 
     /// The finished storage: every element closed, first-child arrays at
-    /// their schema node's final width, statistics built.
+    /// their schema node's final width.
     pub fn finish(mut self) -> Result<XmlStorage, StorageError> {
         if self.open.len() != 1 {
             return Err(StorageError::corrupt("the document ended with open elements"));
@@ -1409,7 +1292,6 @@ impl StorageBuilder {
                 }
             }
         }
-        self.xs.stats = self.xs.rebuild_stats();
         Ok(self.xs)
     }
 }

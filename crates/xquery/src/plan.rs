@@ -1,4 +1,4 @@
-//! Cost-based query planning over the DataGuide + catalog statistics.
+//! Cost-based query planning over the DataGuide and its cardinalities.
 //!
 //! XPath steps are executed by two physical operators, one per access
 //! path §9 gives the storage, and they are *language-equivalent* — a
@@ -30,23 +30,26 @@
 //! naive evaluator does.
 //!
 //! The planner prices each step as guided descent using estimates from
-//! the storage's [`CatalogStats`] — cardinalities and leaf-value
-//! histograms — and the same work-unit constants the executor counts
-//! with, so an estimated cost and an actual cost are in one currency and
-//! `EXPLAIN` can print them side by side. The schema-path scan is costed
-//! per run and wins when it beats the guided steps it replaces. A plan
-//! carries the statistics generation it was costed against and refuses
-//! (loudly) to execute against a mutated store — the same staleness
-//! discipline as `xdm::DocumentOrderIndex`.
+//! the storage's per-schema-node cardinalities
+//! ([`XmlStorage::cardinality`]) and fixed predicate selectivities, in
+//! the same work-unit constants the executor counts with, so an
+//! estimated cost and an actual cost are in one currency and `EXPLAIN`
+//! can print them side by side. The schema-path scan is costed per run
+//! and wins when it beats the guided steps it replaces. A predicate's
+//! selectivity cannot sway that choice: the run ends at its first
+//! predicate, whose estimate enters both totals alike. A plan carries
+//! the storage tick it was costed against and refuses (loudly) to
+//! execute against a mutated store — the same staleness discipline as
+//! `xdm::DocumentOrderIndex`.
 
 use std::fmt;
 use std::fmt::Write as _;
 
-use storage::{CatalogStats, DescPtr, DescriptiveSchema, SchemaNodeId, XmlStorage};
+use storage::{DescPtr, DescriptiveSchema, SchemaNodeId, XmlStorage};
 use xdm::NodeKind;
 use xpath::{
-    axis_candidates, doc_order_union, merge_scans, test_matches, Axis, CompareOp, NodeTest, Path,
-    Predicate, Step,
+    axis_candidates, doc_order_union, merge_scans, test_matches, Axis, NodeTest, Path, Predicate,
+    Step,
 };
 
 use crate::relative::{Hop, Pred};
@@ -144,7 +147,7 @@ struct SchemaScan {
     /// The schema nodes the run's last step lands on.
     targets: Vec<SchemaNodeId>,
     /// Row counts of the run's earlier steps: their schema nodes'
-    /// catalog cardinalities, exact because the DataGuide is exact on a
+    /// storage cardinalities, exact because the DataGuide is exact on a
     /// predicate-free downward prefix (reported by `EXPLAIN`; nothing
     /// is materialised for them).
     prefix_rows: Vec<u64>,
@@ -256,8 +259,8 @@ impl QueryPlan {
     pub fn execute(&self, storage: &XmlStorage) -> PlanExecution {
         assert!(
             self.generation == storage.tick(),
-            "stale query plan: planned against catalog statistics at tick {} but the store is \
-             now at tick {}; re-plan after mutating",
+            "stale query plan: planned against storage tick {} but the store is now at tick {}; \
+             re-plan after mutating",
             self.generation,
             storage.tick(),
         );
@@ -368,13 +371,9 @@ struct StepEst {
 }
 
 /// Walk the path over the DataGuide, estimating each step's targets and
-/// cardinalities from the catalog.
-fn estimate_steps(
-    schema: &DescriptiveSchema,
-    stats: &CatalogStats,
-    path: &Path,
-    compiled: &[CompiledStep],
-) -> Vec<StepEst> {
+/// cardinalities.
+fn estimate_steps(storage: &XmlStorage, path: &Path, compiled: &[CompiledStep]) -> Vec<StepEst> {
+    let schema = storage.schema();
     let root = [schema.root()];
     let mut ests: Vec<StepEst> = Vec::with_capacity(path.steps.len());
     for (step, compiled) in path.steps.iter().zip(compiled) {
@@ -383,11 +382,11 @@ fn estimate_steps(
             None => (&root[..], 1.0),
         };
         let targets = step_targets(schema, frontier, step);
-        let ctx_card = card_sum(stats, frontier).max(1.0);
+        let ctx_card = card_sum(storage, frontier).max(1.0);
         let sel_in = (est_in / ctx_card).min(1.0);
-        let mut est_rows = card_sum(stats, &targets) * sel_in;
+        let mut est_rows = card_sum(storage, &targets) * sel_in;
         for pred in &step.predicates {
-            est_rows = match predicate_selectivity(schema, stats, &targets, pred) {
+            est_rows = match predicate_selectivity(pred) {
                 PredSel::Fraction(f) => est_rows * f,
                 PredSel::OnePerContext => est_rows.min(est_in),
             };
@@ -418,15 +417,13 @@ fn schema_path_run(path: &Path) -> usize {
 }
 
 /// Cost a path over a storage: every step priced as guided descent from
-/// the catalog statistics, or a schema-path scan for the leading run when
+/// the cardinalities, or a schema-path scan for the leading run when
 /// it is cheaper than the guided steps it replaces.
 /// `opts.statically_empty` (from xsanalyze's `PathBackend`) prunes the
 /// whole plan before costing; steps whose schema frontier comes up
 /// empty are pruned by the DataGuide itself.
 pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan {
     let schema = storage.schema();
-    let stats = storage.stats();
-    stats.assert_current(storage.tick());
     let compiled: Vec<CompiledStep> = path
         .steps
         .iter()
@@ -436,7 +433,7 @@ pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan 
             preds: step.predicates.iter().map(|p| Pred::compile(schema, p)).collect(),
         })
         .collect();
-    let ests = estimate_steps(schema, stats, path, &compiled);
+    let ests = estimate_steps(storage, path, &compiled);
     let pruned_from = if opts.statically_empty {
         Some(0)
     } else {
@@ -455,13 +452,13 @@ pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan 
         .enumerate()
         .map(|(i, step)| {
             let frontier = if i == 0 { &root[..] } else { &ests[i - 1].targets[..] };
-            (Strategy::Guided, est_cost(schema, stats, frontier, step, &ests[i]))
+            (Strategy::Guided, est_cost(storage, frontier, step, &ests[i]))
         })
         .collect();
     let run = schema_path_run(path);
     let scanned = (run > 0).then(|| {
         let last = &ests[run - 1];
-        let cost = card_sum(stats, &last.targets) * W_SCAN as f64 + last.est_rows * W_OUT as f64;
+        let cost = card_sum(storage, &last.targets) * W_SCAN as f64 + last.est_rows * W_OUT as f64;
         let mut choice = vec![(Strategy::SchemaPath, 0.0); run - 1];
         choice.push((Strategy::SchemaPath, cost));
         choice.extend_from_slice(&guided[run..]);
@@ -476,7 +473,7 @@ pub fn plan(storage: &XmlStorage, path: &Path, opts: &PlanOptions) -> QueryPlan 
         {
             let prefix_rows = ests[..run - 1]
                 .iter()
-                .map(|e| e.targets.iter().map(|&sn| stats.cardinality(sn)).sum())
+                .map(|e| e.targets.iter().map(|&sn| storage.cardinality(sn) as u64).sum())
                 .collect();
             let targets = ests[run - 1].targets.clone();
             (choice, Some(SchemaScan { steps: run, targets, prefix_rows }))
@@ -518,8 +515,8 @@ pub fn plan_and_execute(
     (p, e)
 }
 
-fn card_sum(stats: &CatalogStats, sns: &[SchemaNodeId]) -> f64 {
-    sns.iter().map(|&sn| stats.cardinality(sn) as f64).sum()
+fn card_sum(storage: &XmlStorage, sns: &[SchemaNodeId]) -> f64 {
+    sns.iter().map(|&sn| storage.cardinality(sn) as f64).sum()
 }
 
 /// A child or attribute step whose first predicate is `[k]` keeps only
@@ -534,23 +531,18 @@ fn first_k(step: &Step) -> Option<usize> {
 
 /// Estimated cost of running `step` by guided descent from `frontier`,
 /// in the same work units the executor counts.
-fn est_cost(
-    schema: &DescriptiveSchema,
-    stats: &CatalogStats,
-    frontier: &[SchemaNodeId],
-    step: &Step,
-    e: &StepEst,
-) -> f64 {
+fn est_cost(storage: &XmlStorage, frontier: &[SchemaNodeId], step: &Step, e: &StepEst) -> f64 {
+    let schema = storage.schema();
     let visited = match step.axis {
         Axis::Child | Axis::Attribute => {
             // A hop walks the step's own slot; any other test every node
             // on the axis.
-            let matches = card_sum(stats, &e.targets);
+            let matches = card_sum(storage, &e.targets);
             let attrs = step.axis == Axis::Attribute;
             let walked = if e.hop {
                 matches
             } else {
-                card_sum(stats, &children_of(schema, frontier, attrs))
+                card_sum(storage, &children_of(schema, frontier, attrs))
             };
             match first_k(step) {
                 // Each context stops at its k-th match.
@@ -563,12 +555,12 @@ fn est_cost(
         Axis::SelfAxis | Axis::Parent => e.est_in,
         Axis::Descendant | Axis::DescendantOrSelf => {
             let with_self = step.axis == Axis::DescendantOrSelf;
-            e.sel_in * card_sum(stats, &schema_descendants(schema, frontier, with_self))
+            e.sel_in * card_sum(storage, &schema_descendants(schema, frontier, with_self))
         }
         Axis::Ancestor | Axis::AncestorOrSelf => e.est_in * avg_depth(schema, frontier),
         Axis::FollowingSibling | Axis::PrecedingSibling => {
             let parents = parent_set(schema, frontier);
-            e.sel_in * card_sum(stats, &children_of(schema, &parents, false))
+            e.sel_in * card_sum(storage, &children_of(schema, &parents, false))
         }
     };
     visited * W_NAV as f64 + e.est_rows * W_OUT as f64
@@ -734,92 +726,14 @@ enum PredSel {
     OnePerContext,
 }
 
-/// Estimated selectivity of one predicate against the step's target
-/// schema nodes, using leaf-value histograms where the predicate's path
-/// resolves to one.
-fn predicate_selectivity(
-    schema: &DescriptiveSchema,
-    stats: &CatalogStats,
-    targets: &[SchemaNodeId],
-    pred: &Predicate,
-) -> PredSel {
+/// Estimated selectivity of one predicate: a fixed fraction per kind,
+/// as no plan choice turns on it.
+fn predicate_selectivity(pred: &Predicate) -> PredSel {
     match pred {
         Predicate::Position(_) | Predicate::Last => PredSel::OnePerContext,
         Predicate::Exists(_) => PredSel::Fraction(0.5),
-        Predicate::Compare { path, op, literal } => {
-            let Ok(v) = literal.trim().parse::<i64>() else {
-                return PredSel::Fraction(0.3);
-            };
-            let mut weighted = 0.0f64;
-            let mut weight = 0.0f64;
-            for &sn in targets {
-                for leaf in resolve_value_leaves(schema, sn, path) {
-                    if let Some(h) = &stats.node(leaf).hist {
-                        let total = h.total() as f64;
-                        if total > 0.0 {
-                            weighted += histogram_selectivity(h, *op, v) * total;
-                            weight += total;
-                        }
-                    }
-                }
-            }
-            if weight > 0.0 {
-                PredSel::Fraction((weighted / weight).clamp(0.0, 1.0))
-            } else {
-                PredSel::Fraction(0.3)
-            }
-        }
+        Predicate::Compare { .. } => PredSel::Fraction(0.3),
     }
-}
-
-fn histogram_selectivity(h: &storage::LeafHistogram, op: CompareOp, v: i64) -> f64 {
-    let le = h.fraction_le(v);
-    let eq = h.fraction_eq(v);
-    let numeric = h.fraction_le(i64::MAX); // fraction of values that are numeric at all
-    match op {
-        CompareOp::Eq => eq,
-        CompareOp::Ne => (1.0 - eq).max(0.0),
-        CompareOp::Lt => (le - eq).max(0.0),
-        CompareOp::Le => le,
-        CompareOp::Gt => (numeric - le).max(0.0),
-        CompareOp::Ge => (numeric - le + eq).max(0.0),
-    }
-}
-
-/// Resolve a predicate's relative path from a schema node to the
-/// value-bearing leaf schema nodes (the text child of a final element,
-/// or the attribute/text node itself).
-fn resolve_value_leaves(
-    schema: &DescriptiveSchema,
-    from: SchemaNodeId,
-    path: &Path,
-) -> Vec<SchemaNodeId> {
-    let mut frontier = vec![from];
-    for step in &path.steps {
-        if !step.predicates.is_empty() || !matches!(step.axis, Axis::Child | Axis::Attribute) {
-            return Vec::new(); // too clever for an estimate — fall back
-        }
-        frontier = step_targets(schema, &frontier, step);
-        if frontier.is_empty() {
-            return Vec::new();
-        }
-    }
-    // An element compares by its string value — bucketed on its text
-    // child's histogram.
-    let mut out = Vec::new();
-    for sn in frontier {
-        match schema.node(sn).kind {
-            NodeKind::Text | NodeKind::Attribute => out.push(sn),
-            _ => {
-                for &c in &schema.node(sn).children {
-                    if schema.node(c).kind == NodeKind::Text {
-                        out.push(c);
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -41,8 +41,8 @@ cargo test -q -p xsdb-integration --test update_soundness
 # from_tree(load_document(..)) down to the paged bytes.
 cargo test -q -p xsdb-integration --test streaming
 # Query-planner suites: differential plan equivalence (every physical
-# strategy returns the naive evaluator's node-set) and catalog-stats
-# invariants (incremental maintenance == from-scratch rebuild).
+# strategy returns the naive evaluator's node-set) and cardinality
+# invariants (each incrementally kept count == its list's length).
 cargo test -q -p xsdb-integration --test plan_equivalence
 cargo test -q -p xsdb-integration --test stats_invariants
 # Server, concurrency, and CLI-robustness suites (same rationale).
@@ -207,6 +207,22 @@ if ! awk '
   END { exit bad }' crates/core/src/*.rs crates/xquery/src/plan.rs >&2; then
   echo "one-resolver gate: non-test code in crates/core evaluates a path outside the planner," >&2
   echo "  or the planner builds a per-execution index" >&2
+  exit 1
+fi
+
+# One statistic: the planner costs with each schema node's cardinality,
+# kept beside its block list, and nothing else — a predicate's
+# selectivity cannot change a plan choice. Outside their tests, storage
+# and the planner keep no value histograms, fanouts or statistics
+# catalog (a version-3 catalog's statistics section is read past).
+if ! awk '
+  FNR == 1 { intest = 0 }
+  /#\[cfg\(test\)\]/ { intest = 1 }
+  !intest && $0 !~ /^[[:space:]]*\/\// && /LeafHistogram|NodeStats|CatalogStats|HIST_BUCKETS|rescan_hist/ {
+    print FILENAME ":" FNR ": " $0; bad = 1
+  }
+  END { exit bad }' crates/storage/src/*.rs crates/xquery/src/plan.rs >&2; then
+  echo "one-statistic gate: non-test storage or planner code keeps statistics beyond cardinalities" >&2
   exit 1
 fi
 

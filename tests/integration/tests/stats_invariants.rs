@@ -1,8 +1,8 @@
-//! Statistics-invariant property tests: the catalog statistics the
-//! planner costs against are maintained *incrementally* by every
-//! mutator, and the invariant is that after any mutation sequence they
-//! are **exactly** what a from-scratch rebuild derives — same
-//! cardinalities, same fanout counts, bucket-identical histograms.
+//! Statistics-invariant property tests: the one statistic the planner
+//! costs with — each schema node's cardinality, kept beside its block
+//! list — is maintained *incrementally* by every mutator, and the
+//! invariant is that after any mutation sequence it is **exactly** the
+//! length of the node's descriptor list, and the §9 invariants hold.
 //! A second family pins the staleness protocol: a plan built before a
 //! mutation refuses to execute after it, and `Database::query` always
 //! re-plans, so a post-update query never runs against pre-update
@@ -30,6 +30,15 @@ fn inner_elements(storage: &XmlStorage) -> Vec<xsdb::storage::DescPtr> {
         .collect()
 }
 
+/// The first schema node whose kept cardinality differs from the length
+/// of its descriptor list, if any.
+fn cardinality_mismatch(storage: &XmlStorage) -> Option<String> {
+    storage.schema().ids().find_map(|sn| {
+        let (kept, listed) = (storage.cardinality(sn), storage.scan(sn).len());
+        (kept != listed).then(|| format!("{sn}: cardinality {kept}, list length {listed}"))
+    })
+}
+
 /// Text and attribute descriptors — the targets `set_text` accepts.
 fn leaves(storage: &XmlStorage) -> Vec<xsdb::storage::DescPtr> {
     let mut out = Vec::new();
@@ -48,8 +57,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Raw storage mutators: after every single operation of a random
-    /// insert/set/delete sequence, the incrementally maintained catalog
-    /// equals a from-scratch rebuild, exactly.
+    /// insert/set/delete sequence, every incrementally maintained
+    /// cardinality equals a from-scratch count, exactly.
     #[test]
     fn incremental_stats_equal_rebuild_after_raw_mutations(
         books in 1usize..10,
@@ -58,7 +67,8 @@ proptest! {
     ) {
         let (store, doc) = bench::build_library_tree(books, 2, seed);
         let mut storage = XmlStorage::from_tree_with_capacity(&store, doc, 8);
-        prop_assert_eq!(storage.stats().clone(), storage.rebuild_stats());
+        prop_assert_eq!(cardinality_mismatch(&storage), None);
+        prop_assert_eq!(storage.check_invariants(), None);
 
         let mut rng = TestRng::for_case("stats_invariants", seed);
         let names = ["title", "author", "issue", "note", "year"];
@@ -99,28 +109,30 @@ proptest! {
                 }
             }
             prop_assert_eq!(
-                storage.stats().clone(), storage.rebuild_stats(),
-                "incremental stats diverged from rebuild after op {}", op
+                cardinality_mismatch(&storage), None,
+                "incremental cardinality diverged from the list after op {}", op
             );
+            prop_assert_eq!(storage.check_invariants(), None, "after op {}", op);
         }
         prop_assert_eq!(storage.check_invariants(), None);
     }
 
-    /// Loading any generated document yields stats that match a rebuild
-    /// (the load path *is* incremental maintenance, node by node).
+    /// Loading any generated document yields cardinalities that match
+    /// the lists (the load path *is* incremental maintenance, node by
+    /// node).
     #[test]
     fn generated_documents_load_with_exact_stats(case in CaseGen) {
         let doc = xsdb::Document::parse(&case.xml).unwrap();
         let loaded = xsdb::load_document(&case.schema, &doc).unwrap();
         let storage = XmlStorage::from_tree(&loaded.store, loaded.doc);
-        prop_assert_eq!(storage.stats().clone(), storage.rebuild_stats());
+        prop_assert_eq!(cardinality_mismatch(&storage), None);
         prop_assert_eq!(storage.check_invariants(), None);
     }
 
     /// A path-targeted insert/attribute/set/delete mix: applied through
     /// the raw storage mutators, and as `Mutation`s (the WAL/replication
     /// vocabulary) through the commit path — after every operation, each
-    /// catalog still equals a rebuild.
+    /// storage's cardinalities still equal its list lengths.
     #[test]
     fn mutation_sequences_preserve_stats(ops in 1usize..25, seed in 0u64..1_000_000) {
         const XSD: &str = r#"
@@ -201,8 +213,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(
-                raw.stats().clone(), raw.rebuild_stats(),
-                "raw stats diverged after {} ({})", op, update
+                cardinality_mismatch(&raw), None,
+                "raw cardinality diverged after {} ({})", op, update
             );
             prop_assert_eq!(raw.check_invariants(), None);
 
@@ -213,8 +225,8 @@ proptest! {
             let db = sh.read();
             let storage = &db.document("d").unwrap().storage;
             prop_assert_eq!(
-                storage.stats().clone(), storage.rebuild_stats(),
-                "stats diverged after mutation {} ({m:?})", op
+                cardinality_mismatch(storage), None,
+                "cardinality diverged after mutation {} ({m:?})", op
             );
             prop_assert_eq!(storage.check_invariants(), None);
         }
