@@ -248,9 +248,10 @@ pub fn save_full_epoch(
 }
 
 /// Write what `xs` holds and `saved` — the store's last save or load —
-/// does not: the catalog, stamped with `epoch`, then every data block and location segment that is
-/// not the allocation `saved` recorded. Returns the identities to pass
-/// to the next save once the caller has committed the store.
+/// does not: the catalog, stamped with `epoch`, then every data block
+/// and location segment that is not the allocation `saved` recorded.
+/// Returns the identities to pass to the next save once the caller has
+/// committed the store.
 ///
 /// # Errors
 /// I/O failures from the underlying [`Vfs`].
@@ -1033,7 +1034,8 @@ mod tests {
     /// A version-3 catalog as older builds wrote it: the version-2 bytes
     /// of `xs`'s committed catalog, then a statistics section of `nodes`
     /// entries — each node's cardinality, a fanout, and for text and
-    /// attribute nodes an equi-width histogram over its values.
+    /// attribute nodes a histogram (every value bucketed in the first of
+    /// eight buckets over 0..=99).
     fn v3_catalog(xs: &XmlStorage, v2: &[u8], nodes: usize) -> Vec<u8> {
         let mut w = Writer::new();
         w.u32(nodes as u32);
